@@ -164,7 +164,10 @@ def run_binned_ucb(
         n = min(block, horizon - pos)
         X = env.sample_contexts(rng, n)
         flat = lattice.cube_index(X)
-        flat = np.where(flat < 0, 0, flat)
+        off = np.flatnonzero(flat < 0)
+        if len(off):
+            step = pos + off[0] + 1
+            raise RuntimeError(f"context {X[off[0]]} at step {step} lies off the bin lattice")
         means = env.means_matrix(X)
         best = means.max(axis=0)
         oracle_ix = means.argmax(axis=0)

@@ -184,11 +184,140 @@ def empty_region(lattice: GridLattice) -> RegionMask:
     return RegionMask(lattice, np.zeros(lattice.n_cubes, dtype=bool))
 
 
+# Bound on the work held in memory at once while screening: quadrature
+# points per block of centers on the point-level path, integer gathers per
+# block on the lattice path.
+_SCREEN_CHUNK = 1 << 18
+
+# (d, resolution) -> read-only (offsets, prefix, lo, hi); see _ball_quadrature.
+_BALL_QUADRATURE: dict = {}
+
+
+def _midpoint_axis(resolution: int) -> np.ndarray:
+    """Midpoints of ``resolution`` equal cells over [-1, 1]."""
+    return (2.0 * np.arange(resolution) + 1.0) / resolution - 1.0
+
+
 def _midpoint_offsets(d: int, resolution: int) -> np.ndarray:
     """Midpoints of a resolution^d cell grid over [-1, 1]^d."""
-    axis = (2.0 * np.arange(resolution) + 1.0) / resolution - 1.0
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    grids = np.meshgrid(*([_midpoint_axis(resolution)] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _ball_quadrature(d: int, resolution: int) -> tuple[np.ndarray, ...]:
+    """The in-ball quadrature offsets and their last-axis runs, memoised.
+
+    Returns ``(offsets, prefix, lo, hi)``.  ``offsets`` are the midpoint
+    offsets inside the unit ball, in the row-major order of
+    :func:`_midpoint_offsets`.  A row is the ``resolution`` offsets sharing
+    their first ``d - 1`` grid indices; for each row holding in-ball
+    offsets, ``prefix[:, r]`` gives those indices and its in-ball offsets
+    are last-axis indices ``lo[r] <= k < hi[r]``.  The run is contiguous:
+    the midpoints increase along the axis and the rounded squared norm is
+    monotone in each coordinate's magnitude.
+    """
+    key = (d, resolution)
+    if key not in _BALL_QUADRATURE:
+        offsets = _midpoint_offsets(d, resolution)
+        in_ball = np.einsum("ij,ij->i", offsets, offsets) <= 1.0
+        rows = in_ball.reshape(-1, resolution)
+        keep = np.nonzero(rows.any(axis=1))[0]
+        lo = rows[keep].argmax(axis=1)
+        hi = resolution - rows[keep, ::-1].argmax(axis=1)
+        prefix = np.array(
+            [keep // resolution ** (d - 2 - i) % resolution for i in range(d - 1)], dtype=np.int64
+        ).reshape(d - 1, len(keep))
+        entry = (offsets[in_ball], prefix, lo, hi)
+        for array in entry:
+            array.flags.writeable = False
+        _BALL_QUADRATURE[key] = entry
+    return _BALL_QUADRATURE[key]
+
+
+def _point_counts(
+    centers: np.ndarray, radius: float, region: RegionMask | Predicate, resolution: int
+) -> np.ndarray:
+    """In-ball quadrature points inside the region, per center.
+
+    Evaluates the region's membership test on the points themselves, for
+    any region; blocks of centers bound the size of the point cloud.
+    """
+    n, d = centers.shape
+    scaled = radius * _ball_quadrature(d, resolution)[0]
+    contains = region.contains if isinstance(region, RegionMask) else region
+    counts = np.empty(n, dtype=np.int64)
+    step = max(1, _SCREEN_CHUNK // len(scaled))
+    for start in range(0, n, step):
+        block = centers[start : start + step]
+        points = (block[:, None, :] + scaled[None, :, :]).reshape(-1, d)
+        member = np.asarray(contains(points), dtype=bool).reshape(len(block), -1)
+        counts[start : start + step] = np.count_nonzero(member, axis=1)
+    return counts
+
+
+def _lattice_cells(centers: np.ndarray, region: RegionMask | Predicate) -> np.ndarray | None:
+    """Per-axis cube indices of the centers, if screening may run on the lattice.
+
+    That needs a region that is a union of whole cubes clipped to the unit
+    cube (a :class:`RegionMask` whose support is ``None`` or
+    :func:`unit_cube_support`) and centers that are, bit for bit, cube
+    centers of its lattice.  Otherwise ``None``.
+    """
+    if not isinstance(region, RegionMask):
+        return None
+    if not (region.support is None or region.support is unit_cube_support):
+        return None
+    lattice = region.lattice
+    if centers.shape[1] != lattice.d:
+        return None
+    cells = np.floor(centers / lattice.delta).astype(np.int64)
+    if np.any((cells < 0) | (cells >= lattice.cells_per_axis)):
+        return None
+    if not np.array_equal((cells + 0.5) * lattice.delta, centers):
+        return None
+    return cells
+
+
+def _lattice_counts(
+    cells: np.ndarray, radius: float, region: RegionMask, resolution: int
+) -> np.ndarray:
+    """:func:`_point_counts` for lattice centers, without the points.
+
+    Along one axis, coordinate ``k`` of the ball around cube ``j`` is
+    ``(j + 1/2) delta + radius * axis[k]`` whatever the other axes do, and
+    for the unit-cube support membership is a per-axis test.  So one table
+    gives the cube (or none) of every coordinate, computed with the same
+    float operations as :meth:`RegionMask.contains` on the points, and a
+    running count of member cubes over the last axis turns each row of
+    in-ball offsets into two integer lookups.
+    """
+    lattice = region.lattice
+    d, cpa = lattice.d, lattice.cells_per_axis
+    _, prefix, lo, hi = _ball_quadrature(d, resolution)
+    centers = (np.arange(cpa) + 0.5) * lattice.delta
+    coords = centers[:, None] + radius * _midpoint_axis(resolution)[None, :]
+    axis_cube = lattice.axis_index(coords)
+    inside = (coords >= 0.0) & (coords <= 1.0) & (axis_cube >= 0) & (axis_cube < cpa)
+    axis_cube[~inside] = cpa  # a padding cube that belongs to no region
+    member = np.zeros((cpa + 1,) * d, dtype=bool)
+    member[(slice(0, cpa),) * d] = np.asarray(region.cube_mask, dtype=bool).reshape((cpa,) * d)
+    member = member.reshape(-1, cpa + 1)
+    # running[q, j, k]: member cubes among the first k last-axis coordinates
+    # of the ball around last-axis cube j, among the cubes whose first d - 1
+    # indices flatten (with the padding cube) to q
+    running = np.zeros((len(member), cpa, resolution + 1), dtype=np.int32)
+    np.cumsum(member[:, axis_cube], axis=2, dtype=np.int32, out=running[:, :, 1:])
+    running = running.ravel()
+    counts = np.empty(len(cells), dtype=np.int64)
+    step = max(1, _SCREEN_CHUNK // len(lo))
+    for start in range(0, len(cells), step):
+        block = cells[start : start + step]
+        prefix_cube = np.zeros((len(block), len(lo)), dtype=np.int64)
+        for axis in range(d - 1):
+            prefix_cube = prefix_cube * (cpa + 1) + axis_cube[block[:, axis, None], prefix[axis]]
+        base = (prefix_cube * cpa + block[:, d - 1, None]) * (resolution + 1)
+        counts[start : start + step] = (running[base + hi] - running[base + lo]).sum(axis=1)
+    return counts
 
 
 def ball_region_fraction(
@@ -209,15 +338,11 @@ def ball_region_fraction(
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    center = np.asarray(center, dtype=float).reshape(-1)
-    offsets = _midpoint_offsets(center.shape[0], resolution)
-    in_ball = np.einsum("ij,ij->i", offsets, offsets) <= 1.0
-    points = center[None, :] + radius * offsets[in_ball]
-    member = region.contains(points) if isinstance(region, RegionMask) else np.asarray(region(points), dtype=bool)
-    denom = int(in_ball.sum())
+    center = np.asarray(center, dtype=float).reshape(1, -1)
+    denom = len(_ball_quadrature(center.shape[1], resolution)[0])
     if denom == 0:
         return 0.0
-    return float(np.count_nonzero(member)) / denom
+    return int(_point_counts(center, radius, region, resolution)[0]) / denom
 
 
 def is_weakly_regular(
@@ -242,8 +367,20 @@ def batch_weak_regularity(
 ) -> np.ndarray:
     """Vectorized weak-regularity test at many centers with one shared radius.
 
-    Same quadrature as :func:`ball_region_fraction`, evaluated for all
-    centers in one membership call.
+    Same quadrature as :func:`ball_region_fraction`, and the same answer
+    whichever of two paths computes it:
+
+    - the lattice path, when ``d >= 2``, the region is a union of lattice
+      cubes clipped to the unit cube (a :class:`RegionMask` with support
+      ``None`` or :func:`unit_cube_support`) and every center is a cube
+      center of its lattice: per-axis cube tables and running counts over
+      the last axis, with no quadrature points built (:func:`_lattice_counts`);
+    - the point path otherwise, for example for off-lattice centers or a
+      support that cuts through cubes: the region's membership test on the
+      quadrature points, built for a bounded block of centers at a time
+      (:func:`_point_counts`).  At ``d = 1`` a center has only
+      ``resolution`` points, as many as a row of the lattice path's tables,
+      so the point path is the cheaper one there.
     """
     if not 0 < c <= 1:
         raise ValueError(f"regularity constant must be in (0, 1], got {c}")
@@ -251,14 +388,15 @@ def batch_weak_regularity(
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     centers = np.atleast_2d(centers)
     n, d = centers.shape
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    offsets = _midpoint_offsets(d, resolution)
-    offsets = offsets[np.einsum("ij,ij->i", offsets, offsets) <= 1.0]
-    points = (centers[:, None, :] + radius * offsets[None, :, :]).reshape(-1, d)
-    member = region.contains(points) if isinstance(region, RegionMask) else np.asarray(region(points), dtype=bool)
-    fractions = member.reshape(n, len(offsets)).mean(axis=1)
-    return fractions >= c
+    denom = len(_ball_quadrature(d, resolution)[0])
+    if n == 0 or denom == 0:
+        return np.zeros(n, dtype=bool)
+    cells = _lattice_cells(centers, region) if d > 1 else None
+    if cells is None:
+        counts = _point_counts(centers, radius, region, resolution)
+    else:
+        counts = _lattice_counts(cells, radius, region, resolution)
+    return counts / denom >= c
 
 
 def support_cube_mask(

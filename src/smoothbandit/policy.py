@@ -425,9 +425,10 @@ def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
     except Exception as exc:
         raise RuntimeError(f"environment sampling failed at step {start_t + 1}: {exc}") from exc
     flat = lattice.cube_index(X)
-    off = flat < 0
-    if np.any(off):
-        flat = np.where(off, 0, flat)
+    off = np.flatnonzero(flat < 0)
+    if len(off):
+        step = start_t + off[0] + 1
+        raise RuntimeError(f"context {X[off[0]]} at step {step} lies off the cube lattice")
     u = rng.random(n)
     k = np.minimum((u * counts[flat]).astype(np.int64), counts[flat] - 1)
     arm_ix = table[flat, k]
@@ -505,7 +506,8 @@ def run_two_arm(
             screened = {a: screen_inestimable(state, a, env.support, config) for a in (1, -1)}
             tau_hat, est_diag = estimate_cate_at_centers(state, config, screened)
             state, upd_info = update_regions(state, tau_hat, screened, schedule.tolerances[k - 2])
-            assert state.partition_ok()
+            if not state.partition_ok():
+                raise RuntimeError(f"epoch {k}: the explore/exploit regions do not partition the support")
         table, counts = _two_arm_tables(state)
         X, arm_ix, rewards, regret, inferior = _static_epoch(
             env, rng, length, lattice, table, counts, start_t
@@ -763,7 +765,8 @@ def run_multi_arm(
             screened = {ai: screen_multi_arm(state, ai, env.support, config) for ai in range(n_arms)}
             eta_hat, est_diag = estimate_means_at_centers(state, config, screened)
             state, upd_info = update_active_sets(state, eta_hat, screened, schedule.tolerances[k - 2])
-            assert state.invariants_ok()
+            if not state.invariants_ok():
+                raise RuntimeError(f"epoch {k}: a support cube has no active arm left")
         table, counts = _multi_arm_tables(state)
         X, arm_ix, rewards, regret, inferior = _static_epoch(
             env, rng, length, lattice, table, counts, start_t

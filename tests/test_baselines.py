@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,3 +129,17 @@ class TestBinnedUcbRun:
         a = run_binned_ucb(env, 2000, seed=5)
         b = run_binned_ucb(env, 2000, seed=5)
         assert a.equals(b)
+
+
+class TestOffLatticeContexts:
+    def test_binned_ucb_names_the_step(self):
+        env = make_smooth_instance("constant_gap", d=1, gap=0.2)
+
+        def sample(rng, n):
+            x = rng.random((n, 1))
+            x[n // 2] = 2.0
+            return x
+
+        env = dataclasses.replace(env, sample_contexts=sample)
+        with pytest.raises(RuntimeError, match="step 51 lies off the bin lattice"):
+            run_binned_ucb(env, horizon=300, seed=0, block=100)

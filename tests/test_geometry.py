@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from smoothbandit import geometry
 from smoothbandit.geometry import (
     GridLattice,
     RegionMask,
@@ -250,3 +252,140 @@ class TestSupportCubeMask:
         region = RegionMask(lat, np.array([True, True, True]))
         pts = np.array([[0.99], [1.0], [1.04]])
         np.testing.assert_array_equal(region.contains(pts), [True, True, False])
+
+
+def _cloud_fractions(centers, radius, region, resolution):
+    """The screening quadrature on the whole point cloud at once (reference)."""
+    offsets = geometry._midpoint_offsets(centers.shape[1], resolution)
+    offsets = offsets[np.einsum("ij,ij->i", offsets, offsets) <= 1.0]
+    points = (centers[:, None, :] + radius * offsets[None, :, :]).reshape(-1, centers.shape[1])
+    member = region.contains(points) if isinstance(region, RegionMask) else region(points)
+    return np.asarray(member, dtype=bool).reshape(len(centers), len(offsets)).mean(axis=1)
+
+
+def _random_lattice(rng, d):
+    cells = int(rng.integers(1, {1: 40, 2: 14, 3: 7}[d]))
+    kind = rng.integers(3)
+    if kind == 0:
+        delta = 1.0 / cells
+    elif kind == 1:  # cells * delta just below 1, inside the lattice's tolerance
+        delta = (1.0 - rng.uniform(0.0, 1e-12)) / cells
+        if cells * delta < 1.0 - 1e-12:
+            delta = 1.0 / cells
+    else:  # the last cube overhangs x = 1 by a sizeable fraction
+        delta = rng.uniform(1.0, 1.6) / cells
+    return GridLattice(d=d, delta=delta, cells_per_axis=cells)
+
+
+def _screen_centers(rng, lat, limit):
+    """Lattice centers, always including cubes on the last layer of some axis."""
+    idx = np.array([lat.cube_id(f) for f in range(lat.n_cubes)])
+    edge = np.nonzero((idx == lat.cells_per_axis - 1).any(axis=1))[0]
+    pick = np.union1d(rng.choice(edge, size=min(len(edge), limit // 2), replace=False),
+                      rng.choice(lat.n_cubes, size=min(lat.n_cubes, limit // 2), replace=False))
+    return lat.centers(pick)
+
+
+class TestLatticeScreening:
+    """The lattice path of the screening test against the point-level oracle."""
+
+    def test_lattice_path_matches_point_path(self):
+        rng = np.random.default_rng(20240)
+        for case in range(540):
+            d = case % 3 + 1
+            lat = _random_lattice(rng, d)
+            mask = rng.random(lat.n_cubes) < rng.uniform(0.0, 1.0)
+            support = (None, unit_cube_support)[case % 2]
+            region = RegionMask(lat, mask, support)
+            resolution = 2 + case % 32
+            radius = float(np.exp(rng.uniform(np.log(lat.delta / 4), np.log(1.5))))
+            c = float(rng.uniform(0.01, 1.0))
+            centers = _screen_centers(rng, lat, 24)
+            cells = geometry._lattice_cells(centers, region)
+            assert cells is not None
+            lattice_counts = geometry._lattice_counts(cells, radius, region, resolution)
+            point_counts = geometry._point_counts(centers, radius, region, resolution)
+            np.testing.assert_array_equal(lattice_counts, point_counts)
+            fractions = _cloud_fractions(centers, radius, region, resolution)
+            np.testing.assert_array_equal(
+                batch_weak_regularity(centers, radius, c, region, resolution), fractions >= c
+            )
+            # and at a threshold equal to an attained fraction, where ties decide
+            tie = float(fractions[rng.integers(len(fractions))])
+            if tie > 0:
+                np.testing.assert_array_equal(
+                    batch_weak_regularity(centers, radius, tie, region, resolution), fractions >= tie
+                )
+
+    def test_ball_rows_are_contiguous_runs(self):
+        for d in (1, 2, 3):
+            for resolution in range(2, 34):
+                offsets, prefix, lo, hi = geometry._ball_quadrature(d, resolution)
+                grid = geometry._midpoint_offsets(d, resolution)
+                in_ball = (np.einsum("ij,ij->i", grid, grid) <= 1.0).reshape(-1, resolution)
+                rebuilt = np.zeros_like(in_ball)
+                rows = np.zeros(len(lo), dtype=np.int64)
+                for axis in range(d - 1):
+                    rows = rows * resolution + prefix[axis]
+                for r, a, b in zip(rows, lo, hi):
+                    rebuilt[r, a:b] = True
+                np.testing.assert_array_equal(rebuilt, in_ball)
+                assert len(offsets) == in_ball.sum()
+
+    def test_other_regions_take_the_point_path(self):
+        lat = build_lattice(2000, 1, 2)
+        rng = np.random.default_rng(3)
+        region = RegionMask(lat, rng.random(lat.n_cubes) < 0.4)
+        centers = lat.centers(np.arange(lat.n_cubes))
+        assert geometry._lattice_cells(centers, region) is not None
+        # off-lattice centers, as in test_batch_matches_scalar
+        assert geometry._lattice_cells(rng.random((40, 2)), region) is None
+        assert geometry._lattice_cells(np.nextafter(centers, 2.0), region) is None
+        # a support that is not cube-aligned, and a bare predicate
+        assert geometry._lattice_cells(centers, RegionMask(lat, region.cube_mask, _halfspace)) is None
+        assert geometry._lattice_cells(centers, _halfspace) is None
+        # centers of another lattice
+        other = GridLattice(d=2, delta=lat.delta * 1.5, cells_per_axis=lat.cells_per_axis)
+        assert geometry._lattice_cells(other.centers(np.arange(10)), region) is None
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_result_does_not_depend_on_chunk(self, monkeypatch, n):
+        # n below, equal to, and not a multiple of a four-center chunk
+        lat = build_lattice(3000, 2, 2)
+        rng = np.random.default_rng(n)
+        region = RegionMask(lat, rng.random(lat.n_cubes) < 0.5)
+        lattice_centers = lat.centers(rng.choice(lat.n_cubes, size=n, replace=False))
+        loose_centers = rng.random((n, 2))
+        offsets, _, lo, _ = geometry._ball_quadrature(2, 32)
+        cases = [(loose_centers, region), (lattice_centers, _halfspace), (lattice_centers, region)]
+        whole = [_cloud_fractions(x, 0.1, reg, 32) >= 0.3 for x, reg in cases]
+        counts = geometry._lattice_counts(geometry._lattice_cells(lattice_centers, region), 0.1, region, 32)
+        for chunk in (4 * len(offsets), 4 * len(lo)):
+            monkeypatch.setattr(geometry, "_SCREEN_CHUNK", chunk)
+            for (x, reg), want in zip(cases, whole):
+                np.testing.assert_array_equal(batch_weak_regularity(x, 0.1, 0.3, reg, 32), want)
+            np.testing.assert_array_equal(
+                geometry._lattice_counts(geometry._lattice_cells(lattice_centers, region), 0.1, region, 32),
+                counts,
+            )
+
+    def test_large_lattice_screens_in_bounded_memory(self):
+        lat = build_lattice(2**16, 2.0, 2)
+        assert lat.n_cubes == 200_704
+        rng = np.random.default_rng(16)
+        region = RegionMask(lat, rng.random(lat.n_cubes) < 0.5)
+        centers = lat.all_centers()
+        radius, c = 0.05, 1.0 / 48.0
+        limit = 128 * 2**20
+        tracemalloc.start()
+        try:
+            on_lattice = batch_weak_regularity(centers, radius, c, region)
+            lattice_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            by_points = batch_weak_regularity(centers, radius, c, region.contains)
+            point_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lattice_peak < limit, lattice_peak
+        assert point_peak < limit, point_peak
+        np.testing.assert_array_equal(on_lattice, by_points)

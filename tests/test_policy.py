@@ -1,14 +1,22 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smoothbandit
+from smoothbandit import policy
 from smoothbandit.environments import make_constant_multi_arm, make_smooth_instance
 from smoothbandit.geometry import build_lattice, support_cube_mask, unit_cube_support
 from smoothbandit.policy import (
     DecisionState,
     PolicyConfig,
     ScreenResult,
+    _static_epoch,
+    _two_arm_tables,
     act,
     act_multi,
     epoch_count_bound,
@@ -609,3 +617,81 @@ class TestRunMultiArm:
         # every arm still owns some region: none is eliminated globally
         for arm in env.arms:
             assert any(b == (1 << arm) for b in bits[support_ids])
+
+
+def _break_partition(update):
+    def broken(state, *args):
+        state, info = update(state, *args)
+        state.exploit[1] = state.support_cubes.copy()  # overlaps the explore region
+        return state, info
+
+    return broken
+
+
+def _empty_active_sets(update):
+    def broken(state, *args):
+        state, info = update(state, *args)
+        state.active[:] = False
+        return state, info
+
+    return broken
+
+
+class TestInvariantChecks:
+    """Broken states stop the run with the epoch named, also under ``python -O``."""
+
+    def test_two_arm_broken_partition_raises(self, monkeypatch):
+        monkeypatch.setattr(policy, "update_regions", _break_partition(policy.update_regions))
+        env = make_smooth_instance("constant_gap", d=1, gap=0.0)
+        with pytest.raises(RuntimeError, match="epoch 2"):
+            run_two_arm(env, PolicyConfig(beta=1.0, d=1, horizon=2000), seed=0)
+
+    def test_multi_arm_empty_active_set_raises(self, monkeypatch):
+        monkeypatch.setattr(policy, "update_active_sets", _empty_active_sets(policy.update_active_sets))
+        env = make_constant_multi_arm((0.5, 0.5, 0.5), d=1)
+        with pytest.raises(RuntimeError, match="epoch 2"):
+            run_multi_arm(env, PolicyConfig(beta=1.0, d=1, horizon=2000, arm_count=3), seed=0)
+
+    def test_checks_survive_optimize_flag(self):
+        # the two tests above, rerun in an interpreter that strips asserts
+        src = os.path.dirname(os.path.dirname(smoothbandit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        selected = "TestInvariantChecks and raises"
+        cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", selected]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 passed" in proc.stdout, proc.stdout
+
+
+class TestOffLatticeContexts:
+    def test_static_epoch_names_the_step(self):
+        env = make_smooth_instance("constant_gap", d=1, gap=0.2)
+
+        def sample(rng, n):
+            x = rng.random((n, 1))
+            x[3] = 1.5
+            return x
+
+        env = dataclasses.replace(env, sample_contexts=sample)
+        lattice = build_lattice(1000, 1.0, 1)
+        state = initial_state(lattice, support_cube_mask(lattice, unit_cube_support))
+        table, counts = _two_arm_tables(state)
+        rng = np.random.default_rng(0)
+        with pytest.raises(RuntimeError, match="step 104 lies off the cube lattice"):
+            _static_epoch(env, rng, 10, lattice, table, counts, start_t=100)
+
+    def test_run_stops_at_an_off_lattice_context(self):
+        env = make_smooth_instance("constant_gap", d=1, gap=0.2)
+        draws = []
+
+        def sample(rng, n):
+            x = rng.random((n, 1))
+            if sum(draws) + n > 1500:
+                x[1500 - sum(draws) - 1] = -0.25
+            draws.append(n)
+            return x
+
+        env = dataclasses.replace(env, sample_contexts=sample)
+        with pytest.raises(RuntimeError, match="step 1500 lies off"):
+            run_two_arm(env, PolicyConfig(beta=1.0, d=1, horizon=2000), seed=0)
