@@ -45,7 +45,7 @@ def binned_ucb_act(state: BinnedUcbState, x, t: int = 0, rng=None) -> int:
     """
     flat = state.lattice.cube_index(np.atleast_2d(np.asarray(x, dtype=float)))[0]
     if flat < 0:
-        flat = 0
+        raise ValueError(f"context {x} is outside the unit cube")
     return _binned_ucb_choose(state, int(flat))
 
 

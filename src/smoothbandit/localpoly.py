@@ -6,14 +6,28 @@ centered at the query and scaled by the bandwidth, so the Gram matrix of
 the design doubles as the conditioning diagnostic: a fit whose Gram
 minimum eigenvalue falls below a tolerance is declared degenerate and
 reports the value 0.
+
+``fit_at_centers`` fits many queries at once: it walks the queries in
+blocks holding a bounded number of in-ball samples, builds the design rows
+of a block in one ``scaled_design`` call, sums every query's Gram matrix
+and moment vector with ``bincount`` and solves the block's systems in
+batched eigenvalue and solve calls.  ``local_poly_estimate`` is the
+single-query case of the same normal-equation solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+# In-ball sample rows (and queries) per block of ``fit_at_centers``; a block's
+# working memory is a few times this many rows of M + d floats.
+_FIT_ROWS = 2**14
 
 
 def _multi_indices(d: int, degree: int) -> list[tuple[int, ...]]:
@@ -53,7 +67,9 @@ def enumerate_basis(d: int, l: int) -> MultiIndexBasis:
     for degree in range(l + 1):
         indices.extend(_multi_indices(d, degree))
     basis = MultiIndexBasis(d=d, l=l, indices=tuple(indices))
-    assert basis.M == math.comb(d + l, d)
+    if basis.M != math.comb(d + l, d):
+        raise RuntimeError(f"basis of degree {l} in {d} variables has {basis.M} terms, "
+                           f"expected {math.comb(d + l, d)}")
     return basis
 
 
@@ -65,17 +81,80 @@ def default_eig_tol(basis: MultiIndexBasis) -> float:
 def scaled_design(x: np.ndarray, points: np.ndarray, h: float, basis: MultiIndexBasis) -> np.ndarray:
     """Design matrix of scaled centered monomials ((p - x)/h)^r.
 
-    Rows are points, columns follow the basis order.  Uses the 0^0 = 1
+    Rows are points, columns follow the basis order.  ``x`` is one query of
+    shape (d,) or one query per row, shape (R, d).  Uses the 0^0 = 1
     convention so a point at the query contributes only to the constant.
     """
-    u = (np.atleast_2d(points) - np.asarray(x, dtype=float)[None, :]) / h
-    exps = basis.exponents  # (M, d)
-    return np.prod(u[:, None, :] ** exps[None, :, :], axis=2)
+    u = (np.atleast_2d(points) - np.asarray(x, dtype=float)) / h
+    rows = len(u)
+    powers: dict[tuple[int, int], np.ndarray] = {}
+
+    def power(k: int, e: int) -> np.ndarray:
+        # pow(t, 1) == t exactly; higher powers go through pow() with an
+        # array exponent, as a scalar exponent takes a squaring fast path
+        # that can differ by an ulp.
+        if (k, e) not in powers:
+            powers[k, e] = u[:, k] if e == 1 else u[:, k] ** np.full(rows, e)
+        return powers[k, e]
+
+    out = np.empty((rows, basis.M))
+    for m, r in enumerate(basis.indices):
+        column = None
+        for k, e in enumerate(r):
+            if e:  # a zero exponent contributes the factor pow(t, 0) == 1
+                column = power(k, e) if column is None else column * power(k, e)
+        out[:, m] = 1.0 if column is None else column
+    return out
 
 
 def _in_ball(x: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
     diff = np.atleast_2d(points) - np.asarray(x, dtype=float)[None, :]
     return np.einsum("ij,ij->i", diff, diff) <= h * h
+
+
+def _moments(U: np.ndarray, y: np.ndarray, owner: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-query Gram matrices U_c^T U_c and moments U_c^T y_c, shapes (n, M, M), (n, M).
+
+    ``owner[i]`` is the query that design row ``i`` belongs to.  Each sum
+    runs over a query's rows in their given order, so it does not depend on
+    the other queries sharing the call.
+    """
+    M = U.shape[1]
+    gram = np.empty((n, M, M))
+    rhs = np.empty((n, M))
+    for i in range(M):
+        for j in range(i, M):
+            gram[:, i, j] = gram[:, j, i] = np.bincount(owner, U[:, i] * U[:, j], minlength=n)
+        rhs[:, i] = np.bincount(owner, U[:, i] * y, minlength=n)
+    return gram, rhs
+
+
+def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix in a (n, M, M) stack."""
+    size = m.shape[-1]
+    if size == 1:
+        return m[:, 0, 0].copy()
+    if size == 2:
+        tr = m[:, 0, 0] + m[:, 1, 1]
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
+        return (tr - np.sqrt(disc)) / 2.0
+    return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, 0]
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray, eig_tol: float):
+    """(coefficients, min eigenvalues, degenerate) of a stack of normal equations.
+
+    A system whose Gram minimum eigenvalue is below ``eig_tol`` is
+    degenerate and gets zero coefficients.
+    """
+    lam = _min_eigenvalues(gram)
+    degenerate = lam < eig_tol
+    coef = np.zeros(rhs.shape)
+    ok = ~degenerate
+    if ok.any():
+        coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
+    return coef, lam, degenerate
 
 
 def gram_matrix(x: np.ndarray, points: np.ndarray, h: float, basis: MultiIndexBasis) -> np.ndarray:
@@ -100,16 +179,7 @@ def min_eigenvalue(m: np.ndarray, sym_tol: float = 1e-10) -> float:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.T), initial=0.0) > sym_tol:
         raise ValueError("matrix is not symmetric within tolerance")
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    if n == 2:
-        tr = m[0, 0] + m[1, 1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        return float((tr - math.sqrt(disc)) / 2.0)
-    sym = (m + m.T) / 2.0
-    return float(np.linalg.eigvalsh(sym)[0])
+    return float(_min_eigenvalues(m[None])[0])
 
 
 @dataclass(frozen=True)
@@ -131,6 +201,15 @@ class LocalPolyFit:
     degenerate: bool
 
 
+def _check_inputs(h: float, points: np.ndarray, rewards: np.ndarray) -> None:
+    if h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    if len(points) != len(rewards):
+        raise ValueError("points and rewards must have equal length")
+    if rewards.size and not np.all(np.isfinite(rewards)):
+        raise ValueError("rewards must be finite")
+
+
 def local_poly_estimate(
     x: np.ndarray,
     points: np.ndarray,
@@ -146,15 +225,10 @@ def local_poly_estimate(
     ``degenerate=True`` when the system is rank deficient at tolerance
     ``eig_tol`` (default ``1e-8 * M``), including the empty-ball case.
     """
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
     x = np.asarray(x, dtype=float).reshape(-1)
     points = np.atleast_2d(points)
     rewards = np.asarray(rewards, dtype=float).reshape(-1)
-    if len(points) != len(rewards):
-        raise ValueError("points and rewards must have equal length")
-    if rewards.size and not np.all(np.isfinite(rewards)):
-        raise ValueError("rewards must be finite")
+    _check_inputs(h, points, rewards)
     if eig_tol is None:
         eig_tol = default_eig_tol(basis)
 
@@ -165,11 +239,97 @@ def local_poly_estimate(
     else:
         U = np.zeros((0, basis.M))
         y = np.zeros(0)
-    gram = U.T @ U
-    lam = min_eigenvalue(gram)
-    if lam < eig_tol:
-        fit = LocalPolyFit(x, h, np.zeros(basis.M), gram, lam, len(y), True)
-        return 0.0, fit
-    coef = np.linalg.solve(gram, U.T @ y)
-    fit = LocalPolyFit(x, h, coef, gram, lam, len(y), False)
-    return float(coef[0]), fit
+    gram, rhs = _moments(U, y, np.zeros(len(y), dtype=np.intp), 1)
+    coef, lam, degenerate = _solve(gram, rhs, eig_tol)
+    fit = LocalPolyFit(x, h, coef[0], gram[0], float(lam[0]), len(y), bool(degenerate[0]))
+    return float(coef[0, 0]), fit
+
+
+class CenterFits(NamedTuple):
+    """Per-query results of ``fit_at_centers``, each of length n_centers."""
+
+    values: np.ndarray
+    degenerate: np.ndarray
+    min_eigs: np.ndarray
+    n_in_ball: np.ndarray
+
+
+def _blocks(counts: np.ndarray):
+    """(start, stop) runs of consecutive queries with at most _FIT_ROWS rows and queries.
+
+    A query with more rows than that gets a block of its own.
+    """
+    limit = _FIT_ROWS
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + limit, side="right"))
+        stop = min(max(stop, start + 1), start + limit)
+        yield start, stop
+        start = stop
+
+
+def _neighborhood_blocks(centers: np.ndarray, points: np.ndarray, h: float):
+    """Yield (start, stop, rows, counts): the sample indices within ``h`` of
+    ``centers[start:stop]``, flattened in query order, and their count per query.
+
+    The kd-tree is queried one block at a time, so the lists it returns
+    stay bounded.
+    """
+    if points.shape[1] == 1:
+        order = np.argsort(points[:, 0], kind="stable")
+        ordered = points[order, 0]
+        lo = np.searchsorted(ordered, centers[:, 0] - h, side="left")
+        counts = np.searchsorted(ordered, centers[:, 0] + h, side="right") - lo
+        for start, stop in _blocks(counts):
+            c = counts[start:stop]
+            shift = np.repeat(lo[start:stop] - (np.cumsum(c) - c), c)
+            yield start, stop, order[np.arange(len(shift)) + shift], c
+        return
+    tree = cKDTree(points)
+    for start, stop in _blocks(tree.query_ball_point(centers, h, return_length=True)):
+        lists = tree.query_ball_point(centers[start:stop], h, return_sorted=True)
+        c = np.fromiter(map(len, lists), dtype=np.intp, count=stop - start)
+        rows = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=int(c.sum()))
+        yield start, stop, rows, c
+
+
+def fit_at_centers(
+    centers: np.ndarray,
+    points: np.ndarray,
+    rewards: np.ndarray,
+    h: float,
+    basis: MultiIndexBasis,
+    eig_tol: float | None = None,
+) -> CenterFits:
+    """Local polynomial value at every center from the samples within ``h``.
+
+    Each center gets the fit ``local_poly_estimate`` makes from the same
+    samples: value 0 and the degenerate flag where the Gram minimum
+    eigenvalue is below ``eig_tol`` (default ``1e-8 * M``).  The samples of
+    a center are those in the window [c - h, c + h] of the sorted samples in
+    one dimension, and those a kd-tree finds within ``h`` otherwise.
+    Centers are processed in blocks of at most ``_FIT_ROWS`` in-ball rows,
+    so memory stays bounded for any number of centers; the results do not
+    depend on the block size.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rewards = np.asarray(rewards, dtype=float).reshape(-1)
+    _check_inputs(h, points, rewards)
+    if eig_tol is None:
+        eig_tol = default_eig_tol(basis)
+    n = len(centers)
+    values = np.zeros(n)
+    degenerate = np.zeros(n, dtype=bool)
+    min_eigs = np.empty(n)
+    n_in_ball = np.zeros(n, dtype=np.intp)
+    for start, stop, rows, counts in _neighborhood_blocks(centers, points, h):
+        owner = np.repeat(np.arange(stop - start), counts)
+        U = scaled_design(centers[start:stop][owner], points[rows], h, basis)
+        gram, rhs = _moments(U, rewards[rows], owner, stop - start)
+        coef, min_eigs[start:stop], degenerate[start:stop] = _solve(gram, rhs, eig_tol)
+        values[start:stop] = coef[:, 0]
+        n_in_ball[start:stop] = counts
+    return CenterFits(values, degenerate, min_eigs, n_in_ball)

@@ -6,7 +6,8 @@ tolerance halves.  At each epoch boundary it (1) screens out cubes whose
 reachable sampling region has become too irregular for a trustworthy
 local polynomial fit, (2) re-estimates the arm mean gap at the centers of
 the remaining undecided cubes using samples from the previous epoch with
-a sample-size-matched bandwidth, and (3) promotes cubes with a
+a sample-size-matched bandwidth, all centers of an arm in one batched
+call to ``localpoly.fit_at_centers``, and (3) promotes cubes with a
 confidently signed gap into exploit regions (two arms) or shrinks
 per-cube active arm sets (multiple arms).  Within an epoch the action
 rule is static: exploit cubes pull their arm, undecided cubes randomize
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .environments import Instance
 from .geometry import (
@@ -36,8 +36,8 @@ from .localpoly import (
     MultiIndexBasis,
     default_eig_tol,
     enumerate_basis,
-    min_eigenvalue,
-    scaled_design,
+    fit_at_centers,
+    scaled_design,  # unused here; the benchmark's tracer patches policy.scaled_design
 )
 from .results import EpochDiagnostics, RunResult, normalize_checkpoints
 
@@ -270,49 +270,6 @@ def screen_inestimable(state: DecisionState, arm, support, config: PolicyConfig)
     return ScreenResult(mask, False)
 
 
-class _BallIndex:
-    """Fixed-radius neighbor queries; sorted-array fast path in one dimension."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = np.atleast_2d(points)
-        self.d = self.points.shape[1]
-        if self.d == 1:
-            self.order = np.argsort(self.points[:, 0], kind="stable")
-            self.sorted = self.points[self.order, 0]
-        else:
-            self.tree = cKDTree(self.points) if len(self.points) else None
-
-    def query_many(self, centers: np.ndarray, radius: float) -> list:
-        centers = np.atleast_2d(centers)
-        if len(self.points) == 0:
-            return [np.empty(0, dtype=np.int64)] * len(centers)
-        if self.d == 1:
-            lo = np.searchsorted(self.sorted, centers[:, 0] - radius, side="left")
-            hi = np.searchsorted(self.sorted, centers[:, 0] + radius, side="right")
-            return [self.order[a:b] for a, b in zip(lo, hi)]
-        return [np.asarray(ix, dtype=np.int64) for ix in self.tree.query_ball_point(centers, radius)]
-
-
-def _fit_at_centers(centers, points, rewards, bandwidth, basis, eig_tol):
-    """Local polynomial value at each center; zero when degenerate."""
-    n = len(centers)
-    values = np.zeros(n)
-    degenerate = np.zeros(n, dtype=bool)
-    min_eigs = np.full(n, np.nan)
-    neighborhoods = _BallIndex(points).query_many(centers, bandwidth)
-    for i, sel in enumerate(neighborhoods):
-        U = scaled_design(centers[i], points[sel], bandwidth, basis)
-        gram = U.T @ U
-        lam = min_eigenvalue(gram)
-        min_eigs[i] = lam
-        if lam < eig_tol:
-            degenerate[i] = True
-            continue
-        coef = np.linalg.solve(gram, U.T @ rewards[sel])
-        values[i] = coef[0]
-    return values, degenerate, min_eigs
-
-
 def estimate_cate_at_centers(
     state: DecisionState, config: PolicyConfig, screened: dict
 ) -> tuple[np.ndarray, dict]:
@@ -336,7 +293,7 @@ def estimate_cate_at_centers(
     eig_min = math.inf
     for arm in (1, -1):
         X, y = state.samples[arm]
-        vals, degen, eigs = _fit_at_centers(centers, X, y, state.bandwidths[arm], basis, eig_tol)
+        vals, degen, eigs, _ = fit_at_centers(centers, X, y, state.bandwidths[arm], basis, eig_tol)
         per_arm[arm] = vals
         diag["degenerate_fits"] += int(degen.sum())
         if len(eigs):
@@ -652,7 +609,7 @@ def estimate_means_at_centers(
         if len(ids) == 0:
             continue
         X, y = state.samples[ai]
-        vals, degen, eigs = _fit_at_centers(
+        vals, degen, eigs, _ = fit_at_centers(
             state.lattice.centers(ids), X, y, state.bandwidths[ai], basis, eig_tol
         )
         eta[ids, ai] = vals

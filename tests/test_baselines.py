@@ -143,3 +143,8 @@ class TestOffLatticeContexts:
         env = dataclasses.replace(env, sample_contexts=sample)
         with pytest.raises(RuntimeError, match="step 51 lies off the bin lattice"):
             run_binned_ucb(env, horizon=300, seed=0, block=100)
+
+    def test_binned_ucb_act_names_the_context(self):
+        state = BinnedUcbState(lattice=GridLattice(d=1, delta=0.5, cells_per_axis=2), n_arms=2)
+        with pytest.raises(ValueError, match=r"context \[1.5\] is outside the unit cube"):
+            binned_ucb_act(state, np.array([1.5]))

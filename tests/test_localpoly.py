@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from smoothbandit import localpoly
+from smoothbandit.geometry import build_lattice
 from smoothbandit.localpoly import (
     default_eig_tol,
     enumerate_basis,
+    fit_at_centers,
     gram_matrix,
     local_poly_estimate,
     min_eigenvalue,
@@ -30,6 +35,49 @@ def brute_force_estimate(x, points, rewards, h, basis):
     return coef[0]
 
 
+class _BallIndex:
+    """Fixed-radius neighbor queries; sorted-array fast path in one dimension."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = np.atleast_2d(points)
+        self.d = self.points.shape[1]
+        if self.d == 1:
+            self.order = np.argsort(self.points[:, 0], kind="stable")
+            self.sorted = self.points[self.order, 0]
+        else:
+            self.tree = cKDTree(self.points) if len(self.points) else None
+
+    def query_many(self, centers: np.ndarray, radius: float) -> list:
+        centers = np.atleast_2d(centers)
+        if len(self.points) == 0:
+            return [np.empty(0, dtype=np.int64)] * len(centers)
+        if self.d == 1:
+            lo = np.searchsorted(self.sorted, centers[:, 0] - radius, side="left")
+            hi = np.searchsorted(self.sorted, centers[:, 0] + radius, side="right")
+            return [self.order[a:b] for a, b in zip(lo, hi)]
+        return [np.asarray(ix, dtype=np.int64) for ix in self.tree.query_ball_point(centers, radius)]
+
+
+def _fit_at_centers(centers, points, rewards, bandwidth, basis, eig_tol):
+    """Local polynomial value at each center; zero when degenerate."""
+    n = len(centers)
+    values = np.zeros(n)
+    degenerate = np.zeros(n, dtype=bool)
+    min_eigs = np.full(n, np.nan)
+    neighborhoods = _BallIndex(points).query_many(centers, bandwidth)
+    for i, sel in enumerate(neighborhoods):
+        U = scaled_design(centers[i], points[sel], bandwidth, basis)
+        gram = U.T @ U
+        lam = min_eigenvalue(gram)
+        min_eigs[i] = lam
+        if lam < eig_tol:
+            degenerate[i] = True
+            continue
+        coef = np.linalg.solve(gram, U.T @ rewards[sel])
+        values[i] = coef[0]
+    return values, degenerate, min_eigs
+
+
 class TestEnumerateBasis:
     def test_univariate(self):
         basis = enumerate_basis(1, 2)
@@ -52,6 +100,11 @@ class TestEnumerateBasis:
             enumerate_basis(0, 1)
         with pytest.raises(ValueError):
             enumerate_basis(1, -1)
+
+    def test_wrong_term_count_raises(self, monkeypatch):
+        monkeypatch.setattr(localpoly, "_multi_indices", lambda d, degree: [(degree,) * d])
+        with pytest.raises(RuntimeError, match="expected 6"):
+            enumerate_basis(2, 2)
 
 
 class TestGramMatrix:
@@ -238,3 +291,163 @@ class TestLocalPolyEstimate:
         basis = enumerate_basis(1, 1)
         U = scaled_design(np.array([0.5]), np.array([[0.5]]), 0.1, basis)
         np.testing.assert_allclose(U, [[1.0, 0.0]])
+
+    def test_scaled_design_matches_product_of_powers(self):
+        # bit for bit the product of per-axis powers with an array exponent
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 3):
+            for l in (0, 1, 2, 3):
+                basis = enumerate_basis(d, l)
+                x = rng.random(d)
+                pts = np.vstack([rng.random((200, d)), x[None, :]])
+                u = (pts - x[None, :]) / 0.3
+                expected = np.prod(u[:, None, :] ** basis.exponents[None, :, :], axis=2)
+                np.testing.assert_array_equal(scaled_design(x, pts, 0.3, basis), expected)
+
+    def test_scaled_design_one_query_per_row(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3):
+            basis = enumerate_basis(d, 3)
+            centers = rng.random((5, d))
+            owner = rng.integers(0, 5, size=60)
+            pts = rng.random((60, d))
+            rowwise = scaled_design(centers[owner], pts, 0.2, basis)
+            for i in range(60):
+                one = scaled_design(centers[owner[i]], pts[i : i + 1], 0.2, basis)
+                np.testing.assert_array_equal(rowwise[i : i + 1], one)
+
+
+def _kernel_cases():
+    """Seeded (name, centers, points, rewards, h, basis) inputs for the kernel."""
+    rng = np.random.default_rng(2024)
+    for d in (1, 2, 3):
+        for l in (0, 1, 2, 3):
+            n = 300 * d
+            pts = rng.random((n, d))
+            y = np.sin(3 * pts.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+            # some centers outside the unit cube have empty or thin balls
+            centers = rng.uniform(-0.3, 1.3, size=(40, d))
+            yield f"d{d}-l{l}", centers, pts, y, 0.15 + 0.1 * d, enumerate_basis(d, l)
+    for d in (1, 2):
+        basis = enumerate_basis(d, 1)
+        centers = rng.random((6, d))
+        yield f"no-points-d{d}", centers, np.empty((0, d)), np.empty(0), 0.2, basis
+        pts = np.repeat(rng.random((2, d)), 4, axis=0)
+        y = rng.random(len(pts))
+        yield f"duplicates-degenerate-d{d}", centers, pts, y, 2.0, enumerate_basis(d, 2)
+        pts = np.vstack([rng.random((50, d)), pts])
+        y = rng.random(len(pts))
+        yield f"duplicates-d{d}", centers, pts, y, 0.4, basis
+    # samples exactly at distance h (dyadic values, so the distance is exact)
+    centers = np.array([[0.25], [0.5]])
+    pts = np.array([[0.0], [0.125], [0.25], [0.5], [0.75], [0.875]])
+    yield "at-h-d1", centers, pts, np.arange(6.0), 0.25, enumerate_basis(1, 1)
+    centers = np.array([[0.25, 0.25], [0.5, 0.5]])
+    pts = np.array([[0.625, 0.75], [0.25, 0.875], [0.5, 0.25], [0.375, 0.25], [0.25, 0.5], [0.0, 0.0]])
+    yield "at-h-d2", centers, pts, np.arange(6.0), 0.625, enumerate_basis(2, 1)
+
+
+KERNEL_CASES = list(_kernel_cases())
+
+
+def _condition_numbers(centers, pts, h, basis):
+    """Gram condition number of the loop's fit at each center (inf if singular)."""
+    out = np.full(len(centers), np.inf)
+    for i, sel in enumerate(_BallIndex(pts).query_many(centers, h)):
+        U = scaled_design(centers[i], pts[sel], h, basis)
+        eigs = np.linalg.eigvalsh(U.T @ U)
+        if eigs[0] > 0:
+            out[i] = eigs[-1] / eigs[0]
+    return out
+
+
+class TestFitAtCenters:
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_matches_per_center_loop(self, case):
+        _, centers, pts, y, h, basis = case
+        eig_tol = default_eig_tol(basis)
+        values, degenerate, min_eigs = _fit_at_centers(centers, pts, y, h, basis, eig_tol)
+        counts = [len(sel) for sel in _BallIndex(pts).query_many(centers, h)]
+        got = fit_at_centers(centers, pts, y, h, basis, eig_tol)
+        np.testing.assert_array_equal(got.n_in_ball, counts)
+        np.testing.assert_array_equal(got.degenerate, degenerate)
+        np.testing.assert_allclose(got.min_eigs, min_eigs, rtol=1e-12, atol=1e-12)
+        # The two sum the normal equations in different orders, and a solve
+        # amplifies that rounding by the Gram condition number kappa: within
+        # 1e-12 where kappa <= 1e3, within 1e-14 * kappa on every fit.
+        err = np.abs(got.values - values)
+        kappa = _condition_numbers(centers, pts, h, basis)
+        assert np.all(err[degenerate] == 0)
+        assert np.all(err[~degenerate] <= 1e-14 * kappa[~degenerate]), np.max(err / kappa)
+        assert np.all(err[kappa <= 1e3] <= 1e-12), np.max(err[kappa <= 1e3])
+
+    def test_cases_cover_degenerate_and_regular_fits(self):
+        flags = np.concatenate(
+            [fit_at_centers(c, p, y, h, b).degenerate for _, c, p, y, h, b in KERNEL_CASES]
+        )
+        assert flags.any() and not flags.all()
+        counts = np.concatenate(
+            [fit_at_centers(c, p, y, h, b).n_in_ball for _, c, p, y, h, b in KERNEL_CASES]
+        )
+        assert (counts == 0).any()
+        kappa = np.concatenate([_condition_numbers(c, p, h, b) for _, c, p, _, h, b in KERNEL_CASES])
+        assert np.count_nonzero(~flags & (kappa <= 1e3)) >= len(flags) // 2
+
+    def test_sample_at_distance_h_is_in_the_ball(self):
+        _, centers, pts, y, h, basis = next(c for c in KERNEL_CASES if c[0] == "at-h-d2")
+        assert np.any(np.linalg.norm(pts - centers[0], axis=1) == h)
+        got = fit_at_centers(centers, pts, y, h, basis)
+        assert got.n_in_ball[0] == np.count_nonzero(np.linalg.norm(pts - centers[0], axis=1) <= h)
+
+    def test_single_center_matches_local_poly_estimate(self):
+        rng = np.random.default_rng(9)
+        basis = enumerate_basis(2, 2)
+        pts = rng.random((500, 2))
+        y = rng.random(500)
+        centers = rng.random((10, 2))
+        got = fit_at_centers(centers, pts, y, 0.3, basis)
+        for i, x in enumerate(centers):
+            value, fit = local_poly_estimate(x, pts, y, 0.3, basis)
+            assert got.values[i] == pytest.approx(value, abs=1e-12)
+            assert got.n_in_ball[i] == fit.n_in_ball
+            assert got.degenerate[i] == fit.degenerate
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+    def test_result_does_not_depend_on_block(self, block, monkeypatch):
+        expected = [fit_at_centers(c, p, y, h, b) for _, c, p, y, h, b in KERNEL_CASES]
+        if block is not None:
+            monkeypatch.setattr(localpoly, "_FIT_ROWS", block)
+        for (_, c, p, y, h, b), want in zip(KERNEL_CASES, expected):
+            got = fit_at_centers(c, p, y, h, b)
+            for field in got._fields:
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_rejects_bad_input(self):
+        basis = enumerate_basis(1, 1)
+        centers, pts = np.array([[0.5]]), np.array([[0.4], [0.6]])
+        with pytest.raises(ValueError, match="bandwidth"):
+            fit_at_centers(centers, pts, np.ones(2), 0.0, basis)
+        with pytest.raises(ValueError, match="equal length"):
+            fit_at_centers(centers, pts, np.ones(3), 0.1, basis)
+        with pytest.raises(ValueError, match="finite"):
+            fit_at_centers(centers, pts, np.array([1.0, np.nan]), 0.1, basis)
+
+    def test_large_lattice_fits_in_bounded_memory(self):
+        lat = build_lattice(2**16, 2.0, 2)
+        centers = lat.all_centers()
+        assert len(centers) == 200_704
+        rng = np.random.default_rng(16)
+        pts = rng.random((2**16, 2))
+        y = rng.random(2**16)
+        basis = enumerate_basis(2, 1)
+        h = 0.01  # about 20 samples per ball, 4 million in-ball rows in all
+        limit = 64 * 2**20
+        tracemalloc.start()
+        try:
+            got = fit_at_centers(centers, pts, y, h, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, peak
+        assert got.n_in_ball.sum() > 3_000_000
+        assert not got.degenerate[got.n_in_ball >= 20].any()

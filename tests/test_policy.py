@@ -695,3 +695,20 @@ class TestOffLatticeContexts:
         env = dataclasses.replace(env, sample_contexts=sample)
         with pytest.raises(RuntimeError, match="step 1500 lies off"):
             run_two_arm(env, PolicyConfig(beta=1.0, d=1, horizon=2000), seed=0)
+
+
+class TestPatchPoints:
+    def test_traced_names_are_module_attributes(self):
+        # the benchmark's outside-in tracer replaces these attributes of the
+        # policy module for the length of a pass, and fails when one is missing
+        names = (
+            "_static_epoch",
+            "update_regions",
+            "update_active_sets",
+            "batch_weak_regularity",
+            "estimate_cate_at_centers",
+            "estimate_means_at_centers",
+            "scaled_design",
+        )
+        missing = [name for name in names if name not in vars(policy)]
+        assert not missing, missing
