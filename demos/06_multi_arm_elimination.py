@@ -5,8 +5,9 @@ complement of eliminating one arm.  Each cube instead carries the set of
 arms still considered plausible there; arms leave a cube's set when some
 estimable competitor beats them by more than the epoch tolerance (or when
 their reachable sample region turns irregular), and a cube starts
-exploiting once a single arm survives.  At exactly two arms this machinery
-reproduces the two-arm engine step for step under a shared seed.
+exploiting once a single arm survives.  At exactly two arms this is the
+engine behind ``run_two_arm``, which only relabels the final cube states as
+explore / exploit regions, so both pull the same arms under a shared seed.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ print(f"final regret: {result.final_regret:.1f} "
 # the 0.8 arm once the tolerance drops below their 0.6 gap, the 0.5 arm
 # only once it drops below 0.3
 
-# --- at two arms the engines coincide exactly ----------------------------------
+# --- at two arms run_two_arm is this engine ------------------------------------
 env2 = make_smooth_instance("sinusoidal", d=1, frequency=1.0, amplitude=0.4, beta=2.0)
 cfg2 = PolicyConfig(beta=2.0, d=1, horizon=2000, arm_count=2)
 two = run_two_arm(env2, cfg2, seed=3, record_actions=True)

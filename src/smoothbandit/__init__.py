@@ -57,19 +57,14 @@ from .localpoly import (
     min_eigenvalue,
 )
 from .policy import (
-    DecisionState,
     EpochSchedule,
     MultiArmState,
     PolicyConfig,
-    act,
     act_multi,
     epoch_count_bound,
-    estimate_cate_at_centers,
     make_schedule,
     run_multi_arm,
     run_two_arm,
-    screen_inestimable,
-    update_regions,
 )
 from .results import RunResult
 
@@ -77,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinnedUcbState",
-    "DecisionState",
     "EpochSchedule",
     "GridLattice",
     "Instance",
@@ -90,7 +84,6 @@ __all__ = [
     "RateFit",
     "RegionMask",
     "RunResult",
-    "act",
     "act_multi",
     "assign_cube",
     "ball_region_fraction",
@@ -102,7 +95,6 @@ __all__ = [
     "derive_seed",
     "enumerate_basis",
     "epoch_count_bound",
-    "estimate_cate_at_centers",
     "fit_rate",
     "gram_matrix",
     "is_weakly_regular",
@@ -120,12 +112,10 @@ __all__ = [
     "run_oracle",
     "run_two_arm",
     "run_uniform",
-    "screen_inestimable",
     "support_cube_mask",
     "theoretical_exponent",
     "uniform_act",
     "unit_ball_volume",
-    "update_regions",
     "verify_density",
     "verify_holder",
     "verify_margin",

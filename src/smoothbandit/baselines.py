@@ -79,43 +79,37 @@ def oracle_act(instance: Instance, x):
 
 def run_uniform(env: Instance, horizon: int, seed: int, checkpoints=None) -> RunResult:
     """Uniformly random arms for the whole horizon (fully vectorized)."""
-    started = time.perf_counter()
-    rng = np.random.default_rng(int(seed))
-    X = env.sample_contexts(rng, horizon)
-    arm_ix = np.minimum((rng.random(horizon) * env.n_arms).astype(np.int64), env.n_arms - 1)
-    means = env.means_matrix(X)
-    chosen = means[arm_ix, np.arange(horizon)]
-    env.sample_rewards(rng, chosen)
-    regret = np.cumsum(means.max(axis=0) - chosen)
-    inferior = np.cumsum(arm_ix != means.argmax(axis=0))
-    ts = normalize_checkpoints(checkpoints, horizon)
-    return RunResult(
-        policy="uniform",
-        instance=env.name,
-        seed=int(seed),
-        horizon=horizon,
-        checkpoint_times=ts,
-        cum_regret=regret[ts - 1],
-        cum_inferior=inferior[ts - 1],
-        inferior_count=int(inferior[-1]),
-        wall_time=time.perf_counter() - started,
-    )
+
+    def choose(rng, means):
+        return np.minimum((rng.random(horizon) * env.n_arms).astype(np.int64), env.n_arms - 1)
+
+    return _run_fixed_rule("uniform", choose, env, horizon, seed, checkpoints)
 
 
 def run_oracle(env: Instance, horizon: int, seed: int, checkpoints=None) -> RunResult:
     """Always the optimal arm; zero regret by construction."""
+    return _run_fixed_rule(
+        "oracle", lambda rng, means: means.argmax(axis=0), env, horizon, seed, checkpoints
+    )
+
+
+def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int, checkpoints) -> RunResult:
+    """Run a rule that picks every step's arm up front, ``choose(rng, means) -> arm_ix``.
+
+    Draws the contexts, then whatever ``choose`` draws, then the rewards.
+    """
     started = time.perf_counter()
     rng = np.random.default_rng(int(seed))
     X = env.sample_contexts(rng, horizon)
     means = env.means_matrix(X)
-    arm_ix = means.argmax(axis=0)
+    arm_ix = choose(rng, means)
     chosen = means[arm_ix, np.arange(horizon)]
     env.sample_rewards(rng, chosen)
     regret = np.cumsum(means.max(axis=0) - chosen)
     inferior = np.cumsum(arm_ix != means.argmax(axis=0))
     ts = normalize_checkpoints(checkpoints, horizon)
     return RunResult(
-        policy="oracle",
+        policy=policy,
         instance=env.name,
         seed=int(seed),
         horizon=horizon,

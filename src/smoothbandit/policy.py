@@ -2,16 +2,18 @@
 
 The policy lays a cube lattice over the context space and proceeds in
 epochs of roughly geometrically growing length while a per-epoch accuracy
-tolerance halves.  At each epoch boundary it (1) screens out cubes whose
+tolerance halves.  Each cube keeps the set of arms still active there.
+At each epoch boundary the policy (1) screens out, per arm, cubes whose
 reachable sampling region has become too irregular for a trustworthy
-local polynomial fit, (2) re-estimates the arm mean gap at the centers of
-the remaining undecided cubes using samples from the previous epoch with
-a sample-size-matched bandwidth, all centers of an arm in one batched
-call to ``localpoly.fit_at_centers``, and (3) promotes cubes with a
-confidently signed gap into exploit regions (two arms) or shrinks
-per-cube active arm sets (multiple arms).  Within an epoch the action
-rule is static: exploit cubes pull their arm, undecided cubes randomize
-uniformly over the remaining arms.
+local polynomial fit, (2) re-estimates each arm's mean at the centers of
+the cubes still randomizing it, using samples from the previous epoch
+with a sample-size-matched bandwidth, all centers of an arm in one
+batched call to ``localpoly.fit_at_centers``, and (3) drops screened
+arms and arms beaten by more than the tolerance from each cube's set.
+Within an epoch the action rule is static: every cube draws uniformly
+from its active arms.  ``run_multi_arm`` is the one run loop;
+``run_two_arm`` is its two-arm case, reported with the explore/exploit
+region labels of the two-arm formulation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -184,198 +186,25 @@ def make_schedule(config: PolicyConfig) -> EpochSchedule:
 class ScreenResult(NamedTuple):
     """Cubes flagged inestimable for one arm.
 
-    ``fail_safe`` marks the no-data case: the flag set covers every
-    undecided cube but must not be converted into exploit evidence for
-    the opposite arm; flagged cubes keep randomizing instead.
+    ``fail_safe`` marks the no-data case: the arm had no samples last
+    epoch, so it flags no cube and is not estimated; the silence must not
+    be read as evidence against it, and its cubes keep randomizing.
     """
 
     mask: np.ndarray
     fail_safe: bool
 
 
-@dataclass
-class DecisionState:
-    """Two-arm region assignment plus the sample log of the last epoch."""
-
-    lattice: GridLattice
-    support_cubes: np.ndarray
-    epoch: int
-    explore: np.ndarray
-    exploit: dict
-    samples: dict = field(default_factory=dict)
-    sample_counts: dict = field(default_factory=dict)
-    bandwidths: dict = field(default_factory=dict)
-
-    def arm_region_mask(self, arm) -> np.ndarray:
-        """Cubes where the arm may be pulled this epoch (its sample support)."""
-        return self.explore | self.exploit[arm]
-
-    def partition_ok(self) -> bool:
-        union = self.explore | self.exploit[1] | self.exploit[-1]
-        disjoint = (
-            self.explore.astype(int) + self.exploit[1].astype(int) + self.exploit[-1].astype(int)
-        )
-        return bool(np.array_equal(union, self.support_cubes) and np.all(disjoint <= 1))
-
-    def labels(self) -> np.ndarray:
-        """Per-cube code: 0 explore, 1 exploit +1, 2 exploit -1, 3 off-support."""
-        out = np.full(self.lattice.n_cubes, 3, dtype=np.int8)
-        out[self.explore] = 0
-        out[self.exploit[1]] = 1
-        out[self.exploit[-1]] = 2
-        return out
-
-
-def initial_state(lattice: GridLattice, support_cubes: np.ndarray) -> DecisionState:
-    n = lattice.n_cubes
-    return DecisionState(
-        lattice=lattice,
-        support_cubes=support_cubes,
-        epoch=1,
-        explore=support_cubes.copy(),
-        exploit={1: np.zeros(n, dtype=bool), -1: np.zeros(n, dtype=bool)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Screening, estimation, region updates (two arms)
-
-
-def screen_inestimable(state: DecisionState, arm, support, config: PolicyConfig) -> ScreenResult:
-    """Undecided cubes whose center fails the weak-regularity test for an arm.
-
-    The tested region is the union of cubes where the arm could be pulled
-    in the last epoch, intersected with the support; the ball radius is
-    the arm's current bandwidth and the threshold is c0 / 2^d.  An arm
-    with no samples triggers the fail-safe: every undecided cube is
-    flagged and the caller keeps randomizing there.
-    """
-    n = state.lattice.n_cubes
-    if state.sample_counts.get(arm, 0) == 0:
-        return ScreenResult(state.explore.copy(), True)
-    bandwidth = state.bandwidths[arm]
-    region = RegionMask(state.lattice, state.arm_region_mask(arm) & state.support_cubes, support)
-    ids = np.nonzero(state.explore)[0]
-    mask = np.zeros(n, dtype=bool)
-    if len(ids) == 0:
-        return ScreenResult(mask, False)
-    ok = batch_weak_regularity(
-        state.lattice.centers(ids),
-        bandwidth,
-        config.c0 / 2**config.d,
-        region,
-        config.quadrature_resolution,
-    )
-    mask[ids[~ok]] = True
-    return ScreenResult(mask, False)
-
-
-def estimate_cate_at_centers(
-    state: DecisionState, config: PolicyConfig, screened: dict
-) -> tuple[np.ndarray, dict]:
-    """Gap estimate at the centers of undecided, unscreened cubes.
-
-    Each arm's mean is fit on its previous-epoch samples at the arm's own
-    bandwidth; the returned array holds NaN where no estimate was made.
-    Degenerate fits contribute 0 and are counted in the diagnostics.
-    """
-    n = state.lattice.n_cubes
-    tau = np.full(n, np.nan)
-    diag = {"degenerate_fits": 0, "min_eig": None, "estimated_cubes": 0}
-    estimable = state.explore & ~screened[1].mask & ~screened[-1].mask
-    ids = np.nonzero(estimable)[0]
-    if len(ids) == 0:
-        return tau, diag
-    centers = state.lattice.centers(ids)
-    basis = config.basis()
-    eig_tol = config.eig_tol if config.eig_tol is not None else default_eig_tol(basis)
-    per_arm = {}
-    eig_min = math.inf
-    for arm in (1, -1):
-        X, y = state.samples[arm]
-        vals, degen, eigs, _ = fit_at_centers(centers, X, y, state.bandwidths[arm], basis, eig_tol)
-        per_arm[arm] = vals
-        diag["degenerate_fits"] += int(degen.sum())
-        if len(eigs):
-            eig_min = min(eig_min, float(np.nanmin(eigs)))
-    tau[ids] = per_arm[1] - per_arm[-1]
-    diag["min_eig"] = None if math.isinf(eig_min) else eig_min
-    diag["estimated_cubes"] = len(ids)
-    return tau, diag
-
-
-def update_regions(
-    state: DecisionState, tau_hat: np.ndarray, screened: dict, tolerance: float
-) -> tuple[DecisionState, dict]:
-    """Advance the region assignment by one epoch.
-
-    Undecided cubes with a gap estimate beyond the tolerance move to the
-    matching exploit region; cubes inestimable for one arm move to the
-    other arm's exploit region; cubes flagged for both arms are anomalies
-    and keep randomizing, as do fail-safe flags.  Exploit regions only
-    ever grow.
-    """
-    movable_to_pos = screened[-1].mask if not screened[-1].fail_safe else np.zeros_like(state.explore)
-    movable_to_neg = screened[1].mask if not screened[1].fail_safe else np.zeros_like(state.explore)
-    anomaly = movable_to_pos & movable_to_neg
-    movable_to_pos = movable_to_pos & ~anomaly
-    movable_to_neg = movable_to_neg & ~anomaly
-    estimable = state.explore & ~screened[1].mask & ~screened[-1].mask
-    with np.errstate(invalid="ignore"):
-        to_pos = (estimable & (tau_hat > tolerance)) | movable_to_pos
-        to_neg = (estimable & (tau_hat < -tolerance)) | movable_to_neg
-    new_exploit = {
-        1: state.exploit[1] | to_pos,
-        -1: state.exploit[-1] | to_neg,
-    }
-    new_explore = state.explore & ~to_pos & ~to_neg
-    info = {
-        "anomalies": int(anomaly.sum()),
-        "promoted": {1: int(to_pos.sum()), -1: int(to_neg.sum())},
-        "screened": {1: int(screened[1].mask.sum()), -1: int(screened[-1].mask.sum())},
-        "fail_safe": [a for a in (1, -1) if screened[a].fail_safe],
-    }
-    new_state = DecisionState(
-        lattice=state.lattice,
-        support_cubes=state.support_cubes,
-        epoch=state.epoch + 1,
-        explore=new_explore,
-        exploit=new_exploit,
-    )
-    return new_state, info
-
-
-def act(x, state: DecisionState, rng: np.random.Generator):
-    """Action at a single context under the current two-arm region state."""
-    table, counts = _two_arm_tables(state)
-    flat = state.lattice.cube_index(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    if flat < 0:
-        raise ValueError(f"context {x} is outside the unit cube")
-    u = rng.random()
-    k = min(int(u * counts[flat]), counts[flat] - 1)
-    return (1, -1)[table[flat, k]]
-
-
 # ---------------------------------------------------------------------------
 # Epoch simulation
-
-
-def _two_arm_tables(state: DecisionState):
-    n = state.lattice.n_cubes
-    table = np.zeros((n, 2), dtype=np.int64)
-    table[:, 1] = 1
-    counts = np.full(n, 2, dtype=np.int64)
-    counts[state.exploit[1] | state.exploit[-1]] = 1
-    table[state.exploit[-1], 0] = 1
-    return table, counts
 
 
 def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
     """Simulate one epoch whose per-cube action rule is fixed.
 
     Consumes exactly one context draw, one action uniform, and one reward
-    uniform per step (for Bernoulli rewards), independent of the region
-    layout, so runs with shared seeds stay aligned across engines.
+    uniform per step (for Bernoulli rewards), independent of the active
+    arm sets, so the draws of a seeded run do not depend on its decisions.
     """
     try:
         X = env.sample_contexts(rng, n)
@@ -397,133 +226,8 @@ def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
     return X, arm_ix, rewards, regret, inferior
 
 
-def _log_epoch_samples(state, env, X, arm_ix, rewards, config):
-    state.samples = {}
-    state.sample_counts = {}
-    state.bandwidths = {}
-    exponent = -1.0 / (2 * config.beta + config.d)
-    below_cube = 0
-    for ai, arm in enumerate(env.arms):
-        mask = arm_ix == ai
-        count = int(mask.sum())
-        state.samples[arm] = (X[mask], rewards[mask])
-        state.sample_counts[arm] = count
-        if count > 0:
-            bw = count**exponent
-            state.bandwidths[arm] = bw
-            if bw < math.sqrt(config.d) * state.lattice.delta:
-                below_cube += 1
-                log.warning(
-                    "bandwidth %.4g for arm %s fell below the cube diagonal %.4g",
-                    bw,
-                    arm,
-                    math.sqrt(config.d) * state.lattice.delta,
-                )
-    return below_cube
-
-
-def run_two_arm(
-    env: Instance,
-    config: PolicyConfig,
-    seed: int,
-    checkpoints=None,
-    record_actions: bool = False,
-) -> RunResult:
-    """Execute the full two-arm elimination run.
-
-    The first epoch randomizes everywhere; each later epoch starts with
-    screen / estimate / update at the previous epoch's tolerance, then
-    acts statically.  Returns the regret and inferior-sampling trajectory
-    plus per-epoch diagnostics and the final region labels.
-    """
-    if tuple(env.arms) != (1, -1):
-        raise ValueError("two-arm runs require arms (+1, -1)")
-    if config.arm_count != 2:
-        raise ValueError("config.arm_count must be 2 for two-arm runs")
-    if config.d != env.d:
-        raise ValueError(f"config dimension {config.d} != instance dimension {env.d}")
-    started = time.perf_counter()
-    rng = np.random.default_rng(int(seed))
-    lattice = build_lattice(config.horizon, config.beta, config.d)
-    support = support_cube_mask(
-        lattice, env.support, config.support_resolution, config.support_mass_threshold
-    )
-    schedule = make_schedule(config)
-    state = initial_state(lattice, support)
-
-    regret_parts, inferior_parts, action_parts = [], [], []
-    diags = []
-    anomaly_total = 0
-    below_cube_total = 0
-    start_t = 0
-    for k, length in enumerate(schedule.realized, start=1):
-        upd_info = {"anomalies": 0, "screened": {1: 0, -1: 0}, "fail_safe": []}
-        est_diag = {"degenerate_fits": 0, "min_eig": None}
-        if k >= 2:
-            screened = {a: screen_inestimable(state, a, env.support, config) for a in (1, -1)}
-            tau_hat, est_diag = estimate_cate_at_centers(state, config, screened)
-            state, upd_info = update_regions(state, tau_hat, screened, schedule.tolerances[k - 2])
-            if not state.partition_ok():
-                raise RuntimeError(f"epoch {k}: the explore/exploit regions do not partition the support")
-        table, counts = _two_arm_tables(state)
-        X, arm_ix, rewards, regret, inferior = _static_epoch(
-            env, rng, length, lattice, table, counts, start_t
-        )
-        below_cube_total += _log_epoch_samples(state, env, X, arm_ix, rewards, config)
-        regret_parts.append(regret)
-        inferior_parts.append(inferior)
-        if record_actions:
-            action_parts.append(np.asarray(env.arms)[arm_ix])
-        anomaly_total += upd_info["anomalies"]
-        diags.append(
-            EpochDiagnostics(
-                epoch=k,
-                start=start_t,
-                length=length,
-                tolerance=schedule.tolerances[k - 1],
-                explore_cubes=int(state.explore.sum()),
-                exploit_cubes={a: int(state.exploit[a].sum()) for a in (1, -1)},
-                screened_cubes=upd_info["screened"],
-                anomalies=upd_info["anomalies"],
-                degenerate_fits=est_diag["degenerate_fits"],
-                min_eig=est_diag["min_eig"],
-                sample_counts=dict(state.sample_counts),
-                bandwidths=dict(state.bandwidths),
-                fail_safe_arms=upd_info["fail_safe"],
-                active_cubes={a: int(state.arm_region_mask(a).sum()) for a in (1, -1)},
-            )
-        )
-        start_t += length
-
-    cum_regret = np.cumsum(np.concatenate(regret_parts))
-    cum_inferior = np.cumsum(np.concatenate(inferior_parts).astype(np.int64))
-    ts = normalize_checkpoints(checkpoints, config.horizon)
-    return RunResult(
-        policy="smooth_two_arm",
-        instance=env.name,
-        seed=int(seed),
-        horizon=config.horizon,
-        checkpoint_times=ts,
-        cum_regret=cum_regret[ts - 1],
-        cum_inferior=cum_inferior[ts - 1],
-        inferior_count=int(cum_inferior[-1]),
-        wall_time=time.perf_counter() - started,
-        epochs=diags,
-        final_labels=state.labels(),
-        actions=np.concatenate(action_parts) if record_actions else None,
-        meta={
-            "epochs": schedule.K,
-            "delta": schedule.delta,
-            "n_cubes": lattice.n_cubes,
-            "anomalies": anomaly_total,
-            "bandwidth_below_cube": below_cube_total,
-            "schedule_degenerate": schedule.degenerate,
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
-# Multi-arm variant: per-cube active arm sets
+# Elimination engine: per-cube active arm sets
 
 
 @dataclass
@@ -661,6 +365,10 @@ def update_active_sets(
     return new_state, info
 
 
+update_regions = update_active_sets  # the name the benchmark's tracer patches for updates
+estimate_cate_at_centers = estimate_means_at_centers  # the name it patches for estimation
+
+
 def _multi_arm_tables(state: MultiArmState):
     counts = state.active.sum(axis=1).astype(np.int64)
     counts = np.maximum(counts, 1)
@@ -686,11 +394,13 @@ def run_multi_arm(
     checkpoints=None,
     record_actions: bool = False,
 ) -> RunResult:
-    """Execute the elimination run with per-cube active arm sets.
+    """Execute the full elimination run with per-cube active arm sets.
 
-    At two arms this reproduces the two-arm run step for step under a
-    shared seed: the schedules coincide and eliminations map onto region
-    moves.
+    The first epoch randomizes everywhere; each later epoch starts with
+    screen / estimate / update at the previous epoch's tolerance, then
+    acts statically.  Returns the regret and inferior-sampling trajectory
+    plus per-epoch diagnostics and the final active-arm bits per cube
+    (bit ``i`` set when arm ``env.arms[i]`` is active, -1 off support).
     """
     if len(env.arms) < 2:
         raise ValueError("need at least two arms")
@@ -716,7 +426,7 @@ def run_multi_arm(
     below_cube_total = 0
     start_t = 0
     for k, length in enumerate(schedule.realized, start=1):
-        upd_info = {"anomalies": 0, "screened": {}, "fail_safe": []}
+        upd_info = {"anomalies": 0, "screened": dict.fromkeys(range(n_arms), 0), "fail_safe": []}
         est_diag = {"degenerate_fits": 0, "min_eig": None}
         if k >= 2:
             screened = {ai: screen_multi_arm(state, ai, env.support, config) for ai in range(n_arms)}
@@ -728,7 +438,7 @@ def run_multi_arm(
         X, arm_ix, rewards, regret, inferior = _static_epoch(
             env, rng, length, lattice, table, counts, start_t
         )
-        below_cube_total += _log_epoch_samples_multi(state, X, arm_ix, rewards, config, n_arms)
+        below_cube_total += _log_epoch_samples(state, X, arm_ix, rewards, config, env.arms)
         regret_parts.append(regret)
         inferior_parts.append(inferior)
         if record_actions:
@@ -753,7 +463,7 @@ def run_multi_arm(
                 degenerate_fits=est_diag["degenerate_fits"],
                 min_eig=est_diag["min_eig"],
                 sample_counts={env.arms[ai]: state.sample_counts.get(ai, 0) for ai in range(n_arms)},
-                bandwidths={env.arms[ai]: state.bandwidths.get(ai) for ai in range(n_arms)},
+                bandwidths={env.arms[ai]: bw for ai, bw in state.bandwidths.items()},
                 fail_safe_arms=[env.arms[ai] for ai in upd_info["fail_safe"]],
                 active_cubes={
                     env.arms[ai]: int(state.arm_region_mask(ai).sum()) for ai in range(n_arms)
@@ -791,13 +501,15 @@ def run_multi_arm(
     )
 
 
-def _log_epoch_samples_multi(state: MultiArmState, X, arm_ix, rewards, config, n_arms):
+def _log_epoch_samples(state: MultiArmState, X, arm_ix, rewards, config, arms):
+    """Store each arm's samples and bandwidth; return how many fell below the cube diagonal."""
     state.samples = {}
     state.sample_counts = {}
     state.bandwidths = {}
     exponent = -1.0 / (2 * config.beta + config.d)
+    diagonal = math.sqrt(config.d) * state.lattice.delta
     below = 0
-    for ai in range(n_arms):
+    for ai, arm in enumerate(arms):
         mask = arm_ix == ai
         count = int(mask.sum())
         state.samples[ai] = (X[mask], rewards[mask])
@@ -805,6 +517,36 @@ def _log_epoch_samples_multi(state: MultiArmState, X, arm_ix, rewards, config, n
         if count > 0:
             bw = count**exponent
             state.bandwidths[ai] = bw
-            if bw < math.sqrt(config.d) * state.lattice.delta:
+            if bw < diagonal:
                 below += 1
+                log.warning("bandwidth %.4g for arm %s fell below the cube diagonal %.4g", bw, arm, diagonal)
     return below
+
+
+# Two-arm label indexed by active-arm bits + 1: bits -1 (off support) -> 3,
+# 1 (only +1 active) -> 1, 2 (only -1 active) -> 2, 3 (both) -> 0 explore.
+# Bits 0, an empty arm set, cannot pass the run loop's invariant check.
+_TWO_ARM_LABELS = np.array([3, -1, 1, 2, 0], dtype=np.int8)
+
+
+def run_two_arm(
+    env: Instance,
+    config: PolicyConfig,
+    seed: int,
+    checkpoints=None,
+    record_actions: bool = False,
+) -> RunResult:
+    """Execute the elimination run on a two-arm instance with arms (+1, -1).
+
+    This is ``run_multi_arm`` at two arms; only the policy name and the
+    final labels differ, which use the per-cube code 0 explore, 1 exploit
+    +1, 2 exploit -1, 3 off-support.
+    """
+    if tuple(env.arms) != (1, -1):
+        raise ValueError("two-arm runs require arms (+1, -1)")
+    if config.arm_count != 2:
+        raise ValueError("config.arm_count must be 2 for two-arm runs")
+    result = run_multi_arm(env, config, seed, checkpoints, record_actions)
+    return replace(
+        result, policy="smooth_two_arm", final_labels=_TWO_ARM_LABELS[result.final_labels + 1]
+    )

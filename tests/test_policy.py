@@ -12,25 +12,27 @@ from smoothbandit import policy
 from smoothbandit.environments import make_constant_multi_arm, make_smooth_instance
 from smoothbandit.geometry import build_lattice, support_cube_mask, unit_cube_support
 from smoothbandit.policy import (
-    DecisionState,
+    MultiArmState,
     PolicyConfig,
     ScreenResult,
+    _multi_arm_tables,
     _static_epoch,
-    _two_arm_tables,
-    act,
     act_multi,
     epoch_count_bound,
-    estimate_cate_at_centers,
+    estimate_means_at_centers,
     initial_multi_state,
-    initial_state,
     make_schedule,
     planned_epoch_length,
     run_multi_arm,
     run_two_arm,
-    screen_inestimable,
+    screen_multi_arm,
     strict_floor,
-    update_regions,
+    update_active_sets,
 )
+
+# two-arm instances list their arms as (+1, -1): arm index 0 is +1, index 1 is -1
+POS, NEG = 0, 1
+TWO_ARMS = (1, -1)
 
 
 def two_arm_planned_length(k, config, delta):
@@ -126,20 +128,33 @@ class TestSchedule:
             PolicyConfig(beta=1.0, d=1, horizon=2)
 
 
-def make_state_with_samples(lattice, support, explore, exploit_pos, exploit_neg, n_per_arm, rng):
-    state = DecisionState(
-        lattice=lattice,
-        support_cubes=support,
-        epoch=2,
-        explore=explore,
-        exploit={1: exploit_pos, -1: exploit_neg},
-    )
-    for arm in (1, -1):
+def two_arm_state(lattice, support, exploit_pos, exploit_neg):
+    """Active sets of a two-arm region layout: an exploit cube keeps only its arm."""
+    active = np.ones((lattice.n_cubes, 2), dtype=bool)
+    active[exploit_pos, NEG] = False
+    active[exploit_neg, POS] = False
+    return MultiArmState(lattice=lattice, support_cubes=support, epoch=2, active=active)
+
+
+def regions(state):
+    """Explore and exploit masks of a two-arm active-set state, over the support."""
+    on, pos, neg = state.support_cubes, state.active[:, POS], state.active[:, NEG]
+    return {"explore": on & pos & neg, 1: on & pos & ~neg, -1: on & neg & ~pos}
+
+
+def gap_estimates(tau):
+    """Per-arm estimates whose difference is the gap tau: +1 at tau, -1 at 0 (NaN with tau)."""
+    return np.column_stack([tau, np.where(np.isnan(tau), np.nan, 0.0)])
+
+
+def make_state_with_samples(lattice, support, exploit_pos, exploit_neg, n_per_arm, rng):
+    state = two_arm_state(lattice, support, exploit_pos, exploit_neg)
+    for ai in (POS, NEG):
         X = rng.random((n_per_arm, lattice.d))
         y = rng.random(n_per_arm)
-        state.samples[arm] = (X, y)
-        state.sample_counts[arm] = n_per_arm
-        state.bandwidths[arm] = n_per_arm ** (-1.0 / (2 * 2.0 + lattice.d))
+        state.samples[ai] = (X, y)
+        state.sample_counts[ai] = n_per_arm
+        state.bandwidths[ai] = n_per_arm ** (-1.0 / (2 * 2.0 + lattice.d))
     return state
 
 
@@ -152,11 +167,9 @@ class TestScreening:
         support = support_cube_mask(lattice, None)
         rng = np.random.default_rng(0)
         n = lattice.n_cubes
-        state = make_state_with_samples(
-            lattice, support, support.copy(), np.zeros(n, bool), np.zeros(n, bool), 500, rng
-        )
-        for arm in (1, -1):
-            res = screen_inestimable(state, arm, unit_cube_support, cfg)
+        state = make_state_with_samples(lattice, support, np.zeros(n, bool), np.zeros(n, bool), 500, rng)
+        for ai in (POS, NEG):
+            res = screen_multi_arm(state, ai, unit_cube_support, cfg)
             assert not res.fail_safe
             assert res.mask.sum() == 0
 
@@ -172,15 +185,13 @@ class TestScreening:
         explore = np.zeros(n, bool)
         explore[n // 2] = True
         exploit_neg = support & ~explore  # everything else exploits -1
-        state = make_state_with_samples(
-            lattice, support, explore, np.zeros(n, bool), exploit_neg, 500, rng
-        )
-        res = screen_inestimable(state, 1, unit_cube_support, cfg)
-        frac = lattice.delta / (2 * state.bandwidths[1])
+        state = make_state_with_samples(lattice, support, np.zeros(n, bool), exploit_neg, 500, rng)
+        res = screen_multi_arm(state, POS, unit_cube_support, cfg)
+        frac = lattice.delta / (2 * state.bandwidths[POS])
         assert frac < cfg.c0 / 2
         assert res.mask[n // 2]
         # arm -1 reaches nearly everything: not screened
-        res_neg = screen_inestimable(state, -1, unit_cube_support, cfg)
+        res_neg = screen_multi_arm(state, NEG, unit_cube_support, cfg)
         assert res_neg.mask.sum() == 0
 
     def test_empty_explore_screens_nothing(self):
@@ -189,24 +200,21 @@ class TestScreening:
         support = support_cube_mask(lattice, None)
         n = lattice.n_cubes
         rng = np.random.default_rng(2)
-        state = make_state_with_samples(
-            lattice, support, np.zeros(n, bool), support.copy(), np.zeros(n, bool), 100, rng
-        )
-        assert screen_inestimable(state, 1, unit_cube_support, cfg).mask.sum() == 0
+        state = make_state_with_samples(lattice, support, support.copy(), np.zeros(n, bool), 100, rng)
+        assert screen_multi_arm(state, POS, unit_cube_support, cfg).mask.sum() == 0
 
     def test_no_samples_triggers_fail_safe(self):
         cfg = PolicyConfig(beta=2.0, d=1, horizon=5000)
         lattice = build_lattice(cfg.horizon, cfg.beta, cfg.d)
         support = support_cube_mask(lattice, None)
         rng = np.random.default_rng(3)
-        state = make_state_with_samples(
-            lattice, support, support.copy(), np.zeros(lattice.n_cubes, bool),
-            np.zeros(lattice.n_cubes, bool), 100, rng
-        )
-        state.sample_counts[1] = 0
-        res = screen_inestimable(state, 1, unit_cube_support, cfg)
+        n = lattice.n_cubes
+        state = make_state_with_samples(lattice, support, np.zeros(n, bool), np.zeros(n, bool), 100, rng)
+        state.sample_counts[POS] = 0
+        res = screen_multi_arm(state, POS, unit_cube_support, cfg)
+        # no data: nothing is flagged, so the silence removes the arm nowhere
         assert res.fail_safe
-        assert np.array_equal(res.mask, state.explore)
+        assert res.mask.sum() == 0
 
 
 class TestUpdateRegions:
@@ -214,102 +222,98 @@ class TestUpdateRegions:
         lattice = build_lattice(3000, 1.0, 1)
         support = support_cube_mask(lattice, None)
         n = lattice.n_cubes
-        return DecisionState(
-            lattice=lattice,
-            support_cubes=support,
-            epoch=2,
-            explore=support.copy(),
-            exploit={1: np.zeros(n, bool), -1: np.zeros(n, bool)},
-        ), n
+        return initial_multi_state(lattice, support, 2), n
 
     def no_screen(self, n):
-        return {1: ScreenResult(np.zeros(n, bool), False), -1: ScreenResult(np.zeros(n, bool), False)}
+        return {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
 
     def test_all_zero_estimates_keep_randomizing(self):
         state, n = self.setup_state()
         screened = self.no_screen(n)
-        screened[1].mask[:2] = True  # two cubes inestimable for +1
+        screened[POS].mask[:2] = True  # two cubes inestimable for +1
         tau = np.zeros(n)
-        tau[screened[1].mask] = np.nan
-        new, info = update_regions(state, tau, screened, 0.5)
-        assert new.explore.sum() == state.explore.sum() - 2
-        assert new.exploit[-1].sum() == 2  # screened-for-+1 cubes exploit -1
-        assert new.exploit[1].sum() == 0
-        assert new.partition_ok()
+        tau[screened[POS].mask] = np.nan
+        new, info = update_active_sets(state, gap_estimates(tau), screened, 0.5)
+        before, after = regions(state), regions(new)
+        assert after["explore"].sum() == before["explore"].sum() - 2
+        assert after[-1].sum() == 2  # screened-for-+1 cubes exploit -1
+        assert after[1].sum() == 0
+        assert new.invariants_ok()
 
     def test_large_positive_estimates_exploit_everywhere(self):
         state, n = self.setup_state()
         tau = np.full(n, 1.0)
-        new, _ = update_regions(state, tau, self.no_screen(n), 0.5)
-        assert new.explore.sum() == 0
-        assert np.array_equal(new.exploit[1], state.support_cubes)
+        new, _ = update_active_sets(state, gap_estimates(tau), self.no_screen(n), 0.5)
+        after = regions(new)
+        assert after["explore"].sum() == 0
+        assert np.array_equal(after[1], state.support_cubes)
 
     def test_mixed_signs_split_three_ways(self):
         state, n = self.setup_state()
         tau = np.full(n, np.nan)
-        ids = np.nonzero(state.explore)[0][:3]
+        ids = np.nonzero(state.support_cubes)[0][:3]
         tau[ids] = [-1.0, 0.0, 1.0]
         # restrict explore to the three cubes
-        state.explore[:] = False
-        state.explore[ids] = True
-        state.exploit[1] = state.support_cubes & ~state.explore
-        new, _ = update_regions(state, tau, self.no_screen(n), 0.5)
-        assert new.exploit[-1][ids[0]]
-        assert new.explore[ids[1]]
-        assert new.exploit[1][ids[2]]
+        explore = np.zeros(n, bool)
+        explore[ids] = True
+        state = two_arm_state(state.lattice, state.support_cubes, state.support_cubes & ~explore, np.zeros(n, bool))
+        new, _ = update_active_sets(state, gap_estimates(tau), self.no_screen(n), 0.5)
+        after = regions(new)
+        assert after[-1][ids[0]]
+        assert after["explore"][ids[1]]
+        assert after[1][ids[2]]
 
     def test_double_screened_cube_is_anomaly(self):
         state, n = self.setup_state()
         screened = self.no_screen(n)
-        cube = np.nonzero(state.explore)[0][0]
-        screened[1].mask[cube] = True
-        screened[-1].mask[cube] = True
-        new, info = update_regions(state, np.full(n, np.nan), screened, 0.5)
+        cube = np.nonzero(state.support_cubes)[0][0]
+        screened[POS].mask[cube] = True
+        screened[NEG].mask[cube] = True
+        new, info = update_active_sets(state, np.full((n, 2), np.nan), screened, 0.5)
         assert info["anomalies"] == 1
-        assert new.explore[cube]
-        assert new.partition_ok()
+        assert regions(new)["explore"][cube]
+        assert new.invariants_ok()
 
     def test_fail_safe_flags_keep_randomizing(self):
+        cfg = PolicyConfig(beta=1.0, d=1, horizon=3000)
         state, n = self.setup_state()
+        state.sample_counts = {POS: 0, NEG: 500}  # no data for +1
         screened = {
-            1: ScreenResult(state.explore.copy(), True),  # no data for +1
-            -1: ScreenResult(np.zeros(n, bool), False),
+            POS: screen_multi_arm(state, POS, unit_cube_support, cfg),
+            NEG: ScreenResult(np.zeros(n, bool), False),
         }
-        new, _ = update_regions(state, np.full(n, np.nan), screened, 0.5)
-        assert np.array_equal(new.explore, state.explore)
-        assert new.exploit[1].sum() == 0 and new.exploit[-1].sum() == 0
+        assert screened[POS].fail_safe
+        new, _ = update_active_sets(state, np.full((n, 2), np.nan), screened, 0.5)
+        assert np.array_equal(new.active, state.active)
 
     def test_exploit_regions_only_grow(self):
         state, n = self.setup_state()
         tau = np.full(n, np.nan)
-        ids = np.nonzero(state.explore)[0]
+        ids = np.nonzero(state.support_cubes)[0]
         tau[ids[:5]] = 1.0
         tau[ids[5:]] = 0.0
-        new, _ = update_regions(state, tau, self.no_screen(n), 0.5)
+        new, _ = update_active_sets(state, gap_estimates(tau), self.no_screen(n), 0.5)
         tau2 = np.full(n, np.nan)
-        tau2[np.nonzero(new.explore)[0]] = -1.0
-        newer, _ = update_regions(new, tau2, self.no_screen(n), 0.25)
-        assert np.all(newer.exploit[1] >= new.exploit[1])
-        assert np.all(newer.exploit[-1] >= new.exploit[-1])
-        assert newer.partition_ok()
+        tau2[np.nonzero(regions(new)["explore"])[0]] = -1.0
+        newer, _ = update_active_sets(new, gap_estimates(tau2), self.no_screen(n), 0.25)
+        for arm in TWO_ARMS:
+            assert np.all(regions(newer)[arm] >= regions(new)[arm])
+        assert newer.invariants_ok()
 
 
 class TestAct:
     def test_exploit_cube_always_pulls_its_arm(self):
         lattice = build_lattice(3000, 1.0, 1)
         support = support_cube_mask(lattice, None)
-        n = lattice.n_cubes
-        state = initial_state(lattice, support)
-        state.explore[:] = False
-        state.exploit[1][:] = support
+        state = two_arm_state(lattice, support, support, np.zeros(lattice.n_cubes, bool))
         rng = np.random.default_rng(0)
-        assert all(act(np.array([0.3]), state, rng) == 1 for _ in range(200))
+        assert all(act_multi(np.array([0.3]), state, rng, TWO_ARMS) == 1 for _ in range(200))
 
     def test_explore_cube_randomizes_evenly(self):
         lattice = build_lattice(3000, 1.0, 1)
-        state = initial_state(lattice, support_cube_mask(lattice, None))
+        state = initial_multi_state(lattice, support_cube_mask(lattice, None), 2)
         rng = np.random.default_rng(1)
-        draws = np.array([act(np.array([0.3]), state, rng) for _ in range(10_000)])
+        draws = np.array([act_multi(np.array([0.3]), state, rng, TWO_ARMS) for _ in range(10_000)])
         freq = np.mean(draws == 1)
         assert 0.48 <= freq <= 0.52  # 4 sigma band around 1/2
 
@@ -462,17 +466,15 @@ class TestRunTwoArm:
         support = support_cube_mask(lattice, None)
         n = lattice.n_cubes
         rng = np.random.default_rng(8)
-        state = DecisionState(
-            lattice=lattice, support_cubes=support, epoch=2,
-            explore=support.copy(), exploit={1: np.zeros(n, bool), -1: np.zeros(n, bool)},
-        )
-        for arm in (1, -1):
+        state = initial_multi_state(lattice, support, 2)
+        for ai in (POS, NEG):
             X = rng.random((600, 1))
-            state.samples[arm] = (X, np.full(600, 0.5))
-            state.sample_counts[arm] = 600
-            state.bandwidths[arm] = 600 ** (-1.0 / 5)
-        screened = {1: ScreenResult(np.zeros(n, bool), False), -1: ScreenResult(np.zeros(n, bool), False)}
-        tau, _ = estimate_cate_at_centers(state, cfg, screened)
+            state.samples[ai] = (X, np.full(600, 0.5))
+            state.sample_counts[ai] = 600
+            state.bandwidths[ai] = 600 ** (-1.0 / 5)
+        screened = {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
+        eta, _ = estimate_means_at_centers(state, cfg, screened)
+        tau = eta[:, POS] - eta[:, NEG]
         np.testing.assert_allclose(tau[~np.isnan(tau)], 0.0, atol=1e-12)
 
     def test_estimate_separated_constant_arms(self):
@@ -482,17 +484,15 @@ class TestRunTwoArm:
         support = support_cube_mask(lattice, None)
         n = lattice.n_cubes
         rng = np.random.default_rng(9)
-        state = DecisionState(
-            lattice=lattice, support_cubes=support, epoch=2,
-            explore=support.copy(), exploit={1: np.zeros(n, bool), -1: np.zeros(n, bool)},
-        )
-        for arm, level in ((1, 0.75), (-1, 0.25)):
+        state = initial_multi_state(lattice, support, 2)
+        for ai, level in ((POS, 0.75), (NEG, 0.25)):
             X = rng.random((800, 1))
-            state.samples[arm] = (X, np.full(800, level))
-            state.sample_counts[arm] = 800
-            state.bandwidths[arm] = 800 ** (-1.0 / 5)
-        screened = {1: ScreenResult(np.zeros(n, bool), False), -1: ScreenResult(np.zeros(n, bool), False)}
-        tau, diag = estimate_cate_at_centers(state, cfg, screened)
+            state.samples[ai] = (X, np.full(800, level))
+            state.sample_counts[ai] = 800
+            state.bandwidths[ai] = 800 ** (-1.0 / 5)
+        screened = {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
+        eta, diag = estimate_means_at_centers(state, cfg, screened)
+        tau = eta[:, POS] - eta[:, NEG]
         assert diag["degenerate_fits"] == 0
         np.testing.assert_allclose(tau[~np.isnan(tau)], 0.5, atol=1e-6)
 
@@ -501,20 +501,18 @@ class TestRunTwoArm:
         lattice = build_lattice(cfg.horizon, cfg.beta, cfg.d)
         support = support_cube_mask(lattice, None)
         n = lattice.n_cubes
-        state = DecisionState(
-            lattice=lattice, support_cubes=support, epoch=2,
-            explore=support.copy(), exploit={1: np.zeros(n, bool), -1: np.zeros(n, bool)},
-        )
+        state = initial_multi_state(lattice, support, 2)
         rng = np.random.default_rng(4)
         # plentiful data for +1, one lone far-away sample for -1
-        state.samples[1] = (rng.random((800, 1)), np.full(800, 0.75))
-        state.sample_counts[1] = 800
-        state.bandwidths[1] = 800 ** (-1.0 / 5)
-        state.samples[-1] = (np.array([[0.0]]), np.array([0.25]))
-        state.sample_counts[-1] = 1
-        state.bandwidths[-1] = 0.015
-        screened = {1: ScreenResult(np.zeros(n, bool), False), -1: ScreenResult(np.zeros(n, bool), False)}
-        tau, diag = estimate_cate_at_centers(state, cfg, screened)
+        state.samples[POS] = (rng.random((800, 1)), np.full(800, 0.75))
+        state.sample_counts[POS] = 800
+        state.bandwidths[POS] = 800 ** (-1.0 / 5)
+        state.samples[NEG] = (np.array([[0.0]]), np.array([0.25]))
+        state.sample_counts[NEG] = 1
+        state.bandwidths[NEG] = 0.015
+        screened = {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
+        eta, diag = estimate_means_at_centers(state, cfg, screened)
+        tau = eta[:, POS] - eta[:, NEG]
         assert diag["degenerate_fits"] > 0
         ids = ~np.isnan(tau)
         # cubes where arm -1 had no usable fit fall back to eta=0: tau = 0.75
@@ -619,10 +617,30 @@ class TestRunMultiArm:
             assert any(b == (1 << arm) for b in bits[support_ids])
 
 
+class TestLogEpochSamples:
+    def test_counts_and_warns_when_bandwidth_falls_below_cube_diagonal(self, caplog):
+        # T = 10, beta = 1, d = 1: cube side 0.2016, so an arm with 200
+        # samples gets bandwidth 200^(-1/3) = 0.171 < 0.2016 and one with 50
+        # gets 0.271; an arm with no samples gets no bandwidth at all
+        cfg = PolicyConfig(beta=1.0, d=1, horizon=10, arm_count=3)
+        lattice = build_lattice(cfg.horizon, cfg.beta, cfg.d)
+        state = initial_multi_state(lattice, support_cube_mask(lattice, None), 3)
+        arm_ix = np.repeat([0, 1], [200, 50])
+        X = np.random.default_rng(0).random((len(arm_ix), 1))
+        with caplog.at_level("WARNING", logger=policy.log.name):
+            below = policy._log_epoch_samples(state, X, arm_ix, np.zeros(len(arm_ix)), cfg, (7, 8, 9))
+        assert below == 1
+        assert state.sample_counts == {0: 200, 1: 50, 2: 0}
+        assert sorted(state.bandwidths) == [0, 1]
+        assert state.bandwidths[0] < math.sqrt(cfg.d) * lattice.delta < state.bandwidths[1]
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and "for arm 7 fell below the cube diagonal" in warnings[0]
+
+
 def _break_partition(update):
     def broken(state, *args):
         state, info = update(state, *args)
-        state.exploit[1] = state.support_cubes.copy()  # overlaps the explore region
+        state.active[np.argmax(state.support_cubes)] = False  # a support cube in no region
         return state, info
 
     return broken
@@ -641,7 +659,7 @@ class TestInvariantChecks:
     """Broken states stop the run with the epoch named, also under ``python -O``."""
 
     def test_two_arm_broken_partition_raises(self, monkeypatch):
-        monkeypatch.setattr(policy, "update_regions", _break_partition(policy.update_regions))
+        monkeypatch.setattr(policy, "update_active_sets", _break_partition(policy.update_active_sets))
         env = make_smooth_instance("constant_gap", d=1, gap=0.0)
         with pytest.raises(RuntimeError, match="epoch 2"):
             run_two_arm(env, PolicyConfig(beta=1.0, d=1, horizon=2000), seed=0)
@@ -675,8 +693,8 @@ class TestOffLatticeContexts:
 
         env = dataclasses.replace(env, sample_contexts=sample)
         lattice = build_lattice(1000, 1.0, 1)
-        state = initial_state(lattice, support_cube_mask(lattice, unit_cube_support))
-        table, counts = _two_arm_tables(state)
+        state = initial_multi_state(lattice, support_cube_mask(lattice, unit_cube_support), 2)
+        table, counts = _multi_arm_tables(state)
         rng = np.random.default_rng(0)
         with pytest.raises(RuntimeError, match="step 104 lies off the cube lattice"):
             _static_epoch(env, rng, 10, lattice, table, counts, start_t=100)
