@@ -38,7 +38,7 @@ config = {
     "checkpoints": 6,
 }
 
-rows, summary, results = run_experiment(config, threads=1)
+rows, summary, results = run_experiment(config)
 
 print(f"{'policy':>12} {'T':>7} {'mean regret':>12} {'se':>8}")
 for g in summary["groups"]:

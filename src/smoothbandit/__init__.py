@@ -6,16 +6,7 @@ reference baselines, and a seeded Monte-Carlo harness that measures
 regret growth against the theoretical exponent.
 """
 
-from .baselines import (
-    BinnedUcbState,
-    binned_ucb_act,
-    binned_ucb_update,
-    oracle_act,
-    run_binned_ucb,
-    run_oracle,
-    run_uniform,
-    uniform_act,
-)
+from .baselines import run_binned_ucb, run_oracle, run_uniform
 from .environments import (
     Instance,
     InstanceMeta,
@@ -71,7 +62,6 @@ from .results import RunResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnedUcbState",
     "EpochSchedule",
     "GridLattice",
     "Instance",
@@ -87,8 +77,6 @@ __all__ = [
     "act_multi",
     "assign_cube",
     "ball_region_fraction",
-    "binned_ucb_act",
-    "binned_ucb_update",
     "build_lattice",
     "bump_u",
     "cate",
@@ -104,7 +92,6 @@ __all__ = [
     "make_schedule",
     "make_smooth_instance",
     "min_eigenvalue",
-    "oracle_act",
     "oracle_arm",
     "run_binned_ucb",
     "run_experiment",
@@ -114,7 +101,6 @@ __all__ = [
     "run_uniform",
     "support_cube_mask",
     "theoretical_exponent",
-    "uniform_act",
     "unit_ball_volume",
     "verify_density",
     "verify_holder",

@@ -1,80 +1,26 @@
-"""Reference policies: binned UCB, uniform randomization, and the oracle."""
+"""Reference policies: binned UCB, uniform randomization, and the oracle.
+
+Each policy has one run loop.  Binned UCB keeps an isolated UCB1 in every
+bin of a cube lattice over the contexts, the no-sharing extreme of the
+smoothness scale; uniform and oracle pick every step's arm up front and
+share one fixed-rule runner.
+"""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import Instance, oracle_arm
+from .environments import Instance
 from .geometry import GridLattice
 from .results import RunResult, normalize_checkpoints
 
-
-@dataclass
-class BinnedUcbState:
-    """Independent UCB bookkeeping inside each context bin.
-
-    The confidence bonus uses the bin-local visit count as its clock, so
-    each bin behaves exactly like an isolated bandit fed only its own
-    steps.
-    """
-
-    lattice: GridLattice
-    n_arms: int
-    exploration: float = 2.0
-    counts: np.ndarray = None
-    sums: np.ndarray = None
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros((self.lattice.n_cubes, self.n_arms), dtype=np.int64)
-        if self.sums is None:
-            self.sums = np.zeros((self.lattice.n_cubes, self.n_arms))
-
-
-def binned_ucb_act(state: BinnedUcbState, x, t: int = 0, rng=None) -> int:
-    """Arm index for one context.
-
-    Unpulled arms in the bin go first, in arm order; afterwards the arm
-    with the highest mean plus sqrt(exploration * log(visits) / count)
-    wins, ties to the earliest arm.  The global step ``t`` is accepted for
-    interface symmetry but the bonus runs on the bin-local clock.
-    """
-    flat = state.lattice.cube_index(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    if flat < 0:
-        raise ValueError(f"context {x} is outside the unit cube")
-    return _binned_ucb_choose(state, int(flat))
-
-
-def _binned_ucb_choose(state: BinnedUcbState, flat: int) -> int:
-    counts = state.counts[flat]
-    for arm_ix in range(state.n_arms):
-        if counts[arm_ix] == 0:
-            return arm_ix
-    visits = counts.sum()
-    bonus = np.sqrt(state.exploration * math.log(visits) / counts)
-    return int(np.argmax(state.sums[flat] / counts + bonus))
-
-
-def binned_ucb_update(state: BinnedUcbState, flat: int, arm_ix: int, reward: float) -> None:
-    state.counts[flat, arm_ix] += 1
-    state.sums[flat, arm_ix] += reward
-
-
-def uniform_act(rng: np.random.Generator, arms):
-    """Uniform draw over the arm list."""
-    return arms[int(rng.random() * len(arms)) % len(arms)]
-
-
-def oracle_act(instance: Instance, x):
-    return oracle_arm(instance, x)
-
-
-# ---------------------------------------------------------------------------
-# Run loops
+# Steps whose contexts and Bernoulli uniforms binned UCB draws at once.  A
+# constant, not a setting: the block size fixes the order of the random
+# draws, and so the regret of a seeded run.
+_UCB_BLOCK = 4096
 
 
 def run_uniform(env: Instance, horizon: int, seed: int, checkpoints=None) -> RunResult:
@@ -128,13 +74,16 @@ def run_binned_ucb(
     checkpoints=None,
     exploration: float = 2.0,
     bin_rate: float | None = None,
-    block: int = 4096,
 ) -> RunResult:
     """Isolated UCB per context bin.
 
     The bin side defaults to horizon**(-1/(2+d)), the calibration that is
     rate-optimal when the reward functions are merely Lipschitz; it
-    deliberately ignores any extra smoothness.
+    deliberately ignores any extra smoothness.  In each bin, unpulled arms
+    go first in arm order; afterwards the arm with the highest mean plus
+    sqrt(exploration * log(visits) / count) wins, ties to the earliest arm.
+    ``visits`` is the bin's own step count, so each bin is a bandit fed
+    only its own steps.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(int(seed))
@@ -144,18 +93,16 @@ def run_binned_ucb(
     else:
         delta_bin = horizon**-bin_rate
     lattice = GridLattice(d=d, delta=delta_bin, cells_per_axis=math.ceil(1.0 / delta_bin))
-    state = BinnedUcbState(lattice=lattice, n_arms=env.n_arms, exploration=exploration)
+    n_arms = env.n_arms
+    counts = np.zeros((lattice.n_cubes, n_arms), dtype=np.int64)
+    sums = np.zeros((lattice.n_cubes, n_arms))
 
     regret = np.empty(horizon)
     inferior = np.empty(horizon, dtype=np.int64)
-    counts = state.counts
-    sums = state.sums
-    n_arms = env.n_arms
-    expl = state.exploration
     bernoulli = env.noise == "bernoulli"
     pos = 0
     while pos < horizon:
-        n = min(block, horizon - pos)
+        n = min(_UCB_BLOCK, horizon - pos)
         X = env.sample_contexts(rng, n)
         flat = lattice.cube_index(X)
         off = np.flatnonzero(flat < 0)
@@ -179,7 +126,7 @@ def run_binned_ucb(
                 logv = math.log(visits)
                 score = -math.inf
                 for a in range(n_arms):
-                    val = sums[b, a] / row[a] + math.sqrt(expl * logv / row[a])
+                    val = sums[b, a] / row[a] + math.sqrt(exploration * logv / row[a])
                     if val > score:
                         score = val
                         arm_ix = a

@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override the base seed")
     p_run.add_argument("--out-dir", default=None, help="output directory (default from config)")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p_verify = sub.add_parser("verify", help="run instance assumption validators")
@@ -69,11 +68,10 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg["base_seed"] = args.seed
     out_dir = args.out_dir or cfg.get("out_dir", ".")
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 1))
     cfg = harness.validate_experiment_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     try:
-        rows, summary, results = harness.run_experiment(cfg, threads=threads, quiet=args.quiet)
+        rows, summary, results = harness.run_experiment(cfg, quiet=args.quiet)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

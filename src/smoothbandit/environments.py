@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .geometry import ball_region_fraction, unit_ball_volume, unit_cube_support
+from .localpoly import enumerate_basis
 
 TWO_ARMS = (1, -1)
 
@@ -517,13 +518,17 @@ def make_lower_bound_instance(
     if sigma.shape != (m,) or not np.all(np.abs(sigma) == 1):
         raise ValueError(f"sigma must be a vector of {m} signs")
 
-    # first m cells of the 1/q grid in lexicographic order
-    flat = np.arange(m, dtype=np.int64)
-    centers = np.empty((m, d))
-    rem = flat.copy()
-    for axis in range(d - 1, -1, -1):
-        centers[:, axis] = (rem % q + 0.5) / q
-        rem //= q
+    def cell_centers(cells: np.ndarray) -> np.ndarray:
+        """Centers of the 1/q grid cells with the given lexicographic flat indices."""
+        ctr = np.empty((len(cells), d))
+        rem = cells.copy()
+        for axis in range(d - 1, -1, -1):
+            ctr[:, axis] = (rem % q + 0.5) / q
+            rem //= q
+        return ctr
+
+    # the bumps sit in the first m cells
+    centers = cell_centers(np.arange(m, dtype=np.int64))
     ball_radius = 1.0 / (4 * q)
 
     bump_flags = np.zeros(q**d, dtype=bool)
@@ -541,14 +546,6 @@ def make_lower_bound_instance(
             flat = flat * q + j[:, axis]
         return flat
 
-    def nearest_center(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        ctr = np.empty((len(cells), d))
-        rem = cells.copy()
-        for axis in range(d - 1, -1, -1):
-            ctr[:, axis] = (rem % q + 0.5) / q
-            rem //= q
-        return ctr
-
     def mean(points, arm):
         points = np.atleast_2d(points)
         if arm == -1:
@@ -558,7 +555,7 @@ def make_lower_bound_instance(
         out = np.full(len(points), 0.5)
         if np.any(inside):
             p = points[inside]
-            ctr = nearest_center(p, cells[inside])
+            ctr = cell_centers(cells[inside])
             u_val = bump_u(q * np.linalg.norm(p - ctr, axis=1))
             out[inside] += sigma_by_cell[cells[inside]] * C_phi * float(q) ** -beta * u_val
         return out
@@ -574,7 +571,7 @@ def make_lower_bound_instance(
         inside = bump_flags[cells] & unit_cube_support(points)
         if np.any(inside):
             p = points[inside]
-            ctr = nearest_center(p, cells[inside])
+            ctr = cell_centers(cells[inside])
             vals = _radial_bump_deriv(q * (p - ctr), tuple(r))
             out[inside] = sigma_by_cell[cells[inside]] * C_phi * float(q) ** (sum(r) - beta) * vals
         return out
@@ -588,7 +585,7 @@ def make_lower_bound_instance(
         check = ok & in_bump_cell
         if np.any(check):
             p = points[check]
-            ctr = nearest_center(p, cells[check])
+            ctr = cell_centers(cells[check])
             out[check] = np.linalg.norm(p - ctr, axis=1) <= ball_radius
         return out
 
@@ -752,7 +749,7 @@ def verify_holder(
         raise ValueError(f"instance {instance.name} does not expose analytic derivatives")
     rng = rng or np.random.default_rng(0)
     l = math.ceil(beta) - 1
-    indices = _taylor_indices(instance.d, l)
+    indices = sorted(enumerate_basis(instance.d, l).indices)
     half = n_pairs // 2
     x = rng.random((n_pairs, instance.d))
     x2 = np.empty_like(x)
@@ -779,23 +776,6 @@ def verify_holder(
         # additive slack absorbs cancellation noise on exactly-polynomial means
         rows.append(CheckRow(f"arm {arm} max remainder ratio", worst, L, worst <= L * (1 + 1e-9) + 1e-7))
     return ValidationReport(f"holder(beta={beta}, L={L}) on {instance.name}", tuple(rows))
-
-
-def _taylor_indices(d: int, l: int) -> list[tuple[int, ...]]:
-    if l == 0:
-        return [tuple([0] * d)]
-    out = []
-
-    def rec(prefix, remaining_axes, budget):
-        if remaining_axes == 1:
-            for k in range(budget + 1):
-                out.append((*prefix, k))
-            return
-        for k in range(budget + 1):
-            rec((*prefix, k), remaining_axes - 1, budget - k)
-
-    rec((), d, l)
-    return [r for r in out if sum(r) <= l]
 
 
 def verify_density(

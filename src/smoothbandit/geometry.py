@@ -175,10 +175,6 @@ class RegionMask:
         out &= np.asarray(support(points), dtype=bool)
         return out
 
-    @property
-    def n_member_cubes(self) -> int:
-        return int(np.count_nonzero(self.cube_mask))
-
 
 def empty_region(lattice: GridLattice) -> RegionMask:
     return RegionMask(lattice, np.zeros(lattice.n_cubes, dtype=bool))

@@ -3,13 +3,13 @@
 Runs a grid of (policy, horizon, repetition) simulations with seeds
 derived stably from a base seed, accumulates regret and inferior-sampling
 trajectories, fits the growth exponent of the mean final regret against
-the horizon, and emits CSV rows plus a JSON summary.  Identical configs
-produce byte-identical outputs regardless of the worker count.
+the horizon, and emits CSV rows plus a JSON summary.  Runs execute one
+after another in a single process, so identical configs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -149,7 +149,7 @@ def build_instance(block: dict) -> Instance:
 _POLICY_NAMES = ("smooth", "smooth_multi", "binned_ucb", "uniform", "oracle")
 
 _BASELINE_PARAMS = {
-    "binned_ucb": {"exploration", "bin_rate", "block"},
+    "binned_ucb": {"exploration", "bin_rate"},
     "uniform": set(),
     "oracle": set(),
 }
@@ -202,6 +202,8 @@ def validate_experiment_config(cfg: dict) -> dict:
     out = dict(cfg)
     if "instance" not in cfg:
         raise ConfigError("instance", "missing")
+    if "threads" in cfg:
+        raise ConfigError("threads", "not supported: runs execute serially in one process; remove the key")
     policies = cfg.get("policies")
     if not isinstance(policies, list) or not policies:
         raise ConfigError("policies", "must be a non-empty list")
@@ -235,12 +237,13 @@ def validate_experiment_config(cfg: dict) -> dict:
     return out
 
 
-def run_experiment(cfg: dict, threads: int = 1, quiet: bool = False):
-    """Execute the full grid and return (rows, summary).
+def run_experiment(cfg: dict, quiet: bool = False):
+    """Execute the full grid, one run after another; return (rows, summary, results).
 
     ``rows`` is the list of CSV tuples (one per checkpoint per run) in
     deterministic order; ``summary`` is a JSON-ready dict with per-group
-    means and standard errors plus rate-fit inputs.
+    means and standard errors plus rate-fit inputs; ``results`` maps each
+    (label, T, rep) to its ``RunResult``.
     """
     cfg = validate_experiment_config(cfg)
     env = build_instance(cfg["instance"])
@@ -257,22 +260,11 @@ def run_experiment(cfg: dict, threads: int = 1, quiet: bool = False):
     started = time.perf_counter()
     results: dict[tuple, RunResult] = {}
 
-    def _one(job):
-        label, name, params, T, rep, seed = job
+    for label, name, params, T, rep, seed in jobs:
         try:
-            run = run_policy(name, params, env, T, seed, cfg["checkpoints"])
+            results[(label, T, rep)] = run_policy(name, params, env, T, seed, cfg["checkpoints"])
         except Exception as exc:
             raise RuntimeError(f"run failed at policy={label} T={T} rep={rep} seed={seed}: {exc}") from exc
-        return (label, T, rep), run
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, run in pool.map(_one, jobs):
-                results[key] = run
-    else:
-        for job in jobs:
-            key, run = _one(job)
-            results[key] = run
     if not quiet:
         log.info("executed %d runs in %.1fs", len(jobs), time.perf_counter() - started)
 

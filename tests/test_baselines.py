@@ -1,21 +1,125 @@
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from smoothbandit.baselines import (
-    BinnedUcbState,
-    binned_ucb_act,
-    binned_ucb_update,
-    oracle_act,
-    run_binned_ucb,
-    run_oracle,
-    run_uniform,
-    uniform_act,
+from smoothbandit.baselines import run_binned_ucb, run_oracle, run_uniform
+from smoothbandit.environments import (
+    make_constant_multi_arm,
+    make_lower_bound_instance,
+    make_smooth_instance,
 )
-from smoothbandit.environments import make_smooth_instance
 from smoothbandit.geometry import GridLattice
+
+# ---------------------------------------------------------------------------
+# Reference: a step API for binned UCB (one context in, one arm out), and a
+# run loop that drives it while drawing the random stream in the order of
+# run_binned_ucb.  The step functions are the library's former public API.
+
+
+@dataclass
+class BinnedUcbState:
+    """Independent UCB bookkeeping inside each context bin.
+
+    The confidence bonus uses the bin-local visit count as its clock, so
+    each bin behaves exactly like an isolated bandit fed only its own
+    steps.
+    """
+
+    lattice: GridLattice
+    n_arms: int
+    exploration: float = 2.0
+    counts: np.ndarray = None
+    sums: np.ndarray = None
+
+    def __post_init__(self):
+        if self.counts is None:
+            self.counts = np.zeros((self.lattice.n_cubes, self.n_arms), dtype=np.int64)
+        if self.sums is None:
+            self.sums = np.zeros((self.lattice.n_cubes, self.n_arms))
+
+
+def binned_ucb_act(state: BinnedUcbState, x, t: int = 0, rng=None) -> int:
+    """Arm index for one context.
+
+    Unpulled arms in the bin go first, in arm order; afterwards the arm
+    with the highest mean plus sqrt(exploration * log(visits) / count)
+    wins, ties to the earliest arm.  The global step ``t`` is accepted for
+    interface symmetry but the bonus runs on the bin-local clock.
+    """
+    flat = state.lattice.cube_index(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    if flat < 0:
+        raise ValueError(f"context {x} is outside the unit cube")
+    return _binned_ucb_choose(state, int(flat))
+
+
+def _binned_ucb_choose(state: BinnedUcbState, flat: int) -> int:
+    counts = state.counts[flat]
+    for arm_ix in range(state.n_arms):
+        if counts[arm_ix] == 0:
+            return arm_ix
+    visits = counts.sum()
+    bonus = np.sqrt(state.exploration * math.log(visits) / counts)
+    return int(np.argmax(state.sums[flat] / counts + bonus))
+
+
+def binned_ucb_update(state: BinnedUcbState, flat: int, arm_ix: int, reward: float) -> None:
+    state.counts[flat, arm_ix] += 1
+    state.sums[flat, arm_ix] += reward
+
+
+REFERENCE_BLOCK = 4096
+
+
+def reference_binned_ucb(env, horizon, seed, exploration=2.0, bin_rate=None):
+    """Per-step regret and inferior flags of the step API on run_binned_ucb's stream.
+
+    Per block of REFERENCE_BLOCK steps: the contexts, then (Bernoulli noise)
+    one uniform per step; truncated-Gaussian rewards are drawn one step at
+    a time.
+    """
+    rng = np.random.default_rng(seed)
+    delta_bin = horizon ** (-1.0 / (2 + env.d)) if bin_rate is None else horizon**-bin_rate
+    lattice = GridLattice(d=env.d, delta=delta_bin, cells_per_axis=math.ceil(1.0 / delta_bin))
+    state = BinnedUcbState(lattice=lattice, n_arms=env.n_arms, exploration=exploration)
+    regret = np.empty(horizon)
+    inferior = np.empty(horizon, dtype=np.int64)
+    for pos in range(0, horizon, REFERENCE_BLOCK):
+        X = env.sample_contexts(rng, min(REFERENCE_BLOCK, horizon - pos))
+        means = env.means_matrix(X)
+        u = rng.random(len(X)) if env.noise == "bernoulli" else None
+        for i, x in enumerate(X):
+            arm_ix = binned_ucb_act(state, x)
+            mean_a = means[arm_ix, i]
+            if u is not None:
+                y = 1.0 if u[i] < mean_a else 0.0
+            else:
+                y = float(env.sample_rewards(rng, np.array([mean_a]))[0])
+            binned_ucb_update(state, int(lattice.cube_index(x[None, :])[0]), arm_ix, y)
+            regret[pos + i] = means[:, i].max() - mean_a
+            inferior[pos + i] = arm_ix != means[:, i].argmax()
+    return np.cumsum(regret), np.cumsum(inferior)
+
+
+def _sinusoidal(d, **params):
+    return make_smooth_instance("sinusoidal", d=d, amplitude=0.4, **params)
+
+
+# (instance, horizon, seed, run_binned_ucb keyword arguments)
+REFERENCE_CASES = {
+    "sinusoidal_d1": (_sinusoidal(1), 3000, 0, {}),
+    "sinusoidal_d2": (_sinusoidal(2), 3000, 1, {}),
+    "three_arm_constant": (make_constant_multi_arm((0.3, 0.5, 0.6)), 3000, 0, {}),
+    "truncated_gaussian": (_sinusoidal(1, noise="truncated_gaussian"), 800, 1, {}),
+    "bump_grid_d2": (
+        make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3), 2000, 0, {}
+    ),
+    "exploration_0.5": (_sinusoidal(1), 2000, 1, {"exploration": 0.5}),
+    "bin_rate": (_sinusoidal(2), 2000, 0, {"bin_rate": 0.2}),
+    "crosses_block": (_sinusoidal(1), 5000, 0, {}),
+}
 
 
 def make_state(counts, sums, exploration=2.0):
@@ -24,6 +128,16 @@ def make_state(counts, sums, exploration=2.0):
     state.counts[0] = counts
     state.sums[0] = sums
     return state
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_run_matches_step_reference(case):
+    env, horizon, seed, kwargs = REFERENCE_CASES[case]
+    res = run_binned_ucb(env, horizon, seed, checkpoints=list(range(1, horizon + 1)), **kwargs)
+    regret, inferior = reference_binned_ucb(env, horizon, seed, **kwargs)
+    np.testing.assert_array_equal(res.cum_regret, regret)
+    np.testing.assert_array_equal(res.cum_inferior, inferior)
+    assert inferior[-1] > 0
 
 
 class TestBinnedUcbAct:
@@ -82,16 +196,6 @@ class TestBinnedUcbAct:
 
 
 class TestSimplePolicies:
-    def test_uniform_act_spread(self):
-        rng = np.random.default_rng(1)
-        arms = (1, -1)
-        draws = [uniform_act(rng, arms) for _ in range(10_000)]
-        assert 0.48 <= np.mean(np.array(draws) == 1) <= 0.52
-
-    def test_oracle_act(self):
-        env = make_smooth_instance("constant_gap", d=1, gap=0.5)
-        assert oracle_act(env, np.array([0.2])) == 1
-
     def test_oracle_run_zero_regret(self):
         env = make_smooth_instance("constant_gap", d=1, gap=0.5)
         res = run_oracle(env, 5000, seed=0)
@@ -134,17 +238,16 @@ class TestBinnedUcbRun:
 class TestOffLatticeContexts:
     def test_binned_ucb_names_the_step(self):
         env = make_smooth_instance("constant_gap", d=1, gap=0.2)
+        blocks = []
 
         def sample(rng, n):
             x = rng.random((n, 1))
-            x[n // 2] = 2.0
+            blocks.append(n)
+            if len(blocks) == 2:
+                x[50] = 2.0
             return x
 
         env = dataclasses.replace(env, sample_contexts=sample)
-        with pytest.raises(RuntimeError, match="step 51 lies off the bin lattice"):
-            run_binned_ucb(env, horizon=300, seed=0, block=100)
-
-    def test_binned_ucb_act_names_the_context(self):
-        state = BinnedUcbState(lattice=GridLattice(d=1, delta=0.5, cells_per_axis=2), n_arms=2)
-        with pytest.raises(ValueError, match=r"context \[1.5\] is outside the unit cube"):
-            binned_ucb_act(state, np.array([1.5]))
+        with pytest.raises(RuntimeError, match="step 4147 lies off the bin lattice"):
+            run_binned_ucb(env, horizon=5000, seed=0)
+        assert blocks == [4096, 904]

@@ -50,6 +50,19 @@ class TestExitCodes:
         assert cli(["run", path]) == 2
         assert "policies" in capsys.readouterr().err
 
+    def test_threads_flag_is_gone(self, run_config, tmp_path, capsys):
+        assert cli(["run", run_config, "--out-dir", str(tmp_path / "out"), "--threads", "2"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_config_key_rejected(self, run_config, tmp_path, capsys):
+        with open(run_config) as fh:
+            cfg = json.load(fh)
+        path = write_config(tmp_path / "threads.json", {**cfg, "threads": 2})
+        assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: threads:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunCommand:
     def test_run_writes_outputs(self, run_config, tmp_path, capsys):
@@ -63,7 +76,7 @@ class TestRunCommand:
     def test_run_twice_identical_csv(self, run_config, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert cli(["run", run_config, "--out-dir", str(out1), "--quiet"]) == 0
-        assert cli(["run", run_config, "--out-dir", str(out2), "--quiet", "--threads", "3"]) == 0
+        assert cli(["run", run_config, "--out-dir", str(out2), "--quiet"]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
     def test_seed_override_changes_results(self, run_config, tmp_path):

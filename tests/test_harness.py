@@ -130,10 +130,12 @@ class TestRunExperiment:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_thread_count_does_not_change_results(self):
-        rows1, _, _ = run_experiment(small_config(), threads=1, quiet=True)
-        rows4, _, _ = run_experiment(small_config(), threads=4, quiet=True)
-        assert rows1 == rows4
+    def test_threads_key_is_rejected(self):
+        # runs execute serially; a config asking for workers is told so
+        for validate in (validate_experiment_config, run_experiment):
+            with pytest.raises(ConfigError, match="threads") as info:
+                validate(small_config(threads=2))
+            assert info.value.fieldpath == "threads"
 
     def test_checkpoint_columns_nondecreasing(self):
         rows, _, _ = run_experiment(small_config(), quiet=True)
@@ -223,6 +225,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown parameters"):
             validate_experiment_config(
                 small_config(policies=[{"name": "uniform", "params": {"zzz": 1}}])
+            )
+        # the binned-UCB block size is a constant, not a parameter
+        with pytest.raises(ConfigError, match=r"unknown parameters \['block'\]"):
+            validate_experiment_config(
+                small_config(policies=[{"name": "binned_ucb", "params": {"block": 100}}])
             )
 
     def test_csv_quotes_instance_names_with_commas(self, tmp_path):
