@@ -1,14 +1,20 @@
 """Reference policies: binned UCB, uniform randomization, and the oracle.
 
-Each policy has one run loop.  Binned UCB keeps an isolated UCB1 in every
-bin of a cube lattice over the contexts, the no-sharing extreme of the
-smoothness scale; uniform and oracle pick every step's arm up front and
-share one fixed-rule runner.
+Binned UCB keeps an isolated UCB1 in every bin of a cube lattice over the
+contexts, the no-sharing extreme of the smoothness scale.  Its bins never
+read each other's state, so each block of steps runs in rounds across the
+bins: round ``r`` chooses and updates every bin's ``r``-th step of the
+block in one vectorized pass, with the arithmetic of a step-by-step loop
+(``log`` from a table of ``math.log``, first-maximum ties), so a seeded
+run's regret is that of the loop, value for value.  Very few bins mean
+many short rounds and a slower run; see ``run_binned_ucb``.  Uniform and
+oracle pick every step's arm up front and share one fixed-rule runner.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -67,6 +73,22 @@ def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int,
     )
 
 
+def check_binned_ucb_params(exploration=2.0, bin_rate=None) -> None:
+    """Raise ``ValueError`` naming the first binned-UCB parameter out of range.
+
+    ``exploration`` must be a finite number >= 0 and ``bin_rate`` either
+    None or a finite number > 0.  A NaN exploration would make every score
+    NaN and the arm choice meaningless; a negative one would take the
+    square root of a negative number.
+    """
+    if not (isinstance(exploration, numbers.Real) and math.isfinite(exploration) and exploration >= 0):
+        raise ValueError(f"exploration must be a finite number >= 0, got {exploration!r}")
+    if bin_rate is not None and not (
+        isinstance(bin_rate, numbers.Real) and math.isfinite(bin_rate) and bin_rate > 0
+    ):
+        raise ValueError(f"bin_rate must be None or a finite number > 0, got {bin_rate!r}")
+
+
 def run_binned_ucb(
     env: Instance,
     horizon: int,
@@ -84,7 +106,28 @@ def run_binned_ucb(
     sqrt(exploration * log(visits) / count) wins, ties to the earliest arm.
     ``visits`` is the bin's own step count, so each bin is a bandit fed
     only its own steps.
+
+    A step depends only on the earlier steps of its own bin, so each block
+    of steps runs in rounds: round ``r`` makes every bin's ``r``-th visit
+    of the block at once, with one vectorized choose-and-update.  The
+    arithmetic is that of a step-by-step loop, value for value: ``log`` is
+    read from a table of ``math.log(v)``, division and square root are
+    correctly rounded, ``argmax`` takes the first maximum, and the bins of
+    a round are distinct, so each bin's sums add in step order.
+    Truncated-Gaussian rewards draw from ``rng`` once per step, in step
+    order, so under that law every round is one step.
+
+    Cost: each round pays the fixed overhead of a few NumPy calls, and a
+    block has as many rounds as its busiest bin has visits.  The default
+    bin side gives tens of bins (16 to 41 at ``d = 1`` for horizons 2^12
+    to 2^16), and the rounds run 4 to 8 times faster than a per-step
+    loop.  With very few bins they are slower: ``bin_rate`` 0.01 gives 2
+    bins at ``d = 1``, one of them holding over nine tenths of the
+    contexts, so nearly every round is one step, and a run at 2^16 takes
+    about twice as long as a per-step loop.  From ``bin_rate`` 0.1 (4
+    bins) up, the rounds are the faster.
     """
+    check_binned_ucb_params(exploration, bin_rate)
     started = time.perf_counter()
     rng = np.random.default_rng(int(seed))
     d = env.d
@@ -93,9 +136,12 @@ def run_binned_ucb(
     else:
         delta_bin = horizon**-bin_rate
     lattice = GridLattice(d=d, delta=delta_bin, cells_per_axis=math.ceil(1.0 / delta_bin))
-    n_arms = env.n_arms
-    counts = np.zeros((lattice.n_cubes, n_arms), dtype=np.int64)
-    sums = np.zeros((lattice.n_cubes, n_arms))
+    counts = np.zeros((lattice.n_cubes, env.n_arms), dtype=np.int64)
+    sums = np.zeros((lattice.n_cubes, env.n_arms))
+    # log_visits[v] == math.log(v) bit for bit; entry 0 is read only for a
+    # bin with no visits, whose arms are all unpulled
+    log_visits = np.zeros(horizon + 1)
+    log_visits[1:] = np.fromiter(map(math.log, range(1, horizon + 1)), float, horizon)
 
     regret = np.empty(horizon)
     inferior = np.empty(horizon, dtype=np.int64)
@@ -110,35 +156,25 @@ def run_binned_ucb(
             step = pos + off[0] + 1
             raise RuntimeError(f"context {X[off[0]]} at step {step} lies off the bin lattice")
         means = env.means_matrix(X)
-        best = means.max(axis=0)
-        oracle_ix = means.argmax(axis=0)
-        u = rng.random(n) if bernoulli else None
-        for i in range(n):
-            b = flat[i]
-            row = counts[b]
-            arm_ix = -1
-            for a in range(n_arms):
-                if row[a] == 0:
-                    arm_ix = a
-                    break
-            if arm_ix < 0:
-                visits = row.sum()
-                logv = math.log(visits)
-                score = -math.inf
-                for a in range(n_arms):
-                    val = sums[b, a] / row[a] + math.sqrt(exploration * logv / row[a])
-                    if val > score:
-                        score = val
-                        arm_ix = a
-            mean_a = means[arm_ix, i]
-            if bernoulli:
-                y = 1.0 if u[i] < mean_a else 0.0
-            else:
-                y = float(env.sample_rewards(rng, np.array([mean_a]))[0])
-            counts[b, arm_ix] += 1
-            sums[b, arm_ix] += y
-            regret[pos + i] = best[i] - mean_a
-            inferior[pos + i] = arm_ix != oracle_ix[i]
+        # the block's steps in round order; round k is order[bounds[k]:bounds[k + 1]]
+        order, bounds = _rounds(flat) if bernoulli else (np.arange(n), range(n + 1))
+        u = rng.random(n)[order] if bernoulli else None
+        bins = flat[order]
+        round_means = means[:, order]
+        cols = np.arange(n)
+        arms = np.empty(n, dtype=np.int64)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            b = bins[lo:hi]
+            arm = _ucb_choose(counts[b], sums[b], exploration, log_visits)
+            mean_a = round_means[arm, cols[lo:hi]]
+            y = u[lo:hi] < mean_a if bernoulli else env.sample_rewards(rng, mean_a)
+            counts[b, arm] += 1
+            sums[b, arm] += y
+            arms[lo:hi] = arm
+        arm_ix = np.empty(n, dtype=np.int64)
+        arm_ix[order] = arms
+        regret[pos : pos + n] = means.max(axis=0) - means[arm_ix, cols]
+        inferior[pos : pos + n] = arm_ix != means.argmax(axis=0)
         pos += n
 
     cum_regret = np.cumsum(regret)
@@ -156,3 +192,26 @@ def run_binned_ucb(
         wall_time=time.perf_counter() - started,
         meta={"delta_bin": delta_bin, "n_bins": lattice.n_cubes},
     )
+
+
+def _rounds(flat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A block's steps in round order, and the bounds of the rounds.
+
+    Round ``r`` holds every bin's ``r``-th step of the block, so no two
+    steps of a round share a bin.
+    """
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    ix = np.arange(len(flat))
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    rank = ix - np.maximum.accumulate(np.where(first, ix, 0))
+    return order[np.argsort(rank, kind="stable")], [0, *np.cumsum(np.bincount(rank)).tolist()]
+
+
+def _ucb_choose(counts: np.ndarray, sums: np.ndarray, exploration: float, log_visits: np.ndarray) -> np.ndarray:
+    """Each row's arm: its first unpulled arm, else the first maximum UCB score."""
+    pulled = np.maximum(counts, 1)
+    score = sums / pulled + np.sqrt(exploration * log_visits[counts.sum(axis=1)][:, None] / pulled)
+    score[counts == 0] = np.inf
+    return score.argmax(axis=1)

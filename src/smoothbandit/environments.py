@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from .geometry import ball_region_fraction, unit_ball_volume, unit_cube_support
 from .localpoly import enumerate_basis
@@ -90,6 +90,10 @@ class Instance:
             y = means.copy()
             room = half > 0
             if np.any(room):
+                # imported here, not at module level: only this law needs scipy.stats,
+                # and it is slow to import
+                from scipy import stats
+
                 width = half[room] / self.noise_scale
                 y[room] = stats.truncnorm.rvs(
                     -width, width, loc=means[room], scale=self.noise_scale, random_state=rng

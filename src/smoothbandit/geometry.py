@@ -176,10 +176,6 @@ class RegionMask:
         return out
 
 
-def empty_region(lattice: GridLattice) -> RegionMask:
-    return RegionMask(lattice, np.zeros(lattice.n_cubes, dtype=bool))
-
-
 # Bound on the work held in memory at once while screening: quadrature
 # points per block of centers on the point-level path, integer gathers per
 # block on the lattice path.

@@ -171,6 +171,11 @@ def validate_policy_params(index: int, name: str, params: dict) -> None:
         unknown = params.keys() - _BASELINE_PARAMS[name]
         if unknown:
             raise ConfigError(fieldpath, f"unknown parameters {sorted(unknown)} for {name!r}")
+        if name == "binned_ucb":
+            try:
+                baselines.check_binned_ucb_params(**params)
+            except ValueError as exc:
+                raise ConfigError(fieldpath, str(exc)) from exc
 
 
 def run_policy(

@@ -119,6 +119,14 @@ REFERENCE_CASES = {
     "exploration_0.5": (_sinusoidal(1), 2000, 1, {"exploration": 0.5}),
     "bin_rate": (_sinusoidal(2), 2000, 0, {"bin_rate": 0.2}),
     "crosses_block": (_sinusoidal(1), 5000, 0, {}),
+    # 2 bins at d = 1: thousands of rounds per block, of one or two steps each
+    "few_bins": (_sinusoidal(1), 9000, 2, {"bin_rate": 0.01}),
+    # 95 bins at d = 1: about 43 visits per bin and block, rounds up to 95 steps wide
+    "many_bins": (_sinusoidal(1), 9000, 3, {"bin_rate": 0.5}),
+    # equal arms and no bonus: exact score ties, broken to the earliest arm
+    "ties_exploration_0": (make_constant_multi_arm((0.5, 0.5, 0.5)), 3000, 4, {"exploration": 0.0}),
+    # 49 bins x 2 arms > 40 steps: no bin leaves forced exploration
+    "forced_exploration_only": (_sinusoidal(2), 40, 0, {"bin_rate": 0.5}),
 }
 
 
@@ -138,6 +146,31 @@ def test_run_matches_step_reference(case):
     np.testing.assert_array_equal(res.cum_regret, regret)
     np.testing.assert_array_equal(res.cum_inferior, inferior)
     assert inferior[-1] > 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"exploration": math.nan}, "exploration"),
+        ({"exploration": math.inf}, "exploration"),
+        ({"exploration": -1.0}, "exploration"),
+        ({"exploration": "2"}, "exploration"),
+        ({"bin_rate": 0.0}, "bin_rate"),
+        ({"bin_rate": -0.2}, "bin_rate"),
+        ({"bin_rate": math.nan}, "bin_rate"),
+        ({"bin_rate": math.inf}, "bin_rate"),
+    ],
+)
+def test_bad_parameters_raise_before_the_run(kwargs, name):
+    env = _sinusoidal(1)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        run_binned_ucb(env, 3000, 0, **kwargs)
+
+
+def test_edge_parameters_are_accepted():
+    env = _sinusoidal(1)
+    assert run_binned_ucb(env, 500, 0, exploration=0).horizon == 500
+    assert run_binned_ucb(env, 500, 0, exploration=np.float64(1.5), bin_rate=None).horizon == 500
 
 
 class TestBinnedUcbAct:

@@ -50,6 +50,15 @@ class TestExitCodes:
         assert cli(["run", path]) == 2
         assert "policies" in capsys.readouterr().err
 
+    def test_bad_binned_ucb_params(self, run_config, tmp_path, capsys):
+        with open(run_config) as fh:
+            cfg = json.load(fh)
+        cfg["policies"] = [{"name": "binned_ucb", "params": {"exploration": -1.0}}]
+        path = write_config(tmp_path / "ucb.json", cfg)
+        assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: policies[0].params: exploration must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_threads_flag_is_gone(self, run_config, tmp_path, capsys):
         assert cli(["run", run_config, "--out-dir", str(tmp_path / "out"), "--threads", "2"]) == 2
         assert "--threads" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smoothbandit
 from smoothbandit.environments import (
     bump_u,
     bump_u_deriv,
@@ -154,6 +158,15 @@ class TestRewards:
         y = inst.sample_rewards(rng, np.array([0.0, 0.25, 1.0]))
         assert y[0] == 0.0 and y[2] == 1.0
         assert 0.0 <= y[1] <= 0.5
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only truncated-Gaussian rewards use it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbandit.__file__)))
+    code = "import sys, smoothbandit; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestMultiArm:

@@ -199,6 +199,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="family"):
             build_instance({"family": "bogus"})
 
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            ({"exploration": float("nan")}, "exploration"),
+            ({"exploration": -0.5}, "exploration"),
+            ({"bin_rate": 0}, "bin_rate"),
+            ({"bin_rate": None, "exploration": None}, "exploration"),
+        ],
+    )
+    def test_bad_binned_ucb_params_fail_at_validation(self, params, name):
+        cfg = small_config(policies=[{"name": "uniform"}, {"name": "binned_ucb", "params": params}])
+        with pytest.raises(ConfigError, match=f"^policies\\[1\\].params: {name} must be") as info:
+            validate_experiment_config(cfg)
+        assert info.value.fieldpath == "policies[1].params"
+
     def test_duplicate_policy_labels_rejected(self):
         with pytest.raises(ConfigError, match="unique"):
             validate_experiment_config(small_config(policies=[{"name": "uniform"}, {"name": "uniform"}]))
