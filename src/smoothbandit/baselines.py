@@ -73,13 +73,16 @@ def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int,
     )
 
 
-def check_binned_ucb_params(exploration=2.0, bin_rate=None) -> None:
+def check_binned_ucb_params(exploration=2.0, bin_rate=None, d: int | None = None) -> None:
     """Raise ``ValueError`` naming the first binned-UCB parameter out of range.
 
     ``exploration`` must be a finite number >= 0 and ``bin_rate`` either
-    None or a finite number > 0.  A NaN exploration would make every score
+    None or a finite number > 0, at most ``1 / d`` when the context
+    dimension ``d`` is given.  A NaN exploration would make every score
     NaN and the arm choice meaningless; a negative one would take the
-    square root of a negative number.
+    square root of a negative number.  A ``bin_rate`` above ``1 / d`` asks
+    for more bins (about ``horizon**(bin_rate * d)``) than there are steps,
+    and soon for more memory than the host has.
     """
     if not (isinstance(exploration, numbers.Real) and math.isfinite(exploration) and exploration >= 0):
         raise ValueError(f"exploration must be a finite number >= 0, got {exploration!r}")
@@ -87,6 +90,10 @@ def check_binned_ucb_params(exploration=2.0, bin_rate=None) -> None:
         isinstance(bin_rate, numbers.Real) and math.isfinite(bin_rate) and bin_rate > 0
     ):
         raise ValueError(f"bin_rate must be None or a finite number > 0, got {bin_rate!r}")
+    if bin_rate is not None and d is not None and bin_rate > 1.0 / d:
+        raise ValueError(
+            f"bin_rate must be at most 1/d = {1.0 / d:g} (more bins than steps otherwise), got {bin_rate!r}"
+        )
 
 
 def run_binned_ucb(
@@ -127,7 +134,7 @@ def run_binned_ucb(
     about twice as long as a per-step loop.  From ``bin_rate`` 0.1 (4
     bins) up, the rounds are the faster.
     """
-    check_binned_ucb_params(exploration, bin_rate)
+    check_binned_ucb_params(exploration, bin_rate, env.d)
     started = time.perf_counter()
     rng = np.random.default_rng(int(seed))
     d = env.d

@@ -14,9 +14,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
-from .geometry import ball_region_fraction, unit_ball_volume, unit_cube_support
+from .geometry import (
+    CUBE_IN,
+    CUBE_MIXED,
+    CUBE_OUT,
+    GridLattice,
+    ball_region_fraction,
+    unit_ball_volume,
+    unit_cube_support,
+)
 from .localpoly import enumerate_basis
 
 TWO_ARMS = (1, -1)
@@ -341,6 +348,8 @@ _NORMALIZER: float | None = None
 def _bump_normalizer() -> float:
     global _NORMALIZER
     if _NORMALIZER is None:
+        from scipy import integrate  # slow to import; only the bump profile uses it
+
         val, _ = integrate.quad(lambda s: float(_bump_core(s)), 0.25, 0.5, epsabs=0.0, epsrel=1e-12)
         _NORMALIZER = val
     return _NORMALIZER
@@ -357,6 +366,8 @@ def bump_u(t) -> np.ndarray | float:
     if np.any(t < 0):
         raise ValueError("argument must be nonnegative")
     z = _bump_normalizer()
+    from scipy import integrate
+
     out = np.zeros(t.shape)
     out[t <= 0.25] = 1.0
     mid = (t > 0.25) & (t < 0.5)
@@ -470,6 +481,108 @@ class LowerBoundInstance(Instance):
     ball_radius: float = 0.0
 
 
+# Widening of a policy cube, in context units, before the bump-grid classifier
+# certifies it in or out: it covers the rounding of the cube's faces, of the
+# 1/q cell assignment and of the distance to a bump center, each some 1e-16.
+_CLASSIFY_MARGIN = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class BumpGridSupport:
+    """Support of the bump-grid instance, a predicate with a cube classifier.
+
+    The unit cube, except that each of the first ``m`` cells of the ``1/q``
+    grid (lexicographic flat order) keeps only the closed ball of radius
+    ``radius`` around its center.
+    """
+
+    d: int
+    q: int
+    m: int
+    radius: float
+    _classes: dict = field(default_factory=dict, repr=False)
+
+    def cell_index(self, points: np.ndarray) -> np.ndarray:
+        """Lexicographic flat index of the 1/q grid cell of each point."""
+        q = self.q
+        u = np.atleast_2d(points) * q
+        j = np.floor(u).astype(np.int64)
+        j -= (u == j) & (j > 0)
+        j = np.clip(j, 0, q - 1)
+        flat = np.zeros(len(j), dtype=np.int64)
+        for axis in range(self.d):
+            flat = flat * q + j[:, axis]
+        return flat
+
+    def cell_centers(self, cells: np.ndarray) -> np.ndarray:
+        """Centers of the 1/q grid cells with the given lexicographic flat indices."""
+        q = self.q
+        ctr = np.empty((len(cells), self.d))
+        rem = cells.copy()
+        for axis in range(self.d - 1, -1, -1):
+            ctr[:, axis] = (rem % q + 0.5) / q
+            rem //= q
+        return ctr
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(points)
+        ok = unit_cube_support(points)
+        cells = self.cell_index(points)
+        in_bump_cell = cells < self.m
+        out = ok & ~in_bump_cell
+        check = ok & in_bump_cell
+        if np.any(check):
+            p = points[check]
+            ctr = self.cell_centers(cells[check])
+            out[check] = np.linalg.norm(p - ctr, axis=1) <= self.radius
+        return out
+
+    def classify_cubes(self, lattice: GridLattice) -> np.ndarray:
+        """In, out or mixed for each cube of the lattice (see ``geometry.CUBE_IN``).
+
+        Each cube, widened by ``_CLASSIFY_MARGIN`` and clipped to the unit
+        cube, is a box.  It is in when it meets no bump cell, or meets one
+        and lies inside its ball; out when it meets only bump cells and is
+        farther than the radius from all their centers; mixed otherwise.
+        Computed once per lattice and kept, read-only.
+        """
+        if lattice not in self._classes:
+            self._classes.clear()
+            classes = self._classify(lattice)
+            classes.flags.writeable = False
+            self._classes[lattice] = classes
+        return self._classes[lattice]
+
+    def _classify(self, lattice: GridLattice) -> np.ndarray:
+        d, q, cpa = self.d, self.q, lattice.cells_per_axis
+        cube = np.stack(np.unravel_index(np.arange(lattice.n_cubes), (cpa,) * d), axis=1)
+        lo = np.clip(cube * lattice.delta - _CLASSIFY_MARGIN, 0.0, 1.0)
+        hi = np.clip((cube + 1) * lattice.delta + _CLASSIFY_MARGIN, 0.0, 1.0)
+        # per axis, the 1/q cells the box meets; the bump cells are the flat
+        # indices below m, and the met cells' flat indices range from that
+        # of the lowest corner cell to that of the highest
+        cell_lo = np.clip(np.floor(lo * q).astype(np.int64), 0, q - 1)
+        cell_hi = np.clip(np.floor(hi * q).astype(np.int64), 0, q - 1)
+        meets_bump = np.ravel_multi_index(tuple(cell_lo.T), (q,) * d) < self.m
+        only_bumps = np.ravel_multi_index(tuple(cell_hi.T), (q,) * d) < self.m
+        # distance from the box to the nearest center of a met cell: per
+        # axis, the center nearest the box's midpoint among the met cells
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        near = np.clip(np.rint(mid * q - 0.5), cell_lo, cell_hi)
+        gap = np.maximum(np.abs((near + 0.5) / q - mid) - half, 0.0)
+        nearest = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+        # distance from the center of the lowest met cell to the farthest corner
+        center = (cell_lo + 0.5) / q
+        reach = np.maximum(center - lo, hi - center)
+        farthest = np.sqrt(np.einsum("ij,ij->i", reach, reach))
+        one_cell = np.all(cell_lo == cell_hi, axis=1)
+        classes = np.full(lattice.n_cubes, CUBE_MIXED, dtype=np.int8)
+        classes[~meets_bump] = CUBE_IN
+        classes[only_bumps & (nearest > self.radius + _CLASSIFY_MARGIN)] = CUBE_OUT
+        classes[only_bumps & one_cell & (farthest <= self.radius - _CLASSIFY_MARGIN)] = CUBE_IN
+        return classes
+
+
 def make_lower_bound_instance(
     T: int,
     beta: float,
@@ -522,33 +635,16 @@ def make_lower_bound_instance(
     if sigma.shape != (m,) or not np.all(np.abs(sigma) == 1):
         raise ValueError(f"sigma must be a vector of {m} signs")
 
-    def cell_centers(cells: np.ndarray) -> np.ndarray:
-        """Centers of the 1/q grid cells with the given lexicographic flat indices."""
-        ctr = np.empty((len(cells), d))
-        rem = cells.copy()
-        for axis in range(d - 1, -1, -1):
-            ctr[:, axis] = (rem % q + 0.5) / q
-            rem //= q
-        return ctr
-
     # the bumps sit in the first m cells
-    centers = cell_centers(np.arange(m, dtype=np.int64))
     ball_radius = 1.0 / (4 * q)
+    support = BumpGridSupport(d=d, q=q, m=m, radius=ball_radius)
+    cell_index, cell_centers = support.cell_index, support.cell_centers
+    centers = cell_centers(np.arange(m, dtype=np.int64))
 
     bump_flags = np.zeros(q**d, dtype=bool)
     bump_flags[:m] = True
     sigma_by_cell = np.zeros(q**d, dtype=np.int64)
     sigma_by_cell[:m] = sigma
-
-    def cell_index(points: np.ndarray) -> np.ndarray:
-        u = np.atleast_2d(points) * q
-        j = np.floor(u).astype(np.int64)
-        j -= (u == j) & (j > 0)
-        j = np.clip(j, 0, q - 1)
-        flat = np.zeros(len(j), dtype=np.int64)
-        for axis in range(d):
-            flat = flat * q + j[:, axis]
-        return flat
 
     def mean(points, arm):
         points = np.atleast_2d(points)
@@ -578,19 +674,6 @@ def make_lower_bound_instance(
             ctr = cell_centers(cells[inside])
             vals = _radial_bump_deriv(q * (p - ctr), tuple(r))
             out[inside] = sigma_by_cell[cells[inside]] * C_phi * float(q) ** (sum(r) - beta) * vals
-        return out
-
-    def support(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        ok = unit_cube_support(points)
-        cells = cell_index(points)
-        in_bump_cell = bump_flags[cells]
-        out = ok & ~in_bump_cell
-        check = ok & in_bump_cell
-        if np.any(check):
-            p = points[check]
-            ctr = cell_centers(cells[check])
-            out[check] = np.linalg.norm(p - ctr, axis=1) <= ball_radius
         return out
 
     def sample_contexts(rng: np.random.Generator, n: int) -> np.ndarray:

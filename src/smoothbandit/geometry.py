@@ -19,11 +19,34 @@ import numpy as np
 # Vectorized membership test: (n, d) points -> (n,) booleans.
 Predicate = Callable[[np.ndarray], np.ndarray]
 
+# Cube classes of a classified support.  A support predicate may carry a
+# ``classify_cubes(lattice)`` hook returning one class per flat cube index
+# (int8): CUBE_IN when the predicate holds at every point of the unit cube
+# that the lattice assigns to the cube (:meth:`GridLattice.axis_index`),
+# CUBE_OUT when it holds at none of them, and CUBE_MIXED otherwise or when
+# the classifier cannot certify either.  A classified support lies inside
+# the unit cube.  Screening and the support mask read the classes and test
+# points only in mixed cubes.
+CUBE_OUT, CUBE_IN, CUBE_MIXED = 0, 1, 2
+
 
 def unit_cube_support(points: np.ndarray) -> np.ndarray:
     """Default support predicate: the full unit cube."""
     points = np.atleast_2d(points)
     return np.all((points >= 0.0) & (points <= 1.0), axis=-1)
+
+
+def _classify_unit_cube(lattice: "GridLattice") -> np.ndarray:
+    """Every cube is wholly in the unit-cube support: it has no mixed cube."""
+    return np.full(lattice.n_cubes, CUBE_IN, dtype=np.int8)
+
+
+unit_cube_support.classify_cubes = _classify_unit_cube
+
+
+def _classifier(support: Predicate | None):
+    """The support's ``classify_cubes`` hook; ``None`` for a bare predicate."""
+    return getattr(unit_cube_support if support is None else support, "classify_cubes", None)
 
 
 def unit_ball_volume(d: int) -> float:
@@ -178,7 +201,8 @@ class RegionMask:
 
 # Bound on the work held in memory at once while screening: quadrature
 # points per block of centers on the point-level path, integer gathers per
-# block on the lattice path.
+# block on the lattice path, and row slots (each ``resolution`` points) per
+# block of its mixed-cube pass.
 _SCREEN_CHUNK = 1 << 18
 
 # (d, resolution) -> read-only (offsets, prefix, lo, hi); see _ball_quadrature.
@@ -250,14 +274,12 @@ def _point_counts(
 def _lattice_cells(centers: np.ndarray, region: RegionMask | Predicate) -> np.ndarray | None:
     """Per-axis cube indices of the centers, if screening may run on the lattice.
 
-    That needs a region that is a union of whole cubes clipped to the unit
-    cube (a :class:`RegionMask` whose support is ``None`` or
-    :func:`unit_cube_support`) and centers that are, bit for bit, cube
-    centers of its lattice.  Otherwise ``None``.
+    That needs a region that is a union of whole cubes intersected with a
+    classified support (a :class:`RegionMask` whose support is ``None`` or
+    carries a ``classify_cubes`` hook) and centers that are, bit for bit,
+    cube centers of its lattice.  Otherwise ``None``.
     """
-    if not isinstance(region, RegionMask):
-        return None
-    if not (region.support is None or region.support is unit_cube_support):
+    if not isinstance(region, RegionMask) or _classifier(region.support) is None:
         return None
     lattice = region.lattice
     if centers.shape[1] != lattice.d:
@@ -270,18 +292,45 @@ def _lattice_cells(centers: np.ndarray, region: RegionMask | Predicate) -> np.nd
     return cells
 
 
+def _padded_rows(flags: np.ndarray, d: int, cpa: int) -> np.ndarray:
+    """Per-cube flags with a padding cube (index ``cpa``, never flagged) on
+    every axis, as rows over the last axis: shape ``((cpa + 1)**(d - 1), cpa + 1)``."""
+    table = np.zeros((cpa + 1,) * d, dtype=bool)
+    table[(slice(0, cpa),) * d] = np.asarray(flags, dtype=bool).reshape((cpa,) * d)
+    return table.reshape(-1, cpa + 1)
+
+
+def _running_counts(rows: np.ndarray, axis_cube: np.ndarray, resolution: int) -> np.ndarray:
+    """Flat running counts of flagged cubes along the last axis of every ball.
+
+    ``running[(q * cpa + j) * (resolution + 1) + k]`` counts the flagged
+    cubes among the first ``k`` last-axis coordinates of the ball around
+    last-axis cube ``j``, among the cubes whose first ``d - 1`` indices
+    flatten (with the padding cube) to ``q``.
+    """
+    running = np.zeros((len(rows), len(axis_cube), resolution + 1), dtype=np.int32)
+    np.cumsum(rows[:, axis_cube], axis=2, dtype=np.int32, out=running[:, :, 1:])
+    return running.ravel()
+
+
 def _lattice_counts(
     cells: np.ndarray, radius: float, region: RegionMask, resolution: int
 ) -> np.ndarray:
-    """:func:`_point_counts` for lattice centers, without the points.
+    """:func:`_point_counts` for lattice centers, testing points only in mixed cubes.
 
     Along one axis, coordinate ``k`` of the ball around cube ``j`` is
     ``(j + 1/2) delta + radius * axis[k]`` whatever the other axes do, and
-    for the unit-cube support membership is a per-axis test.  So one table
-    gives the cube (or none) of every coordinate, computed with the same
-    float operations as :meth:`RegionMask.contains` on the points, and a
-    running count of member cubes over the last axis turns each row of
-    in-ball offsets into two integer lookups.
+    membership of the unit cube is a per-axis test.  So one table gives the
+    cube (or none) of every coordinate, computed with the same float
+    operations as :meth:`RegionMask.contains` on the points.  A point in a
+    member cube that the support's classifier calls in counts without a
+    test, one in an out cube does not count, and a running count of
+    member-and-in cubes over the last axis turns each row of in-ball
+    offsets into two integer lookups.  A second running count, of
+    member-and-mixed cubes, finds the rows that touch a mixed cube; only
+    their points in such cubes are built and tested with the support
+    predicate (:func:`_mixed_counts`).  A support without mixed cubes, such
+    as the unit cube, builds no points at all.
     """
     lattice = region.lattice
     d, cpa = lattice.d, lattice.cells_per_axis
@@ -291,15 +340,11 @@ def _lattice_counts(
     axis_cube = lattice.axis_index(coords)
     inside = (coords >= 0.0) & (coords <= 1.0) & (axis_cube >= 0) & (axis_cube < cpa)
     axis_cube[~inside] = cpa  # a padding cube that belongs to no region
-    member = np.zeros((cpa + 1,) * d, dtype=bool)
-    member[(slice(0, cpa),) * d] = np.asarray(region.cube_mask, dtype=bool).reshape((cpa,) * d)
-    member = member.reshape(-1, cpa + 1)
-    # running[q, j, k]: member cubes among the first k last-axis coordinates
-    # of the ball around last-axis cube j, among the cubes whose first d - 1
-    # indices flatten (with the padding cube) to q
-    running = np.zeros((len(member), cpa, resolution + 1), dtype=np.int32)
-    np.cumsum(member[:, axis_cube], axis=2, dtype=np.int32, out=running[:, :, 1:])
-    running = running.ravel()
+    member = np.asarray(region.cube_mask, dtype=bool)
+    classes = _classifier(region.support)(lattice)
+    in_running = _running_counts(_padded_rows(member & (classes == CUBE_IN), d, cpa), axis_cube, resolution)
+    mixed = _padded_rows(member & (classes == CUBE_MIXED), d, cpa)
+    mixed_running = _running_counts(mixed, axis_cube, resolution) if mixed.any() else None
     counts = np.empty(len(cells), dtype=np.int64)
     step = max(1, _SCREEN_CHUNK // len(lo))
     for start in range(0, len(cells), step):
@@ -308,8 +353,51 @@ def _lattice_counts(
         for axis in range(d - 1):
             prefix_cube = prefix_cube * (cpa + 1) + axis_cube[block[:, axis, None], prefix[axis]]
         base = (prefix_cube * cpa + block[:, d - 1, None]) * (resolution + 1)
-        counts[start : start + step] = (running[base + hi] - running[base + lo]).sum(axis=1)
+        counts[start : start + step] = (in_running[base + hi] - in_running[base + lo]).sum(axis=1)
+        if mixed_running is not None:
+            touched = mixed_running[base + hi] > mixed_running[base + lo]
+            counts[start : start + step] += _mixed_counts(
+                block, prefix_cube, touched, coords, axis_cube, mixed, region.support, resolution
+            )
     return counts
+
+
+def _mixed_counts(
+    block: np.ndarray,
+    prefix_cube: np.ndarray,
+    touched: np.ndarray,
+    coords: np.ndarray,
+    axis_cube: np.ndarray,
+    mixed: np.ndarray,
+    support: Predicate,
+    resolution: int,
+) -> np.ndarray:
+    """Support hits among the points of a block's balls that lie in mixed member cubes.
+
+    ``touched[i, r]`` marks the rows of in-ball offsets of center ``i``
+    that meet a mixed member cube; ``prefix_cube``, ``coords``,
+    ``axis_cube`` and ``mixed`` are :func:`_lattice_counts`' tables.  The
+    points are those of :func:`_point_counts`, bit for bit, and at most
+    ``_SCREEN_CHUNK`` row slots are built at a time.
+    """
+    d = block.shape[1]
+    _, prefix, lo, hi = _ball_quadrature(d, resolution)
+    out = np.zeros(len(block), dtype=np.int64)
+    owner, row = np.nonzero(touched)
+    k = np.arange(resolution)
+    step = max(1, _SCREEN_CHUNK // resolution)
+    for start in range(0, len(owner), step):
+        i, r = owner[start : start + step], row[start : start + step]
+        last = block[i, d - 1]
+        in_mixed = mixed[prefix_cube[i, r, None], axis_cube[last]]
+        pair, kk = np.nonzero((k >= lo[r, None]) & (k < hi[r, None]) & in_mixed)
+        points = np.empty((len(pair), d))
+        for axis in range(d - 1):
+            points[:, axis] = coords[block[i[pair], axis], prefix[axis, r[pair]]]
+        points[:, d - 1] = coords[last[pair], kk]
+        hit = np.asarray(support(points), dtype=bool)
+        out += np.bincount(i[pair][hit], minlength=len(block))
+    return out
 
 
 def ball_region_fraction(
@@ -362,17 +450,22 @@ def batch_weak_regularity(
     Same quadrature as :func:`ball_region_fraction`, and the same answer
     whichever of two paths computes it:
 
-    - the lattice path, when ``d >= 2``, the region is a union of lattice
-      cubes clipped to the unit cube (a :class:`RegionMask` with support
-      ``None`` or :func:`unit_cube_support`) and every center is a cube
+    - the lattice path, when ``d >= 2``, the region is a :class:`RegionMask`
+      whose support is classified (``None``, :func:`unit_cube_support`, or
+      any predicate with a ``classify_cubes`` hook, such as the bump-grid
+      support of the lower-bound instance) and every center is a cube
       center of its lattice: per-axis cube tables and running counts over
-      the last axis, with no quadrature points built (:func:`_lattice_counts`);
+      the last axis count the points in member cubes that are wholly in
+      the support, and the support predicate runs only on the in-ball
+      points that fall in member cubes it cuts, for the rows of the ball
+      that touch such a cube (:func:`_lattice_counts`);
     - the point path otherwise, for example for off-lattice centers or a
-      support that cuts through cubes: the region's membership test on the
-      quadrature points, built for a bounded block of centers at a time
+      bare predicate: the region's membership test on every quadrature
+      point, built for a bounded block of centers at a time
       (:func:`_point_counts`).  At ``d = 1`` a center has only
       ``resolution`` points, as many as a row of the lattice path's tables,
-      so the point path is the cheaper one there.
+      so the point path is the cheaper one there.  It is also the test
+      oracle of the lattice path.
     """
     if not 0 < c <= 1:
         raise ValueError(f"regularity constant must be in (0, 1], got {c}")
@@ -402,12 +495,31 @@ def support_cube_mask(
     A cube is kept when the quadrature fraction of its volume inside the
     support exceeds ``mass_threshold``.  With the default full-cube
     support every cube is kept (the overhang of the last cube past 1 still
-    intersects the unit cube).
+    intersects the unit cube).  A classified support (see ``CUBE_IN``)
+    needs the quadrature only in its mixed cubes: an out cube holds none
+    of its points, and an in cube holds those inside the unit cube, which
+    are counted axis by axis with the same float operations.
     """
     if support is None:
         support = unit_cube_support
-    offsets = (_midpoint_offsets(lattice.d, resolution) + 1.0) / 2.0  # in [0,1]^d
-    corners = lattice.all_centers() - lattice.delta / 2.0
-    points = (corners[:, None, :] + lattice.delta * offsets[None, :, :]).reshape(-1, lattice.d)
-    member = np.asarray(support(points), dtype=bool).reshape(lattice.n_cubes, -1)
-    return member.mean(axis=1) > mass_threshold
+    d, cpa = lattice.d, lattice.cells_per_axis
+    classify = _classifier(support)
+    if classify is None:
+        classes = np.full(lattice.n_cubes, CUBE_MIXED, dtype=np.int8)
+    else:
+        classes = np.asarray(classify(lattice))
+    corners = (np.arange(cpa) + 0.5) * lattice.delta - lattice.delta / 2.0
+    coords = corners[:, None] + lattice.delta * ((_midpoint_axis(resolution) + 1.0) / 2.0)[None, :]
+    in_unit = np.count_nonzero((coords >= 0.0) & (coords <= 1.0), axis=1)
+    inside = np.ones((), dtype=np.int64)
+    for _ in range(d):
+        inside = np.multiply.outer(inside, in_unit)
+    fraction = np.where(classes == CUBE_IN, inside.ravel() / resolution**d, 0.0)
+    mixed = np.nonzero(classes == CUBE_MIXED)[0]
+    if len(mixed):
+        offsets = (_midpoint_offsets(d, resolution) + 1.0) / 2.0  # in [0,1]^d
+        corners = lattice.centers(mixed) - lattice.delta / 2.0
+        points = (corners[:, None, :] + lattice.delta * offsets[None, :, :]).reshape(-1, d)
+        member = np.asarray(support(points), dtype=bool).reshape(len(mixed), -1)
+        fraction[mixed] = member.mean(axis=1)
+    return fraction > mass_threshold

@@ -156,8 +156,12 @@ _BASELINE_PARAMS = {
 _HARNESS_OWNED = {"d", "horizon", "arm_count"}
 
 
-def validate_policy_params(index: int, name: str, params: dict) -> None:
-    """Reject malformed policy parameter blocks with a field-level error."""
+def validate_policy_params(index: int, name: str, params: dict, d: int | None = None) -> None:
+    """Reject malformed policy parameter blocks with a field-level error.
+
+    ``d``, the instance's context dimension once it is built, bounds what
+    depends on it (binned UCB's ``bin_rate``).
+    """
     fieldpath = f"policies[{index}].params"
     if name in ("smooth", "smooth_multi"):
         owned = _HARNESS_OWNED & params.keys()
@@ -173,7 +177,7 @@ def validate_policy_params(index: int, name: str, params: dict) -> None:
             raise ConfigError(fieldpath, f"unknown parameters {sorted(unknown)} for {name!r}")
         if name == "binned_ucb":
             try:
-                baselines.check_binned_ucb_params(**params)
+                baselines.check_binned_ucb_params(**params, d=d)
             except ValueError as exc:
                 raise ConfigError(fieldpath, str(exc)) from exc
 
@@ -252,6 +256,8 @@ def run_experiment(cfg: dict, quiet: bool = False):
     """
     cfg = validate_experiment_config(cfg)
     env = build_instance(cfg["instance"])
+    for i, pol in enumerate(cfg["policies"]):
+        validate_policy_params(i, pol["name"], dict(pol.get("params", {})), env.d)
     jobs = []
     for pol in cfg["policies"]:
         name = pol["name"]

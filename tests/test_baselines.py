@@ -159,6 +159,9 @@ def test_run_matches_step_reference(case):
         ({"bin_rate": -0.2}, "bin_rate"),
         ({"bin_rate": math.nan}, "bin_rate"),
         ({"bin_rate": math.inf}, "bin_rate"),
+        # more bins than steps; 10 once died in NumPy's allocation of the counts
+        ({"bin_rate": 10}, "bin_rate"),
+        ({"bin_rate": 1.01}, "bin_rate"),
     ],
 )
 def test_bad_parameters_raise_before_the_run(kwargs, name):
@@ -171,6 +174,14 @@ def test_edge_parameters_are_accepted():
     env = _sinusoidal(1)
     assert run_binned_ucb(env, 500, 0, exploration=0).horizon == 500
     assert run_binned_ucb(env, 500, 0, exploration=np.float64(1.5), bin_rate=None).horizon == 500
+    assert run_binned_ucb(env, 500, 0, bin_rate=1).horizon == 500
+
+
+def test_bin_rate_is_bounded_by_one_over_d():
+    env = _sinusoidal(2)
+    with pytest.raises(ValueError, match=r"^bin_rate must be at most 1/d = 0\.5"):
+        run_binned_ucb(env, 3000, 0, bin_rate=0.51)
+    assert run_binned_ucb(env, 40, 0, bin_rate=0.5).horizon == 40
 
 
 class TestBinnedUcbAct:

@@ -59,6 +59,16 @@ class TestExitCodes:
         assert "config error: policies[0].params: exploration must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bin_rate_above_one_over_d(self, run_config, tmp_path, capsys):
+        # the bound needs the instance's dimension; it is checked before the first run
+        with open(run_config) as fh:
+            cfg = json.load(fh)
+        cfg["policies"] = [{"name": "uniform"}, {"name": "binned_ucb", "params": {"bin_rate": 10}}]
+        path = write_config(tmp_path / "ucb.json", cfg)
+        assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: policies[1].params: bin_rate must be at most 1/d" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_threads_flag_is_gone(self, run_config, tmp_path, capsys):
         assert cli(["run", run_config, "--out-dir", str(tmp_path / "out"), "--threads", "2"]) == 2
         assert "--threads" in capsys.readouterr().err

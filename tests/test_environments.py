@@ -169,6 +169,18 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is slow to import and only the bump profile uses it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbandit.__file__)))
+    code = (
+        "import sys, smoothbandit; loaded = 'scipy.integrate' in sys.modules; "
+        "smoothbandit.environments.bump_u(0.3); print(loaded, 'scipy.integrate' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False True"
+
+
 class TestMultiArm:
     def test_constant_means_and_tie_rule(self):
         inst = make_constant_multi_arm((0.2, 0.8, 0.8), d=1)

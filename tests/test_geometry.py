@@ -3,9 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothbandit import geometry
+from smoothbandit.environments import BumpGridSupport
 from smoothbandit.geometry import (
+    CUBE_IN,
+    CUBE_MIXED,
+    CUBE_OUT,
     GridLattice,
     RegionMask,
     assign_cube,
@@ -286,6 +292,11 @@ def _screen_centers(rng, lat, limit):
     return lat.centers(pick)
 
 
+def _random_bump_grid(rng, d):
+    q = int(rng.integers(1, {2: 9, 3: 5}[d]))
+    return BumpGridSupport(d=d, q=q, m=int(rng.integers(1, q**d + 1)), radius=1.0 / (4 * q))
+
+
 class TestLatticeScreening:
     """The lattice path of the screening test against the point-level oracle."""
 
@@ -317,6 +328,23 @@ class TestLatticeScreening:
                     batch_weak_regularity(centers, radius, tie, region, resolution), fractions >= tie
                 )
 
+    def test_bump_grid_lattice_path_matches_point_path(self):
+        rng = np.random.default_rng(20241)
+        for case in range(240):
+            d = case % 2 + 2
+            lat = _random_lattice(rng, d)
+            support = _random_bump_grid(rng, d)
+            region = RegionMask(lat, rng.random(lat.n_cubes) < rng.uniform(0.0, 1.0), support)
+            resolution = 2 + case % 32
+            radius = float(np.exp(rng.uniform(np.log(lat.delta / 4), np.log(1.5))))
+            centers = _screen_centers(rng, lat, 24)
+            cells = geometry._lattice_cells(centers, region)
+            assert cells is not None
+            np.testing.assert_array_equal(
+                geometry._lattice_counts(cells, radius, region, resolution),
+                geometry._point_counts(centers, radius, region, resolution),
+            )
+
     def test_ball_rows_are_contiguous_runs(self):
         for d in (1, 2, 3):
             for resolution in range(2, 34):
@@ -344,6 +372,11 @@ class TestLatticeScreening:
         # a support that is not cube-aligned, and a bare predicate
         assert geometry._lattice_cells(centers, RegionMask(lat, region.cube_mask, _halfspace)) is None
         assert geometry._lattice_cells(centers, _halfspace) is None
+        # a classified support takes the lattice path, the same predicate bare does not
+        bumps = BumpGridSupport(d=2, q=5, m=7, radius=0.05)
+        assert geometry._lattice_cells(centers, RegionMask(lat, region.cube_mask, bumps)) is not None
+        bare = RegionMask(lat, region.cube_mask, lambda points: bumps(points))
+        assert geometry._lattice_cells(centers, bare) is None
         # centers of another lattice
         other = GridLattice(d=2, delta=lat.delta * 1.5, cells_per_axis=lat.cells_per_axis)
         assert geometry._lattice_cells(other.centers(np.arange(10)), region) is None
@@ -389,3 +422,79 @@ class TestLatticeScreening:
         assert lattice_peak < limit, lattice_peak
         assert point_peak < limit, point_peak
         np.testing.assert_array_equal(on_lattice, by_points)
+
+
+def _cube_probes(lat, cube, rng):
+    """Corners, face and edge points, the center and random interior points of a
+    cube, kept where they lie in the unit cube and the lattice assigns them to it."""
+    lo = np.asarray(cube, dtype=float) * lat.delta
+    grid = np.stack(np.meshgrid(*([np.array([0.0, 0.5, 1.0])] * lat.d), indexing="ij"), axis=-1)
+    unit = np.concatenate([grid.reshape(-1, lat.d), rng.random((16, lat.d))])
+    points = lo + lat.delta * unit
+    points = points[np.all((points >= 0.0) & (points <= 1.0), axis=1)]
+    return points[lat.cube_index(points) == lat.flat_id(tuple(cube))]
+
+
+class TestCubeClassifier:
+    """Cubes a classifier calls in or out agree with the predicate everywhere in them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        q=st.integers(1, 8),
+        bumps=st.floats(0.0, 1.0),
+        cells=st.integers(1, 12),
+        overhang=st.floats(1.0, 1.6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_and_out_cubes_agree_with_the_predicate(self, d, q, bumps, cells, overhang, seed):
+        if d == 3:
+            q, cells = min(q, 4), min(cells, 7)
+        support = BumpGridSupport(d=d, q=q, m=max(1, round(bumps * q**d)), radius=1.0 / (4 * q))
+        lat = GridLattice(d=d, delta=overhang / cells, cells_per_axis=cells)
+        classes = support.classify_cubes(lat)
+        assert classes.shape == (lat.n_cubes,) and set(np.unique(classes)) <= {CUBE_IN, CUBE_OUT, CUBE_MIXED}
+        rng = np.random.default_rng(seed)
+        for flat in np.nonzero(classes != CUBE_MIXED)[0]:
+            cube = lat.cube_id(int(flat))
+            points = _cube_probes(lat, cube, rng)  # none if the cube lies past x = 1
+            assert np.all(support(points) == (classes[flat] == CUBE_IN)), (cube, classes[flat])
+
+    def test_cube_faces_on_cell_faces(self):
+        # eight cubes per cell and axis: cube faces lie on the 1/q cell faces
+        # and on the bounding box of each ball
+        support = BumpGridSupport(d=2, q=4, m=16, radius=1.0 / 16)
+        lat = GridLattice(d=2, delta=1.0 / 32, cells_per_axis=32)
+        classes = support.classify_cubes(lat)
+        assert {CUBE_IN, CUBE_OUT, CUBE_MIXED} <= set(np.unique(classes))
+        rng = np.random.default_rng(0)
+        for flat in np.nonzero(classes != CUBE_MIXED)[0]:
+            points = _cube_probes(lat, lat.cube_id(int(flat)), rng)
+            assert np.all(support(points) == (classes[flat] == CUBE_IN))
+
+    def test_classes_are_computed_once_per_lattice(self):
+        support = BumpGridSupport(d=2, q=7, m=7, radius=1.0 / 28)
+        lat = build_lattice(2048, 2.0, 2)
+        first = support.classify_cubes(lat)
+        assert support.classify_cubes(lat) is first and not first.flags.writeable
+        assert np.bincount(first, minlength=3)[CUBE_MIXED] < lat.n_cubes // 10
+
+    def test_unit_cube_has_no_mixed_cube(self):
+        lat = GridLattice(d=2, delta=0.3, cells_per_axis=4)
+        assert np.all(unit_cube_support.classify_cubes(lat) == CUBE_IN)
+
+    def test_support_mask_matches_the_bare_predicate(self):
+        rng = np.random.default_rng(7)
+        for case in range(40):
+            d = case % 2 + 2
+            lat = _random_lattice(rng, d)
+            support = _random_bump_grid(rng, d)
+            for resolution in (2, 8):
+                np.testing.assert_array_equal(
+                    support_cube_mask(lat, support, resolution),
+                    support_cube_mask(lat, lambda points: support(points), resolution),
+                )
+            np.testing.assert_array_equal(
+                support_cube_mask(lat, unit_cube_support),
+                support_cube_mask(lat, lambda points: unit_cube_support(points)),
+            )

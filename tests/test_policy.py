@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import smoothbandit
-from smoothbandit import policy
-from smoothbandit.environments import make_constant_multi_arm, make_smooth_instance
+from smoothbandit import geometry, policy
+from smoothbandit.environments import make_constant_multi_arm, make_lower_bound_instance, make_smooth_instance
 from smoothbandit.geometry import build_lattice, support_cube_mask, unit_cube_support
+from smoothbandit.harness import save_state_reports
 from smoothbandit.policy import (
     MultiArmState,
     PolicyConfig,
@@ -556,6 +557,34 @@ class TestRunMultiArm:
         assert res.meta["anomalies"] == 0
         bits = res.final_labels
         assert np.all(bits[bits >= 0] > 0)  # no support cube lost all arms
+
+    def test_bump_grid_classifier_keeps_the_run(self, tmp_path, monkeypatch):
+        # the classified support screens on the lattice, the bare predicate on
+        # the points; the runs and their state reports must not tell them apart
+        env = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
+        bare = dataclasses.replace(env, support=lambda points: env.support(points))
+        assert hasattr(env.support, "classify_cubes") and not hasattr(bare.support, "classify_cubes")
+        cfg = PolicyConfig(d=2, horizon=2**11, arm_count=2, beta=2.0, c_epoch=8.0, p=0.5)
+        calls = []
+        for name in ("_point_counts", "_mixed_counts"):
+            counted = getattr(geometry, name)
+            monkeypatch.setattr(
+                geometry, name, lambda *a, _f=counted, _n=name: calls.append(_n) or _f(*a)
+            )
+        runs, paths = [], []
+        for e in (env, bare):
+            calls.clear()
+            runs.append(run_multi_arm(e, cfg, seed=11))
+            paths.append(sorted(set(calls)))
+        assert paths == [["_mixed_counts"], ["_point_counts"]]
+        assert runs[0].equals(runs[1])
+        reports = []
+        for name, run in zip(("classified", "bare"), runs):
+            (tmp_path / name).mkdir()
+            (path,) = save_state_reports({("smooth_multi", cfg.horizon, 0): run}, str(tmp_path / name))
+            with open(path, "rb") as fh:
+                reports.append(fh.read())
+        assert reports[0] == reports[1]
 
     def test_rejects_wrong_arm_count(self):
         env = make_constant_multi_arm((0.2, 0.8), d=1)
