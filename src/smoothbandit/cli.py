@@ -65,16 +65,18 @@ def _load_json(path: str, what: str) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _load_json(args.config, "config")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(cfg, dict):
         cfg["base_seed"] = args.seed
-    out_dir = args.out_dir or cfg.get("out_dir", ".")
     cfg = harness.validate_experiment_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = args.out_dir or cfg.get("out_dir", ".")
     try:
         rows, summary, results = harness.run_experiment(cfg, quiet=args.quiet)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # made only now, so that a config error found against the built
+    # instance leaves nothing behind
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     harness.write_csv(rows, csv_path)

@@ -492,8 +492,11 @@ class BumpGridSupport:
     """Support of the bump-grid instance, a predicate with a cube classifier.
 
     The unit cube, except that each of the first ``m`` cells of the ``1/q``
-    grid (lexicographic flat order) keeps only the closed ball of radius
-    ``radius`` around its center.
+    grid keeps only the closed ball of radius ``radius`` around its center.
+    The support owns the cells' flat order, row-major over ``(q,) * d`` with
+    the last axis fastest (:meth:`cell_index`, :meth:`cell_centers`);
+    :meth:`bump_offsets` places points relative to their bump for the
+    predicate, the instance's means and the density check.
     """
 
     d: int
@@ -503,38 +506,34 @@ class BumpGridSupport:
     _classes: dict = field(default_factory=dict, repr=False)
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Lexicographic flat index of the 1/q grid cell of each point."""
-        q = self.q
-        u = np.atleast_2d(points) * q
+        """Flat index of the 1/q grid cell of each point, clipped to the grid.
+
+        Scales by ``q`` rather than dividing by ``1/q``: the two can differ
+        in the last bit, which would move a point on a cell face.
+        """
+        u = np.atleast_2d(points) * self.q
         j = np.floor(u).astype(np.int64)
         j -= (u == j) & (j > 0)
-        j = np.clip(j, 0, q - 1)
-        flat = np.zeros(len(j), dtype=np.int64)
-        for axis in range(self.d):
-            flat = flat * q + j[:, axis]
-        return flat
+        return np.ravel_multi_index(tuple(j.T), (self.q,) * self.d, mode="clip")
 
     def cell_centers(self, cells: np.ndarray) -> np.ndarray:
-        """Centers of the 1/q grid cells with the given lexicographic flat indices."""
-        q = self.q
-        ctr = np.empty((len(cells), self.d))
-        rem = cells.copy()
-        for axis in range(self.d - 1, -1, -1):
-            ctr[:, axis] = (rem % q + 0.5) / q
-            rem //= q
-        return ctr
+        """Centers of the 1/q grid cells with the given flat indices, shape (n, d)."""
+        return (np.stack(np.unravel_index(cells, (self.q,) * self.d), axis=-1) + 0.5) / self.q
+
+    def bump_offsets(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(in_bump, cells, offsets)``: which points of the unit cube lie in
+        one of the first ``m`` cells, and the cells and offsets from the cell
+        centers of those points, in order."""
+        points = np.atleast_2d(points)
+        cells = self.cell_index(points)
+        in_bump = (cells < self.m) & unit_cube_support(points)
+        cells = cells[in_bump]
+        return in_bump, cells, points[in_bump] - self.cell_centers(cells)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        ok = unit_cube_support(points)
-        cells = self.cell_index(points)
-        in_bump_cell = cells < self.m
-        out = ok & ~in_bump_cell
-        check = ok & in_bump_cell
-        if np.any(check):
-            p = points[check]
-            ctr = self.cell_centers(cells[check])
-            out[check] = np.linalg.norm(p - ctr, axis=1) <= self.radius
+        out = unit_cube_support(points)
+        in_bump, _, offsets = self.bump_offsets(points)
+        out[in_bump] = np.linalg.norm(offsets, axis=1) <= self.radius
         return out
 
     def classify_cubes(self, lattice: GridLattice) -> np.ndarray:
@@ -554,8 +553,8 @@ class BumpGridSupport:
         return self._classes[lattice]
 
     def _classify(self, lattice: GridLattice) -> np.ndarray:
-        d, q, cpa = self.d, self.q, lattice.cells_per_axis
-        cube = np.stack(np.unravel_index(np.arange(lattice.n_cubes), (cpa,) * d), axis=1)
+        d, q = self.d, self.q
+        cube = lattice.cube_ids()
         lo = np.clip(cube * lattice.delta - _CLASSIFY_MARGIN, 0.0, 1.0)
         hi = np.clip((cube + 1) * lattice.delta + _CLASSIFY_MARGIN, 0.0, 1.0)
         # per axis, the 1/q cells the box meets; the bump cells are the flat
@@ -638,26 +637,17 @@ def make_lower_bound_instance(
     # the bumps sit in the first m cells
     ball_radius = 1.0 / (4 * q)
     support = BumpGridSupport(d=d, q=q, m=m, radius=ball_radius)
-    cell_index, cell_centers = support.cell_index, support.cell_centers
-    centers = cell_centers(np.arange(m, dtype=np.int64))
-
-    bump_flags = np.zeros(q**d, dtype=bool)
-    bump_flags[:m] = True
-    sigma_by_cell = np.zeros(q**d, dtype=np.int64)
-    sigma_by_cell[:m] = sigma
+    centers = support.cell_centers(np.arange(m, dtype=np.int64))
 
     def mean(points, arm):
         points = np.atleast_2d(points)
-        if arm == -1:
-            return np.full(len(points), 0.5)
-        cells = cell_index(points)
-        inside = bump_flags[cells] & unit_cube_support(points)
         out = np.full(len(points), 0.5)
-        if np.any(inside):
-            p = points[inside]
-            ctr = cell_centers(cells[inside])
-            u_val = bump_u(q * np.linalg.norm(p - ctr, axis=1))
-            out[inside] += sigma_by_cell[cells[inside]] * C_phi * float(q) ** -beta * u_val
+        if arm == -1:
+            return out
+        inside, cells, offsets = support.bump_offsets(points)
+        if len(cells):
+            u_val = bump_u(q * np.linalg.norm(offsets, axis=1))
+            out[inside] += sigma[cells] * C_phi * float(q) ** -beta * u_val
         return out
 
     def mean_deriv(points, arm, r):
@@ -667,13 +657,10 @@ def make_lower_bound_instance(
         out = np.zeros(len(points))
         if arm == -1:
             return out
-        cells = cell_index(points)
-        inside = bump_flags[cells] & unit_cube_support(points)
-        if np.any(inside):
-            p = points[inside]
-            ctr = cell_centers(cells[inside])
-            vals = _radial_bump_deriv(q * (p - ctr), tuple(r))
-            out[inside] = sigma_by_cell[cells[inside]] * C_phi * float(q) ** (sum(r) - beta) * vals
+        inside, cells, offsets = support.bump_offsets(points)
+        if len(cells):
+            vals = _radial_bump_deriv(q * offsets, tuple(r))
+            out[inside] = sigma[cells] * C_phi * float(q) ** (sum(r) - beta) * vals
         return out
 
     def sample_contexts(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -686,7 +673,7 @@ def make_lower_bound_instance(
             out[in_ball] = centers[which] + ball_radius * _uniform_in_ball(rng, n_ball, d)
         n_rest = n - n_ball
         if n_rest:
-            out[~in_ball] = _uniform_outside_cells(rng, n_rest, d, q, bump_flags, cell_index)
+            out[~in_ball] = _uniform_outside_cells(rng, n_rest, support)
         return out
 
     height = C_phi * float(q) ** -beta
@@ -736,13 +723,13 @@ def _uniform_in_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return out
 
 
-def _uniform_outside_cells(rng, n, d, q, bump_flags, cell_index) -> np.ndarray:
-    """Uniform draws from the unit cube minus the flagged 1/q cells."""
-    out = np.empty((n, d))
+def _uniform_outside_cells(rng, n, support: BumpGridSupport) -> np.ndarray:
+    """Uniform draws from the unit cube minus the support's bump cells."""
+    out = np.empty((n, support.d))
     need = np.arange(n)
     while len(need):
-        cand = rng.random((len(need), d))
-        ok = ~bump_flags[cell_index(cand)]
+        cand = rng.random((len(need), support.d))
+        ok = support.cell_index(cand) >= support.m
         out[need[ok]] = cand[ok]
         need = need[~ok]
     return out
@@ -877,12 +864,14 @@ def verify_density(
     """
     rng = rng or np.random.default_rng(0)
     X = instance.sample_contexts(rng, n_samples)
+    # a ball of radius 1/(4q) lies strictly inside its cell, so counting
+    # each point against its own cell's center counts every ball
+    _, cells, offsets = instance.support.bump_offsets(X)
+    in_ball = np.linalg.norm(offsets, axis=1) <= instance.ball_radius
+    counts = np.bincount(cells[in_ball], minlength=instance.m)
+    total_ball = int(counts.sum())
     rows = []
-    total_ball = 0
-    for j, ctr in enumerate(instance.bump_centers):
-        in_ball = np.linalg.norm(X - ctr[None, :], axis=1) <= instance.ball_radius
-        count = int(in_ball.sum())
-        total_ball += count
+    for j, count in enumerate(counts.tolist()):
         p_hat = count / n_samples
         se = math.sqrt(instance.omega * (1 - instance.omega) / n_samples)
         rows.append(

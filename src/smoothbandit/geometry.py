@@ -63,6 +63,10 @@ class GridLattice:
     Cube ``j = (j_1, ..., j_d)`` has center ``(j_i + 1/2) * delta`` per
     axis.  The last cube on each axis may extend past 1 so that the cubes
     always cover the unit cube (``cells_per_axis * delta >= 1``).
+
+    The lattice owns the flat order of its cubes, row-major over
+    :attr:`shape` with the last axis fastest: :meth:`cube_index` encodes
+    and :meth:`cube_ids` decodes, and every per-cube table follows them.
     """
 
     d: int
@@ -74,6 +78,10 @@ class GridLattice:
             raise ValueError("invalid lattice parameters")
         if self.cells_per_axis * self.delta < 1.0 - 1e-12:
             raise ValueError("cubes must cover the unit cube")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.cells_per_axis,) * self.d
 
     @property
     def n_cubes(self) -> int:
@@ -96,31 +104,24 @@ class GridLattice:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         j = self.axis_index(points)
         valid = np.all((points >= 0.0) & (j >= 0) & (j < self.cells_per_axis), axis=1)
-        flat = np.zeros(len(points), dtype=np.int64)
-        mult = 1
-        for axis in range(self.d - 1, -1, -1):
-            flat += j[:, axis] * mult
-            mult *= self.cells_per_axis
-        flat[~valid] = -1
-        return flat
+        return np.where(valid, np.ravel_multi_index(tuple(j.T), self.shape, mode="clip"), -1)
+
+    def cube_ids(self, flat: np.ndarray | None = None) -> np.ndarray:
+        """Per-axis cube indices of flat cube indices (every cube when ``None``), shape (n, d)."""
+        if flat is None:
+            flat = np.arange(self.n_cubes)
+        return np.stack(np.unravel_index(flat, self.shape), axis=-1)
 
     def cube_id(self, flat: int) -> tuple[int, ...]:
         """Multi-index of a flat cube index."""
         if not 0 <= flat < self.n_cubes:
             raise ValueError(f"flat index {flat} out of range")
-        out = []
-        for _ in range(self.d):
-            out.append(flat % self.cells_per_axis)
-            flat //= self.cells_per_axis
-        return tuple(reversed(out))
+        return tuple(int(j) for j in self.cube_ids(flat))
 
     def flat_id(self, cube: tuple[int, ...]) -> int:
-        flat = 0
-        for j in cube:
-            if not 0 <= j < self.cells_per_axis:
-                raise ValueError(f"cube index {cube} out of range")
-            flat = flat * self.cells_per_axis + j
-        return flat
+        if not all(0 <= j < self.cells_per_axis for j in cube):
+            raise ValueError(f"cube index {cube} out of range")
+        return int(np.ravel_multi_index(cube, self.shape))
 
     def center(self, cube: tuple[int, ...] | int) -> np.ndarray:
         if isinstance(cube, (int, np.integer)):
@@ -129,13 +130,7 @@ class GridLattice:
 
     def centers(self, flat: np.ndarray) -> np.ndarray:
         """Centers of the given flat cube indices, shape (n, d)."""
-        flat = np.asarray(flat, dtype=np.int64)
-        out = np.empty((len(flat), self.d))
-        rem = flat.copy()
-        for axis in range(self.d - 1, -1, -1):
-            out[:, axis] = (rem % self.cells_per_axis + 0.5) * self.delta
-            rem //= self.cells_per_axis
-        return out
+        return (self.cube_ids(flat) + 0.5) * self.delta
 
     def all_centers(self) -> np.ndarray:
         return self.centers(np.arange(self.n_cubes))
@@ -511,10 +506,8 @@ def support_cube_mask(
     corners = (np.arange(cpa) + 0.5) * lattice.delta - lattice.delta / 2.0
     coords = corners[:, None] + lattice.delta * ((_midpoint_axis(resolution) + 1.0) / 2.0)[None, :]
     in_unit = np.count_nonzero((coords >= 0.0) & (coords <= 1.0), axis=1)
-    inside = np.ones((), dtype=np.int64)
-    for _ in range(d):
-        inside = np.multiply.outer(inside, in_unit)
-    fraction = np.where(classes == CUBE_IN, inside.ravel() / resolution**d, 0.0)
+    inside = in_unit[lattice.cube_ids()].prod(axis=1)
+    fraction = np.where(classes == CUBE_IN, inside / resolution**d, 0.0)
     mixed = np.nonzero(classes == CUBE_MIXED)[0]
     if len(mixed):
         offsets = (_midpoint_offsets(d, resolution) + 1.0) / 2.0  # in [0,1]^d

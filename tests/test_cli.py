@@ -67,7 +67,13 @@ class TestExitCodes:
         path = write_config(tmp_path / "ucb.json", cfg)
         assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert "config error: policies[1].params: bin_rate must be at most 1/d" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--seed", "3"]])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, extra):
+        path = write_config(tmp_path / "list.json", [1, 2])
+        assert cli(["run", path, *extra]) == 2
+        assert "config error: <root>: config must be a JSON object" in capsys.readouterr().err
 
     def test_threads_flag_is_gone(self, run_config, tmp_path, capsys):
         assert cli(["run", run_config, "--out-dir", str(tmp_path / "out"), "--threads", "2"]) == 2

@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothbandit
 from smoothbandit.environments import (
+    BumpGridSupport,
     bump_u,
     bump_u_deriv,
     cate,
@@ -225,6 +228,80 @@ class TestBumpProfile:
         np.testing.assert_allclose(d2, fd2, atol=1e-4, rtol=1e-4)
 
 
+def _loop_cell_index(support, points):
+    """Flat 1/q cell index by an explicit row-major loop, the last axis fastest (reference)."""
+    q = support.q
+    u = np.atleast_2d(points) * q
+    j = np.floor(u).astype(np.int64)
+    j -= (u == j) & (j > 0)
+    j = np.clip(j, 0, q - 1)
+    flat = np.zeros(len(j), dtype=np.int64)
+    for axis in range(support.d):
+        flat = flat * q + j[:, axis]
+    return flat
+
+
+def _loop_cell_centers(support, cells):
+    """Centers of 1/q cells by repeated division of their flat indices (reference)."""
+    q = support.q
+    ctr = np.empty((len(cells), support.d))
+    rem = np.array(cells, dtype=np.int64)
+    for axis in range(support.d - 1, -1, -1):
+        ctr[:, axis] = (rem % q + 0.5) / q
+        rem //= q
+    return ctr
+
+
+@st.composite
+def _bump_grid_and_points(draw):
+    """A bump grid with d in 1..3 and points on cell faces, outside the unit
+    cube and past the last cell, mixed with arbitrary ones."""
+    d = draw(st.integers(1, 3))
+    q = draw(st.integers(1, {1: 30, 2: 9, 3: 5}[d]))
+    support = BumpGridSupport(d=d, q=q, m=draw(st.integers(1, q**d)), radius=1.0 / (4 * q))
+    coordinate = st.one_of(
+        st.integers(-1, q + 1).map(lambda k: k / q),
+        st.tuples(st.integers(0, q - 1), st.sampled_from([0.25, 0.5, 0.75])).map(lambda c: (c[0] + c[1]) / q),
+        st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), -1e-300]),
+        st.floats(-0.5, 1.5, allow_nan=False),
+    )
+    points = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=30))
+    return support, np.array(points, dtype=float)
+
+
+class TestBumpGridCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_bump_grid_and_points())
+    def test_cells_and_offsets_match_the_loops(self, case):
+        support, points = case
+        cells = support.cell_index(points)
+        assert cells.dtype == np.int64
+        np.testing.assert_array_equal(cells, _loop_cell_index(support, points))
+        in_bump, bump_cells, offsets = support.bump_offsets(points)
+        in_unit = np.all((points >= 0.0) & (points <= 1.0), axis=1)
+        np.testing.assert_array_equal(in_bump, (cells < support.m) & in_unit)
+        np.testing.assert_array_equal(bump_cells, cells[in_bump])
+        expected = points[in_bump] - _loop_cell_centers(support, cells[in_bump])
+        assert offsets.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_bump_grid_and_points())
+    def test_centers_of_every_cell_match_the_loop(self, case):
+        support, _ = case
+        cells = np.arange(support.q**support.d)
+        centers = support.cell_centers(cells)
+        assert centers.tobytes() == _loop_cell_centers(support, cells).tobytes()
+        np.testing.assert_array_equal(support.cell_index(centers), cells)
+
+
+def _loop_ball_counts(instance, X):
+    """Samples in each bump ball, one norm pass over all samples per bump (reference)."""
+    return [
+        int(np.count_nonzero(np.linalg.norm(X - ctr[None, :], axis=1) <= instance.ball_radius))
+        for ctr in instance.bump_centers
+    ]
+
+
 class TestLowerBoundInstance:
     def make(self, **kwargs):
         params = dict(T=100_000, beta=1.0, alpha=0.5, d=1, seed=3)
@@ -270,6 +347,18 @@ class TestLowerBoundInstance:
     def test_sampler_density_agreement(self):
         inst = self.make()
         assert verify_density(inst, n_samples=200_000, rng=np.random.default_rng(2)).passed
+
+    @pytest.mark.parametrize(
+        "params", [dict(T=100_000, beta=1.0, alpha=0.5, d=1, seed=3), dict(T=100_000, beta=2.0, alpha=0.5, d=2, seed=3)]
+    )
+    def test_density_counts_match_the_per_center_loop(self, params):
+        inst = make_lower_bound_instance(**params)
+        n = 50_000
+        X = inst.sample_contexts(np.random.default_rng(8), n)
+        counts = _loop_ball_counts(inst, X)
+        assert sum(counts) > 0
+        rows = verify_density(inst, n_samples=n, rng=np.random.default_rng(8)).rows
+        assert [row.value for row in rows] == [c / n for c in counts] + [1.0 - sum(counts) / n]
 
     def test_support_excludes_cell_corners(self):
         inst = self.make()

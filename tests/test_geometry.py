@@ -111,6 +111,89 @@ class TestAssignCube:
         assert cube == (1,)
 
 
+def _loop_cube_index(lat, points):
+    """Flat cube index by an explicit row-major loop, the last axis fastest (reference)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    j = lat.axis_index(points)
+    valid = np.all((points >= 0.0) & (j >= 0) & (j < lat.cells_per_axis), axis=1)
+    flat = np.zeros(len(points), dtype=np.int64)
+    mult = 1
+    for axis in range(lat.d - 1, -1, -1):
+        flat += j[:, axis] * mult
+        mult *= lat.cells_per_axis
+    flat[~valid] = -1
+    return flat
+
+
+def _loop_cube_ids(lat, flat):
+    """Per-axis cube indices of flat indices by repeated division (reference)."""
+    out = np.empty((len(flat), lat.d), dtype=np.int64)
+    rem = np.array(flat, dtype=np.int64)
+    for axis in range(lat.d - 1, -1, -1):
+        out[:, axis] = rem % lat.cells_per_axis
+        rem //= lat.cells_per_axis
+    return out
+
+
+@st.composite
+def _lattice_and_points(draw):
+    """A lattice with d in 1..3 and points on cube faces, outside the unit
+    cube and past the last cube, mixed with arbitrary ones."""
+    d = draw(st.integers(1, 3))
+    cells = draw(st.integers(1, {1: 40, 2: 12, 3: 6}[d]))
+    delta = draw(st.sampled_from([1.0, 1.0 - 1e-13, 1.3, 1.6])) / cells
+    lat = GridLattice(d=d, delta=delta, cells_per_axis=cells)
+    coordinate = st.one_of(
+        st.integers(-1, cells + 1).map(lambda k: k * delta),
+        st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), cells * delta, -1e-300]),
+        st.floats(-0.5, 2.0, allow_nan=False),
+    )
+    points = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=30))
+    return lat, np.array(points, dtype=float)
+
+
+class TestLatticeCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_lattice_and_points())
+    def test_encode_matches_the_loop(self, case):
+        lat, points = case
+        flat = lat.cube_index(points)
+        assert flat.dtype == np.int64
+        np.testing.assert_array_equal(flat, _loop_cube_index(lat, points))
+        past_last = (lat.cells_per_axis + 0.5) * lat.delta
+        off = np.any((points < 0.0) | (points >= past_last), axis=1)
+        assert np.all(flat[off] == -1)
+        assert np.all(flat < lat.n_cubes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_lattice_and_points())
+    def test_decode_of_every_flat_index_matches_the_loop(self, case):
+        lat, _ = case
+        flat = np.arange(lat.n_cubes)
+        ids = lat.cube_ids(flat)
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, _loop_cube_ids(lat, flat))
+        np.testing.assert_array_equal(lat.cube_ids(), ids)
+        centers = lat.centers(flat)
+        assert centers.tobytes() == ((_loop_cube_ids(lat, flat) + 0.5) * lat.delta).tobytes()
+        assert lat.all_centers().tobytes() == centers.tobytes()
+        np.testing.assert_array_equal(lat.cube_index(centers), flat)
+        for f in flat:
+            cube = lat.cube_id(int(f))
+            assert cube == tuple(int(j) for j in ids[f])
+            assert lat.flat_id(cube) == f
+            assert lat.center(int(f)).tobytes() == centers[f].tobytes()
+
+    def test_out_of_range_indices_raise(self):
+        lat = GridLattice(d=2, delta=0.25, cells_per_axis=4)
+        for flat in (-1, 16):
+            with pytest.raises(ValueError, match="out of range"):
+                lat.cube_id(flat)
+        for cube in ((0, 4), (-1, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                lat.flat_id(cube)
+
+
 class TestUnitBallVolume:
     def test_known_dimensions(self):
         assert unit_ball_volume(1) == pytest.approx(2.0)

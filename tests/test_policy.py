@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 import smoothbandit
-from smoothbandit import geometry, policy
-from smoothbandit.environments import make_constant_multi_arm, make_lower_bound_instance, make_smooth_instance
+from smoothbandit import baselines, geometry, harness, policy
+from smoothbandit.environments import (
+    Instance,
+    make_constant_multi_arm,
+    make_lower_bound_instance,
+    make_smooth_instance,
+)
 from smoothbandit.geometry import build_lattice, support_cube_mask, unit_cube_support
 from smoothbandit.harness import save_state_reports
 from smoothbandit.policy import (
@@ -520,6 +525,40 @@ class TestRunTwoArm:
         assert np.nanmax(tau[ids]) == pytest.approx(0.75, abs=0.05)
 
 
+def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
+    """Runs on the d = 2 bump-grid instance with its classified support and
+    with the bare predicate.
+
+    The classified support screens on the lattice, the bare predicate on the
+    points; the runs and their state reports must not tell them apart.
+    """
+    env = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
+    bare = dataclasses.replace(env, support=lambda points: env.support(points))
+    assert hasattr(env.support, "classify_cubes") and not hasattr(bare.support, "classify_cubes")
+    cfg = PolicyConfig(d=2, horizon=2**11, arm_count=2, beta=2.0, c_epoch=8.0, p=0.5, **config)
+    calls = []
+    for name in ("_point_counts", "_mixed_counts"):
+        counted = getattr(geometry, name)
+        monkeypatch.setattr(
+            geometry, name, lambda *a, _f=counted, _n=name: calls.append(_n) or _f(*a)
+        )
+    runs, paths = [], []
+    for e in (env, bare):
+        calls.clear()
+        runs.append(run_multi_arm(e, cfg, seed=11))
+        paths.append(sorted(set(calls)))
+    assert paths == [["_mixed_counts"], ["_point_counts"]]
+    assert runs[0].equals(runs[1])
+    reports = []
+    for name, run in zip(("classified", "bare"), runs):
+        (tmp_path / name).mkdir()
+        (path,) = save_state_reports({("smooth_multi", cfg.horizon, 0): run}, str(tmp_path / name))
+        with open(path, "rb") as fh:
+            reports.append(fh.read())
+    assert reports[0] == reports[1]
+    return runs
+
+
 class TestRunMultiArm:
     def test_matches_two_arm_under_shared_seed(self):
         env = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
@@ -559,32 +598,13 @@ class TestRunMultiArm:
         assert np.all(bits[bits >= 0] > 0)  # no support cube lost all arms
 
     def test_bump_grid_classifier_keeps_the_run(self, tmp_path, monkeypatch):
-        # the classified support screens on the lattice, the bare predicate on
-        # the points; the runs and their state reports must not tell them apart
-        env = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
-        bare = dataclasses.replace(env, support=lambda points: env.support(points))
-        assert hasattr(env.support, "classify_cubes") and not hasattr(bare.support, "classify_cubes")
-        cfg = PolicyConfig(d=2, horizon=2**11, arm_count=2, beta=2.0, c_epoch=8.0, p=0.5)
-        calls = []
-        for name in ("_point_counts", "_mixed_counts"):
-            counted = getattr(geometry, name)
-            monkeypatch.setattr(
-                geometry, name, lambda *a, _f=counted, _n=name: calls.append(_n) or _f(*a)
-            )
-        runs, paths = [], []
-        for e in (env, bare):
-            calls.clear()
-            runs.append(run_multi_arm(e, cfg, seed=11))
-            paths.append(sorted(set(calls)))
-        assert paths == [["_mixed_counts"], ["_point_counts"]]
-        assert runs[0].equals(runs[1])
-        reports = []
-        for name, run in zip(("classified", "bare"), runs):
-            (tmp_path / name).mkdir()
-            (path,) = save_state_reports({("smooth_multi", cfg.horizon, 0): run}, str(tmp_path / name))
-            with open(path, "rb") as fh:
-                reports.append(fh.read())
-        assert reports[0] == reports[1]
+        _classified_and_bare_runs(tmp_path, monkeypatch)
+
+    def test_bump_grid_classifier_keeps_a_run_that_flags_cubes(self, tmp_path, monkeypatch):
+        # at the default c0 no cube is flagged, so the run above compares
+        # all-pass masks; at c0 = 1 screening flags cubes in epochs 2 and 3
+        runs = _classified_and_bare_runs(tmp_path, monkeypatch, c0=1.0)
+        assert sum(sum(e.screened_cubes.values()) for e in runs[0].epochs) > 0
 
     def test_rejects_wrong_arm_count(self):
         env = make_constant_multi_arm((0.2, 0.8), d=1)
@@ -758,4 +778,28 @@ class TestPatchPoints:
             "scaled_design",
         )
         missing = [name for name in names if name not in vars(policy)]
+        assert not missing, missing
+
+    def test_traced_names_of_the_other_layers(self):
+        # the same tracer replaces these attributes of the harness, the
+        # baselines and the instance class
+        owners = {
+            harness: (
+                "run_experiment",
+                "run_policy",
+                "write_csv",
+                "write_summary",
+                "build_instance",
+                "run_two_arm",
+                "run_multi_arm",
+            ),
+            baselines: ("run_binned_ucb", "run_uniform", "run_oracle"),
+            Instance: ("means_matrix", "sample_rewards"),
+        }
+        missing = [
+            f"{owner.__name__}.{name}"
+            for owner, names in owners.items()
+            for name in names
+            if name not in vars(owner)
+        ]
         assert not missing, missing
