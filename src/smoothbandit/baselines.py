@@ -6,9 +6,11 @@ read each other's state, so each block of steps runs in rounds across the
 bins: round ``r`` chooses and updates every bin's ``r``-th step of the
 block in one vectorized pass, with the arithmetic of a step-by-step loop
 (``log`` from a table of ``math.log``, first-maximum ties), so a seeded
-run's regret is that of the loop, value for value.  Very few bins mean
-many short rounds and a slower run; see ``run_binned_ucb``.  Uniform and
-oracle pick every step's arm up front and share one fixed-rule runner.
+run's regret is that of the loop, value for value.  Each step's reward
+is the instance's reward law at one uniform, drawn per block in step
+order, whatever the law.  Very few bins mean many short rounds and a
+slower run; see ``run_binned_ucb``.  Uniform and oracle pick every step's
+arm up front and share one fixed-rule runner.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from .environments import Instance
 from .geometry import GridLattice
-from .results import RunResult, normalize_checkpoints
+from .results import RunResult
 
-# Steps whose contexts and Bernoulli uniforms binned UCB draws at once.  A
+# Steps whose contexts and reward uniforms binned UCB draws at once.  A
 # constant, not a setting: the block size fixes the order of the random
 # draws, and so the regret of a seeded run.
 _UCB_BLOCK = 4096
@@ -48,29 +50,17 @@ def run_oracle(env: Instance, horizon: int, seed: int, checkpoints=None) -> RunR
 def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int, checkpoints) -> RunResult:
     """Run a rule that picks every step's arm up front, ``choose(rng, means) -> arm_ix``.
 
-    Draws the contexts, then whatever ``choose`` draws, then the rewards.
+    Draws the contexts, then whatever ``choose`` draws.  The rule reads no
+    reward, so none is drawn.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(int(seed))
     X = env.sample_contexts(rng, horizon)
     means = env.means_matrix(X)
     arm_ix = choose(rng, means)
-    chosen = means[arm_ix, np.arange(horizon)]
-    env.sample_rewards(rng, chosen)
-    regret = np.cumsum(means.max(axis=0) - chosen)
-    inferior = np.cumsum(arm_ix != means.argmax(axis=0))
-    ts = normalize_checkpoints(checkpoints, horizon)
-    return RunResult(
-        policy=policy,
-        instance=env.name,
-        seed=int(seed),
-        horizon=horizon,
-        checkpoint_times=ts,
-        cum_regret=regret[ts - 1],
-        cum_inferior=inferior[ts - 1],
-        inferior_count=int(inferior[-1]),
-        wall_time=time.perf_counter() - started,
-    )
+    regret = means.max(axis=0) - means[arm_ix, np.arange(horizon)]
+    inferior = arm_ix != means.argmax(axis=0)
+    return RunResult.from_steps(policy, env.name, seed, regret, inferior, checkpoints, started)
 
 
 def check_binned_ucb_params(exploration=2.0, bin_rate=None, d: int | None = None) -> None:
@@ -120,9 +110,10 @@ def run_binned_ucb(
     arithmetic is that of a step-by-step loop, value for value: ``log`` is
     read from a table of ``math.log(v)``, division and square root are
     correctly rounded, ``argmax`` takes the first maximum, and the bins of
-    a round are distinct, so each bin's sums add in step order.
-    Truncated-Gaussian rewards draw from ``rng`` once per step, in step
-    order, so under that law every round is one step.
+    a round are distinct, so each bin's sums add in step order.  A block
+    draws its contexts, then one uniform per step in step order, and each
+    round reads its steps' rewards off ``env.rewards``, so the rewards
+    are those of a per-step loop that draws them one step at a time.
 
     Cost: each round pays the fixed overhead of a few NumPy calls, and a
     block has as many rounds as its busiest bin has visits.  The default
@@ -151,8 +142,7 @@ def run_binned_ucb(
     log_visits[1:] = np.fromiter(map(math.log, range(1, horizon + 1)), float, horizon)
 
     regret = np.empty(horizon)
-    inferior = np.empty(horizon, dtype=np.int64)
-    bernoulli = env.noise == "bernoulli"
+    inferior = np.empty(horizon, dtype=bool)
     pos = 0
     while pos < horizon:
         n = min(_UCB_BLOCK, horizon - pos)
@@ -164,8 +154,8 @@ def run_binned_ucb(
             raise RuntimeError(f"context {X[off[0]]} at step {step} lies off the bin lattice")
         means = env.means_matrix(X)
         # the block's steps in round order; round k is order[bounds[k]:bounds[k + 1]]
-        order, bounds = _rounds(flat) if bernoulli else (np.arange(n), range(n + 1))
-        u = rng.random(n)[order] if bernoulli else None
+        order, bounds = _rounds(flat)
+        u = rng.random(n)[order]
         bins = flat[order]
         round_means = means[:, order]
         cols = np.arange(n)
@@ -173,8 +163,7 @@ def run_binned_ucb(
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             b = bins[lo:hi]
             arm = _ucb_choose(counts[b], sums[b], exploration, log_visits)
-            mean_a = round_means[arm, cols[lo:hi]]
-            y = u[lo:hi] < mean_a if bernoulli else env.sample_rewards(rng, mean_a)
+            y = env.rewards(round_means[arm, cols[lo:hi]], u[lo:hi])
             counts[b, arm] += 1
             sums[b, arm] += y
             arms[lo:hi] = arm
@@ -184,19 +173,8 @@ def run_binned_ucb(
         inferior[pos : pos + n] = arm_ix != means.argmax(axis=0)
         pos += n
 
-    cum_regret = np.cumsum(regret)
-    cum_inferior = np.cumsum(inferior)
-    ts = normalize_checkpoints(checkpoints, horizon)
-    return RunResult(
-        policy="binned_ucb",
-        instance=env.name,
-        seed=int(seed),
-        horizon=horizon,
-        checkpoint_times=ts,
-        cum_regret=cum_regret[ts - 1],
-        cum_inferior=cum_inferior[ts - 1],
-        inferior_count=int(cum_inferior[-1]),
-        wall_time=time.perf_counter() - started,
+    return RunResult.from_steps(
+        "binned_ucb", env.name, seed, regret, inferior, checkpoints, started,
         meta={"delta_bin": delta_bin, "n_bins": lattice.n_cubes},
     )
 

@@ -57,7 +57,9 @@ class Instance:
     ``sample_contexts(rng, n)`` draws contexts inside the support; the
     reward law given the mean is Bernoulli by default, or a Gaussian
     truncated symmetrically around the mean (mean-preserving) when
-    ``noise`` is ``"truncated_gaussian"``.
+    ``noise`` is ``"truncated_gaussian"``.  Either law lives in
+    :meth:`rewards`, which maps one uniform per step to its reward;
+    :meth:`sample_rewards` draws those uniforms from a generator.
     """
 
     name: str
@@ -86,13 +88,20 @@ class Instance:
         id when arms are listed ascending."""
         return np.argmax(self.means_matrix(points), axis=0)
 
-    def sample_rewards(self, rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+    def rewards(self, means: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Rewards of the given means, one uniform on [0, 1) per step.
+
+        The reward is the inverse CDF of the step's law at ``u``: Bernoulli
+        pays 1 when the uniform falls below the mean; the truncated
+        Gaussian is ``truncnorm.ppf``, which is how ``truncnorm.rvs`` maps
+        its own uniforms.  A truncated-Gaussian mean at 0 or 1 leaves no
+        room and the reward is the mean, its uniform unread.
+        """
         means = np.asarray(means, dtype=float)
         if self.noise == "bernoulli":
-            return (rng.random(means.shape[0]) < means).astype(float)
+            return (u < means).astype(float)
         if self.noise == "truncated_gaussian":
-            # symmetric truncation about the mean keeps E[Y] = mean and Y in [0,1];
-            # a mean at 0 or 1 leaves no room and the reward is deterministic
+            # symmetric truncation about the mean keeps E[Y] = mean and Y in [0,1]
             half = np.minimum(means, 1.0 - means)
             y = means.copy()
             room = half > 0
@@ -102,11 +111,15 @@ class Instance:
                 from scipy import stats
 
                 width = half[room] / self.noise_scale
-                y[room] = stats.truncnorm.rvs(
-                    -width, width, loc=means[room], scale=self.noise_scale, random_state=rng
+                y[room] = stats.truncnorm.ppf(
+                    u[room], -width, width, loc=means[room], scale=self.noise_scale
                 )
             return y
         raise ValueError(f"unknown noise law {self.noise!r}")
+
+    def sample_rewards(self, rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+        """Rewards of the given means on ``rng.random(len(means))``; see :meth:`rewards`."""
+        return self.rewards(means, rng.random(len(means)))
 
 
 def cate(instance: Instance, points: np.ndarray) -> np.ndarray:
@@ -180,7 +193,7 @@ def _symmetric_two_arm(name, d, tau_fn, tau_deriv_fn, meta, noise="bernoulli", n
     )
 
 
-def _constant_gap_instance(d: int, gap: float = 0.5, **extra) -> Instance:
+def _constant_gap_instance(d: int, gap: float = 0.5, beta: float = 2.0) -> Instance:
     if not 0 <= gap <= 1:
         raise ValueError(f"gap must lie in [0, 1] to keep means in [0,1], got {gap}")
 
@@ -191,7 +204,7 @@ def _constant_gap_instance(d: int, gap: float = 0.5, **extra) -> Instance:
         return np.zeros(len(points))
 
     meta = InstanceMeta(
-        beta=float(extra.pop("beta", 2.0)),
+        beta=float(beta),
         L=0.0,
         L1=0.0,
         alpha=math.inf,
@@ -200,7 +213,7 @@ def _constant_gap_instance(d: int, gap: float = 0.5, **extra) -> Instance:
         r0=0.5,
         mu_min=1.0,
         mu_max=1.0,
-        extras={"gap": gap, "note": "inferior arm optimal nowhere", **extra},
+        extras={"gap": gap, "note": "inferior arm optimal nowhere"},
     )
     return _symmetric_two_arm(f"constant_gap({gap})", d, tau_fn, tau_deriv_fn, meta)
 

@@ -92,11 +92,15 @@ class GridLattice:
 
         A coordinate on the shared face of two cubes is equidistant from
         both centers; it is assigned to the lower-index cube, whose center
-        is closer to the origin.
+        is closer to the origin.  A coordinate in [0, 1] never lands past
+        the last cube, even where ``1 / delta`` rounds above
+        ``cells_per_axis``.
         """
-        u = np.asarray(coords, dtype=float) / self.delta
+        coords = np.asarray(coords, dtype=float)
+        u = coords / self.delta
         j = np.floor(u).astype(np.int64)
         j -= (u == j) & (j > 0)
+        np.minimum(j, self.cells_per_axis - 1, out=j, where=coords <= 1.0)
         return j
 
     def cube_index(self, points: np.ndarray) -> np.ndarray:
@@ -165,9 +169,7 @@ def assign_cube(x: np.ndarray, lattice: GridLattice) -> tuple[tuple[int, ...], n
         raise ValueError(f"point has dimension {x.shape[0]}, lattice has {lattice.d}")
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError(f"point {x} outside the unit cube")
-    j = lattice.axis_index(x)
-    j = np.minimum(j, lattice.cells_per_axis - 1)
-    cube = tuple(int(v) for v in j)
+    cube = tuple(int(v) for v in lattice.axis_index(x))
     return cube, lattice.center(cube)
 
 

@@ -36,12 +36,11 @@ from .geometry import (
 )
 from .localpoly import (
     MultiIndexBasis,
-    default_eig_tol,
     enumerate_basis,
     fit_at_centers,
     scaled_design,  # unused here; the benchmark's tracer patches policy.scaled_design
 )
-from .results import EpochDiagnostics, RunResult, normalize_checkpoints
+from .results import EpochDiagnostics, RunResult
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +67,6 @@ class PolicyConfig:
     c_epoch: float = 2.0
     p: float = 0.5
     c0: float = 1.0 / 12.0
-    quadrature_resolution: int = 32
-    support_resolution: int = 8
-    support_mass_threshold: float = 1e-9
-    eig_tol: float | None = None
     arm_count: int = 2
 
     def __post_init__(self):
@@ -87,8 +82,6 @@ class PolicyConfig:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if not 0 < self.c0 <= 1:
             raise ValueError(f"c0 must lie in (0, 1], got {self.c0}")
-        if self.quadrature_resolution < 2:
-            raise ValueError("quadrature resolution must be >= 2")
         if self.arm_count < 2:
             raise ValueError(f"need at least two arms, got {self.arm_count}")
 
@@ -203,8 +196,9 @@ def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
     """Simulate one epoch whose per-cube action rule is fixed.
 
     Consumes exactly one context draw, one action uniform, and one reward
-    uniform per step (for Bernoulli rewards), independent of the active
-    arm sets, so the draws of a seeded run do not depend on its decisions.
+    uniform per step (``Instance.sample_rewards``), whatever the reward
+    law and the active arm sets, so the draws of a seeded run do not
+    depend on its decisions.
     """
     try:
         X = env.sample_contexts(rng, n)
@@ -278,13 +272,7 @@ def screen_multi_arm(state: MultiArmState, arm_index: int, support, config: Poli
     mask = np.zeros(n, dtype=bool)
     if len(ids) == 0:
         return ScreenResult(mask, False)
-    ok = batch_weak_regularity(
-        state.lattice.centers(ids),
-        bandwidth,
-        config.c0 / 2**config.d,
-        region,
-        config.quadrature_resolution,
-    )
+    ok = batch_weak_regularity(state.lattice.centers(ids), bandwidth, config.c0 / 2**config.d, region)
     mask[ids[~ok]] = True
     return ScreenResult(mask, False)
 
@@ -301,7 +289,6 @@ def estimate_means_at_centers(
     eta = np.full((n, n_arms), np.nan)
     diag = {"degenerate_fits": 0, "min_eig": None, "estimated_cubes": 0}
     basis = config.basis()
-    eig_tol = config.eig_tol if config.eig_tol is not None else default_eig_tol(basis)
     multi = state.active_counts() >= 2
     eig_min = math.inf
     total = 0
@@ -313,9 +300,7 @@ def estimate_means_at_centers(
         if len(ids) == 0:
             continue
         X, y = state.samples[ai]
-        vals, degen, eigs, _ = fit_at_centers(
-            state.lattice.centers(ids), X, y, state.bandwidths[ai], basis, eig_tol
-        )
+        vals, degen, eigs, _ = fit_at_centers(state.lattice.centers(ids), X, y, state.bandwidths[ai], basis)
         eta[ids, ai] = vals
         diag["degenerate_fits"] += int(degen.sum())
         total += len(ids)
@@ -413,9 +398,7 @@ def run_multi_arm(
     started = time.perf_counter()
     rng = np.random.default_rng(int(seed))
     lattice = build_lattice(config.horizon, config.beta, config.d)
-    support = support_cube_mask(
-        lattice, env.support, config.support_resolution, config.support_mass_threshold
-    )
+    support = support_cube_mask(lattice, env.support)
     schedule = make_schedule(config)
     state = initial_multi_state(lattice, support, len(env.arms))
     n_arms = len(env.arms)
@@ -472,21 +455,11 @@ def run_multi_arm(
         )
         start_t += length
 
-    cum_regret = np.cumsum(np.concatenate(regret_parts))
-    cum_inferior = np.cumsum(np.concatenate(inferior_parts).astype(np.int64))
-    ts = normalize_checkpoints(checkpoints, config.horizon)
     active_bits = (state.active.astype(np.int64) * (1 << np.arange(n_arms))).sum(axis=1)
     active_bits[~state.support_cubes] = -1
-    return RunResult(
-        policy="smooth_multi_arm",
-        instance=env.name,
-        seed=int(seed),
-        horizon=config.horizon,
-        checkpoint_times=ts,
-        cum_regret=cum_regret[ts - 1],
-        cum_inferior=cum_inferior[ts - 1],
-        inferior_count=int(cum_inferior[-1]),
-        wall_time=time.perf_counter() - started,
+    regret, inferior = np.concatenate(regret_parts), np.concatenate(inferior_parts)
+    return RunResult.from_steps(
+        "smooth_multi_arm", env.name, seed, regret, inferior, checkpoints, started,
         epochs=diags,
         final_labels=active_bits,
         actions=np.concatenate(action_parts) if record_actions else None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,34 @@ class RunResult:
     final_labels: np.ndarray | None = None
     actions: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_steps(
+        cls, policy: str, instance: str, seed: int, regret, inferior, checkpoints, started: float, **fields
+    ) -> "RunResult":
+        """The record of a run from its per-step regret and inferior-arm flags.
+
+        Cumulates both over the steps (the flags as int64),
+        samples them at the normalized ``checkpoints`` and stamps the wall
+        time since ``started`` (a ``time.perf_counter()`` reading).
+        ``fields`` sets the remaining attributes.
+        """
+        horizon = len(regret)
+        cum_regret = np.cumsum(regret)
+        cum_inferior = np.cumsum(inferior, dtype=np.int64)
+        ts = normalize_checkpoints(checkpoints, horizon)
+        return cls(
+            policy=policy,
+            instance=instance,
+            seed=int(seed),
+            horizon=horizon,
+            checkpoint_times=ts,
+            cum_regret=cum_regret[ts - 1],
+            cum_inferior=cum_inferior[ts - 1],
+            inferior_count=int(cum_inferior[-1]),
+            wall_time=time.perf_counter() - started,
+            **fields,
+        )
 
     @property
     def final_regret(self) -> float:

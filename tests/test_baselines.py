@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import reward_oracle
 
 from smoothbandit.baselines import run_binned_ucb, run_oracle, run_uniform
 from smoothbandit.environments import (
@@ -78,7 +79,8 @@ def reference_binned_ucb(env, horizon, seed, exploration=2.0, bin_rate=None):
 
     Per block of REFERENCE_BLOCK steps: the contexts, then (Bernoulli noise)
     one uniform per step; truncated-Gaussian rewards are drawn one step at
-    a time.
+    a time by the former sampler (``reward_oracle``), not by the library's
+    reward law.
     """
     rng = np.random.default_rng(seed)
     delta_bin = horizon ** (-1.0 / (2 + env.d)) if bin_rate is None else horizon**-bin_rate
@@ -96,7 +98,7 @@ def reference_binned_ucb(env, horizon, seed, exploration=2.0, bin_rate=None):
             if u is not None:
                 y = 1.0 if u[i] < mean_a else 0.0
             else:
-                y = float(env.sample_rewards(rng, np.array([mean_a]))[0])
+                y = float(reward_oracle.sample_rewards(env, rng, np.array([mean_a]))[0])
             binned_ucb_update(state, int(lattice.cube_index(x[None, :])[0]), arm_ix, y)
             regret[pos + i] = means[:, i].max() - mean_a
             inferior[pos + i] = arm_ix != means[:, i].argmax()
@@ -113,6 +115,14 @@ REFERENCE_CASES = {
     "sinusoidal_d2": (_sinusoidal(2), 3000, 1, {}),
     "three_arm_constant": (make_constant_multi_arm((0.3, 0.5, 0.6)), 3000, 0, {}),
     "truncated_gaussian": (_sinusoidal(1, noise="truncated_gaussian"), 800, 1, {}),
+    # truncated-Gaussian rewards across a block boundary
+    "truncated_gaussian_d2_crosses_block": (_sinusoidal(2, noise="truncated_gaussian"), 4500, 2, {}),
+    "truncated_gaussian_bump_grid_crosses_block": (
+        make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3, noise="truncated_gaussian"),
+        4500,
+        1,
+        {},
+    ),
     "bump_grid_d2": (
         make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3), 2000, 0, {}
     ),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reward_oracle
 import smoothbandit
 from smoothbandit.environments import (
     BumpGridSupport,
@@ -163,13 +165,99 @@ class TestRewards:
         assert 0.0 <= y[1] <= 0.5
 
 
+def _noisy(noise, d):
+    return make_smooth_instance("sinusoidal", d=d, amplitude=0.4, noise=noise, noise_scale=0.15)
+
+
+def _assert_same(got, want, rng_got, rng_want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+# means at 0, 0.5 and 1, interior ones and ones close to the ends
+_MEAN_GRIDS = {
+    "half": np.full(7, 0.5),
+    "interior": np.random.default_rng(40).random(200),
+    "near_ends": np.array([1e-12, 1e-3, 0.999, 1 - 1e-12, 0.5]),
+    "ends": np.array([0.0, 0.5, 1.0, 1.0, 0.0, 0.25]),
+}
+
+
+class TestRewardLawOracle:
+    """``sample_rewards`` on ``rewards`` against the former sampler, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "noise, grid",
+        [("bernoulli", grid) for grid in _MEAN_GRIDS]
+        + [("truncated_gaussian", grid) for grid in ("half", "interior", "near_ends")],
+    )
+    def test_matches_the_former_sampler(self, d, noise, grid):
+        inst = _noisy(noise, d)
+        means = _MEAN_GRIDS[grid]
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            _assert_same(inst.sample_rewards(a, means), reward_oracle.sample_rewards(inst, b, means), a, b)
+            for m in means:
+                one = np.array([m])
+                _assert_same(inst.sample_rewards(a, one), reward_oracle.sample_rewards(inst, b, one), a, b)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_truncated_gaussian_mean_at_an_end_uses_up_its_uniform(self, d):
+        # the one declared departure from the former sampler: a step whose
+        # mean is 0 or 1 returns its mean and still uses up its uniform
+        inst = _noisy("truncated_gaussian", d)
+        means = _MEAN_GRIDS["ends"]
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = inst.sample_rewards(a, means)
+            want = np.empty_like(means)
+            for i, m in enumerate(means):
+                if m in (0.0, 1.0):
+                    b.random(1)
+                    want[i] = m
+                else:
+                    want[i] = reward_oracle.sample_rewards(inst, b, np.array([m]))[0]
+            _assert_same(got, want, a, b)
+            for m in (0.0, 1.0):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert inst.sample_rewards(a, np.array([m])).tolist() == [m]
+                b.random(1)
+                assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("noise", ["bernoulli", "truncated_gaussian"])
+    def test_rewards_read_the_given_uniforms(self, noise):
+        inst = _noisy(noise, 1)
+        means = _MEAN_GRIDS["interior"]
+        rng = np.random.default_rng(5)
+        want = inst.sample_rewards(rng, means)
+        u = np.random.default_rng(5).random(len(means))
+        assert inst.rewards(means, u).tobytes() == want.tobytes()
+        # a step's reward depends on its own uniform only
+        assert inst.rewards(means[::-1], u[::-1]).tobytes() == want[::-1].tobytes()
+
+    def test_unknown_law_raises(self):
+        inst = dataclasses.replace(_noisy("bernoulli", 1), noise="cauchy")
+        with pytest.raises(ValueError, match="unknown noise law 'cauchy'"):
+            inst.rewards(np.array([0.5]), np.array([0.3]))
+
+
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only truncated-Gaussian rewards use it
+    # scipy.stats is slow to import and only truncated-Gaussian rewards use it,
+    # so neither a Bernoulli binned-UCB run nor a smooth run loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbandit.__file__)))
-    code = "import sys, smoothbandit; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, smoothbandit; loaded = ['scipy.stats' in sys.modules]; "
+        "from smoothbandit.baselines import run_binned_ucb; "
+        "from smoothbandit.policy import PolicyConfig, run_two_arm; "
+        "env = smoothbandit.environments.make_smooth_instance('sinusoidal', d=1, amplitude=0.4); "
+        "run_binned_ucb(env, 5000, 0); loaded.append('scipy.stats' in sys.modules); "
+        "run_two_arm(env, PolicyConfig(beta=2.0, d=1, horizon=2000), 0); "
+        "loaded.append('scipy.stats' in sys.modules); print(*loaded)"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False False"
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -110,6 +110,14 @@ class TestAssignCube:
         cube, _ = assign_cube(np.array([1.0]), lat)
         assert cube == (1,)
 
+    @pytest.mark.parametrize("k", [49, 98, 103, 107, 196, 197])
+    def test_one_lands_in_the_last_cube_when_one_over_delta_rounds_up(self, k):
+        # 1.0 / (1 / k) rounds above k for these k; 1.0 once fell off the lattice
+        lat = GridLattice(d=1, delta=1 / k, cells_per_axis=k)
+        assert 1.0 / lat.delta > k
+        assert lat.cube_index([[1.0]]).tolist() == [k - 1]
+        assert assign_cube(np.array([1.0]), lat)[0] == (k - 1,)
+
 
 def _loop_cube_index(lat, points):
     """Flat cube index by an explicit row-major loop, the last axis fastest (reference)."""
@@ -164,6 +172,8 @@ class TestLatticeCodec:
         off = np.any((points < 0.0) | (points >= past_last), axis=1)
         assert np.all(flat[off] == -1)
         assert np.all(flat < lat.n_cubes)
+        in_unit_cube = np.all((points >= 0.0) & (points <= 1.0), axis=1)
+        assert np.all(flat[in_unit_cube] >= 0)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_lattice_and_points())

@@ -278,6 +278,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="gap"):
             build_instance({"family": "constant_gap", "params": {"d": 1, "gap": 2.0}})
 
+    @pytest.mark.parametrize("key, value", [("gpa", 0.3), ("noise", "truncated_gaussian")])
+    def test_constant_gap_rejects_unknown_params(self, key, value):
+        # these once ran silently as gap 0.5 with Bernoulli rewards
+        with pytest.raises(ConfigError, match=f"^instance.params \\(constant_gap\\): .*'{key}'"):
+            build_instance({"family": "constant_gap", "params": {"d": 1, key: value}})
+        inst = build_instance({"family": "constant_gap", "params": {"d": 1, "gap": 0.3, "beta": 3.0}})
+        assert (inst.meta.beta, inst.meta.extras["gap"]) == (3.0, 0.3)
+
+    @pytest.mark.parametrize(
+        "field", ["quadrature_resolution", "support_resolution", "support_mass_threshold", "eig_tol"]
+    )
+    def test_removed_smooth_params_fail_at_validation(self, field):
+        cfg = small_config(policies=[{"name": "smooth", "params": {"beta": 2.0, field: 1}}])
+        with pytest.raises(ConfigError, match=f"^policies\\[0\\].params: .*'{field}'") as info:
+            validate_experiment_config(cfg)
+        assert info.value.fieldpath == "policies[0].params"
+
 
 class TestSummaryRateCheck:
     def test_synthetic_summary_passes_in_band(self):

@@ -114,7 +114,7 @@ def screen_inestimable(state: DecisionState, arm, support, config: PolicyConfig)
         bandwidth,
         config.c0 / 2**config.d,
         region,
-        config.quadrature_resolution,
+        32,
     )
     mask[ids[~ok]] = True
     return ScreenResult(mask, False)
@@ -138,7 +138,7 @@ def estimate_cate_at_centers(
         return tau, diag
     centers = state.lattice.centers(ids)
     basis = config.basis()
-    eig_tol = config.eig_tol if config.eig_tol is not None else default_eig_tol(basis)
+    eig_tol = default_eig_tol(basis)
     per_arm = {}
     eig_min = math.inf
     for arm in (1, -1):
@@ -254,7 +254,7 @@ def run_two_arm(
     rng = np.random.default_rng(int(seed))
     lattice = build_lattice(config.horizon, config.beta, config.d)
     support = support_cube_mask(
-        lattice, env.support, config.support_resolution, config.support_mass_threshold
+        lattice, env.support, 8, 1e-9
     )
     schedule = make_schedule(config)
     state = initial_state(lattice, support)
