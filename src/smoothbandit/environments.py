@@ -60,6 +60,8 @@ class Instance:
     ``noise`` is ``"truncated_gaussian"``.  Either law lives in
     :meth:`rewards`, which maps one uniform per step to its reward;
     :meth:`sample_rewards` draws those uniforms from a generator.
+    Construction rejects any other ``noise`` and a ``noise_scale`` that is
+    not a finite positive number.
     """
 
     name: str
@@ -72,6 +74,12 @@ class Instance:
     noise: str = "bernoulli"
     noise_scale: float = 0.1
     mean_deriv: Callable[[np.ndarray, object, tuple], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.noise not in ("bernoulli", "truncated_gaussian"):
+            raise ValueError(f"unknown noise law {self.noise!r}, expected 'bernoulli' or 'truncated_gaussian'")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
+            raise ValueError(f"noise_scale must be finite and > 0, got {self.noise_scale}")
 
     @property
     def n_arms(self) -> int:
@@ -100,22 +108,19 @@ class Instance:
         means = np.asarray(means, dtype=float)
         if self.noise == "bernoulli":
             return (u < means).astype(float)
-        if self.noise == "truncated_gaussian":
-            # symmetric truncation about the mean keeps E[Y] = mean and Y in [0,1]
-            half = np.minimum(means, 1.0 - means)
-            y = means.copy()
-            room = half > 0
-            if np.any(room):
-                # imported here, not at module level: only this law needs scipy.stats,
-                # and it is slow to import
-                from scipy import stats
+        # truncated Gaussian: symmetric truncation about the mean keeps
+        # E[Y] = mean and Y in [0,1]
+        half = np.minimum(means, 1.0 - means)
+        y = means.copy()
+        room = half > 0
+        if np.any(room):
+            # imported here, not at module level: only this law needs scipy.stats,
+            # and it is slow to import
+            from scipy import stats
 
-                width = half[room] / self.noise_scale
-                y[room] = stats.truncnorm.ppf(
-                    u[room], -width, width, loc=means[room], scale=self.noise_scale
-                )
-            return y
-        raise ValueError(f"unknown noise law {self.noise!r}")
+            width = half[room] / self.noise_scale
+            y[room] = stats.truncnorm.ppf(u[room], -width, width, loc=means[room], scale=self.noise_scale)
+        return y
 
     def sample_rewards(self, rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
         """Rewards of the given means on ``rng.random(len(means))``; see :meth:`rewards`."""

@@ -397,6 +397,17 @@ def _mixed_counts(
     return out
 
 
+def _check_ball_args(radius: float, resolution: int, c: float = 1.0) -> None:
+    """Reject a regularity constant outside (0, 1], a quadrature resolution
+    below 2 and a radius that is not a finite positive number."""
+    if not 0 < c <= 1:
+        raise ValueError(f"regularity constant must be in (0, 1], got {c}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+
+
 def ball_region_fraction(
     center: np.ndarray,
     radius: float,
@@ -411,10 +422,7 @@ def ball_region_fraction(
     symmetric cuts through the center are exact.  Deterministic for a
     fixed resolution.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_ball_args(radius, resolution)
     center = np.asarray(center, dtype=float).reshape(1, -1)
     denom = len(_ball_quadrature(center.shape[1], resolution)[0])
     if denom == 0:
@@ -430,8 +438,7 @@ def is_weakly_regular(
     resolution: int = 32,
 ) -> bool:
     """Whether the region fills at least a ``c`` fraction of B(x, radius)."""
-    if not 0 < c <= 1:
-        raise ValueError(f"regularity constant must be in (0, 1], got {c}")
+    _check_ball_args(radius, resolution, c)
     return ball_region_fraction(x, radius, region, resolution) >= c
 
 
@@ -464,10 +471,7 @@ def batch_weak_regularity(
       so the point path is the cheaper one there.  It is also the test
       oracle of the lattice path.
     """
-    if not 0 < c <= 1:
-        raise ValueError(f"regularity constant must be in (0, 1], got {c}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    _check_ball_args(radius, resolution, c)
     centers = np.atleast_2d(centers)
     n, d = centers.shape
     denom = len(_ball_quadrature(d, resolution)[0])

@@ -4,15 +4,17 @@ Fits a polynomial of bounded total degree by least squares over the
 samples inside a closed ball around the query point.  Monomials are
 centered at the query and scaled by the bandwidth, so the Gram matrix of
 the design doubles as the conditioning diagnostic: a fit whose Gram
-minimum eigenvalue falls below a tolerance is declared degenerate and
-reports the value 0.
+minimum eigenvalue falls below ``default_eig_tol`` is declared degenerate
+and reports the value 0.
 
-``fit_at_centers`` fits many queries at once: it walks the queries in
+Every fit goes through one kernel, ``_block_fits``: it walks the queries in
 blocks holding a bounded number of in-ball samples, builds the design rows
 of a block in one ``scaled_design`` call, sums every query's Gram matrix
 and moment vector with ``bincount`` and solves the block's systems in
-batched eigenvalue and solve calls.  ``local_poly_estimate`` is the
-single-query case of the same normal-equation solve.
+batched eigenvalue and solve calls.  ``fit_at_centers`` fits many queries
+with it; ``local_poly_estimate`` and ``gram_matrix`` are its one-query
+case, so a query gets the same in-ball samples and bit for bit the same
+fit whichever of them asks.
 """
 
 from __future__ import annotations
@@ -107,11 +109,6 @@ def scaled_design(x: np.ndarray, points: np.ndarray, h: float, basis: MultiIndex
     return out
 
 
-def _in_ball(x: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    diff = np.atleast_2d(points) - np.asarray(x, dtype=float)[None, :]
-    return np.einsum("ij,ij->i", diff, diff) <= h * h
-
-
 def _moments(U: np.ndarray, y: np.ndarray, owner: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-query Gram matrices U_c^T U_c and moments U_c^T y_c, shapes (n, M, M), (n, M).
 
@@ -142,42 +139,16 @@ def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, 0]
 
 
-def _solve(gram: np.ndarray, rhs: np.ndarray, eig_tol: float):
-    """(coefficients, min eigenvalues, degenerate) of a stack of normal equations.
-
-    A system whose Gram minimum eigenvalue is below ``eig_tol`` is
-    degenerate and gets zero coefficients.
-    """
-    lam = _min_eigenvalues(gram)
-    degenerate = lam < eig_tol
-    coef = np.zeros(rhs.shape)
-    ok = ~degenerate
-    if ok.any():
-        coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-    return coef, lam, degenerate
-
-
-def gram_matrix(x: np.ndarray, points: np.ndarray, h: float, basis: MultiIndexBasis) -> np.ndarray:
-    """Moment matrix of the scaled monomials over samples in B(x, h)."""
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    points = np.atleast_2d(points)
-    if len(points) == 0:
-        return np.zeros((basis.M, basis.M))
-    U = scaled_design(x, points[_in_ball(x, points, h)], h, basis)
-    return U.T @ U
-
-
-def min_eigenvalue(m: np.ndarray, sym_tol: float = 1e-10) -> float:
+def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix.
 
     Closed form for 1x1 and 2x2, a symmetric eigensolver otherwise.
-    Raises if the input is not symmetric to within ``sym_tol`` entrywise.
+    Raises if the input is not symmetric to within 1e-10 entrywise.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.T), initial=0.0) > sym_tol:
+    if np.max(np.abs(m - m.T), initial=0.0) > 1e-10:
         raise ValueError("matrix is not symmetric within tolerance")
     return float(_min_eigenvalues(m[None])[0])
 
@@ -201,50 +172,6 @@ class LocalPolyFit:
     degenerate: bool
 
 
-def _check_inputs(h: float, points: np.ndarray, rewards: np.ndarray) -> None:
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    if len(points) != len(rewards):
-        raise ValueError("points and rewards must have equal length")
-    if rewards.size and not np.all(np.isfinite(rewards)):
-        raise ValueError("rewards must be finite")
-
-
-def local_poly_estimate(
-    x: np.ndarray,
-    points: np.ndarray,
-    rewards: np.ndarray,
-    h: float,
-    basis: MultiIndexBasis,
-    eig_tol: float | None = None,
-) -> tuple[float, LocalPolyFit]:
-    """Least-squares polynomial value at ``x`` from samples within B(x, h).
-
-    Solves the normal equations on the scaled-monomial Gram system; the
-    returned value is independent of the scaling.  Returns 0 with
-    ``degenerate=True`` when the system is rank deficient at tolerance
-    ``eig_tol`` (default ``1e-8 * M``), including the empty-ball case.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    points = np.atleast_2d(points)
-    rewards = np.asarray(rewards, dtype=float).reshape(-1)
-    _check_inputs(h, points, rewards)
-    if eig_tol is None:
-        eig_tol = default_eig_tol(basis)
-
-    if len(points):
-        mask = _in_ball(x, points, h)
-        U = scaled_design(x, points[mask], h, basis)
-        y = rewards[mask]
-    else:
-        U = np.zeros((0, basis.M))
-        y = np.zeros(0)
-    gram, rhs = _moments(U, y, np.zeros(len(y), dtype=np.intp), 1)
-    coef, lam, degenerate = _solve(gram, rhs, eig_tol)
-    fit = LocalPolyFit(x, h, coef[0], gram[0], float(lam[0]), len(y), bool(degenerate[0]))
-    return float(coef[0, 0]), fit
-
-
 class CenterFits(NamedTuple):
     """Per-query results of ``fit_at_centers``, each of length n_centers."""
 
@@ -252,6 +179,22 @@ class CenterFits(NamedTuple):
     degenerate: np.ndarray
     min_eigs: np.ndarray
     n_in_ball: np.ndarray
+
+
+def _checked_inputs(centers, points, rewards, h: float):
+    """(centers, points, rewards) as float arrays of shapes (n, d), (N, d), (N,)."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rewards = np.asarray(rewards, dtype=float).reshape(-1)
+    if h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    if centers.shape[1] != points.shape[1]:
+        raise ValueError(f"queries have dimension {centers.shape[1]}, samples {points.shape[1]}")
+    if len(points) != len(rewards):
+        raise ValueError("points and rewards must have equal length")
+    if rewards.size and not np.all(np.isfinite(rewards)):
+        raise ValueError("rewards must be finite")
+    return centers, points, rewards
 
 
 def _blocks(counts: np.ndarray):
@@ -274,8 +217,10 @@ def _neighborhood_blocks(centers: np.ndarray, points: np.ndarray, h: float):
     """Yield (start, stop, rows, counts): the sample indices within ``h`` of
     ``centers[start:stop]``, flattened in query order, and their count per query.
 
-    The kd-tree is queried one block at a time, so the lists it returns
-    stay bounded.
+    The samples of a center are those in the window [c - h, c + h] of the
+    sorted samples in one dimension, and those a kd-tree finds within ``h``
+    otherwise.  The kd-tree is queried one block at a time, so the lists it
+    returns stay bounded.
     """
     if points.shape[1] == 1:
         order = np.argsort(points[:, 0], kind="stable")
@@ -295,41 +240,79 @@ def _neighborhood_blocks(centers: np.ndarray, points: np.ndarray, h: float):
         yield start, stop, rows, c
 
 
+def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float,
+                basis: MultiIndexBasis):
+    """Yield (start, stop, counts, gram, coef, min_eigs, degenerate), one tuple
+    per block of ``_neighborhood_blocks``: the in-ball sample count, Gram
+    matrix, scaled coefficients, Gram minimum eigenvalue and degenerate flag
+    of each of ``centers[start:stop]``.
+
+    The inputs are as ``_checked_inputs`` returns them.  The block's
+    systems go through one batched eigenvalue and one batched solve call; a
+    fit whose Gram minimum eigenvalue is below ``default_eig_tol(basis)`` is
+    degenerate and has zero coefficients.
+    """
+    eig_tol = default_eig_tol(basis)
+    for start, stop, rows, counts in _neighborhood_blocks(centers, points, h):
+        owner = np.repeat(np.arange(stop - start), counts)
+        U = scaled_design(centers[start:stop][owner], points[rows], h, basis)
+        gram, rhs = _moments(U, rewards[rows], owner, stop - start)
+        lam = _min_eigenvalues(gram)
+        degenerate = lam < eig_tol
+        coef = np.zeros(rhs.shape)
+        ok = ~degenerate
+        if ok.any():
+            coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
+        yield start, stop, counts, gram, coef, lam, degenerate
+
+
+def local_poly_estimate(
+    x: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float, basis: MultiIndexBasis
+) -> tuple[float, LocalPolyFit]:
+    """Least-squares polynomial value at ``x`` from samples within B(x, h).
+
+    The one-query case of ``fit_at_centers``, with the same in-ball samples
+    and bit for bit the same value, minimum eigenvalue and degenerate flag.
+    The value is independent of the scaling.  Returns 0 with
+    ``degenerate=True`` when the Gram minimum eigenvalue is below
+    ``default_eig_tol`` (``1e-8 * M``), including the empty-ball case.
+    """
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    x, points, rewards = _checked_inputs(x, points, rewards, h)
+    ((_, _, counts, gram, coef, lam, degenerate),) = _block_fits(x, points, rewards, h, basis)
+    fit = LocalPolyFit(x[0], h, coef[0], gram[0], float(lam[0]), int(counts[0]), bool(degenerate[0]))
+    return float(coef[0, 0]), fit
+
+
+def gram_matrix(x: np.ndarray, points: np.ndarray, h: float, basis: MultiIndexBasis) -> np.ndarray:
+    """Moment matrix of the scaled monomials over samples in B(x, h).
+
+    The ``gram`` of ``local_poly_estimate``'s fit at ``x``.
+    """
+    points = np.atleast_2d(points)
+    return local_poly_estimate(x, points, np.zeros(len(points)), h, basis)[1].gram
+
+
 def fit_at_centers(
-    centers: np.ndarray,
-    points: np.ndarray,
-    rewards: np.ndarray,
-    h: float,
-    basis: MultiIndexBasis,
-    eig_tol: float | None = None,
+    centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float, basis: MultiIndexBasis
 ) -> CenterFits:
     """Local polynomial value at every center from the samples within ``h``.
 
-    Each center gets the fit ``local_poly_estimate`` makes from the same
-    samples: value 0 and the degenerate flag where the Gram minimum
-    eigenvalue is below ``eig_tol`` (default ``1e-8 * M``).  The samples of
-    a center are those in the window [c - h, c + h] of the sorted samples in
-    one dimension, and those a kd-tree finds within ``h`` otherwise.
-    Centers are processed in blocks of at most ``_FIT_ROWS`` in-ball rows,
-    so memory stays bounded for any number of centers; the results do not
-    depend on the block size.
+    Each center gets the fit ``local_poly_estimate`` makes at it: value 0
+    and the degenerate flag where the Gram minimum eigenvalue is below
+    ``default_eig_tol``.  Centers are processed in blocks of at most
+    ``_FIT_ROWS`` in-ball rows, so memory stays bounded for any number of
+    centers; the results do not depend on the block size.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    rewards = np.asarray(rewards, dtype=float).reshape(-1)
-    _check_inputs(h, points, rewards)
-    if eig_tol is None:
-        eig_tol = default_eig_tol(basis)
+    centers, points, rewards = _checked_inputs(centers, points, rewards, h)
     n = len(centers)
     values = np.zeros(n)
     degenerate = np.zeros(n, dtype=bool)
     min_eigs = np.empty(n)
     n_in_ball = np.zeros(n, dtype=np.intp)
-    for start, stop, rows, counts in _neighborhood_blocks(centers, points, h):
-        owner = np.repeat(np.arange(stop - start), counts)
-        U = scaled_design(centers[start:stop][owner], points[rows], h, basis)
-        gram, rhs = _moments(U, rewards[rows], owner, stop - start)
-        coef, min_eigs[start:stop], degenerate[start:stop] = _solve(gram, rhs, eig_tol)
+    for start, stop, counts, _, coef, lam, degen in _block_fits(centers, points, rewards, h, basis):
         values[start:stop] = coef[:, 0]
+        min_eigs[start:stop] = lam
+        degenerate[start:stop] = degen
         n_in_ball[start:stop] = counts
     return CenterFits(values, degenerate, min_eigs, n_in_ball)

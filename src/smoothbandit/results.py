@@ -126,6 +126,8 @@ class RunResult:
                 return False
             if a is not None and not np.array_equal(a, b):
                 return False
+        if self.meta != other.meta:
+            return False
         return [e.to_dict() for e in self.epochs] == [e.to_dict() for e in other.epochs]
 
     def to_report(self) -> dict:

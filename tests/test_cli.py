@@ -69,6 +69,16 @@ class TestExitCodes:
         assert "config error: policies[1].params: bin_rate must be at most 1/d" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_noise_scale(self, run_config, tmp_path, capsys):
+        with open(run_config) as fh:
+            cfg = json.load(fh)
+        cfg["instance"] = {"family": "sinusoidal", "params": {"d": 1, "noise": "truncated_gaussian",
+                                                             "noise_scale": 0}}
+        path = write_config(tmp_path / "scale.json", cfg)
+        assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: instance.params (sinusoidal): noise_scale must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("extra", [[], ["--seed", "3"]])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, extra):
         path = write_config(tmp_path / "list.json", [1, 2])

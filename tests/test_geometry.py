@@ -315,6 +315,28 @@ class TestWeakRegularity:
         for x, got in zip(centers, batch):
             assert got == is_weakly_regular(x, 0.15, 0.2, region, resolution=16)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.05, float("nan")])
+    def test_entry_points_reject_a_radius_that_is_not_positive(self, radius):
+        # the batch test once answered [T F T F], all False, and all False with a warning
+        lat = build_lattice(2000, 1, 2)
+        region = RegionMask(lat, np.random.default_rng(4).random(lat.n_cubes) < 0.5)
+        centers = lat.all_centers()[:4]
+        for on_lattice in (region, region.contains):
+            with pytest.raises(ValueError, match="radius must be finite and positive"):
+                batch_weak_regularity(centers, radius, 0.5, on_lattice)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            is_weakly_regular(centers[0], radius, 0.5, region)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            ball_region_fraction(centers[0], radius, region)
+
+    def test_entry_points_reject_bad_constant_and_resolution(self):
+        x = np.array([[0.5, 0.5]])
+        for fn in (batch_weak_regularity, is_weakly_regular):
+            with pytest.raises(ValueError, match="regularity constant"):
+                fn(x, 0.1, 0.0, unit_cube_support)
+            with pytest.raises(ValueError, match="resolution"):
+                fn(x, 0.1, 0.5, unit_cube_support, resolution=1)
+
 
 class TestSupportCubeMask:
     def test_full_support_keeps_all(self):

@@ -287,6 +287,23 @@ class TestConfigValidation:
         assert (inst.meta.beta, inst.meta.extras["gap"]) == (3.0, 0.3)
 
     @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("sinusoidal", {"noise": "truncated_gaussian", "noise_scale": 0}, "noise_scale must be"),
+            ("sinusoidal", {"noise": "truncated_gaussian", "noise_scale": -0.1}, "noise_scale must be"),
+            ("sinusoidal", {"noise_scale": float("nan")}, "noise_scale must be"),
+            ("sinusoidal", {"noise": "gaussian"}, "unknown noise law 'gaussian'"),
+            ("lower_bound", {"T": 100_000, "beta": 1.0, "alpha": 0.5, "noise": "gausian"},
+             "unknown noise law 'gausian'"),
+        ],
+    )
+    def test_bad_reward_law_fails_at_build(self, family, params, message):
+        # these once built, and a zero or negative scale fed NaN rewards to the run
+        with pytest.raises(ConfigError, match=f"^instance.params \\({family}\\): {message}") as info:
+            build_instance({"family": family, "params": {"d": 1, **params}})
+        assert info.value.fieldpath == f"instance.params ({family})"
+
+    @pytest.mark.parametrize(
         "field", ["quadrature_resolution", "support_resolution", "support_mass_threshold", "eig_tol"]
     )
     def test_removed_smooth_params_fail_at_validation(self, field):

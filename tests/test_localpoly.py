@@ -350,6 +350,25 @@ def _kernel_cases():
 KERNEL_CASES = list(_kernel_cases())
 
 
+def _single_center_cases():
+    """Seeded (name, centers, points, rewards, h, basis) inputs for one-query fits."""
+    rng = np.random.default_rng(9)
+    pts = rng.random((500, 2))
+    y = rng.random(500)
+    yield "random-d2", rng.random((10, 2)), pts, y, 0.3, enumerate_basis(2, 2)
+    # 0.1 + 0.2 rounds up to 0.30000000000000004: its squared distance from
+    # 0.1 exceeds 0.2 * 0.2, but the window's edge 0.1 + 0.2 rounds alike
+    pts = np.array([[0.1 + 0.2], [0.1], [0.2]])
+    yield "window-edge-d1", np.array([[0.1]]), pts, np.array([0.9, 0.2, 0.4]), 0.2, enumerate_basis(1, 1)
+    # one sample at the query, one at exactly h along an axis
+    centers = np.array([[0.25, 0.5], [0.5, 0.5]])
+    pts = np.array([[0.25, 0.5], [0.5, 0.5], [0.25, 0.75], [0.375, 0.625], [0.125, 0.5], [0.75, 0.5]])
+    yield "zero-and-h-d2", centers, pts, np.arange(6.0) / 6, 0.25, enumerate_basis(2, 1)
+
+
+SINGLE_CENTER_CASES = list(_single_center_cases())
+
+
 def _condition_numbers(centers, pts, h, basis):
     """Gram condition number of the loop's fit at each center (inf if singular)."""
     out = np.full(len(centers), np.inf)
@@ -368,7 +387,7 @@ class TestFitAtCenters:
         eig_tol = default_eig_tol(basis)
         values, degenerate, min_eigs = _fit_at_centers(centers, pts, y, h, basis, eig_tol)
         counts = [len(sel) for sel in _BallIndex(pts).query_many(centers, h)]
-        got = fit_at_centers(centers, pts, y, h, basis, eig_tol)
+        got = fit_at_centers(centers, pts, y, h, basis)
         np.testing.assert_array_equal(got.n_in_ball, counts)
         np.testing.assert_array_equal(got.degenerate, degenerate)
         np.testing.assert_allclose(got.min_eigs, min_eigs, rtol=1e-12, atol=1e-12)
@@ -399,18 +418,17 @@ class TestFitAtCenters:
         got = fit_at_centers(centers, pts, y, h, basis)
         assert got.n_in_ball[0] == np.count_nonzero(np.linalg.norm(pts - centers[0], axis=1) <= h)
 
-    def test_single_center_matches_local_poly_estimate(self):
-        rng = np.random.default_rng(9)
-        basis = enumerate_basis(2, 2)
-        pts = rng.random((500, 2))
-        y = rng.random(500)
-        centers = rng.random((10, 2))
-        got = fit_at_centers(centers, pts, y, 0.3, basis)
+    @pytest.mark.parametrize("case", SINGLE_CENTER_CASES, ids=[c[0] for c in SINGLE_CENTER_CASES])
+    def test_single_center_matches_local_poly_estimate(self, case):
+        _, centers, pts, y, h, basis = case
+        got = fit_at_centers(centers, pts, y, h, basis)
         for i, x in enumerate(centers):
-            value, fit = local_poly_estimate(x, pts, y, 0.3, basis)
-            assert got.values[i] == pytest.approx(value, abs=1e-12)
-            assert got.n_in_ball[i] == fit.n_in_ball
-            assert got.degenerate[i] == fit.degenerate
+            value, fit = local_poly_estimate(x, pts, y, h, basis)
+            assert fit.n_in_ball == got.n_in_ball[i]
+            assert value == got.values[i]
+            assert fit.min_eigenvalue == got.min_eigs[i]
+            assert fit.degenerate == got.degenerate[i]
+            np.testing.assert_array_equal(gram_matrix(x, pts, h, basis), fit.gram)
 
     @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
     def test_result_does_not_depend_on_block(self, block, monkeypatch):
@@ -431,6 +449,11 @@ class TestFitAtCenters:
             fit_at_centers(centers, pts, np.ones(3), 0.1, basis)
         with pytest.raises(ValueError, match="finite"):
             fit_at_centers(centers, pts, np.array([1.0, np.nan]), 0.1, basis)
+        # a query of another dimension than the samples once got a fit silently
+        with pytest.raises(ValueError, match="dimension 2, samples 1"):
+            fit_at_centers(np.array([[0.5, 0.9]]), pts, np.ones(2), 0.1, basis)
+        with pytest.raises(ValueError, match="dimension 2, samples 1"):
+            local_poly_estimate(np.array([0.5, 0.9]), pts, np.ones(2), 0.1, basis)
 
     def test_large_lattice_fits_in_bounded_memory(self):
         lat = build_lattice(2**16, 2.0, 2)

@@ -349,6 +349,13 @@ class TestRunTwoArm:
         c = run_two_arm(env, cfg, seed=43, record_actions=True)
         assert not a.equals(c)
 
+    def test_equals_compares_meta_but_not_wall_time(self):
+        env = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
+        res = run_two_arm(env, PolicyConfig(beta=2.0, d=1, horizon=2000), seed=42)
+        assert res.equals(dataclasses.replace(res, wall_time=res.wall_time + 1.0))
+        meta = {**res.meta, "anomalies": res.meta["anomalies"] + 1}
+        assert not res.equals(dataclasses.replace(res, meta=meta))
+
     def test_constant_gap_beats_uniform_randomization(self):
         # uniform play pays gap/2 per step in expectation
         env = make_smooth_instance("constant_gap", d=1, gap=0.5)

@@ -36,7 +36,7 @@ from smoothbandit.geometry import (
     build_lattice,
     support_cube_mask,
 )
-from smoothbandit.localpoly import default_eig_tol, fit_at_centers
+from smoothbandit.localpoly import fit_at_centers
 from smoothbandit.policy import PolicyConfig, ScreenResult, _static_epoch, make_schedule
 from smoothbandit.results import EpochDiagnostics, RunResult, normalize_checkpoints
 
@@ -138,12 +138,11 @@ def estimate_cate_at_centers(
         return tau, diag
     centers = state.lattice.centers(ids)
     basis = config.basis()
-    eig_tol = default_eig_tol(basis)
     per_arm = {}
     eig_min = math.inf
     for arm in (1, -1):
         X, y = state.samples[arm]
-        vals, degen, eigs, _ = fit_at_centers(centers, X, y, state.bandwidths[arm], basis, eig_tol)
+        vals, degen, eigs, _ = fit_at_centers(centers, X, y, state.bandwidths[arm], basis)
         per_arm[arm] = vals
         diag["degenerate_fits"] += int(degen.sum())
         if len(eigs):
