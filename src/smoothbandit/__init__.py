@@ -51,7 +51,6 @@ from .policy import (
     EpochSchedule,
     MultiArmState,
     PolicyConfig,
-    act_multi,
     epoch_count_bound,
     make_schedule,
     run_multi_arm,
@@ -74,7 +73,6 @@ __all__ = [
     "RateFit",
     "RegionMask",
     "RunResult",
-    "act_multi",
     "assign_cube",
     "ball_region_fraction",
     "build_lattice",

@@ -122,22 +122,14 @@ class GridLattice:
             raise ValueError(f"flat index {flat} out of range")
         return tuple(int(j) for j in self.cube_ids(flat))
 
-    def flat_id(self, cube: tuple[int, ...]) -> int:
-        if not all(0 <= j < self.cells_per_axis for j in cube):
-            raise ValueError(f"cube index {cube} out of range")
-        return int(np.ravel_multi_index(cube, self.shape))
-
     def center(self, cube: tuple[int, ...] | int) -> np.ndarray:
         if isinstance(cube, (int, np.integer)):
             cube = self.cube_id(int(cube))
         return (np.asarray(cube, dtype=float) + 0.5) * self.delta
 
-    def centers(self, flat: np.ndarray) -> np.ndarray:
-        """Centers of the given flat cube indices, shape (n, d)."""
+    def centers(self, flat: np.ndarray | None = None) -> np.ndarray:
+        """Centers of flat cube indices (every cube when ``None``), shape (n, d)."""
         return (self.cube_ids(flat) + 0.5) * self.delta
-
-    def all_centers(self) -> np.ndarray:
-        return self.centers(np.arange(self.n_cubes))
 
 
 def build_lattice(horizon: int, beta: float, d: int) -> GridLattice:

@@ -7,29 +7,36 @@ the design doubles as the conditioning diagnostic: a fit whose Gram
 minimum eigenvalue falls below ``default_eig_tol`` is declared degenerate
 and reports the value 0.
 
-Every fit goes through one kernel, ``_block_fits``: it walks the queries in
-blocks holding a bounded number of in-ball samples, builds the design rows
-of a block in one ``scaled_design`` call, sums every query's Gram matrix
-and moment vector with ``bincount`` and solves the block's systems in
-batched eigenvalue and solve calls.  ``fit_at_centers`` fits many queries
-with it; ``local_poly_estimate`` and ``gram_matrix`` are its one-query
-case, so a query gets the same in-ball samples and bit for bit the same
-fit whichever of them asks.
+Every fit goes through one kernel, ``_block_fits``, a sweep over rows of
+queries: the queries that share every coordinate but the last form a row.
+Each sample pairs with the rows whose strip on the other axes holds it and
+lies in the balls of a contiguous run of each row's queries.  Adding its
+raw moments at the run's start and subtracting them at its end, a running
+sum along the row gives every query's raw moments about a nearby origin,
+and a binomial shift turns them into the query's Gram matrix and moment
+vector; batched eigenvalue and solve calls then make the fits.  The cost
+grows with the (row, sample) pairs and the queries, not with the in-ball
+samples of every query.  ``fit_at_centers`` fits many queries with it;
+``local_poly_estimate`` and ``gram_matrix`` are its one-query case, with
+the same in-ball samples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-# In-ball sample rows (and queries) per block of ``fit_at_centers``; a block's
-# working memory is a few times this many rows of M + d floats.
-_FIT_ROWS = 2**14
+# Origin blocks span less than this fraction of the bandwidth along a row,
+# which keeps the binomial shift from a block's origin to its queries
+# accurate up to degree 3.
+_ORIGIN_SPAN = 0.125
+# Work held at once by ``_block_fits``: candidate (row, sample) pairs per
+# group of rows, and (pair, origin block) terms plus M per query in a chunk
+# of whole origin blocks, as a query holds an M x M Gram matrix.
+_CHUNK = 2**15
 
 
 def _multi_indices(d: int, degree: int) -> list[tuple[int, ...]]:
@@ -53,10 +60,6 @@ class MultiIndexBasis:
     @property
     def M(self) -> int:
         return len(self.indices)
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return np.array(self.indices, dtype=np.int64)
 
 
 def enumerate_basis(d: int, l: int) -> MultiIndexBasis:
@@ -107,23 +110,6 @@ def scaled_design(x: np.ndarray, points: np.ndarray, h: float, basis: MultiIndex
                 column = power(k, e) if column is None else column * power(k, e)
         out[:, m] = 1.0 if column is None else column
     return out
-
-
-def _moments(U: np.ndarray, y: np.ndarray, owner: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query Gram matrices U_c^T U_c and moments U_c^T y_c, shapes (n, M, M), (n, M).
-
-    ``owner[i]`` is the query that design row ``i`` belongs to.  Each sum
-    runs over a query's rows in their given order, so it does not depend on
-    the other queries sharing the call.
-    """
-    M = U.shape[1]
-    gram = np.empty((n, M, M))
-    rhs = np.empty((n, M))
-    for i in range(M):
-        for j in range(i, M):
-            gram[:, i, j] = gram[:, j, i] = np.bincount(owner, U[:, i] * U[:, j], minlength=n)
-        rhs[:, i] = np.bincount(owner, U[:, i] * y, minlength=n)
-    return gram, rhs
 
 
 def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -197,73 +183,321 @@ def _checked_inputs(centers, points, rewards, h: float):
     return centers, points, rewards
 
 
-def _blocks(counts: np.ndarray):
-    """(start, stop) runs of consecutive queries with at most _FIT_ROWS rows and queries.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + n)`` over the pairs of ``starts`` and ``lengths``."""
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return offsets + np.arange(len(offsets))
 
-    A query with more rows than that gets a block of its own.
+
+def _coverage(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """How many of the intervals [start, stop) cover each of ``range(n)``."""
+    return np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(stop, minlength=n + 1))[:-1]
+
+
+def _spans(weights: np.ndarray, limit: int):
+    """(start, stop) runs of consecutive items whose weights sum to at most ``limit``.
+
+    An item heavier than that gets a run of its own.
     """
-    limit = _FIT_ROWS
-    ends = np.cumsum(counts)
+    ends = np.cumsum(weights)
     start = 0
-    while start < len(counts):
+    while start < len(weights):
         base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + limit, side="right"))
-        stop = min(max(stop, start + 1), start + limit)
+        stop = max(int(np.searchsorted(ends, base + limit, side="right")), start + 1)
         yield start, stop
         start = stop
 
 
-def _neighborhood_blocks(centers: np.ndarray, points: np.ndarray, h: float):
-    """Yield (start, stop, rows, counts): the sample indices within ``h`` of
-    ``centers[start:stop]``, flattened in query order, and their count per query.
+def _product(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """``a * b``, where ``None`` stands for a factor of ones."""
+    if a is None:
+        return b
+    return a if b is None else a * b
 
-    The samples of a center are those in the window [c - h, c + h] of the
-    sorted samples in one dimension, and those a kd-tree finds within ``h``
-    otherwise.  The kd-tree is queried one block at a time, so the lists it
-    returns stay bounded.
+
+def _bincount(at: np.ndarray, weights: np.ndarray | None, n: int) -> np.ndarray:
+    """Float sums of ``weights`` (ones for ``None``) at each of ``range(n)``, in input order."""
+    return np.bincount(at, weights, minlength=n).astype(float, copy=False)
+
+
+def _monomials(u: np.ndarray, exponents) -> dict:
+    """``{e: prod_k u[:, k] ** e[k]}`` for each exponent tuple, by repeated products.
+
+    The zero exponent maps to ``None``, a column of ones.
     """
-    if points.shape[1] == 1:
-        order = np.argsort(points[:, 0], kind="stable")
-        ordered = points[order, 0]
-        lo = np.searchsorted(ordered, centers[:, 0] - h, side="left")
-        counts = np.searchsorted(ordered, centers[:, 0] + h, side="right") - lo
-        for start, stop in _blocks(counts):
-            c = counts[start:stop]
-            shift = np.repeat(lo[start:stop] - (np.cumsum(c) - c), c)
-            yield start, stop, order[np.arange(len(shift)) + shift], c
-        return
-    tree = cKDTree(points)
-    for start, stop in _blocks(tree.query_ball_point(centers, h, return_length=True)):
-        lists = tree.query_ball_point(centers[start:stop], h, return_sorted=True)
-        c = np.fromiter(map(len, lists), dtype=np.intp, count=stop - start)
-        rows = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=int(c.sum()))
-        yield start, stop, rows, c
+    powers = {}
+
+    def power(k: int, p: int) -> np.ndarray:
+        if (k, p) not in powers:
+            powers[k, p] = u[:, k] if p == 1 else power(k, p - 1) * u[:, k]
+        return powers[k, p]
+
+    out = {}
+    for e in exponents:
+        column = None
+        for k, p in enumerate(e):
+            if p:
+                column = _product(column, power(k, p))
+        out[e] = column
+    return out
+
+
+class _Pairs(NamedTuple):
+    """(row, sample) pairs, each in the ball of a run of the row's queries.
+
+    ``u`` holds the key-axis offsets ``(x_k - c_k) / h``, ``x`` the last
+    coordinate, ``y`` the reward; the run is the sorted positions
+    [start, stop), which meet the origin blocks first_block..last_block.
+    """
+
+    u: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    first_block: np.ndarray
+    last_block: np.ndarray
+
+
+class _Sweep:
+    """Queries sorted into rows, rows cut into origin blocks, and each row's candidate samples.
+
+    A row holds the queries that share every coordinate but the last; the
+    sorted queries ``centers[order]`` list the rows one after another, each
+    in increasing last coordinate.  An origin block is a run of a row's
+    queries less than ``_ORIGIN_SPAN * h`` wide, on a grid anchored at the
+    row's first query; its origin is the midpoint of its first and last
+    query on the last axis, and ``shift`` is each query's offset from its
+    block's origin over ``h``.  Row ``r``'s candidate samples are
+    ``sample_order[lo[r]:hi[r]]``: every sample at ``d = 1``, otherwise
+    the sorted window ``|x_0 - c_0| <= h`` on the first axis, padded a
+    little so that rounding cannot drop a sample the exact test keeps.
+    """
+
+    def __init__(self, centers: np.ndarray, points: np.ndarray, h: float):
+        n = len(centers)
+        self.h = h
+        self.order = np.lexsort(centers.T[::-1])
+        ordered = centers[self.order]
+        self.last = ordered[:, -1]
+        new_row = np.ones(n, dtype=bool)
+        new_row[1:] = np.any(ordered[1:, :-1] != ordered[:-1, :-1], axis=1)
+        self.row_start = np.flatnonzero(new_row)
+        self.row_end = np.append(self.row_start[1:], n)
+        self.keys = ordered[self.row_start, :-1]
+        row_of = np.cumsum(new_row) - 1
+        cell = np.floor((self.last - self.last[self.row_start][row_of]) / (_ORIGIN_SPAN * h))
+        new_block = new_row.copy()
+        new_block[1:] |= cell[1:] != cell[:-1]
+        self.block_of = np.cumsum(new_block) - 1
+        self.block_start = np.flatnonzero(new_block)
+        self.block_end = np.append(self.block_start[1:], n)
+        self.origin = (self.last[self.block_start] + self.last[self.block_end - 1]) / 2
+        self.shift = (self.last - self.origin[self.block_of]) / h
+        # One increasing search key over all rows: row r's last coordinates,
+        # clipped to [low, low + stride - 1], plus r * stride.
+        self._low = self.last.min() - 1.0
+        self._stride = self.last.max() - self._low + 2.0
+        self._key = self._search_key(row_of, self.last)
+
+        self.sample_order = np.argsort(points[:, 0], kind="stable")
+        if centers.shape[1] == 1:
+            self.lo, self.hi = np.zeros(1, dtype=np.intp), np.full(1, len(points))
+        else:
+            first_axis = points[self.sample_order, 0]
+            reach = h + 1e-9 * (h + np.abs(self.keys[:, 0]))
+            self.lo = np.searchsorted(first_axis, self.keys[:, 0] - reach, side="left")
+            self.hi = np.searchsorted(first_axis, self.keys[:, 0] + reach, side="right")
+
+    def _search_key(self, row: np.ndarray, value: np.ndarray) -> np.ndarray:
+        clipped = np.clip(value, self._low, self._low + self._stride - 1.0)
+        return row * self._stride + (clipped - self._low)
+
+    def _runs(self, row: np.ndarray, x: np.ndarray, w: np.ndarray, p0: int, p1: int):
+        """Sorted positions [start, stop) of the queries c of ``row`` with c - w <= x <= c + w.
+
+        Every row lies within the positions p0:p1.  The rule is monotone
+        along a row, so its queries form a run.  ``searchsorted`` at x - w
+        and x + w places each end to within a rounding; testing the rule on
+        the query just inside and just outside an end, until neither moves
+        it, fixes the end.
+        """
+        c = self.last
+        first, end = self.row_start[row], self.row_end[row]
+        keys = self._key[p0:p1]
+        start = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x - w), side="left"), first, end)
+        stop = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x + w), side="right"), first, end)
+
+        def settle(pos, move, test):
+            while (hit := test(pos)).any():
+                pos[hit] += move
+
+        top = len(c) - 1
+        settle(start, -1, lambda p: (p > first) & (x <= c[p - 1] + w))
+        settle(start, 1, lambda p: (p < end) & (x > c[np.minimum(p, top)] + w))
+        settle(stop, -1, lambda p: (p > first) & (c[p - 1] - w > x))
+        settle(stop, 1, lambda p: (p < end) & (c[np.minimum(p, top)] - w <= x))
+        return start, np.maximum(start, stop)
+
+    def pairs(self, r0: int, r1: int, points: np.ndarray, rewards: np.ndarray) -> _Pairs:
+        """The pairs of rows r0:r1 with a non-empty run, by row and then sample order.
+
+        A candidate pair is kept when ``r2 = sum_{k < d-1} (x_k - c_k)^2 <=
+        h^2``; its run is then that of ``_runs`` with ``w = sqrt(h^2 - r2)``.
+        """
+        h = self.h
+        width = self.hi[r0:r1] - self.lo[r0:r1]
+        row = np.repeat(np.arange(r0, r1), width)
+        sample = self.sample_order[_ranges(self.lo[r0:r1], width)]
+        offset = points[sample, :-1] - self.keys[row]
+        r2 = np.zeros(len(row))
+        for k in range(offset.shape[1]):
+            r2 += offset[:, k] * offset[:, k]
+        near = r2 <= h * h
+        row, sample, offset, r2 = row[near], sample[near], offset[near], r2[near]
+        x = points[sample, -1]
+        start, stop = self._runs(row, x, np.sqrt(h * h - r2), self.row_start[r0], self.row_end[r1 - 1])
+        hit = stop > start
+        start, stop = start[hit], stop[hit]
+        return _Pairs(offset[hit] / h, x[hit], rewards[sample[hit]], start, stop,
+                      self.block_of[start], self.block_of[stop - 1])
+
+    def raw_moments(self, pairs: _Pairs, factors: dict, columns, c0: int, c1: int) -> np.ndarray:
+        """Raw moments (n, K) of the queries of origin blocks c0:c1, about their blocks' origins.
+
+        Column k, ``(factor, q)`` of ``columns``, sums ``factors[factor] *
+        v^q`` over a query's in-ball pairs, with ``v = (x - origin) / h``.
+        Each pair adds its term at the first query of its run in a block and
+        subtracts it after the run's last; a running sum within each block
+        then gives every query's moments.  A block's sums do not depend on
+        which other blocks share the call.
+        """
+        q0, q1 = self.block_start[c0], self.block_end[c1 - 1]
+        pick = np.flatnonzero((pairs.first_block < c1) & (pairs.last_block >= c0))
+        lo = np.maximum(pairs.first_block[pick], c0)
+        count = np.minimum(pairs.last_block[pick], c1 - 1) - lo + 1
+        pair, block = np.repeat(pick, count), _ranges(lo, count)
+        add_at = np.maximum(pairs.start[pair], self.block_start[block]) - q0
+        ends = pairs.stop[pair] < self.block_end[block]
+        sub_at = pairs.stop[pair][ends] - q0
+        v = (pairs.x[pair] - self.origin[block]) / self.h
+        v_powers = [None, v]
+        for _ in range(2, max(q for _, q in columns) + 1):
+            v_powers.append(v_powers[-1] * v)
+        n = q1 - q0
+        raw = np.empty((n, len(columns)))
+        gathered = {}
+        for k, (factor, q) in enumerate(columns):
+            if factor not in gathered:
+                gathered[factor] = None if factors[factor] is None else factors[factor][pair]
+            term = _product(gathered[factor], v_powers[q])
+            raw[:, k] = _bincount(add_at, term, n) - _bincount(sub_at, None if term is None else term[ends], n)
+        step = np.arange(q0, q1) - self.block_start[self.block_of[q0:q1]]
+        for o in range(1, int(step.max()) + 1):
+            i = np.flatnonzero(step == o)
+            raw[i] += raw[i - 1]
+        return raw
+
+
+@dataclass(frozen=True)
+class _MomentPlan:
+    """Raw moment columns of a basis and the binomial shift that centers them.
+
+    Column ``k`` is the multi-index ``columns[k]``: a key part on the first
+    d - 1 axes and a power ``p`` of the last.  Raw moments are taken about a
+    block origin; about a query ``s`` further along the last axis the
+    centered moment is ``sum_q binom(p, q) (-s)^(p - q) raw[key, q]``, whose
+    terms ``shift[k]`` lists as (raw column, binomial, power of -s), the
+    ``q = p`` term first.
+    """
+
+    columns: tuple[tuple[int, ...], ...]
+    shift: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    @classmethod
+    def of(cls, basis: MultiIndexBasis) -> "_MomentPlan":
+        column = {r: k for k, r in enumerate(basis.indices)}
+        shift = tuple(
+            tuple((column[(*r[:-1], q)], math.comb(r[-1], q), r[-1] - q) for q in range(r[-1], -1, -1))
+            for r in basis.indices
+        )
+        return cls(basis.indices, shift)
+
+    def centered(self, raw: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Centered moments (n, K) from raw moments (n, K) and query offsets ``s``."""
+        powers = [None, -s]
+        for _ in range(2, max(len(terms) for terms in self.shift)):
+            powers.append(powers[-1] * -s)
+        out = np.empty_like(raw)
+        for k, ((top, _, _), *rest) in enumerate(self.shift):
+            out[:, k] = raw[:, top]
+            for source, binom, e in rest:
+                out[:, k] += (binom * powers[e]) * raw[:, source]
+        return out
 
 
 def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float,
                 basis: MultiIndexBasis):
-    """Yield (start, stop, counts, gram, coef, min_eigs, degenerate), one tuple
-    per block of ``_neighborhood_blocks``: the in-ball sample count, Gram
-    matrix, scaled coefficients, Gram minimum eigenvalue and degenerate flag
-    of each of ``centers[start:stop]``.
+    """Yield (index, counts, gram, coef, min_eigs, degenerate) per chunk of
+    whole origin blocks: the queries ``centers[index]`` with their in-ball
+    sample counts, Gram matrices, scaled coefficients, Gram minimum
+    eigenvalues and degenerate flags.
 
-    The inputs are as ``_checked_inputs`` returns them.  The block's
-    systems go through one batched eigenvalue and one batched solve call; a
-    fit whose Gram minimum eigenvalue is below ``default_eig_tol(basis)`` is
-    degenerate and has zero coefficients.
+    A sample x is in the ball of query c when ``r2 = sum_{k < d-1} (x_k -
+    c_k)^2 <= h^2`` and then ``c_last - w <= x_last <= c_last + w`` with
+    ``w = sqrt(h^2 - r2)``, each side rounded once.  At ``d = 1`` this is
+    ``c - h <= x <= c + h``.
+
+    The inputs are as ``_checked_inputs`` returns them.  ``_Sweep`` pairs
+    rows of queries with samples and finds each pair's run of queries;
+    ``_Sweep.raw_moments`` sums the pairs over the runs, and the binomial
+    shift of ``_MomentPlan`` turns a query's raw moments into its Gram
+    matrix and moment vector.  A query with no in-ball sample gets a zero
+    Gram matrix.  Rows are taken in groups of about ``_CHUNK`` candidate
+    pairs, and each group's origin blocks in chunks of about ``_CHUNK``
+    (pair, block) terms plus ``M`` per query.  Each chunk's systems go through one
+    batched eigenvalue and one batched solve call; a fit whose Gram minimum
+    eigenvalue is below ``default_eig_tol(basis)`` is degenerate and has
+    zero coefficients.
     """
+    if len(centers) == 0:
+        return
     eig_tol = default_eig_tol(basis)
-    for start, stop, rows, counts in _neighborhood_blocks(centers, points, h):
-        owner = np.repeat(np.arange(stop - start), counts)
-        U = scaled_design(centers[start:stop][owner], points[rows], h, basis)
-        gram, rhs = _moments(U, rewards[rows], owner, stop - start)
-        lam = _min_eigenvalues(gram)
-        degenerate = lam < eig_tol
-        coef = np.zeros(rhs.shape)
-        ok = ~degenerate
-        if ok.any():
-            coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-        yield start, stop, counts, gram, coef, lam, degenerate
+    gram_plan = _MomentPlan.of(enumerate_basis(basis.d, 2 * basis.l))
+    rhs_plan = _MomentPlan.of(basis)
+    # raw moment columns: (key part, times the reward?), last-axis power
+    columns = [((r[:-1], False), r[-1]) for r in gram_plan.columns]
+    columns += [((r[:-1], True), r[-1]) for r in rhs_plan.columns]
+    K = len(gram_plan.columns)
+    gram_column = {r: k for k, r in enumerate(gram_plan.columns)}
+    entry = np.array([[gram_column[tuple(np.add(r1, r2))] for r2 in basis.indices] for r1 in basis.indices])
+    sweep = _Sweep(centers, points, h)
+    for r0, r1 in _spans(sweep.hi - sweep.lo + sweep.row_end - sweep.row_start, _CHUNK):
+        pairs = sweep.pairs(r0, r1, points, rewards)
+        p0, p1 = sweep.row_start[r0], sweep.row_end[r1 - 1]
+        counts = _coverage(pairs.start - p0, pairs.stop - p0, p1 - p0)
+        key_powers = _monomials(pairs.u, {key for (key, _), _ in columns})
+        factors = {(key, False): f for key, f in key_powers.items()}
+        factors.update({(key, True): _product(f, pairs.y) for key, f in key_powers.items()})
+        b0, b1 = sweep.block_of[p0], sweep.block_of[p1 - 1] + 1
+        terms = _coverage(pairs.first_block - b0, pairs.last_block + 1 - b0, b1 - b0)
+        queries = sweep.block_end[b0:b1] - sweep.block_start[b0:b1]
+        for c0, c1 in _spans(terms + basis.M * queries, _CHUNK):
+            c0, c1 = b0 + c0, b0 + c1
+            q0, q1 = sweep.block_start[c0], sweep.block_end[c1 - 1]
+            raw = sweep.raw_moments(pairs, factors, columns, c0, c1)
+            s = sweep.shift[q0:q1]
+            gram = gram_plan.centered(raw[:, :K], s)[:, entry]
+            rhs = rhs_plan.centered(raw[:, K:], s)
+            count = counts[q0 - p0:q1 - p0]
+            gram[count == 0] = 0.0
+            lam = _min_eigenvalues(gram)
+            degenerate = lam < eig_tol
+            coef = np.zeros(rhs.shape)
+            ok = ~degenerate
+            if ok.any():
+                coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
+            yield sweep.order[q0:q1], count, gram, coef, lam, degenerate
 
 
 def local_poly_estimate(
@@ -271,15 +505,16 @@ def local_poly_estimate(
 ) -> tuple[float, LocalPolyFit]:
     """Least-squares polynomial value at ``x`` from samples within B(x, h).
 
-    The one-query case of ``fit_at_centers``, with the same in-ball samples
-    and bit for bit the same value, minimum eigenvalue and degenerate flag.
-    The value is independent of the scaling.  Returns 0 with
-    ``degenerate=True`` when the Gram minimum eigenvalue is below
-    ``default_eig_tol`` (``1e-8 * M``), including the empty-ball case.
+    The one-row, one-query case of ``fit_at_centers``: the same in-ball
+    samples, and bit for bit the value, minimum eigenvalue and degenerate
+    flag that ``fit_at_centers`` gives a query alone in its row.  The value
+    is independent of the scaling.  Returns 0 with ``degenerate=True`` when
+    the Gram minimum eigenvalue is below ``default_eig_tol``
+    (``1e-8 * M``), including the empty-ball case.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     x, points, rewards = _checked_inputs(x, points, rewards, h)
-    ((_, _, counts, gram, coef, lam, degenerate),) = _block_fits(x, points, rewards, h, basis)
+    ((_, counts, gram, coef, lam, degenerate),) = _block_fits(x, points, rewards, h, basis)
     fit = LocalPolyFit(x[0], h, coef[0], gram[0], float(lam[0]), int(counts[0]), bool(degenerate[0]))
     return float(coef[0, 0]), fit
 
@@ -298,11 +533,13 @@ def fit_at_centers(
 ) -> CenterFits:
     """Local polynomial value at every center from the samples within ``h``.
 
-    Each center gets the fit ``local_poly_estimate`` makes at it: value 0
-    and the degenerate flag where the Gram minimum eigenvalue is below
-    ``default_eig_tol``.  Centers are processed in blocks of at most
-    ``_FIT_ROWS`` in-ball rows, so memory stays bounded for any number of
-    centers; the results do not depend on the block size.
+    Each center gets the in-ball samples ``local_poly_estimate`` uses at
+    it: value 0 and the degenerate flag where the Gram minimum eigenvalue
+    is below ``default_eig_tol``.  A center alone in its row gets bit for
+    bit ``local_poly_estimate``'s fit; the centers of a longer row share
+    running sums, which round differently.  Work is done in chunks of
+    whole origin blocks, so memory stays bounded for any number of
+    centers; the results do not depend on the chunk size.
     """
     centers, points, rewards = _checked_inputs(centers, points, rewards, h)
     n = len(centers)
@@ -310,9 +547,9 @@ def fit_at_centers(
     degenerate = np.zeros(n, dtype=bool)
     min_eigs = np.empty(n)
     n_in_ball = np.zeros(n, dtype=np.intp)
-    for start, stop, counts, _, coef, lam, degen in _block_fits(centers, points, rewards, h, basis):
-        values[start:stop] = coef[:, 0]
-        min_eigs[start:stop] = lam
-        degenerate[start:stop] = degen
-        n_in_ball[start:stop] = counts
+    for index, counts, _, coef, lam, degen in _block_fits(centers, points, rewards, h, basis):
+        values[index] = coef[:, 0]
+        min_eigs[index] = lam
+        degenerate[index] = degen
+        n_in_ball[index] = counts
     return CenterFits(values, degenerate, min_eigs, n_in_ball)

@@ -121,10 +121,6 @@ class EpochSchedule:
     def K(self) -> int:
         return len(self.realized)
 
-    @property
-    def boundaries(self) -> np.ndarray:
-        return np.cumsum(self.realized)
-
 
 def epoch_count_bound(beta: float, d: int, horizon: int) -> int:
     """Logarithmic cap on the epoch count."""
@@ -192,6 +188,17 @@ class ScreenResult(NamedTuple):
 # Epoch simulation
 
 
+def _choose_arms(table: np.ndarray, counts: np.ndarray, flat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Arm index drawn uniformly from each cube's active set, one uniform per draw.
+
+    ``table[c]`` lists cube ``c``'s active arm indices first and
+    ``counts[c]`` counts them (``_multi_arm_tables``); uniform ``u`` picks
+    entry ``floor(u * count)``, clamped to the last.
+    """
+    k = np.minimum((u * counts[flat]).astype(np.int64), counts[flat] - 1)
+    return table[flat, k]
+
+
 def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
     """Simulate one epoch whose per-cube action rule is fixed.
 
@@ -209,9 +216,7 @@ def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
     if len(off):
         step = start_t + off[0] + 1
         raise RuntimeError(f"context {X[off[0]]} at step {step} lies off the cube lattice")
-    u = rng.random(n)
-    k = np.minimum((u * counts[flat]).astype(np.int64), counts[flat] - 1)
-    arm_ix = table[flat, k]
+    arm_ix = _choose_arms(table, counts, flat, rng.random(n))
     means = env.means_matrix(X)
     chosen = means[arm_ix, np.arange(n)]
     rewards = env.sample_rewards(rng, chosen)
@@ -359,17 +364,6 @@ def _multi_arm_tables(state: MultiArmState):
     counts = np.maximum(counts, 1)
     table = np.argsort(~state.active, axis=1, kind="stable").astype(np.int64)
     return table, counts
-
-
-def act_multi(x, state: MultiArmState, rng: np.random.Generator, arms) -> object:
-    """Action at a single context: uniform over the cube's active arm set."""
-    table, counts = _multi_arm_tables(state)
-    flat = state.lattice.cube_index(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    if flat < 0:
-        raise ValueError(f"context {x} is outside the unit cube")
-    u = rng.random()
-    k = min(int(u * counts[flat]), counts[flat] - 1)
-    return arms[table[flat, k]]
 
 
 def run_multi_arm(

@@ -271,6 +271,21 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False True"
 
 
+def test_import_and_d2_fits_leave_scipy_spatial_unloaded():
+    # scipy.spatial is slow to import; the local-polynomial sweep needs no kd-tree
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbandit.__file__)))
+    code = (
+        "import sys, numpy as np, smoothbandit; loaded = ['scipy.spatial' in sys.modules]; "
+        "lat = smoothbandit.build_lattice(2048, 2.0, 2); rng = np.random.default_rng(0); "
+        "fit = smoothbandit.localpoly.fit_at_centers(lat.centers(), rng.random((500, 2)), rng.random(500), "
+        "0.3, smoothbandit.enumerate_basis(2, 1)); "
+        "loaded.append('scipy.spatial' in sys.modules); print(*loaded, int(fit.n_in_ball.sum()) > 0)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False True"
+
+
 class TestMultiArm:
     def test_constant_means_and_tie_rule(self):
         inst = make_constant_multi_arm((0.2, 0.8, 0.8), d=1)

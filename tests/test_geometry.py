@@ -103,7 +103,7 @@ class TestAssignCube:
         flat = lat.cube_index(pts)
         for p, f in zip(pts, flat):
             cube, _ = assign_cube(p, lat)
-            assert lat.flat_id(cube) == f
+            assert _flat_id(lat, cube) == f
 
     def test_boundary_one(self):
         lat = GridLattice(d=1, delta=0.5, cells_per_axis=2)
@@ -141,6 +141,14 @@ def _loop_cube_ids(lat, flat):
         out[:, axis] = rem % lat.cells_per_axis
         rem //= lat.cells_per_axis
     return out
+
+
+def _flat_id(lat, cube):
+    """Flat index of a per-axis cube index, last axis fastest (reference)."""
+    flat = 0
+    for j in cube:
+        flat = flat * lat.cells_per_axis + int(j)
+    return flat
 
 
 @st.composite
@@ -186,12 +194,12 @@ class TestLatticeCodec:
         np.testing.assert_array_equal(lat.cube_ids(), ids)
         centers = lat.centers(flat)
         assert centers.tobytes() == ((_loop_cube_ids(lat, flat) + 0.5) * lat.delta).tobytes()
-        assert lat.all_centers().tobytes() == centers.tobytes()
+        assert lat.centers().tobytes() == centers.tobytes()
         np.testing.assert_array_equal(lat.cube_index(centers), flat)
         for f in flat:
             cube = lat.cube_id(int(f))
             assert cube == tuple(int(j) for j in ids[f])
-            assert lat.flat_id(cube) == f
+            assert _flat_id(lat, cube) == f
             assert lat.center(int(f)).tobytes() == centers[f].tobytes()
 
     def test_out_of_range_indices_raise(self):
@@ -199,9 +207,6 @@ class TestLatticeCodec:
         for flat in (-1, 16):
             with pytest.raises(ValueError, match="out of range"):
                 lat.cube_id(flat)
-        for cube in ((0, 4), (-1, 0)):
-            with pytest.raises(ValueError, match="out of range"):
-                lat.flat_id(cube)
 
 
 class TestUnitBallVolume:
@@ -320,7 +325,7 @@ class TestWeakRegularity:
         # the batch test once answered [T F T F], all False, and all False with a warning
         lat = build_lattice(2000, 1, 2)
         region = RegionMask(lat, np.random.default_rng(4).random(lat.n_cubes) < 0.5)
-        centers = lat.all_centers()[:4]
+        centers = lat.centers()[:4]
         for on_lattice in (region, region.contains):
             with pytest.raises(ValueError, match="radius must be finite and positive"):
                 batch_weak_regularity(centers, radius, 0.5, on_lattice)
@@ -522,7 +527,7 @@ class TestLatticeScreening:
         assert lat.n_cubes == 200_704
         rng = np.random.default_rng(16)
         region = RegionMask(lat, rng.random(lat.n_cubes) < 0.5)
-        centers = lat.all_centers()
+        centers = lat.centers()
         radius, c = 0.05, 1.0 / 48.0
         limit = 128 * 2**20
         tracemalloc.start()
@@ -547,7 +552,7 @@ def _cube_probes(lat, cube, rng):
     unit = np.concatenate([grid.reshape(-1, lat.d), rng.random((16, lat.d))])
     points = lo + lat.delta * unit
     points = points[np.all((points >= 0.0) & (points <= 1.0), axis=1)]
-    return points[lat.cube_index(points) == lat.flat_id(tuple(cube))]
+    return points[lat.cube_index(points) == _flat_id(lat, tuple(cube))]
 
 
 class TestCubeClassifier:

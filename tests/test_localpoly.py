@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from smoothbandit import localpoly
-from smoothbandit.geometry import build_lattice
+from smoothbandit.geometry import GridLattice, build_lattice
 from smoothbandit.localpoly import (
     default_eig_tol,
     enumerate_basis,
@@ -301,7 +301,7 @@ class TestLocalPolyEstimate:
                 x = rng.random(d)
                 pts = np.vstack([rng.random((200, d)), x[None, :]])
                 u = (pts - x[None, :]) / 0.3
-                expected = np.prod(u[:, None, :] ** basis.exponents[None, :, :], axis=2)
+                expected = np.prod(u[:, None, :] ** np.array(basis.indices)[None, :, :], axis=2)
                 np.testing.assert_array_equal(scaled_design(x, pts, 0.3, basis), expected)
 
     def test_scaled_design_one_query_per_row(self):
@@ -350,6 +350,55 @@ def _kernel_cases():
 KERNEL_CASES = list(_kernel_cases())
 
 
+def _row_subset(lattice, rng, rows: int, keep: float) -> np.ndarray:
+    """Flat ids, ascending as the policy passes them: ``keep`` of the cubes of ``rows`` random rows."""
+    ids = lattice.cube_ids()
+    row = np.ravel_multi_index(tuple(ids[:, :-1].T), lattice.shape[:-1]) if lattice.d > 1 else np.zeros(len(ids))
+    chosen = rng.choice(np.unique(row), size=min(rows, len(np.unique(row))), replace=False)
+    return np.flatnonzero(np.isin(row, chosen) & (rng.random(len(ids)) < keep))
+
+
+def _lattice_cases():
+    """Seeded (name, centers, points, rewards, h, basis) inputs whose rows hold many centers.
+
+    The centers are lattice cube centers in flat order; each row is several
+    times ``localpoly._ORIGIN_SPAN * h`` long, so it spans several origin blocks.
+    """
+    rng = np.random.default_rng(31)
+    horizons = {1: 2**12, 2: 2**11, 3: 2**10}
+    for d in (1, 2, 3):
+        lattice = build_lattice(horizons[d], 2.0, d)
+        for l in (1, 2, 3):
+            n = 400 * d * (l + 1)
+            pts = rng.random((n, d))
+            y = np.sin(3 * pts.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+            ids = _row_subset(lattice, rng, rows=6, keep=0.8)
+            h = 0.12 + 0.08 * d
+            yield f"lattice-d{d}-l{l}", lattice.centers(ids), pts, y, h, enumerate_basis(d, l)
+        # rows whose strip |x_0 - c_0| <= h holds no sample, and balls that are empty
+        pts = rng.random((300 * d, d))
+        pts[:, 0] = np.where(pts[:, 0] < 0.5, 0.35 * pts[:, 0], 0.65 + 0.35 * pts[:, 0])
+        y = rng.random(len(pts))
+        ids = _row_subset(lattice, rng, rows=12, keep=0.5)
+        yield f"lattice-empty-rows-d{d}", lattice.centers(ids), pts, y, 0.1, enumerate_basis(d, 2)
+    # samples exactly at a run end: dyadic centers, h = 5/16, and offsets
+    # (3/16, 4/16) and (0, 5/16) whose squared lengths equal h^2 exactly
+    for d in (1, 2, 3):
+        lattice = GridLattice(d=d, delta=1 / 16, cells_per_axis=16)
+        ids = _row_subset(lattice, rng, rows=4, keep=1.0)
+        centers = lattice.centers(ids)
+        picks = centers[rng.choice(len(centers), size=12)]
+        offsets = [np.eye(d)[-1] * 5 / 16] + ([np.eye(d)[0] * 3 / 16 + np.eye(d)[-1] * 4 / 16] if d > 1 else [])
+        edge = np.vstack([picks + sign * o for o in offsets for sign in (1, -1)])
+        pts = np.vstack([rng.random((150 * d, d)), edge])
+        y = rng.random(len(pts))
+        yield f"run-end-d{d}", centers, pts, y, 5 / 16, enumerate_basis(d, 1)
+
+
+LATTICE_CASES = list(_lattice_cases())
+ORACLE_CASES = KERNEL_CASES + LATTICE_CASES
+
+
 def _single_center_cases():
     """Seeded (name, centers, points, rewards, h, basis) inputs for one-query fits."""
     rng = np.random.default_rng(9)
@@ -381,7 +430,7 @@ def _condition_numbers(centers, pts, h, basis):
 
 
 class TestFitAtCenters:
-    @pytest.mark.parametrize("case", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_matches_per_center_loop(self, case):
         _, centers, pts, y, h, basis = case
         eig_tol = default_eig_tol(basis)
@@ -432,10 +481,10 @@ class TestFitAtCenters:
 
     @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
     def test_result_does_not_depend_on_block(self, block, monkeypatch):
-        expected = [fit_at_centers(c, p, y, h, b) for _, c, p, y, h, b in KERNEL_CASES]
+        expected = [fit_at_centers(c, p, y, h, b) for _, c, p, y, h, b in ORACLE_CASES]
         if block is not None:
-            monkeypatch.setattr(localpoly, "_FIT_ROWS", block)
-        for (_, c, p, y, h, b), want in zip(KERNEL_CASES, expected):
+            monkeypatch.setattr(localpoly, "_CHUNK", block)
+        for (_, c, p, y, h, b), want in zip(ORACLE_CASES, expected):
             got = fit_at_centers(c, p, y, h, b)
             for field in got._fields:
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -457,7 +506,7 @@ class TestFitAtCenters:
 
     def test_large_lattice_fits_in_bounded_memory(self):
         lat = build_lattice(2**16, 2.0, 2)
-        centers = lat.all_centers()
+        centers = lat.centers()
         assert len(centers) == 200_704
         rng = np.random.default_rng(16)
         pts = rng.random((2**16, 2))

@@ -21,9 +21,9 @@ from smoothbandit.policy import (
     MultiArmState,
     PolicyConfig,
     ScreenResult,
+    _choose_arms,
     _multi_arm_tables,
     _static_epoch,
-    act_multi,
     epoch_count_bound,
     estimate_means_at_centers,
     initial_multi_state,
@@ -305,6 +305,13 @@ class TestUpdateRegions:
         for arm in TWO_ARMS:
             assert np.all(regions(newer)[arm] >= regions(new)[arm])
         assert newer.invariants_ok()
+
+
+def act_multi(x, state: MultiArmState, rng: np.random.Generator, arms):
+    """Action at a single context by the epoch's action rule: uniform over the cube's active arms."""
+    table, counts = _multi_arm_tables(state)
+    flat = state.lattice.cube_index(np.atleast_2d(np.asarray(x, dtype=float)))
+    return arms[_choose_arms(table, counts, flat, np.array([rng.random()]))[0]]
 
 
 class TestAct:
