@@ -29,9 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Origin blocks span less than this fraction of the bandwidth along a row,
-# which keeps the binomial shift from a block's origin to its queries
-# accurate up to degree 3.
+# Origin blocks span less than this fraction of the bandwidth along a row.
+# Narrower blocks cost more (pair, block) terms but round less in the
+# running sums and the binomial shift: at 1/4, a thin ball beside a
+# sample-free band came within 1% of the kernel tests' error bound.
 _ORIGIN_SPAN = 0.125
 # Work held at once by ``_block_fits``: candidate (row, sample) pairs per
 # group of rows, and (pair, origin block) terms plus M per query in a chunk
@@ -391,7 +392,8 @@ class _Sweep:
             if factor not in gathered:
                 gathered[factor] = None if factors[factor] is None else factors[factor][pair]
             term = _product(gathered[factor], v_powers[q])
-            raw[:, k] = _bincount(add_at, term, n) - _bincount(sub_at, None if term is None else term[ends], n)
+            ended = None if term is None else term[ends]
+            raw[:, k] = _bincount(add_at, term, n) - _bincount(sub_at, ended, n)
         step = np.arange(q0, q1) - self.block_start[self.block_of[q0:q1]]
         for o in range(1, int(step.max()) + 1):
             i = np.flatnonzero(step == o)
@@ -455,10 +457,10 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
     matrix and moment vector.  A query with no in-ball sample gets a zero
     Gram matrix.  Rows are taken in groups of about ``_CHUNK`` candidate
     pairs, and each group's origin blocks in chunks of about ``_CHUNK``
-    (pair, block) terms plus ``M`` per query.  Each chunk's systems go through one
-    batched eigenvalue and one batched solve call; a fit whose Gram minimum
-    eigenvalue is below ``default_eig_tol(basis)`` is degenerate and has
-    zero coefficients.
+    (pair, block) terms plus ``M`` per query.  Each chunk's systems go
+    through one batched eigenvalue and one batched solve call; a fit whose
+    Gram minimum eigenvalue is below ``default_eig_tol(basis)`` is
+    degenerate and has zero coefficients.
     """
     if len(centers) == 0:
         return
@@ -477,8 +479,8 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
         p0, p1 = sweep.row_start[r0], sweep.row_end[r1 - 1]
         counts = _coverage(pairs.start - p0, pairs.stop - p0, p1 - p0)
         key_powers = _monomials(pairs.u, {key for (key, _), _ in columns})
-        factors = {(key, False): f for key, f in key_powers.items()}
-        factors.update({(key, True): _product(f, pairs.y) for key, f in key_powers.items()})
+        factors = {(key, reward): _product(key_powers[key], pairs.y if reward else None)
+                   for (key, reward), _ in columns}
         b0, b1 = sweep.block_of[p0], sweep.block_of[p1 - 1] + 1
         terms = _coverage(pairs.first_block - b0, pairs.last_block + 1 - b0, b1 - b0)
         queries = sweep.block_end[b0:b1] - sweep.block_start[b0:b1]

@@ -353,7 +353,7 @@ KERNEL_CASES = list(_kernel_cases())
 def _row_subset(lattice, rng, rows: int, keep: float) -> np.ndarray:
     """Flat ids, ascending as the policy passes them: ``keep`` of the cubes of ``rows`` random rows."""
     ids = lattice.cube_ids()
-    row = np.ravel_multi_index(tuple(ids[:, :-1].T), lattice.shape[:-1]) if lattice.d > 1 else np.zeros(len(ids))
+    row = ids[:, :-1] @ lattice.cells_per_axis ** np.arange(lattice.d - 2, -1, -1)
     chosen = rng.choice(np.unique(row), size=min(rows, len(np.unique(row))), replace=False)
     return np.flatnonzero(np.isin(row, chosen) & (rng.random(len(ids)) < keep))
 
@@ -388,7 +388,9 @@ def _lattice_cases():
         ids = _row_subset(lattice, rng, rows=4, keep=1.0)
         centers = lattice.centers(ids)
         picks = centers[rng.choice(len(centers), size=12)]
-        offsets = [np.eye(d)[-1] * 5 / 16] + ([np.eye(d)[0] * 3 / 16 + np.eye(d)[-1] * 4 / 16] if d > 1 else [])
+        offsets = [np.eye(d)[-1] * 5 / 16]
+        if d > 1:
+            offsets.append(np.eye(d)[0] * 3 / 16 + np.eye(d)[-1] * 4 / 16)
         edge = np.vstack([picks + sign * o for o in offsets for sign in (1, -1)])
         pts = np.vstack([rng.random((150 * d, d)), edge])
         y = rng.random(len(pts))
