@@ -360,53 +360,91 @@ def _bump_core_d1(t: np.ndarray) -> np.ndarray:
     return out
 
 
+# Nodes of the fixed Gauss-Legendre rule for the profile's tail integral.  On
+# 3,000 points of (1/4, 1/2) it agrees with adaptive quadrature at relative
+# tolerance 1e-12 to within 1e-14; 64 nodes lose relative accuracy in the far
+# tail and 32 nodes err by some 4e-9.
+_RULE_NODES = 96
+# Points per block of the rule, so that a block holds at most this many
+# times _RULE_NODES core values however many points are evaluated.
+_RULE_BLOCK = 2048
+
+_RULE: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _tail_integral(t: np.ndarray) -> np.ndarray:
+    """Integral of the core profile over [t, 1/2] for each t in [1/4, 1/2].
+
+    One fixed Gauss-Legendre rule of ``_RULE_NODES`` nodes mapped onto each
+    interval, evaluated in blocks of ``_RULE_BLOCK`` points.  The rule is
+    built on first use, so importing the package does not pay for it.
+    """
+    global _RULE
+    if _RULE is None:
+        from numpy.polynomial.legendre import leggauss
+
+        _RULE = leggauss(_RULE_NODES)
+    nodes, weights = _RULE
+    out = np.empty(len(t))
+    for lo in range(0, len(t), _RULE_BLOCK):
+        tb = t[lo : lo + _RULE_BLOCK]
+        half = 0.5 * (0.5 - tb)
+        s = (0.5 * (0.5 + tb))[:, None] + half[:, None] * nodes
+        # a row sum, not a matrix product, so that a point's value does not
+        # depend on the block it falls in
+        out[lo : lo + _RULE_BLOCK] = half * (_bump_core(s) * weights).sum(axis=1)
+    return out
+
+
 _NORMALIZER: float | None = None
 
 
 def _bump_normalizer() -> float:
+    """Integral of the core profile over [1/4, 1/2], by the same fixed rule."""
     global _NORMALIZER
     if _NORMALIZER is None:
-        from scipy import integrate  # slow to import; only the bump profile uses it
-
-        val, _ = integrate.quad(lambda s: float(_bump_core(s)), 0.25, 0.5, epsabs=0.0, epsrel=1e-12)
-        _NORMALIZER = val
+        _NORMALIZER = float(_tail_integral(np.array([0.25]))[0])
     return _NORMALIZER
+
+
+def _profile_argument(t) -> tuple[bool, np.ndarray]:
+    """``(scalar, t)`` with ``t`` a float array; NaN or negative arguments raise."""
+    scalar = np.isscalar(t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(t >= 0):
+        raise ValueError("bump profile argument must be nonnegative and not NaN")
+    return scalar, t
 
 
 def bump_u(t) -> np.ndarray | float:
     """Smooth non-increasing transition: 1 on [0, 1/4], 0 on [1/2, inf).
 
-    Normalized tail integral of the compactly supported core profile; the
-    normalizer is computed once by adaptive quadrature.
+    Normalized tail integral of the compactly supported core profile, both
+    integrals by one fixed 96-node Gauss-Legendre rule (within 1e-13 of
+    adaptive quadrature).  Points on the plateaus evaluate no rule.  NaN or
+    negative arguments raise ``ValueError``.
     """
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t < 0):
-        raise ValueError("argument must be nonnegative")
-    z = _bump_normalizer()
-    from scipy import integrate
-
+    scalar, t = _profile_argument(t)
     out = np.zeros(t.shape)
     out[t <= 0.25] = 1.0
     mid = (t > 0.25) & (t < 0.5)
-    for i in np.nonzero(mid)[0]:
-        val, _ = integrate.quad(lambda s: float(_bump_core(s)), t[i], 0.5, epsabs=0.0, epsrel=1e-12)
-        out[i] = val / z
+    if np.any(mid):
+        out[mid] = _tail_integral(t[mid]) / _bump_normalizer()
     return float(out[0]) if scalar else out
 
 
 def bump_u_deriv(t, order: int) -> np.ndarray | float:
-    """Derivatives of :func:`bump_u` up to second order (closed forms)."""
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    """Derivatives of :func:`bump_u` up to second order (closed forms).
+
+    Takes the same arguments as :func:`bump_u` and rejects the same ones.
+    """
     if order == 0:
-        out = np.atleast_1d(bump_u(t))
-    elif order == 1:
-        out = -_bump_core(t) / _bump_normalizer()
-    elif order == 2:
-        out = -_bump_core_d1(t) / _bump_normalizer()
-    else:
+        return bump_u(t)
+    if order not in (1, 2):
         raise ValueError(f"bump derivatives implemented for order <= 2, got {order}")
+    scalar, t = _profile_argument(t)
+    core = _bump_core if order == 1 else _bump_core_d1
+    out = -core(t) / _bump_normalizer()
     return float(out[0]) if scalar else out
 
 

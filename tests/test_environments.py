@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import reward_oracle
 import smoothbandit
+from smoothbandit import environments
 from smoothbandit.environments import (
     BumpGridSupport,
     bump_u,
@@ -260,15 +262,19 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is slow to import and only the bump profile uses it
+    # the bump profile integrates by a fixed rule, so building the hard_d2
+    # instance, evaluating the profile and checking smoothness load no scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbandit.__file__)))
     code = (
-        "import sys, smoothbandit; loaded = 'scipy.integrate' in sys.modules; "
-        "smoothbandit.environments.bump_u(0.3); print(loaded, 'scipy.integrate' in sys.modules)"
+        "import sys, numpy as np, smoothbandit; "
+        "from smoothbandit.environments import bump_u, make_lower_bound_instance, verify_holder; "
+        "inst = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3); bump_u(0.3); "
+        "report = verify_holder(inst, beta=2.0, L=1.0, n_pairs=2000, rng=np.random.default_rng(0)); "
+        "print(report.passed, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False True"
+    assert out.stdout.strip() == "True []"
 
 
 def test_import_and_d2_fits_leave_scipy_spatial_unloaded():
@@ -299,6 +305,25 @@ class TestMultiArm:
             make_constant_multi_arm((0.2, 1.4))
 
 
+def _quad_bump_u(t: float) -> float:
+    """The bump profile by adaptive quadrature of the core, point by point (reference)."""
+    if t <= 0.25:
+        return 1.0
+    if t >= 0.5:
+        return 0.0
+    return _quad_tail(t) / _quad_tail(0.25)
+
+
+def _quad_tail(t: float) -> float:
+    val, _ = integrate.quad(_scalar_core, t, 0.5, epsabs=0.0, epsrel=1e-12)
+    return val
+
+
+def _scalar_core(s: float) -> float:
+    w = (0.5 - s) * (s - 0.25)
+    return math.exp(-1.0 / w) if w > 0 else 0.0
+
+
 class TestBumpProfile:
     def test_plateau_and_cutoff(self):
         assert bump_u(0.2) == 1.0
@@ -318,6 +343,33 @@ class TestBumpProfile:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bump_u(-0.1)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("t", [-0.1, math.nan, [0.3, math.nan], [0.3, -0.0, -1e-300]])
+    def test_every_order_rejects_nan_and_negative(self, order, t):
+        with pytest.raises(ValueError, match="nonnegative and not NaN"):
+            bump_u_deriv(t, order)
+        if order == 0:
+            with pytest.raises(ValueError, match="nonnegative and not NaN"):
+                bump_u(t)
+
+    def test_matches_adaptive_quadrature(self):
+        edges = [np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+        t = np.concatenate([np.linspace(0.2501, 0.4999, 3000), edges])
+        expected = np.array([_quad_bump_u(ti) for ti in t])
+        np.testing.assert_allclose(bump_u(t), expected, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(bump_u_deriv(t, 0), expected, rtol=0.0, atol=1e-13)
+        assert bump_u(edges[0]) == 1.0 and bump_u(edges[3]) == 0.0
+
+    def test_normalizer_matches_adaptive_quadrature(self):
+        z = _quad_tail(0.25)
+        assert abs(environments._bump_normalizer() - z) <= 1e-15 * z
+
+    def test_long_inputs_match_short_blocks(self, monkeypatch):
+        t = np.random.default_rng(0).uniform(0.0, 0.6, 5000)
+        whole = bump_u(t)
+        monkeypatch.setattr(environments, "_RULE_BLOCK", 7)
+        assert bump_u(t).tobytes() == whole.tobytes()
 
     def test_derivatives_match_finite_differences(self):
         grid = np.linspace(0.26, 0.49, 40)
@@ -484,6 +536,18 @@ class TestLowerBoundInstance:
         X = inst.sample_contexts(rng, 20_000)
         assert np.all(inst.support(X))
         assert verify_density(inst, n_samples=100_000, rng=rng).passed
+
+    @pytest.mark.parametrize(
+        "params", [dict(T=100_000, beta=1.0, alpha=0.5, d=1, seed=3), dict(T=100_000, beta=2.0, alpha=0.5, d=2, seed=3)]
+    )
+    def test_contexts_stay_on_the_plateau(self, params):
+        # contexts in a bump cell are drawn within radius 1/(4q) of its center,
+        # where the profile is 1 and the means evaluate no quadrature rule
+        inst = make_lower_bound_instance(**params)
+        X = inst.sample_contexts(np.random.default_rng(10), 2**16)
+        _, _, offsets = inst.support.bump_offsets(X)
+        assert len(offsets) > 0
+        assert np.max(inst.q * np.linalg.norm(offsets, axis=1)) <= 0.25
 
     def test_explicit_sigma_is_respected(self):
         base = self.make()
