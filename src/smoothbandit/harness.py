@@ -3,9 +3,11 @@
 Runs a grid of (policy, horizon, repetition) simulations with seeds
 derived stably from a base seed, accumulates regret and inferior-sampling
 trajectories, fits the growth exponent of the mean final regret against
-the horizon, and emits CSV rows plus a JSON summary.  Runs execute one
-after another in a single process, so identical configs produce
-byte-identical outputs.
+the horizon, and emits CSV rows plus a JSON summary.  Runs execute in a
+single process, one after another, except that a binned-UCB policy's
+runs interleave block by block in one batch; every run's results are
+those of the run alone, so identical configs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -205,6 +207,11 @@ def run_policy(
 # Experiment driver
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_experiment_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -227,18 +234,26 @@ def validate_experiment_config(cfg: dict) -> dict:
     if len(set(labels)) != len(labels):
         raise ConfigError("policies", f"labels must be unique, got {labels}; set 'label' to disambiguate")
     horizons = cfg.get("horizons")
-    if not isinstance(horizons, list) or not horizons or not all(
-        isinstance(T, int) and T >= 3 for T in horizons
-    ):
+    if not isinstance(horizons, list) or not horizons or not all(_is_int(T) and T >= 3 for T in horizons):
         raise ConfigError("horizons", "must be a non-empty list of integers >= 3")
     reps = cfg.get("reps", 1)
-    if not isinstance(reps, int) or reps < 1:
+    if not _is_int(reps) or reps < 1:
         raise ConfigError("reps", "must be a positive integer")
     base_seed = cfg.get("base_seed", 0)
-    if not isinstance(base_seed, int):
+    if not _is_int(base_seed):
         raise ConfigError("base_seed", "must be an integer")
     checkpoints = cfg.get("checkpoints", 8)
-    if not (isinstance(checkpoints, int) or isinstance(checkpoints, list)):
+    if _is_int(checkpoints):
+        if checkpoints < 1:
+            raise ConfigError("checkpoints", f"a checkpoint count must be >= 1, got {checkpoints}")
+    elif isinstance(checkpoints, list):
+        shortest = min(horizons)
+        bad = [t for t in checkpoints if not (_is_int(t) and 1 <= t <= shortest)]
+        if bad:
+            raise ConfigError(
+                "checkpoints", f"times must be integers in [1, {shortest}] (the smallest horizon), got {bad[0]!r}"
+            )
+    else:
         raise ConfigError("checkpoints", "must be an integer count or a list of times")
     out.setdefault("reps", reps)
     out.setdefault("base_seed", base_seed)
@@ -247,43 +262,52 @@ def validate_experiment_config(cfg: dict) -> dict:
 
 
 def run_experiment(cfg: dict, quiet: bool = False):
-    """Execute the full grid, one run after another; return (rows, summary, results).
+    """Execute the full grid; return (rows, summary, results).
 
-    ``rows`` is the list of CSV tuples (one per checkpoint per run) in
-    deterministic order; ``summary`` is a JSON-ready dict with per-group
-    means and standard errors plus rate-fit inputs; ``results`` maps each
-    (label, T, rep) to its ``RunResult``.
+    Runs execute one after another, in job order (policy, then horizon,
+    then rep), except that a binned-UCB policy's runs execute together as
+    one batch (``baselines.run_binned_ucb_batch``), each with the results
+    of the run alone.  ``rows`` is the list of CSV tuples (one per
+    checkpoint per run) in deterministic order; ``summary`` is a
+    JSON-ready dict with per-group means and standard errors plus rate-fit
+    inputs; ``results`` maps each (label, T, rep) to its ``RunResult``, in
+    job order.
     """
     cfg = validate_experiment_config(cfg)
     env = build_instance(cfg["instance"])
     for i, pol in enumerate(cfg["policies"]):
         validate_policy_params(i, pol["name"], dict(pol.get("params", {})), env.d)
-    jobs = []
+    # each policy's runs, in job order: (label, name, params, [(T, rep, seed), ...])
+    plan = []
     for pol in cfg["policies"]:
-        name = pol["name"]
-        params = dict(pol.get("params", {}))
-        label = pol.get("label", name)
-        for T in cfg["horizons"]:
-            for rep in range(cfg["reps"]):
-                seed = derive_seed(cfg["base_seed"], label, T, rep)
-                jobs.append((label, name, params, T, rep, seed))
+        label = pol.get("label", pol["name"])
+        runs = [
+            (T, rep, derive_seed(cfg["base_seed"], label, T, rep))
+            for T in cfg["horizons"]
+            for rep in range(cfg["reps"])
+        ]
+        plan.append((label, pol["name"], dict(pol.get("params", {})), runs))
 
     started = time.perf_counter()
     results: dict[tuple, RunResult] = {}
-
-    for label, name, params, T, rep, seed in jobs:
-        try:
-            results[(label, T, rep)] = run_policy(name, params, env, T, seed, cfg["checkpoints"])
-        except Exception as exc:
-            raise RuntimeError(f"run failed at policy={label} T={T} rep={rep} seed={seed}: {exc}") from exc
+    for label, name, params, runs in plan:
+        if name == "binned_ucb":
+            results.update(_run_binned_ucb_group(label, params, env, runs, cfg["checkpoints"]))
+            continue
+        for T, rep, seed in runs:
+            try:
+                results[(label, T, rep)] = run_policy(name, params, env, T, seed, cfg["checkpoints"])
+            except Exception as exc:
+                raise _run_failed(label, T, rep, seed, exc) from exc
     if not quiet:
-        log.info("executed %d runs in %.1fs", len(jobs), time.perf_counter() - started)
+        log.info("executed %d runs in %.1fs", len(results), time.perf_counter() - started)
 
     rows = []
-    for label, name, params, T, rep, seed in jobs:
-        run = results[(label, T, rep)]
-        for t, reg, inf in zip(run.checkpoint_times, run.cum_regret, run.cum_inferior):
-            rows.append((label, env.name, T, rep, seed, int(t), float(reg), int(inf)))
+    for label, _, _, runs in plan:
+        for T, rep, seed in runs:
+            run = results[(label, T, rep)]
+            for t, reg, inf in zip(run.checkpoint_times, run.cum_regret, run.cum_inferior):
+                rows.append((label, env.name, T, rep, seed, int(t), float(reg), int(inf)))
 
     groups: dict[tuple, list[RunResult]] = {}
     for (label, T, rep), run in results.items():
@@ -317,6 +341,22 @@ def run_experiment(cfg: dict, quiet: bool = False):
         "groups": summary_groups,
     }
     return rows, summary, results
+
+
+def _run_failed(label: str, T: int, rep: int, seed: int, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"run failed at policy={label} T={T} rep={rep} seed={seed}: {exc}")
+
+
+def _run_binned_ucb_group(label: str, params: dict, env: Instance, runs: list, checkpoints) -> dict:
+    """A binned-UCB policy's runs as one batch, keyed like ``run_experiment``'s results."""
+    try:
+        batch = baselines.run_binned_ucb_batch(env, [(T, seed) for T, _, seed in runs], checkpoints, **params)
+    except baselines.RunError as exc:
+        T, rep, seed = runs[exc.index]
+        raise _run_failed(label, T, rep, seed, exc) from exc
+    except Exception as exc:
+        raise RuntimeError(f"run failed at policy={label} (batch of {len(runs)} runs): {exc}") from exc
+    return {(label, T, rep): run for (T, rep, _), run in zip(runs, batch)}
 
 
 def write_csv(rows, path: str) -> None:

@@ -53,8 +53,12 @@ class RunResult:
     """Trajectory summary of one simulated run.
 
     ``cum_regret`` and ``cum_inferior`` are sampled at ``checkpoint_times``
-    (the horizon is always the last checkpoint).  ``wall_time`` is excluded
-    from equality comparisons.
+    (the horizon is always the last checkpoint).  ``wall_time`` is the
+    run's elapsed seconds.  The runs of a binned-UCB batch execute
+    together, so each gets the batch's elapsed time split in proportion to
+    its steps, and the wall times of a pass's runs still add up to the
+    pass.  ``wall_time`` is excluded from equality comparisons and from
+    every deterministic output.
     """
 
     policy: str
@@ -82,20 +86,25 @@ class RunResult:
         time since ``started`` (a ``time.perf_counter()`` reading).
         ``fields`` sets the remaining attributes.
         """
-        horizon = len(regret)
-        cum_regret = np.cumsum(regret)
-        cum_inferior = np.cumsum(inferior, dtype=np.int64)
-        ts = normalize_checkpoints(checkpoints, horizon)
+        tally = CheckpointTally(normalize_checkpoints(checkpoints, len(regret)))
+        tally.add(regret, inferior)
+        return cls.from_tally(policy, instance, seed, tally, time.perf_counter() - started, **fields)
+
+    @classmethod
+    def from_tally(
+        cls, policy: str, instance: str, seed: int, tally: "CheckpointTally", wall_time: float, **fields
+    ) -> "RunResult":
+        """The record of a run whose steps were all fed to ``tally``."""
         return cls(
             policy=policy,
             instance=instance,
             seed=int(seed),
-            horizon=horizon,
-            checkpoint_times=ts,
-            cum_regret=cum_regret[ts - 1],
-            cum_inferior=cum_inferior[ts - 1],
-            inferior_count=int(cum_inferior[-1]),
-            wall_time=time.perf_counter() - started,
+            horizon=tally.steps,
+            checkpoint_times=tally.times,
+            cum_regret=tally.cum_regret,
+            cum_inferior=tally.cum_inferior,
+            inferior_count=tally.inferior_count,
+            wall_time=wall_time,
             **fields,
         )
 
@@ -149,6 +158,41 @@ class RunResult:
         if self.final_labels is not None:
             report["final_labels"] = [int(v) for v in self.final_labels]
         return report
+
+
+class CheckpointTally:
+    """A run's cumulative regret and inferior count, fed in consecutive blocks of steps.
+
+    Only the values at ``times`` (normalized checkpoint times) are kept, so
+    no array of the horizon's length is held.  A block's regret is
+    cumulated by ``np.cumsum`` with the running total prepended;
+    ``add.accumulate`` adds in sequence, so the values are those of one
+    ``np.cumsum`` over the whole horizon, bit for bit.
+    """
+
+    def __init__(self, times: np.ndarray):
+        self.times = times
+        self.cum_regret = np.zeros(len(times))
+        self.cum_inferior = np.zeros(len(times), dtype=np.int64)
+        self.steps = 0
+        self.inferior_count = 0
+        self._regret = 0.0
+
+    def add(self, regret: np.ndarray, inferior: np.ndarray) -> None:
+        """Feed the next block's per-step regret and inferior-arm flags."""
+        if self.steps:
+            cum = np.cumsum(np.concatenate(([self._regret], regret)))[1:]
+        else:
+            cum = np.cumsum(regret)
+        cum_inferior = self.inferior_count + np.cumsum(inferior, dtype=np.int64)
+        # checkpoint times within this block's steps, as offsets into it
+        lo, hi = np.searchsorted(self.times, [self.steps + 1, self.steps + len(cum) + 1])
+        at = self.times[lo:hi] - self.steps - 1
+        self.cum_regret[lo:hi] = cum[at]
+        self.cum_inferior[lo:hi] = cum_inferior[at]
+        self.steps += len(cum)
+        self._regret = cum[-1]
+        self.inferior_count = int(cum_inferior[-1])
 
 
 def normalize_checkpoints(checkpoints, horizon: int) -> np.ndarray:

@@ -1,18 +1,22 @@
 import dataclasses
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import reward_oracle
 
-from smoothbandit.baselines import run_binned_ucb, run_oracle, run_uniform
+from smoothbandit import baselines
+from smoothbandit.baselines import RunError, run_binned_ucb, run_binned_ucb_batch, run_oracle, run_uniform
 from smoothbandit.environments import (
     make_constant_multi_arm,
     make_lower_bound_instance,
     make_smooth_instance,
 )
 from smoothbandit.geometry import GridLattice
+from smoothbandit.results import CheckpointTally, RunResult
 
 # ---------------------------------------------------------------------------
 # Reference: a step API for binned UCB (one context in, one arm out), and a
@@ -289,6 +293,119 @@ class TestBinnedUcbRun:
         assert a.equals(b)
 
 
+# (instance, run_binned_ucb_batch keyword arguments): both reward laws,
+# d = 1 and d = 2, default and explicit parameters
+BATCH_CASES = {
+    "sinusoidal_d1": (_sinusoidal(1), {}),
+    "sinusoidal_d2_bin_rate": (_sinusoidal(2), {"bin_rate": 0.3, "exploration": 0.5}),
+    "three_arm_constant_exploration": (make_constant_multi_arm((0.3, 0.5, 0.6)), {"exploration": 1.0}),
+    "truncated_gaussian_d2": (_sinusoidal(2, noise="truncated_gaussian"), {"bin_rate": 0.25}),
+}
+
+# mixed horizons, two of them not a multiple of the 4096-step block, and
+# repeated horizons with different seeds (reps)
+BATCH_RUNS = [(5000, 11), (300, 12), (9000, 13), (4096, 14), (5000, 15)]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    @pytest.mark.parametrize("checkpoints", [16, [1, 7, 299]])
+    def test_batch_equals_each_run_alone(self, case, checkpoints):
+        env, kwargs = BATCH_CASES[case]
+        runs = BATCH_RUNS[:3] if env.noise == "truncated_gaussian" else BATCH_RUNS
+        batch = run_binned_ucb_batch(env, runs, checkpoints, **kwargs)
+        assert len(batch) == len(runs)
+        for (horizon, seed), got in zip(runs, batch):
+            alone = run_binned_ucb(env, horizon, seed, checkpoints, **kwargs)
+            assert got.equals(alone), (horizon, seed)
+            assert (got.horizon, got.seed) == (horizon, seed)
+
+    def test_chunks_change_no_result(self, monkeypatch):
+        # 17 runs of more than one block stack more than 16 blocks' steps,
+        # so the batch runs in two chunks; a smaller cap makes more chunks
+        env = _sinusoidal(1)
+        runs = [(4100 + 37 * k, 100 + k) for k in range(17)]
+        chunk = baselines._run_chunk
+        chunks = []
+
+        def counted(env, runs, *args):
+            chunks.append(len(runs))
+            return chunk(env, runs, *args)
+
+        monkeypatch.setattr(baselines, "_run_chunk", counted)
+        batch = run_binned_ucb_batch(env, runs, 8)
+        assert chunks == [16, 1]
+        monkeypatch.setattr(baselines, "_UCB_STACK", 2 * baselines._UCB_BLOCK + 1)
+        chunks.clear()
+        small = run_binned_ucb_batch(env, runs, 8)
+        assert chunks == [2] * 8 + [1]
+        for horizon_seed, a, b in zip(runs, batch, small):
+            assert a.equals(b), horizon_seed
+        for (horizon, seed), got in zip(runs[::4], batch[::4]):
+            assert got.equals(run_binned_ucb(env, horizon, seed, 8))
+
+    def test_wall_times_split_the_elapsed_time(self):
+        env = _sinusoidal(1)
+        runs = [(2000, 1), (6000, 2), (4000, 3)]
+        started = time.perf_counter()
+        batch = run_binned_ucb_batch(env, runs)
+        elapsed = time.perf_counter() - started
+        walls = [r.wall_time for r in batch]
+        assert all(w > 0 for w in walls)
+        assert sum(walls) <= elapsed
+        # in proportion to the runs' steps
+        assert walls[1] / walls[0] == pytest.approx(3.0, rel=1e-9)
+        assert walls[2] / walls[0] == pytest.approx(2.0, rel=1e-9)
+
+    def test_bad_checkpoints_raise_before_any_run(self):
+        env = _sinusoidal(1)
+        drawn = []
+
+        def sample(rng, n):
+            drawn.append(n)
+            return rng.random((n, 1))
+
+        env = dataclasses.replace(env, sample_contexts=sample)
+        with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 300\]"):
+            run_binned_ucb_batch(env, [(5000, 0), (300, 1)], [500])
+        assert drawn == []
+
+
+@pytest.mark.parametrize("n_keys", [7, 70_000])
+def test_rounds_take_each_keys_steps_in_turn(n_keys):
+    # keys below 2^16 sort as uint16, larger ones as they are: the rounds
+    # are the same definition either way
+    keys = np.random.default_rng(n_keys).integers(0, n_keys, 5000)
+    order, bounds = baselines._rounds(keys)
+    # each step's rank among its key's steps
+    rank, seen = [], Counter()
+    for k in keys.tolist():
+        rank.append(seen[k])
+        seen[k] += 1
+    expected = sorted(range(len(keys)), key=lambda j: (rank[j], keys[j], j))
+    assert order.tolist() == expected
+    assert bounds == [0, *np.cumsum(np.bincount(rank)).tolist()]
+
+
+class TestCheckpointTally:
+    @pytest.mark.parametrize("blocks", [[1000], [1, 999], [400, 1, 599], [4096 // 8] * 2])
+    def test_blocks_equal_one_cumsum(self, blocks):
+        rng = np.random.default_rng(0)
+        n = sum(blocks)
+        regret = rng.random(n) * rng.integers(0, 2, n)
+        inferior = rng.random(n) < 0.3
+        whole = RunResult.from_steps("p", "i", 0, regret, inferior, list(range(1, n + 1)), time.perf_counter())
+        tally = CheckpointTally(whole.checkpoint_times)
+        pos = 0
+        for size in blocks:
+            tally.add(regret[pos : pos + size], inferior[pos : pos + size])
+            pos += size
+        assert tally.steps == n
+        assert tally.cum_regret.tobytes() == np.cumsum(regret).tobytes()
+        np.testing.assert_array_equal(tally.cum_inferior, np.cumsum(inferior))
+        assert RunResult.from_tally("p", "i", 0, tally, 0.0).equals(whole)
+
+
 class TestOffLatticeContexts:
     def test_binned_ucb_names_the_step(self):
         env = make_smooth_instance("constant_gap", d=1, gap=0.2)
@@ -305,3 +422,26 @@ class TestOffLatticeContexts:
         with pytest.raises(RuntimeError, match="step 4147 lies off the bin lattice"):
             run_binned_ucb(env, horizon=5000, seed=0)
         assert blocks == [4096, 904]
+
+    @pytest.mark.parametrize("fault", ["off_lattice", "raises"])
+    def test_batch_names_the_run_that_drew_it(self, fault):
+        env = make_smooth_instance("constant_gap", d=1, gap=0.2)
+        blocks = []
+
+        # block 0 of all four runs, then block 1 of the two long ones: the
+        # sixth draw is the second block of run 3
+        def sample(rng, n):
+            x = rng.random((n, 1))
+            blocks.append(n)
+            if len(blocks) == 6:
+                if fault == "raises":
+                    raise ValueError("sampler broke")
+                x[50] = 2.0
+            return x
+
+        env = dataclasses.replace(env, sample_contexts=sample)
+        message = "sampler broke" if fault == "raises" else "context \\[2\\.\\] at step 4147 lies off the bin lattice"
+        with pytest.raises(RunError, match=f"^{message}$") as info:
+            run_binned_ucb_batch(env, [(500, 0), (5000, 1), (600, 2), (5000, 3)])
+        assert info.value.index == 3
+        assert blocks == [500, 4096, 600, 4096, 904, 904]

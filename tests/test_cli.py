@@ -50,6 +50,16 @@ class TestExitCodes:
         assert cli(["run", path]) == 2
         assert "policies" in capsys.readouterr().err
 
+    def test_checkpoint_past_the_smallest_horizon(self, run_config, tmp_path, capsys):
+        # once exit 1 at run time, after the runs of the smaller horizons
+        with open(run_config) as fh:
+            cfg = json.load(fh)
+        cfg["checkpoints"] = [2000]
+        path = write_config(tmp_path / "late.json", cfg)
+        assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: checkpoints: times must be integers in [1, 1024]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_binned_ucb_params(self, run_config, tmp_path, capsys):
         with open(run_config) as fh:
             cfg = json.load(fh)

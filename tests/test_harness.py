@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from smoothbandit.baselines import run_uniform
+from smoothbandit import baselines, harness
+from smoothbandit.baselines import run_binned_ucb, run_uniform
 from smoothbandit.environments import make_smooth_instance
 from smoothbandit.harness import (
     ConfigError,
@@ -166,6 +169,70 @@ class TestRunExperiment:
         assert summary["groups"][0]["reps"] == 2
         assert all(r[6] >= 0 for r in rows)
 
+    def test_binned_ucb_grid_equals_runs_alone(self, tmp_path):
+        # the harness runs a binned-UCB policy's grid as one batch; every
+        # run equals the lone run at its derived seed, and the files list
+        # them in job order
+        params = {"exploration": 1.5}
+        cfg = small_config(
+            instance={"family": "sinusoidal", "params": {"d": 1, "amplitude": 0.4}},
+            policies=[
+                {"name": "uniform"},
+                {"name": "binned_ucb", "label": "ucb", "params": params},
+                {"name": "oracle"},
+            ],
+            horizons=[700, 4097],
+            reps=2,
+        )
+        rows, _, results = run_experiment(cfg, quiet=True)
+        env = build_instance(cfg["instance"])
+        jobs = [(label, T, rep) for label in ("uniform", "ucb", "oracle") for T in (700, 4097) for rep in (0, 1)]
+        assert list(results) == jobs
+        for T in (700, 4097):
+            for rep in (0, 1):
+                seed = derive_seed(77, "ucb", T, rep)
+                alone = run_binned_ucb(env, T, seed, cfg["checkpoints"], **params)
+                assert results[("ucb", T, rep)].equals(alone)
+        assert [r[:4] for r in rows if r[0] == "ucb"] == [
+            ("ucb", env.name, T, rep) for T in (700, 4097) for rep in (0, 1) for _ in range(4)
+        ]
+
+    def test_batch_failure_names_the_run_that_drew_it(self, monkeypatch):
+        build = harness.build_instance
+        draws = []
+
+        def broken_build(block):
+            env = build(block)
+
+            # block 0 of all four runs, then block 1 of the long ones: the
+            # sixth draw is the second block of T=5000 rep=1
+            def sample(rng, n):
+                x = rng.random((n, 1))
+                draws.append(n)
+                if len(draws) == 6:
+                    x[50] = 2.0
+                return x
+
+            return dataclasses.replace(env, sample_contexts=sample)
+
+        monkeypatch.setattr(harness, "build_instance", broken_build)
+        cfg = small_config(policies=[{"name": "binned_ucb"}], horizons=[500, 5000], reps=2)
+        seed = derive_seed(77, "binned_ucb", 5000, 1)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^run failed at policy=binned_ucb T=5000 rep=1 seed={seed}: context .* at step 4147 ",
+        ):
+            run_experiment(cfg, quiet=True)
+
+    def test_batch_failure_outside_a_runs_draws_names_the_batch(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(baselines, "_ucb_choose", broken)
+        cfg = small_config(policies=[{"name": "binned_ucb"}], horizons=[500, 5000], reps=2)
+        with pytest.raises(RuntimeError, match=r"^run failed at policy=binned_ucb \(batch of 4 runs\): boom$"):
+            run_experiment(cfg, quiet=True)
+
     def test_regret_bounded_by_inferior_pathwise(self):
         cfg = small_config(
             policies=[{"name": "smooth", "params": {"beta": 1.0}}],
@@ -194,6 +261,32 @@ class TestConfigValidation:
     def test_bad_reps(self):
         with pytest.raises(ConfigError, match="reps"):
             validate_experiment_config(small_config(reps=0))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # once truncated to 1
+            ("checkpoints", [1.5], r"times must be integers in \[1, 500\]"),
+            # JSON true loads as a bool, which Python counts as the int 1
+            ("checkpoints", True, "must be an integer count or a list of times"),
+            ("reps", True, "must be a positive integer"),
+            ("base_seed", True, "must be an integer"),
+            # these once failed only at run time, after earlier runs had executed
+            ("checkpoints", 0, "a checkpoint count must be >= 1"),
+            ("checkpoints", [0], r"times must be integers in \[1, 500\]"),
+            ("checkpoints", [10, 501], r"times must be integers in \[1, 500\] \(the smallest horizon\), got 501"),
+        ],
+    )
+    def test_bad_grid_values_fail_at_validation(self, key, value, message):
+        cfg = small_config(**{key: value})
+        for validate in (validate_experiment_config, run_experiment):
+            with pytest.raises(ConfigError, match=f"^{key}: {message}") as info:
+                validate(cfg)
+            assert info.value.fieldpath == key
+
+    def test_checkpoint_times_up_to_the_smallest_horizon_pass(self):
+        rows, _, _ = run_experiment(small_config(checkpoints=[1, 500]), quiet=True)
+        assert sorted({r[5] for r in rows}) == [1, 500, 1000]
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="family"):
