@@ -9,7 +9,9 @@ density bounds, margin).
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -145,6 +147,15 @@ def oracle_arm(instance: Instance, x: np.ndarray):
 # Smooth parametric families
 
 
+def check_dimension_and_smoothness(d, beta) -> None:
+    """Reject a dimension that is not an integer >= 1 and a smoothness that
+    is not a finite number >= 1 (a bool is neither)."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not 1 <= beta < math.inf:
+        raise ValueError(f"smoothness must be a finite number >= 1, got {beta!r}")
+
+
 def _uniform_sampler(d: int):
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random((n, d))
@@ -199,6 +210,7 @@ def _symmetric_two_arm(name, d, tau_fn, tau_deriv_fn, meta, noise="bernoulli", n
 
 
 def _constant_gap_instance(d: int, gap: float = 0.5, beta: float = 2.0) -> Instance:
+    check_dimension_and_smoothness(d, beta)
     if not 0 <= gap <= 1:
         raise ValueError(f"gap must lie in [0, 1] to keep means in [0,1], got {gap}")
 
@@ -231,10 +243,11 @@ def _sinusoidal_instance(
     noise: str = "bernoulli",
     noise_scale: float = 0.1,
 ) -> Instance:
+    check_dimension_and_smoothness(d, beta)
     if not 0 < amplitude <= 1:
         raise ValueError(f"amplitude must lie in (0, 1], got {amplitude}")
-    if frequency <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency}")
+    if not 0 < frequency < math.inf:
+        raise ValueError(f"frequency must be a finite positive number, got {frequency}")
     w = 2 * math.pi * frequency
 
     def tau_fn(points):
@@ -268,8 +281,9 @@ def _sinusoidal_instance(
 
 
 def _polynomial_boundary_instance(d: int, degree: int = 1, scale: float = 0.5, beta: float = 2.0) -> Instance:
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    check_dimension_and_smoothness(d, beta)
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 1:
+        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
     if not 0 < scale * 0.5**degree <= 1:
         raise ValueError("scale leaves means outside [0, 1]")
 
@@ -302,11 +316,12 @@ def _polynomial_boundary_instance(d: int, degree: int = 1, scale: float = 0.5, b
 
 def make_constant_multi_arm(means: tuple, d: int = 1, beta: float = 2.0) -> Instance:
     """Multi-arm instance with context-independent means, arm ids 0..A-1."""
+    check_dimension_and_smoothness(d, beta)
     means = tuple(float(m) for m in means)
     if len(means) < 2:
         raise ValueError("need at least two arms")
-    if min(means) < 0 or max(means) > 1:
-        raise ValueError("means must lie in [0, 1]")
+    if not all(0 <= m <= 1 for m in means):
+        raise ValueError(f"means must lie in [0, 1], got {means}")
     arms = tuple(range(len(means)))
     table = dict(zip(arms, means))
 
@@ -369,22 +384,28 @@ _RULE_NODES = 96
 # times _RULE_NODES core values however many points are evaluated.
 _RULE_BLOCK = 2048
 
-_RULE: tuple[np.ndarray, np.ndarray] | None = None
+
+@functools.cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``_RULE_NODES``-node rule on [-1, 1].
+
+    Built on first use, so importing the package does not pay for it.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(_RULE_NODES)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _tail_integral(t: np.ndarray) -> np.ndarray:
     """Integral of the core profile over [t, 1/2] for each t in [1/4, 1/2].
 
     One fixed Gauss-Legendre rule of ``_RULE_NODES`` nodes mapped onto each
-    interval, evaluated in blocks of ``_RULE_BLOCK`` points.  The rule is
-    built on first use, so importing the package does not pay for it.
+    interval, evaluated in blocks of ``_RULE_BLOCK`` points.
     """
-    global _RULE
-    if _RULE is None:
-        from numpy.polynomial.legendre import leggauss
-
-        _RULE = leggauss(_RULE_NODES)
-    nodes, weights = _RULE
+    nodes, weights = _gauss_legendre_rule()
     out = np.empty(len(t))
     for lo in range(0, len(t), _RULE_BLOCK):
         tb = t[lo : lo + _RULE_BLOCK]
@@ -396,15 +417,10 @@ def _tail_integral(t: np.ndarray) -> np.ndarray:
     return out
 
 
-_NORMALIZER: float | None = None
-
-
+@functools.cache
 def _bump_normalizer() -> float:
     """Integral of the core profile over [1/4, 1/2], by the same fixed rule."""
-    global _NORMALIZER
-    if _NORMALIZER is None:
-        _NORMALIZER = float(_tail_integral(np.array([0.25]))[0])
-    return _NORMALIZER
+    return float(_tail_integral(np.array([0.25]))[0])
 
 
 def _profile_argument(t) -> tuple[bool, np.ndarray]:
@@ -448,15 +464,11 @@ def bump_u_deriv(t, order: int) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-_BUMP_SUPS: dict[int, float] = {}
-
-
+@functools.cache
 def _bump_deriv_sup(order: int) -> float:
     """Grid bound on sup |u^(order)| with a factor-2 safety margin."""
-    if order not in _BUMP_SUPS:
-        grid = np.linspace(0.25, 0.5, 10_001)
-        _BUMP_SUPS[order] = 2.0 * float(np.max(np.abs(bump_u_deriv(grid, order))))
-    return _BUMP_SUPS[order]
+    grid = np.linspace(0.25, 0.5, 10_001)
+    return 2.0 * float(np.max(np.abs(bump_u_deriv(grid, order))))
 
 
 def _radial_bump_deriv(points: np.ndarray, r: tuple) -> np.ndarray:
@@ -657,10 +669,9 @@ def make_lower_bound_instance(
     ``ceil(q**(d - alpha beta))``.  Requires ``alpha * beta <= d`` and a
     horizon large enough for the bump count to fit the grid.
     """
+    check_dimension_and_smoothness(d, beta)
     if not 0 < delta0 < 0.5:
         raise ValueError(f"delta0 must lie in (0, 1/2), got {delta0}")
-    if beta < 1:
-        raise ValueError(f"smoothness must be >= 1, got {beta}")
     if alpha < 0:
         raise ValueError(f"margin exponent must be >= 0, got {alpha}")
     if alpha * beta > d:
@@ -767,28 +778,31 @@ def make_lower_bound_instance(
     )
 
 
-def _uniform_in_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """Uniform draws from the unit ball by rejection from the cube."""
+def _rejection_sample(rng, n: int, d: int, accept) -> np.ndarray:
+    """``n`` uniform draws from [0, 1)^d that ``accept`` keeps; rejected rows are redrawn, in order."""
     out = np.empty((n, d))
     need = np.arange(n)
     while len(need):
-        cand = rng.random((len(need), d)) * 2.0 - 1.0
-        ok = np.einsum("ij,ij->i", cand, cand) <= 1.0
+        cand = rng.random((len(need), d))
+        ok = accept(cand)
         out[need[ok]] = cand[ok]
         need = need[~ok]
     return out
+
+
+def _uniform_in_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Uniform draws from the unit ball by rejection from the cube [-1, 1)^d."""
+
+    def in_ball(u):
+        v = u * 2.0 - 1.0
+        return np.einsum("ij,ij->i", v, v) <= 1.0
+
+    return _rejection_sample(rng, n, d, in_ball) * 2.0 - 1.0
 
 
 def _uniform_outside_cells(rng, n, support: BumpGridSupport) -> np.ndarray:
     """Uniform draws from the unit cube minus the support's bump cells."""
-    out = np.empty((n, support.d))
-    need = np.arange(n)
-    while len(need):
-        cand = rng.random((len(need), support.d))
-        ok = support.cell_index(cand) >= support.m
-        out[need[ok]] = cand[ok]
-        need = need[~ok]
-    return out
+    return _rejection_sample(rng, n, support.d, lambda u: support.cell_index(u) >= support.m)
 
 
 # ---------------------------------------------------------------------------

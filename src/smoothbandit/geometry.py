@@ -10,6 +10,7 @@ weak-regularity screening test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -194,9 +195,6 @@ class RegionMask:
 # block of its mixed-cube pass.
 _SCREEN_CHUNK = 1 << 18
 
-# (d, resolution) -> read-only (offsets, prefix, lo, hi); see _ball_quadrature.
-_BALL_QUADRATURE: dict = {}
-
 
 def _midpoint_axis(resolution: int) -> np.ndarray:
     """Midpoints of ``resolution`` equal cells over [-1, 1]."""
@@ -209,8 +207,9 @@ def _midpoint_offsets(d: int, resolution: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+@functools.cache
 def _ball_quadrature(d: int, resolution: int) -> tuple[np.ndarray, ...]:
-    """The in-ball quadrature offsets and their last-axis runs, memoised.
+    """The in-ball quadrature offsets and their last-axis runs, memoised read-only.
 
     Returns ``(offsets, prefix, lo, hi)``.  ``offsets`` are the midpoint
     offsets inside the unit ball, in the row-major order of
@@ -221,22 +220,19 @@ def _ball_quadrature(d: int, resolution: int) -> tuple[np.ndarray, ...]:
     the midpoints increase along the axis and the rounded squared norm is
     monotone in each coordinate's magnitude.
     """
-    key = (d, resolution)
-    if key not in _BALL_QUADRATURE:
-        offsets = _midpoint_offsets(d, resolution)
-        in_ball = np.einsum("ij,ij->i", offsets, offsets) <= 1.0
-        rows = in_ball.reshape(-1, resolution)
-        keep = np.nonzero(rows.any(axis=1))[0]
-        lo = rows[keep].argmax(axis=1)
-        hi = resolution - rows[keep, ::-1].argmax(axis=1)
-        prefix = np.array(
-            [keep // resolution ** (d - 2 - i) % resolution for i in range(d - 1)], dtype=np.int64
-        ).reshape(d - 1, len(keep))
-        entry = (offsets[in_ball], prefix, lo, hi)
-        for array in entry:
-            array.flags.writeable = False
-        _BALL_QUADRATURE[key] = entry
-    return _BALL_QUADRATURE[key]
+    offsets = _midpoint_offsets(d, resolution)
+    in_ball = np.einsum("ij,ij->i", offsets, offsets) <= 1.0
+    rows = in_ball.reshape(-1, resolution)
+    keep = np.nonzero(rows.any(axis=1))[0]
+    lo = rows[keep].argmax(axis=1)
+    hi = resolution - rows[keep, ::-1].argmax(axis=1)
+    prefix = np.array(
+        [keep // resolution ** (d - 2 - i) % resolution for i in range(d - 1)], dtype=np.int64
+    ).reshape(d - 1, len(keep))
+    entry = (offsets[in_ball], prefix, lo, hi)
+    for array in entry:
+        array.flags.writeable = False
+    return entry
 
 
 def _point_counts(
@@ -446,8 +442,8 @@ def batch_weak_regularity(
     Same quadrature as :func:`ball_region_fraction`, and the same answer
     whichever of two paths computes it:
 
-    - the lattice path, when ``d >= 2``, the region is a :class:`RegionMask`
-      whose support is classified (``None``, :func:`unit_cube_support`, or
+    - the lattice path, when the region is a :class:`RegionMask` whose
+      support is classified (``None``, :func:`unit_cube_support`, or
       any predicate with a ``classify_cubes`` hook, such as the bump-grid
       support of the lower-bound instance) and every center is a cube
       center of its lattice: per-axis cube tables and running counts over
@@ -458,10 +454,8 @@ def batch_weak_regularity(
     - the point path otherwise, for example for off-lattice centers or a
       bare predicate: the region's membership test on every quadrature
       point, built for a bounded block of centers at a time
-      (:func:`_point_counts`).  At ``d = 1`` a center has only
-      ``resolution`` points, as many as a row of the lattice path's tables,
-      so the point path is the cheaper one there.  It is also the test
-      oracle of the lattice path.
+      (:func:`_point_counts`).  It is also the test oracle of the lattice
+      path.
     """
     _check_ball_args(radius, resolution, c)
     centers = np.atleast_2d(centers)
@@ -469,7 +463,7 @@ def batch_weak_regularity(
     denom = len(_ball_quadrature(d, resolution)[0])
     if n == 0 or denom == 0:
         return np.zeros(n, dtype=bool)
-    cells = _lattice_cells(centers, region) if d > 1 else None
+    cells = _lattice_cells(centers, region)
     if cells is None:
         counts = _point_counts(centers, radius, region, resolution)
     else:

@@ -137,7 +137,9 @@ def build_instance(block: dict) -> Instance:
     family = block.get("family")
     if not isinstance(family, str):
         raise ConfigError("instance.family", "missing or not a string")
-    params = dict(block.get("params", {}))
+    params = block.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("instance.params", "must be a mapping")
     try:
         if family == "lower_bound":
             return make_lower_bound_instance(**params)
@@ -229,13 +231,21 @@ def validate_experiment_config(cfg: dict) -> dict:
             raise ConfigError(f"policies[{i}]", "must be a mapping with a 'name'")
         if p["name"] not in _POLICY_NAMES:
             raise ConfigError(f"policies[{i}].name", f"unknown policy {p['name']!r}")
-        validate_policy_params(i, p["name"], dict(p.get("params", {})))
-        labels.append(p.get("label", p["name"]))
+        params = p.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"policies[{i}].params", "must be a mapping")
+        validate_policy_params(i, p["name"], dict(params))
+        label = p.get("label", p["name"])
+        if not isinstance(label, str):
+            raise ConfigError(f"policies[{i}].label", "must be a string")
+        labels.append(label)
     if len(set(labels)) != len(labels):
         raise ConfigError("policies", f"labels must be unique, got {labels}; set 'label' to disambiguate")
     horizons = cfg.get("horizons")
     if not isinstance(horizons, list) or not horizons or not all(_is_int(T) and T >= 3 for T in horizons):
         raise ConfigError("horizons", "must be a non-empty list of integers >= 3")
+    if len(set(horizons)) != len(horizons):
+        raise ConfigError("horizons", f"must not repeat a horizon, got {horizons}")
     reps = cfg.get("reps", 1)
     if not _is_int(reps) or reps < 1:
         raise ConfigError("reps", "must be a positive integer")
@@ -255,6 +265,8 @@ def validate_experiment_config(cfg: dict) -> dict:
             )
     else:
         raise ConfigError("checkpoints", "must be an integer count or a list of times")
+    if not isinstance(cfg.get("save_states", False), bool):
+        raise ConfigError("save_states", "must be true or false")
     out.setdefault("reps", reps)
     out.setdefault("base_seed", base_seed)
     out.setdefault("checkpoints", checkpoints)

@@ -10,10 +10,13 @@ the cubes still randomizing it, using samples from the previous epoch
 with a sample-size-matched bandwidth, all centers of an arm in one
 batched call to ``localpoly.fit_at_centers``, and (3) drops screened
 arms and arms beaten by more than the tolerance from each cube's set.
-Within an epoch the action rule is static: every cube draws uniformly
-from its active arms.  ``run_multi_arm`` is the one run loop;
-``run_two_arm`` is its two-arm case, reported with the explore/exploit
-region labels of the two-arm formulation.
+The stages pass one ``(n_cubes, n_arms)`` bool screen table and plain
+return values; an arm that drew no samples last epoch has no bandwidth,
+and that alone marks its fail-safe state.  Within an epoch the action
+rule is static: every cube draws uniformly from its active arms.
+``run_multi_arm`` is the one run loop; ``run_two_arm`` is its two-arm
+case, reported with the explore/exploit region labels of the two-arm
+formulation.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .environments import Instance
+from .environments import Instance, check_dimension_and_smoothness
 from .geometry import (
     GridLattice,
     RegionMask,
@@ -70,14 +72,14 @@ class PolicyConfig:
     arm_count: int = 2
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise ValueError(f"smoothness must be >= 1, got {self.beta}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        check_dimension_and_smoothness(self.d, self.beta)
+        for name in ("c_epoch", "p", "c0"):
+            if isinstance(getattr(self, name), bool):  # JSON true would run as 1
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
         if self.horizon < 3:
             raise ValueError(f"horizon must be >= 3, got {self.horizon}")
-        if self.c_epoch <= 0:
-            raise ValueError(f"c_epoch must be positive, got {self.c_epoch}")
+        if not 0 < self.c_epoch < math.inf:
+            raise ValueError(f"c_epoch must be a finite positive number, got {self.c_epoch}")
         if not 0 < self.p <= 1:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if not 0 < self.c0 <= 1:
@@ -169,22 +171,6 @@ def make_schedule(config: PolicyConfig) -> EpochSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Decision state
-
-
-class ScreenResult(NamedTuple):
-    """Cubes flagged inestimable for one arm.
-
-    ``fail_safe`` marks the no-data case: the arm had no samples last
-    epoch, so it flags no cube and is not estimated; the silence must not
-    be read as evidence against it, and its cubes keep randomizing.
-    """
-
-    mask: np.ndarray
-    fail_safe: bool
-
-
-# ---------------------------------------------------------------------------
 # Epoch simulation
 
 
@@ -231,14 +217,12 @@ def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
 
 @dataclass
 class MultiArmState:
-    """Per-cube active arm sets plus the sample log of the last epoch."""
+    """Per-cube active arm sets plus the last epoch's sample log; only sampled arms have a bandwidth."""
 
     lattice: GridLattice
     support_cubes: np.ndarray
-    epoch: int
     active: np.ndarray  # (n_cubes, n_arms) bool
     samples: dict = field(default_factory=dict)
-    sample_counts: dict = field(default_factory=dict)
     bandwidths: dict = field(default_factory=dict)
 
     def active_counts(self) -> np.ndarray:
@@ -252,107 +236,76 @@ class MultiArmState:
 
 
 def initial_multi_state(lattice: GridLattice, support_cubes: np.ndarray, n_arms: int) -> MultiArmState:
-    return MultiArmState(
-        lattice=lattice,
-        support_cubes=support_cubes,
-        epoch=1,
-        active=np.ones((lattice.n_cubes, n_arms), dtype=bool),
-    )
+    return MultiArmState(lattice, support_cubes, np.ones((lattice.n_cubes, n_arms), dtype=bool))
 
 
-def screen_multi_arm(state: MultiArmState, arm_index: int, support, config: PolicyConfig) -> ScreenResult:
-    """Weak-regularity screen for one arm over cubes still randomizing it.
+def screen_multi_arm(state: MultiArmState, arm_index: int, support, config: PolicyConfig) -> np.ndarray:
+    """Cubes flagged inestimable for one arm by the weak-regularity screen.
 
-    Only cubes with at least two active arms are tested: flagging the sole
-    active arm of a cube would empty its arm set, so those cubes are left
-    alone (the never-empty guard would discard the flag anyway).
+    Only cubes still randomizing the arm among at least two active arms
+    are tested: flagging the sole active arm of a cube would empty its arm
+    set, so those cubes are left alone (the never-empty guard would
+    discard the flag anyway).  An arm without samples last epoch is in the
+    fail-safe state and flags no cube: the silence must not be read as
+    evidence against it, and its cubes keep randomizing.
     """
-    n = state.lattice.n_cubes
-    if state.sample_counts.get(arm_index, 0) == 0:
-        return ScreenResult(np.zeros(n, dtype=bool), True)
-    bandwidth = state.bandwidths[arm_index]
-    region = RegionMask(state.lattice, state.arm_region_mask(arm_index), support)
-    testable = state.arm_region_mask(arm_index) & (state.active_counts() >= 2)
-    ids = np.nonzero(testable)[0]
-    mask = np.zeros(n, dtype=bool)
-    if len(ids) == 0:
-        return ScreenResult(mask, False)
-    ok = batch_weak_regularity(state.lattice.centers(ids), bandwidth, config.c0 / 2**config.d, region)
-    mask[ids[~ok]] = True
-    return ScreenResult(mask, False)
+    mask = np.zeros(state.lattice.n_cubes, dtype=bool)
+    if arm_index not in state.bandwidths:
+        return mask
+    reachable = state.arm_region_mask(arm_index)
+    ids = np.nonzero(reachable & (state.active_counts() >= 2))[0]
+    if len(ids):
+        region = RegionMask(state.lattice, reachable, support)
+        radius = state.bandwidths[arm_index]
+        ok = batch_weak_regularity(state.lattice.centers(ids), radius, config.c0 / 2**config.d, region)
+        mask[ids[~ok]] = True
+    return mask
 
 
 def estimate_means_at_centers(
-    state: MultiArmState, config: PolicyConfig, screened: dict
-) -> tuple[np.ndarray, dict]:
+    state: MultiArmState, config: PolicyConfig, screened: np.ndarray
+) -> tuple[np.ndarray, int, float | None]:
     """Per-arm mean estimates at centers of multi-active, unscreened cubes.
 
-    NaN marks combinations with no estimate (arm inactive, screened, or in
-    the fail-safe no-data state).
+    ``screened`` is the ``(n_cubes, n_arms)`` screen table.  Returns the
+    estimates, the number of degenerate fits and the smallest Gram
+    eigenvalue (``None`` when nothing was fitted).  NaN marks combinations
+    with no estimate: arm inactive, screened, or without samples.
     """
-    n, n_arms = state.active.shape
-    eta = np.full((n, n_arms), np.nan)
-    diag = {"degenerate_fits": 0, "min_eig": None, "estimated_cubes": 0}
+    eta = np.full(state.active.shape, np.nan)
+    estimable = state.active & ~screened & (state.support_cubes & (state.active_counts() >= 2))[:, None]
     basis = config.basis()
-    multi = state.active_counts() >= 2
+    degenerate = 0
     eig_min = math.inf
-    total = 0
-    for ai in range(n_arms):
-        if screened[ai].fail_safe:
-            continue
-        mask = state.arm_region_mask(ai) & multi & ~screened[ai].mask
-        ids = np.nonzero(mask)[0]
+    for ai, bandwidth in state.bandwidths.items():
+        ids = np.nonzero(estimable[:, ai])[0]
         if len(ids) == 0:
             continue
         X, y = state.samples[ai]
-        vals, degen, eigs, _ = fit_at_centers(state.lattice.centers(ids), X, y, state.bandwidths[ai], basis)
+        vals, degen, eigs, _ = fit_at_centers(state.lattice.centers(ids), X, y, bandwidth, basis)
         eta[ids, ai] = vals
-        diag["degenerate_fits"] += int(degen.sum())
-        total += len(ids)
+        degenerate += int(degen.sum())
         if len(eigs):
             eig_min = min(eig_min, float(np.nanmin(eigs)))
-    diag["min_eig"] = None if math.isinf(eig_min) else eig_min
-    diag["estimated_cubes"] = total
-    return eta, diag
+    return eta, degenerate, None if math.isinf(eig_min) else eig_min
 
 
 def update_active_sets(
-    state: MultiArmState, eta_hat: np.ndarray, screened: dict, tolerance: float
-) -> tuple[MultiArmState, dict]:
+    state: MultiArmState, eta_hat: np.ndarray, screened: np.ndarray, tolerance: float
+) -> tuple[MultiArmState, int]:
     """Remove arms flagged irregular or estimated suboptimal by the margin.
 
     An arm is eliminated from a cube when some other active, estimable arm
     beats its estimate by more than the tolerance, or when the cube was
     flagged by the arm's regularity screen.  A removal that would empty a
-    cube's arm set is rejected and counted as an anomaly.
+    cube's arm set is rejected and counted as an anomaly.  Returns the
+    next state, without a sample log, and the anomaly count.
     """
-    n, n_arms = state.active.shape
-    removal = np.zeros_like(state.active)
-    for ai in range(n_arms):
-        removal[:, ai] = screened[ai].mask
-    with np.errstate(invalid="ignore"):
-        best = np.nanmax(np.where(np.isnan(eta_hat), -np.inf, eta_hat), axis=1)
-        for ai in range(n_arms):
-            beaten = (best - eta_hat[:, ai] > tolerance) & ~np.isnan(eta_hat[:, ai])
-            removal[:, ai] |= beaten
-    removal &= state.active
-    keep = state.active & ~removal
-    would_empty = (keep.sum(axis=1) == 0) & (removal.sum(axis=1) > 0)
+    best = np.fmax.reduce(eta_hat, axis=1)  # NaN, and so beating nothing, where no arm has an estimate
+    removal = (screened | (best[:, None] - eta_hat > tolerance)) & state.active
+    would_empty = removal.any(axis=1) & ~(state.active & ~removal).any(axis=1)
     removal[would_empty] = False
-    new_active = state.active & ~removal
-    info = {
-        "anomalies": int(would_empty.sum()),
-        "removed": int(removal[state.support_cubes].sum()),
-        "screened": {ai: int(screened[ai].mask.sum()) for ai in range(n_arms)},
-        "fail_safe": [ai for ai in range(n_arms) if screened[ai].fail_safe],
-    }
-    new_state = MultiArmState(
-        lattice=state.lattice,
-        support_cubes=state.support_cubes,
-        epoch=state.epoch + 1,
-        active=new_active,
-    )
-    return new_state, info
+    return MultiArmState(state.lattice, state.support_cubes, state.active & ~removal), int(would_empty.sum())
 
 
 update_regions = update_active_sets  # the name the benchmark's tracer patches for updates
@@ -360,10 +313,9 @@ estimate_cate_at_centers = estimate_means_at_centers  # the name it patches for 
 
 
 def _multi_arm_tables(state: MultiArmState):
-    counts = state.active.sum(axis=1).astype(np.int64)
-    counts = np.maximum(counts, 1)
+    """Each cube's active arm indices first, and their count (at least 1); see ``_choose_arms``."""
     table = np.argsort(~state.active, axis=1, kind="stable").astype(np.int64)
-    return table, counts
+    return table, np.maximum(state.active_counts(), 1).astype(np.int64)
 
 
 def run_multi_arm(
@@ -381,8 +333,6 @@ def run_multi_arm(
     plus per-epoch diagnostics and the final active-arm bits per cube
     (bit ``i`` set when arm ``env.arms[i]`` is active, -1 off support).
     """
-    if len(env.arms) < 2:
-        raise ValueError("need at least two arms")
     if config.arm_count != len(env.arms):
         raise ValueError(
             f"config.arm_count={config.arm_count} does not match the instance's {len(env.arms)} arms"
@@ -394,21 +344,23 @@ def run_multi_arm(
     lattice = build_lattice(config.horizon, config.beta, config.d)
     support = support_cube_mask(lattice, env.support)
     schedule = make_schedule(config)
-    state = initial_multi_state(lattice, support, len(env.arms))
     n_arms = len(env.arms)
+    state = initial_multi_state(lattice, support, n_arms)
 
     regret_parts, inferior_parts, action_parts = [], [], []
     diags = []
-    anomaly_total = 0
     below_cube_total = 0
     start_t = 0
     for k, length in enumerate(schedule.realized, start=1):
-        upd_info = {"anomalies": 0, "screened": dict.fromkeys(range(n_arms), 0), "fail_safe": []}
-        est_diag = {"degenerate_fits": 0, "min_eig": None}
+        screened = np.zeros(state.active.shape, dtype=bool)
+        fail_safe, anomalies, degenerate, min_eig = [], 0, 0, None
         if k >= 2:
-            screened = {ai: screen_multi_arm(state, ai, env.support, config) for ai in range(n_arms)}
-            eta_hat, est_diag = estimate_means_at_centers(state, config, screened)
-            state, upd_info = update_active_sets(state, eta_hat, screened, schedule.tolerances[k - 2])
+            fail_safe = [arm for ai, arm in enumerate(env.arms) if ai not in state.bandwidths]
+            screened = np.column_stack(
+                [screen_multi_arm(state, ai, env.support, config) for ai in range(n_arms)]
+            )
+            eta_hat, degenerate, min_eig = estimate_means_at_centers(state, config, screened)
+            state, anomalies = update_active_sets(state, eta_hat, screened, schedule.tolerances[k - 2])
             if not state.invariants_ok():
                 raise RuntimeError(f"epoch {k}: a support cube has no active arm left")
         table, counts = _multi_arm_tables(state)
@@ -420,31 +372,24 @@ def run_multi_arm(
         inferior_parts.append(inferior)
         if record_actions:
             action_parts.append(np.asarray(env.arms)[arm_ix])
-        anomaly_total += upd_info["anomalies"]
-        active_support = state.active[state.support_cubes]
+        active = state.active & support[:, None]
+        arm_counts = active.sum(axis=1)
         diags.append(
             EpochDiagnostics(
                 epoch=k,
                 start=start_t,
                 length=length,
                 tolerance=schedule.tolerances[k - 1],
-                explore_cubes=int((active_support.sum(axis=1) >= 2).sum()),
-                exploit_cubes={
-                    env.arms[ai]: int(
-                        (active_support[:, ai] & (active_support.sum(axis=1) == 1)).sum()
-                    )
-                    for ai in range(n_arms)
-                },
-                screened_cubes={env.arms[ai]: v for ai, v in upd_info["screened"].items()},
-                anomalies=upd_info["anomalies"],
-                degenerate_fits=est_diag["degenerate_fits"],
-                min_eig=est_diag["min_eig"],
-                sample_counts={env.arms[ai]: state.sample_counts.get(ai, 0) for ai in range(n_arms)},
+                explore_cubes=int((arm_counts >= 2).sum()),
+                exploit_cubes=dict(zip(env.arms, active[arm_counts == 1].sum(axis=0).tolist())),
+                screened_cubes=dict(zip(env.arms, screened.sum(axis=0).tolist())),
+                anomalies=anomalies,
+                degenerate_fits=degenerate,
+                min_eig=min_eig,
+                sample_counts={arm: len(state.samples[ai][1]) for ai, arm in enumerate(env.arms)},
                 bandwidths={env.arms[ai]: bw for ai, bw in state.bandwidths.items()},
-                fail_safe_arms=[env.arms[ai] for ai in upd_info["fail_safe"]],
-                active_cubes={
-                    env.arms[ai]: int(state.arm_region_mask(ai).sum()) for ai in range(n_arms)
-                },
+                fail_safe_arms=fail_safe,
+                active_cubes=dict(zip(env.arms, active.sum(axis=0).tolist())),
             )
         )
         start_t += length
@@ -461,7 +406,7 @@ def run_multi_arm(
             "epochs": schedule.K,
             "delta": schedule.delta,
             "n_cubes": lattice.n_cubes,
-            "anomalies": anomaly_total,
+            "anomalies": sum(e.anomalies for e in diags),
             "bandwidth_below_cube": below_cube_total,
             "schedule_degenerate": schedule.degenerate,
         },
@@ -471,7 +416,6 @@ def run_multi_arm(
 def _log_epoch_samples(state: MultiArmState, X, arm_ix, rewards, config, arms):
     """Store each arm's samples and bandwidth; return how many fell below the cube diagonal."""
     state.samples = {}
-    state.sample_counts = {}
     state.bandwidths = {}
     exponent = -1.0 / (2 * config.beta + config.d)
     diagonal = math.sqrt(config.d) * state.lattice.delta
@@ -480,7 +424,6 @@ def _log_epoch_samples(state: MultiArmState, X, arm_ix, rewards, config, arms):
         mask = arm_ix == ai
         count = int(mask.sum())
         state.samples[ai] = (X[mask], rewards[mask])
-        state.sample_counts[ai] = count
         if count > 0:
             bw = count**exponent
             state.bandwidths[ai] = bw

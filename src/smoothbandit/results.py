@@ -113,31 +113,12 @@ class RunResult:
         return float(self.cum_regret[-1])
 
     def equals(self, other: "RunResult") -> bool:
-        """Bitwise equality of everything except wall time."""
-        if not isinstance(other, RunResult):
+        """Bitwise equality of everything except wall time: the same report and actions."""
+        if not isinstance(other, RunResult) or self.to_report() != other.to_report():
             return False
-        if (self.policy, self.instance, self.seed, self.horizon, self.inferior_count) != (
-            other.policy,
-            other.instance,
-            other.seed,
-            other.horizon,
-            other.inferior_count,
-        ):
-            return False
-        for a, b in (
-            (self.checkpoint_times, other.checkpoint_times),
-            (self.cum_regret, other.cum_regret),
-            (self.cum_inferior, other.cum_inferior),
-            (self.final_labels, other.final_labels),
-            (self.actions, other.actions),
-        ):
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        if self.meta != other.meta:
-            return False
-        return [e.to_dict() for e in self.epochs] == [e.to_dict() for e in other.epochs]
+        if self.actions is None or other.actions is None:
+            return self.actions is other.actions
+        return np.array_equal(self.actions, other.actions)
 
     def to_report(self) -> dict:
         """JSON-ready summary of the run, including per-epoch diagnostics."""

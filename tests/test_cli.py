@@ -109,6 +109,72 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
 
+def _smooth(**params):
+    return [{"name": "smooth", "params": {"beta": 2.0, **params}}]
+
+
+def _instance(family, **params):
+    return {"family": family, "params": params}
+
+
+_BAD_VALUES = {
+    # once exit 0, with NaN written into summary.json
+    "frequency_nan": (
+        {"instance": _instance("sinusoidal", d=1, frequency=float("nan"))},
+        "instance.params (sinusoidal): frequency must be a finite positive number",
+    ),
+    "multi_arm_mean_nan": (
+        {
+            "instance": _instance("constant_multi", means=[0.2, float("nan")]),
+            "policies": [{"name": "smooth_multi", "params": {"beta": 2.0}}],
+        },
+        "instance.params (constant_multi): means must lie in [0, 1]",
+    ),
+    "degree_1.5": (
+        {"instance": _instance("polynomial_boundary", d=1, degree=1.5)},
+        "instance.params (polynomial_boundary): degree must be an integer >= 1",
+    ),
+    # once exit 1, only once the runs started
+    "beta_nan": ({"policies": _smooth(beta=float("nan"))}, "policies[0].params: smoothness must be"),
+    "beta_infinity": ({"policies": _smooth(beta=float("inf"))}, "policies[0].params: smoothness must be"),
+    "c_epoch_nan": ({"policies": _smooth(c_epoch=float("nan"))}, "policies[0].params: c_epoch must be"),
+    "d_0": ({"instance": _instance("sinusoidal", d=0)}, "instance.params (sinusoidal): dimension must be"),
+    "d_1.5": ({"instance": _instance("sinusoidal", d=1.5)}, "instance.params (sinusoidal): dimension must be"),
+    # once an uncaught traceback
+    "policy_params_string": (
+        {"policies": [{"name": "smooth", "params": "beta"}]},
+        "policies[0].params: must be a mapping",
+    ),
+    "instance_params_string": (
+        {"instance": {"family": "sinusoidal", "params": "d"}},
+        "instance.params: must be a mapping",
+    ),
+    "label_object": (
+        {"policies": [{"name": "smooth", "label": {"a": 1}, "params": {"beta": 2.0}}]},
+        "policies[0].label: must be a string",
+    ),
+    # once silently remapped
+    "beta_true": ({"policies": _smooth(beta=True)}, "policies[0].params: smoothness must be"),
+    "params_pairs": (
+        {"policies": [{"name": "smooth", "params": [["beta", 2.0]]}]},
+        "policies[0].params: must be a mapping",
+    ),
+    "save_states_string": ({"save_states": "no"}, "save_states: must be true or false"),
+    # once each run twice
+    "repeated_horizon": ({"horizons": [500, 500]}, "horizons: must not repeat a horizon"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+def test_bad_values_rejected_before_any_run(tmp_path, capsys, case):
+    change, message = _BAD_VALUES[case]
+    cfg = {"instance": _instance("sinusoidal", d=1), "policies": _smooth(), "horizons": [500], "reps": 2}
+    path = write_config(tmp_path / "bad.json", {**cfg, **change})
+    assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRunCommand:
     def test_run_writes_outputs(self, run_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -70,6 +70,26 @@ class TestSmoothFamilies:
         with pytest.raises(ValueError):
             make_smooth_instance("unknown_family")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            # these once built, and a run wrote NaN into summary.json
+            (lambda: make_smooth_instance("sinusoidal", d=1, frequency=math.nan), "frequency must be"),
+            (lambda: make_constant_multi_arm((0.2, math.nan), d=1), r"means must lie in \[0, 1\]"),
+            (lambda: make_smooth_instance("polynomial_boundary", d=1, degree=1.5), "degree must be an integer"),
+            (lambda: make_smooth_instance("constant_gap", d=1, beta=math.nan), "smoothness must be"),
+            # these once built, and the runs failed
+            (lambda: make_smooth_instance("sinusoidal", d=0), "dimension must be an integer >= 1"),
+            (lambda: make_smooth_instance("sinusoidal", d=1.5), "dimension must be an integer >= 1"),
+            (lambda: make_constant_multi_arm((0.2, 0.8), d=0), "dimension must be an integer >= 1"),
+            (lambda: make_lower_bound_instance(T=100_000, beta=1.0, alpha=0.5, d=1.5), "dimension must be"),
+        ],
+        ids=["frequency_nan", "mean_nan", "degree_1.5", "beta_nan", "d_0", "d_1.5", "multi_d_0", "lower_bound_d_1.5"],
+    )
+    def test_rejects_values_that_fail_late_or_silently(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_sampler_respects_support(self):
         rng = np.random.default_rng(2)
         inst = make_smooth_instance("sinusoidal", d=2)

@@ -284,6 +284,12 @@ class TestConfigValidation:
                 validate(cfg)
             assert info.value.fieldpath == key
 
+    def test_repeated_horizon_rejected(self):
+        # once ran every run twice: the CSV listed each twice while summary.json said reps: 3
+        with pytest.raises(ConfigError, match=r"^horizons: must not repeat a horizon, got \[500, 500\]") as info:
+            validate_experiment_config(small_config(horizons=[500, 500]))
+        assert info.value.fieldpath == "horizons"
+
     def test_checkpoint_times_up_to_the_smallest_horizon_pass(self):
         rows, _, _ = run_experiment(small_config(checkpoints=[1, 500]), quiet=True)
         assert sorted({r[5] for r in rows}) == [1, 500, 1000]

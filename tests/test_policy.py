@@ -20,7 +20,6 @@ from smoothbandit.harness import save_state_reports
 from smoothbandit.policy import (
     MultiArmState,
     PolicyConfig,
-    ScreenResult,
     _choose_arms,
     _multi_arm_tables,
     _static_epoch,
@@ -116,6 +115,23 @@ class TestSchedule:
                             cfg = PolicyConfig(beta=beta, d=d, horizon=T, p=p, c_epoch=c_epoch)
                             assert make_schedule(cfg).K <= epoch_count_bound(beta, d, T)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # once accepted, and the run failed converting NaN to an integer
+            ("beta", math.nan, "smoothness must be a finite number"),
+            ("beta", math.inf, "smoothness must be a finite number"),
+            ("c_epoch", math.nan, "c_epoch must be a finite positive number"),
+            # once run as 1.0
+            ("beta", True, "smoothness must be a finite number"),
+            ("p", True, "p must be a number"),
+            ("d", 1.5, "dimension must be an integer"),
+        ],
+    )
+    def test_config_rejects_values_that_fail_late_or_silently(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PolicyConfig(**{"beta": 2.0, "d": 1, "horizon": 1000, field: value})
+
     def test_degenerate_short_horizon_flag(self):
         cfg = PolicyConfig(beta=2.0, d=1, horizon=100)
         sched = make_schedule(cfg)
@@ -139,7 +155,7 @@ def two_arm_state(lattice, support, exploit_pos, exploit_neg):
     active = np.ones((lattice.n_cubes, 2), dtype=bool)
     active[exploit_pos, NEG] = False
     active[exploit_neg, POS] = False
-    return MultiArmState(lattice=lattice, support_cubes=support, epoch=2, active=active)
+    return MultiArmState(lattice=lattice, support_cubes=support, active=active)
 
 
 def regions(state):
@@ -159,7 +175,6 @@ def make_state_with_samples(lattice, support, exploit_pos, exploit_neg, n_per_ar
         X = rng.random((n_per_arm, lattice.d))
         y = rng.random(n_per_arm)
         state.samples[ai] = (X, y)
-        state.sample_counts[ai] = n_per_arm
         state.bandwidths[ai] = n_per_arm ** (-1.0 / (2 * 2.0 + lattice.d))
     return state
 
@@ -175,9 +190,7 @@ class TestScreening:
         n = lattice.n_cubes
         state = make_state_with_samples(lattice, support, np.zeros(n, bool), np.zeros(n, bool), 500, rng)
         for ai in (POS, NEG):
-            res = screen_multi_arm(state, ai, unit_cube_support, cfg)
-            assert not res.fail_safe
-            assert res.mask.sum() == 0
+            assert screen_multi_arm(state, ai, unit_cube_support, cfg).sum() == 0
 
     def test_isolated_cube_is_screened(self):
         # a lone explore cube inside a sea of opposite-arm cubes: the
@@ -195,10 +208,10 @@ class TestScreening:
         res = screen_multi_arm(state, POS, unit_cube_support, cfg)
         frac = lattice.delta / (2 * state.bandwidths[POS])
         assert frac < cfg.c0 / 2
-        assert res.mask[n // 2]
+        assert res[n // 2]
         # arm -1 reaches nearly everything: not screened
         res_neg = screen_multi_arm(state, NEG, unit_cube_support, cfg)
-        assert res_neg.mask.sum() == 0
+        assert res_neg.sum() == 0
 
     def test_empty_explore_screens_nothing(self):
         cfg = PolicyConfig(beta=2.0, d=1, horizon=5000)
@@ -207,7 +220,7 @@ class TestScreening:
         n = lattice.n_cubes
         rng = np.random.default_rng(2)
         state = make_state_with_samples(lattice, support, support.copy(), np.zeros(n, bool), 100, rng)
-        assert screen_multi_arm(state, POS, unit_cube_support, cfg).mask.sum() == 0
+        assert screen_multi_arm(state, POS, unit_cube_support, cfg).sum() == 0
 
     def test_no_samples_triggers_fail_safe(self):
         cfg = PolicyConfig(beta=2.0, d=1, horizon=5000)
@@ -216,11 +229,11 @@ class TestScreening:
         rng = np.random.default_rng(3)
         n = lattice.n_cubes
         state = make_state_with_samples(lattice, support, np.zeros(n, bool), np.zeros(n, bool), 100, rng)
-        state.sample_counts[POS] = 0
+        state.samples[POS] = (np.empty((0, 1)), np.empty(0))
+        del state.bandwidths[POS]  # no samples, so no bandwidth
         res = screen_multi_arm(state, POS, unit_cube_support, cfg)
         # no data: nothing is flagged, so the silence removes the arm nowhere
-        assert res.fail_safe
-        assert res.mask.sum() == 0
+        assert res.sum() == 0
 
 
 class TestUpdateRegions:
@@ -231,15 +244,15 @@ class TestUpdateRegions:
         return initial_multi_state(lattice, support, 2), n
 
     def no_screen(self, n):
-        return {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
+        return np.zeros((n, 2), bool)
 
     def test_all_zero_estimates_keep_randomizing(self):
         state, n = self.setup_state()
         screened = self.no_screen(n)
-        screened[POS].mask[:2] = True  # two cubes inestimable for +1
+        screened[:2, POS] = True  # two cubes inestimable for +1
         tau = np.zeros(n)
-        tau[screened[POS].mask] = np.nan
-        new, info = update_active_sets(state, gap_estimates(tau), screened, 0.5)
+        tau[screened[:, POS]] = np.nan
+        new, _ = update_active_sets(state, gap_estimates(tau), screened, 0.5)
         before, after = regions(state), regions(new)
         assert after["explore"].sum() == before["explore"].sum() - 2
         assert after[-1].sum() == 2  # screened-for-+1 cubes exploit -1
@@ -273,22 +286,19 @@ class TestUpdateRegions:
         state, n = self.setup_state()
         screened = self.no_screen(n)
         cube = np.nonzero(state.support_cubes)[0][0]
-        screened[POS].mask[cube] = True
-        screened[NEG].mask[cube] = True
-        new, info = update_active_sets(state, np.full((n, 2), np.nan), screened, 0.5)
-        assert info["anomalies"] == 1
+        screened[cube] = True  # for both arms
+        new, anomalies = update_active_sets(state, np.full((n, 2), np.nan), screened, 0.5)
+        assert anomalies == 1
         assert regions(new)["explore"][cube]
         assert new.invariants_ok()
 
     def test_fail_safe_flags_keep_randomizing(self):
         cfg = PolicyConfig(beta=1.0, d=1, horizon=3000)
         state, n = self.setup_state()
-        state.sample_counts = {POS: 0, NEG: 500}  # no data for +1
-        screened = {
-            POS: screen_multi_arm(state, POS, unit_cube_support, cfg),
-            NEG: ScreenResult(np.zeros(n, bool), False),
-        }
-        assert screened[POS].fail_safe
+        state.bandwidths = {NEG: 500 ** (-1.0 / 3)}  # no data, so no bandwidth, for +1
+        screened = self.no_screen(n)
+        screened[:, POS] = screen_multi_arm(state, POS, unit_cube_support, cfg)
+        assert not screened.any()
         new, _ = update_active_sets(state, np.full((n, 2), np.nan), screened, 0.5)
         assert np.array_equal(new.active, state.active)
 
@@ -490,10 +500,8 @@ class TestRunTwoArm:
         for ai in (POS, NEG):
             X = rng.random((600, 1))
             state.samples[ai] = (X, np.full(600, 0.5))
-            state.sample_counts[ai] = 600
             state.bandwidths[ai] = 600 ** (-1.0 / 5)
-        screened = {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
-        eta, _ = estimate_means_at_centers(state, cfg, screened)
+        eta, _, _ = estimate_means_at_centers(state, cfg, np.zeros((n, 2), bool))
         tau = eta[:, POS] - eta[:, NEG]
         np.testing.assert_allclose(tau[~np.isnan(tau)], 0.0, atol=1e-12)
 
@@ -508,12 +516,10 @@ class TestRunTwoArm:
         for ai, level in ((POS, 0.75), (NEG, 0.25)):
             X = rng.random((800, 1))
             state.samples[ai] = (X, np.full(800, level))
-            state.sample_counts[ai] = 800
             state.bandwidths[ai] = 800 ** (-1.0 / 5)
-        screened = {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
-        eta, diag = estimate_means_at_centers(state, cfg, screened)
+        eta, degenerate, _ = estimate_means_at_centers(state, cfg, np.zeros((n, 2), bool))
         tau = eta[:, POS] - eta[:, NEG]
-        assert diag["degenerate_fits"] == 0
+        assert degenerate == 0
         np.testing.assert_allclose(tau[~np.isnan(tau)], 0.5, atol=1e-6)
 
     def test_estimate_op_flags_degenerate_fits(self):
@@ -525,15 +531,12 @@ class TestRunTwoArm:
         rng = np.random.default_rng(4)
         # plentiful data for +1, one lone far-away sample for -1
         state.samples[POS] = (rng.random((800, 1)), np.full(800, 0.75))
-        state.sample_counts[POS] = 800
         state.bandwidths[POS] = 800 ** (-1.0 / 5)
         state.samples[NEG] = (np.array([[0.0]]), np.array([0.25]))
-        state.sample_counts[NEG] = 1
         state.bandwidths[NEG] = 0.015
-        screened = {POS: ScreenResult(np.zeros(n, bool), False), NEG: ScreenResult(np.zeros(n, bool), False)}
-        eta, diag = estimate_means_at_centers(state, cfg, screened)
+        eta, degenerate, _ = estimate_means_at_centers(state, cfg, np.zeros((n, 2), bool))
         tau = eta[:, POS] - eta[:, NEG]
-        assert diag["degenerate_fits"] > 0
+        assert degenerate > 0
         ids = ~np.isnan(tau)
         # cubes where arm -1 had no usable fit fall back to eta=0: tau = 0.75
         assert np.nanmax(tau[ids]) == pytest.approx(0.75, abs=0.05)
@@ -693,7 +696,7 @@ class TestLogEpochSamples:
         with caplog.at_level("WARNING", logger=policy.log.name):
             below = policy._log_epoch_samples(state, X, arm_ix, np.zeros(len(arm_ix)), cfg, (7, 8, 9))
         assert below == 1
-        assert state.sample_counts == {0: 200, 1: 50, 2: 0}
+        assert {ai: len(y) for ai, (_, y) in state.samples.items()} == {0: 200, 1: 50, 2: 0}
         assert sorted(state.bandwidths) == [0, 1]
         assert state.bandwidths[0] < math.sqrt(cfg.d) * lattice.delta < state.bandwidths[1]
         warnings = [r.getMessage() for r in caplog.records]
@@ -702,18 +705,18 @@ class TestLogEpochSamples:
 
 def _break_partition(update):
     def broken(state, *args):
-        state, info = update(state, *args)
+        state, anomalies = update(state, *args)
         state.active[np.argmax(state.support_cubes)] = False  # a support cube in no region
-        return state, info
+        return state, anomalies
 
     return broken
 
 
 def _empty_active_sets(update):
     def broken(state, *args):
-        state, info = update(state, *args)
+        state, anomalies = update(state, *args)
         state.active[:] = False
-        return state, info
+        return state, anomalies
 
     return broken
 

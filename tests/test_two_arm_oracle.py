@@ -18,6 +18,7 @@ fields whose conventions differ on purpose:
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from smoothbandit.geometry import (
     support_cube_mask,
 )
 from smoothbandit.localpoly import fit_at_centers
-from smoothbandit.policy import PolicyConfig, ScreenResult, _static_epoch, make_schedule
+from smoothbandit.policy import PolicyConfig, _static_epoch, make_schedule
 from smoothbandit.results import EpochDiagnostics, RunResult, normalize_checkpoints
 
 log = policy.log
@@ -45,6 +46,11 @@ log = policy.log
 
 # ---------------------------------------------------------------------------
 # Reference: the two-arm region engine
+
+
+class ScreenResult(NamedTuple):
+    mask: np.ndarray
+    fail_safe: bool
 
 
 @dataclass
