@@ -298,10 +298,19 @@ def _running_counts(rows: np.ndarray, axis_cube: np.ndarray, resolution: int) ->
     return running.ravel()
 
 
+def _prefix_cubes(block: np.ndarray, prefix: np.ndarray, axis_cube: np.ndarray, cpa: int) -> np.ndarray:
+    """Flat index, with the padding cube, of the first ``d - 1`` cube indices
+    of the given rows (columns of ``prefix``) of each center's ball."""
+    out = np.zeros((len(block), prefix.shape[1]), dtype=np.int64)
+    for axis in range(len(prefix)):
+        out = out * (cpa + 1) + axis_cube[block[:, axis, None], prefix[axis]]
+    return out
+
+
 def _lattice_counts(
-    cells: np.ndarray, radius: float, region: RegionMask, resolution: int
+    cells: np.ndarray, radius: float, region: RegionMask, resolution: int, need: int
 ) -> np.ndarray:
-    """:func:`_point_counts` for lattice centers, testing points only in mixed cubes.
+    """``min(count, need)`` for :func:`_point_counts`' counts at lattice centers.
 
     Along one axis, coordinate ``k`` of the ball around cube ``j`` is
     ``(j + 1/2) delta + radius * axis[k]`` whatever the other axes do, and
@@ -311,11 +320,24 @@ def _lattice_counts(
     member cube that the support's classifier calls in counts without a
     test, one in an out cube does not count, and a running count of
     member-and-in cubes over the last axis turns each row of in-ball
-    offsets into two integer lookups.  A second running count, of
-    member-and-mixed cubes, finds the rows that touch a mixed cube; only
-    their points in such cubes are built and tested with the support
+    offsets into two integer lookups.
+
+    The count stops at ``need``.  For a block of centers the rows are
+    walked longest first, in groups of 1, 1, 2, 4, ... rows, each over the
+    centers still below ``need``; a center leaves the walk once it reaches
+    ``need``, and most centers of a mostly filled ball leave after its
+    longest row.  The doubling groups keep the passes few where centers
+    stay below ``need`` (a ball has about 800 rows at ``d = 3``), and the
+    blocks keep each pass's lookups near one another in the tables.
+
+    Only the centers still below ``need`` after every row go on to the
+    mixed cubes: a second running count, of member-and-mixed cubes (built
+    on first use), finds their rows that touch such a cube, and only those
+    rows' points in such cubes are built and tested with the support
     predicate (:func:`_mixed_counts`).  A support without mixed cubes, such
-    as the unit cube, builds no points at all.
+    as the unit cube, builds no points at all, and neither does a region
+    whose centers the in-cube rows all decide.  A ``need`` above the ball's
+    point count gives the exact counts.
     """
     lattice = region.lattice
     d, cpa = lattice.d, lattice.cells_per_axis
@@ -329,22 +351,31 @@ def _lattice_counts(
     classes = _classifier(region.support)(lattice)
     in_running = _running_counts(_padded_rows(member & (classes == CUBE_IN), d, cpa), axis_cube, resolution)
     mixed = _padded_rows(member & (classes == CUBE_MIXED), d, cpa)
-    mixed_running = _running_counts(mixed, axis_cube, resolution) if mixed.any() else None
-    counts = np.empty(len(cells), dtype=np.int64)
+    mixed_running = None
+    order = np.argsort(lo - hi, kind="stable")
+    counts = np.zeros(len(cells), dtype=np.int64)
     step = max(1, _SCREEN_CHUNK // len(lo))
     for start in range(0, len(cells), step):
-        block = cells[start : start + step]
-        prefix_cube = np.zeros((len(block), len(lo)), dtype=np.int64)
-        for axis in range(d - 1):
-            prefix_cube = prefix_cube * (cpa + 1) + axis_cube[block[:, axis, None], prefix[axis]]
-        base = (prefix_cube * cpa + block[:, d - 1, None]) * (resolution + 1)
-        counts[start : start + step] = (in_running[base + hi] - in_running[base + lo]).sum(axis=1)
-        if mixed_running is not None:
+        below, done = np.arange(start, min(start + step, len(cells))), 0
+        while done < len(order) and len(below):
+            rows = order[done : done + max(1, done)]
+            block = cells[below]
+            prefix_cube = _prefix_cubes(block, prefix[:, rows], axis_cube, cpa)
+            base = (prefix_cube * cpa + block[:, d - 1, None]) * (resolution + 1)
+            counts[below] += (in_running[base + hi[rows]] - in_running[base + lo[rows]]).sum(axis=1)
+            below = below[counts[below] < need]
+            done += len(rows)
+        if len(below) and mixed.any():
+            if mixed_running is None:
+                mixed_running = _running_counts(mixed, axis_cube, resolution)
+            block = cells[below]
+            prefix_cube = _prefix_cubes(block, prefix, axis_cube, cpa)
+            base = (prefix_cube * cpa + block[:, d - 1, None]) * (resolution + 1)
             touched = mixed_running[base + hi] > mixed_running[base + lo]
-            counts[start : start + step] += _mixed_counts(
+            counts[below] += _mixed_counts(
                 block, prefix_cube, touched, coords, axis_cube, mixed, region.support, resolution
             )
-    return counts
+    return np.minimum(counts, need)
 
 
 def _mixed_counts(
@@ -430,6 +461,22 @@ def is_weakly_regular(
     return ball_region_fraction(x, radius, region, resolution) >= c
 
 
+def _need(c: float, denom: int) -> int:
+    """The smallest count ``k`` with ``k / denom >= c`` in floating point
+    (``denom + 1`` when no count up to ``denom`` reaches ``c``).
+
+    ``k / denom`` is correctly rounded, so it does not decrease as ``k``
+    grows, and ``counts >= _need(c, denom)`` is ``counts / denom >= c``,
+    ties included.  ``c * denom`` lands within a step of the answer.
+    """
+    k = min(max(math.ceil(c * denom), 0), denom + 1)
+    while k > 0 and (k - 1) / denom >= c:
+        k -= 1
+    while k <= denom and k / denom < c:
+        k += 1
+    return k
+
+
 def batch_weak_regularity(
     centers: np.ndarray,
     radius: float,
@@ -440,7 +487,9 @@ def batch_weak_regularity(
     """Vectorized weak-regularity test at many centers with one shared radius.
 
     Same quadrature as :func:`ball_region_fraction`, and the same answer
-    whichever of two paths computes it:
+    whichever of two paths computes it.  The test ``count / denom >= c``
+    becomes ``count >= need`` for the smallest passing count ``need``
+    (:func:`_need`), so it decides rather than measures:
 
     - the lattice path, when the region is a :class:`RegionMask` whose
       support is classified (``None``, :func:`unit_cube_support`, or
@@ -448,9 +497,11 @@ def batch_weak_regularity(
       support of the lower-bound instance) and every center is a cube
       center of its lattice: per-axis cube tables and running counts over
       the last axis count the points in member cubes that are wholly in
-      the support, and the support predicate runs only on the in-ball
-      points that fall in member cubes it cuts, for the rows of the ball
-      that touch such a cube (:func:`_lattice_counts`);
+      the support, row by row of the ball, and a center stops once it
+      reaches ``need``.  Only for the centers that every row leaves below
+      ``need`` does the support predicate run, on the in-ball points that
+      fall in member cubes it cuts, for the rows of the ball that touch
+      such a cube (:func:`_lattice_counts`);
     - the point path otherwise, for example for off-lattice centers or a
       bare predicate: the region's membership test on every quadrature
       point, built for a bounded block of centers at a time
@@ -463,12 +514,13 @@ def batch_weak_regularity(
     denom = len(_ball_quadrature(d, resolution)[0])
     if n == 0 or denom == 0:
         return np.zeros(n, dtype=bool)
+    need = _need(c, denom)
     cells = _lattice_cells(centers, region)
     if cells is None:
         counts = _point_counts(centers, radius, region, resolution)
     else:
-        counts = _lattice_counts(cells, radius, region, resolution)
-    return counts / denom >= c
+        counts = _lattice_counts(cells, radius, region, resolution, need)
+    return counts >= need
 
 
 def support_cube_mask(

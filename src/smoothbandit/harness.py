@@ -346,7 +346,8 @@ def run_experiment(cfg: dict, quiet: bool = False):
             "d": env.d,
             "arms": list(env.arms),
             "beta": env.meta.beta,
-            "alpha": env.meta.alpha,
+            # JSON has no infinity: a hard margin (alpha = inf) is written as null
+            "alpha": env.meta.alpha if math.isfinite(env.meta.alpha) else None,
         },
         "config": {k: cfg[k] for k in ("horizons", "reps", "base_seed", "checkpoints")},
         "policies": [p.get("label", p["name"]) for p in cfg["policies"]],
@@ -382,7 +383,7 @@ def write_csv(rows, path: str) -> None:
 
 def write_summary(summary: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -415,7 +416,7 @@ def summary_rate_check(summary: dict, policy: str, band: tuple[float, float] | N
     regrets = {g["T"]: [g["mean_final_regret"]] for g in groups}
     fit = fit_rate(regrets, min_reps=1)
     inst = summary["instance"]
-    alpha = inst["alpha"]
+    alpha = math.inf if inst["alpha"] is None else inst["alpha"]
     exponent = theoretical_exponent(inst["beta"], min(alpha, 1e6), inst["d"])
     if band is None:
         band = (exponent - 0.15, exponent + 0.25)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothbandit import geometry
-from smoothbandit.environments import BumpGridSupport
+from smoothbandit.environments import BumpGridSupport, make_lower_bound_instance
 from smoothbandit.geometry import (
     CUBE_IN,
     CUBE_MIXED,
@@ -417,11 +417,24 @@ def _random_bump_grid(rng, d):
     return BumpGridSupport(d=d, q=q, m=int(rng.integers(1, q**d + 1)), radius=1.0 / (4 * q))
 
 
+def _assert_counts_stop_at_need(cells, centers, radius, region, resolution, rng):
+    """The lattice path's counts stopped at ``need`` against the point path's
+    exact counts, for ``need`` 0, 1, a random value, ``denom`` and ``denom + 1``
+    (the exact count)."""
+    exact = geometry._point_counts(centers, radius, region, resolution)
+    denom = len(geometry._ball_quadrature(centers.shape[1], resolution)[0])
+    for need in (0, 1, int(rng.integers(0, denom + 2)), denom, denom + 1):
+        np.testing.assert_array_equal(
+            geometry._lattice_counts(cells, radius, region, resolution, need), np.minimum(exact, need)
+        )
+
+
 class TestLatticeScreening:
     """The lattice path of the screening test against the point-level oracle."""
 
     def test_lattice_path_matches_point_path(self):
         rng = np.random.default_rng(20240)
+        needs = np.random.default_rng(20242)
         for case in range(540):
             d = case % 3 + 1
             lat = _random_lattice(rng, d)
@@ -434,9 +447,7 @@ class TestLatticeScreening:
             centers = _screen_centers(rng, lat, 24)
             cells = geometry._lattice_cells(centers, region)
             assert cells is not None
-            lattice_counts = geometry._lattice_counts(cells, radius, region, resolution)
-            point_counts = geometry._point_counts(centers, radius, region, resolution)
-            np.testing.assert_array_equal(lattice_counts, point_counts)
+            _assert_counts_stop_at_need(cells, centers, radius, region, resolution, needs)
             fractions = _cloud_fractions(centers, radius, region, resolution)
             np.testing.assert_array_equal(
                 batch_weak_regularity(centers, radius, c, region, resolution), fractions >= c
@@ -450,6 +461,7 @@ class TestLatticeScreening:
 
     def test_bump_grid_lattice_path_matches_point_path(self):
         rng = np.random.default_rng(20241)
+        needs = np.random.default_rng(20243)
         for case in range(540):
             d = case % 2 + 2 if case < 240 else 1
             lat = _random_lattice(rng, d)
@@ -460,10 +472,45 @@ class TestLatticeScreening:
             centers = _screen_centers(rng, lat, 24)
             cells = geometry._lattice_cells(centers, region)
             assert cells is not None
-            np.testing.assert_array_equal(
-                geometry._lattice_counts(cells, radius, region, resolution),
-                geometry._point_counts(centers, radius, region, resolution),
-            )
+            _assert_counts_stop_at_need(cells, centers, radius, region, resolution, needs)
+
+    def test_need_reproduces_the_float_threshold(self):
+        # every attained fraction k / denom and its neighbours on either side
+        ball_sizes = [len(geometry._ball_quadrature(d, r)[0]) for d, r in ((2, 32), (3, 16), (2, 7))]
+        for denom in [*range(1, 120), *ball_sizes]:
+            counts = np.arange(denom + 1)
+            for k in range(denom + 1):
+                for c in (np.nextafter(k / denom, -1.0), k / denom, np.nextafter(k / denom, 2.0)):
+                    need = geometry._need(float(c), denom)
+                    assert 0 <= need <= denom + 1
+                    np.testing.assert_array_equal(counts >= need, counts / denom >= c)
+
+    def test_centers_the_in_cube_rows_decide_test_no_point(self):
+        # the hard instance's bump-grid support: its member cubes include
+        # mixed ones, yet at c = 1/48 every center passes on in-cube rows
+        support = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3).support
+        tested = []
+
+        def counted(points):
+            tested.append(len(points))
+            return support(points)
+
+        counted.classify_cubes = support.classify_cubes
+        lat = build_lattice(2048, 2.0, 2)
+        mask = support_cube_mask(lat, support)
+        assert np.any(mask & (support.classify_cubes(lat) == CUBE_MIXED))
+        region = RegionMask(lat, mask, counted)
+        centers = lat.centers(np.nonzero(mask)[0])
+        bare = RegionMask(lat, mask, lambda points: support(points))
+        for radius in (lat.delta, 0.05):
+            passed = batch_weak_regularity(centers, radius, 1.0 / 48.0, region)
+            assert sum(tested) == 0
+            np.testing.assert_array_equal(passed, batch_weak_regularity(centers, radius, 1.0 / 48.0, bare))
+            # exact counts do test the points in mixed cubes
+            denom = len(geometry._ball_quadrature(2, 32)[0])
+            geometry._lattice_counts(geometry._lattice_cells(centers, region), radius, region, 32, denom + 1)
+            assert sum(tested) > 0
+            tested.clear()
 
     def test_ball_rows_are_contiguous_runs(self):
         for d in (1, 2, 3):
@@ -512,15 +559,16 @@ class TestLatticeScreening:
         offsets, _, lo, _ = geometry._ball_quadrature(2, 32)
         cases = [(loose_centers, region), (lattice_centers, _halfspace), (lattice_centers, region)]
         whole = [_cloud_fractions(x, 0.1, reg, 32) >= 0.3 for x, reg in cases]
-        counts = geometry._lattice_counts(geometry._lattice_cells(lattice_centers, region), 0.1, region, 32)
+        # counts on the plain region and on one with mixed cubes, whose
+        # mixed-cube table a later block may be the first to need
+        bumps = RegionMask(lat, region.cube_mask, BumpGridSupport(d=2, q=5, m=7, radius=0.05))
+        cells = geometry._lattice_cells(lattice_centers, region)
         for chunk in (4 * len(offsets), 4 * len(lo)):
             monkeypatch.setattr(geometry, "_SCREEN_CHUNK", chunk)
             for (x, reg), want in zip(cases, whole):
                 np.testing.assert_array_equal(batch_weak_regularity(x, 0.1, 0.3, reg, 32), want)
-            np.testing.assert_array_equal(
-                geometry._lattice_counts(geometry._lattice_cells(lattice_centers, region), 0.1, region, 32),
-                counts,
-            )
+            for reg in (region, bumps):
+                _assert_counts_stop_at_need(cells, lattice_centers, 0.1, reg, 32, np.random.default_rng(n))
 
     def test_large_lattice_screens_in_bounded_memory(self):
         lat = build_lattice(2**16, 2.0, 2)

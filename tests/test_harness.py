@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -132,6 +134,20 @@ class TestRunExperiment:
             write_summary(summary, tmp_path / f"{sub}.json")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_summary_is_strict_json(self, tmp_path):
+        # constant_gap declares alpha = inf; strict parsers reject Infinity
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        _, summary, _ = run_experiment(small_config(policies=[{"name": "uniform"}], horizons=[500]), quiet=True)
+        write_summary(summary, tmp_path / "summary.json")
+        with open(tmp_path / "summary.json") as fh:
+            loaded = json.load(fh, parse_constant=refuse)
+        assert loaded["instance"]["alpha"] is None
+        summary["groups"][0]["mean_final_regret"] = math.nan
+        with pytest.raises(ValueError):
+            write_summary(summary, tmp_path / "nan.json")
 
     def test_threads_key_is_rejected(self):
         # runs execute serially; a config asking for workers is told so
@@ -439,3 +455,16 @@ class TestSummaryRateCheck:
         }
         *_, passed = summary_rate_check(summary, "smooth")
         assert not passed
+
+    def test_null_alpha_reads_as_a_hard_margin(self):
+        summary = {
+            "instance": {"name": "x", "d": 1, "arms": [1, -1], "beta": 2.0, "alpha": None},
+            "groups": [
+                {"policy": "smooth", "T": T, "reps": 10, "mean_final_regret": 3.0 + T * 1e-6,
+                 "se_final_regret": 0.0, "mean_inferior": 0.0, "se_inferior": 0.0}
+                for T in (1000, 2000, 4000, 8000)
+            ],
+        }
+        _, exponent, band, passed = summary_rate_check(summary, "smooth")
+        assert exponent == theoretical_exponent(2.0, math.inf, 1) == 0.0
+        assert band == (-0.15, 0.25) and passed

@@ -548,13 +548,15 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
 
     The classified support screens on the lattice, the bare predicate on the
     points; the runs and their state reports must not tell them apart.
+    Returns the runs and the sorted names of the counting functions each
+    one called.
     """
     env = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
     bare = dataclasses.replace(env, support=lambda points: env.support(points))
     assert hasattr(env.support, "classify_cubes") and not hasattr(bare.support, "classify_cubes")
     cfg = PolicyConfig(d=2, horizon=2**11, arm_count=2, beta=2.0, c_epoch=8.0, p=0.5, **config)
     calls = []
-    for name in ("_point_counts", "_mixed_counts"):
+    for name in ("_point_counts", "_lattice_counts", "_mixed_counts"):
         counted = getattr(geometry, name)
         monkeypatch.setattr(
             geometry, name, lambda *a, _f=counted, _n=name: calls.append(_n) or _f(*a)
@@ -564,7 +566,8 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
         calls.clear()
         runs.append(run_multi_arm(e, cfg, seed=11))
         paths.append(sorted(set(calls)))
-    assert paths == [["_mixed_counts"], ["_point_counts"]]
+    assert "_lattice_counts" in paths[0] and "_point_counts" not in paths[0]
+    assert "_point_counts" in paths[1]
     assert runs[0].equals(runs[1])
     reports = []
     for name, run in zip(("classified", "bare"), runs):
@@ -573,7 +576,7 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
         with open(path, "rb") as fh:
             reports.append(fh.read())
     assert reports[0] == reports[1]
-    return runs
+    return runs, paths
 
 
 class TestRunMultiArm:
@@ -615,13 +618,16 @@ class TestRunMultiArm:
         assert np.all(bits[bits >= 0] > 0)  # no support cube lost all arms
 
     def test_bump_grid_classifier_keeps_the_run(self, tmp_path, monkeypatch):
-        _classified_and_bare_runs(tmp_path, monkeypatch)
+        _, paths = _classified_and_bare_runs(tmp_path, monkeypatch)
+        # every center reaches the threshold on in-cube rows alone
+        assert "_mixed_counts" not in paths[0]
 
     def test_bump_grid_classifier_keeps_a_run_that_flags_cubes(self, tmp_path, monkeypatch):
         # at the default c0 no cube is flagged, so the run above compares
         # all-pass masks; at c0 = 1 screening flags cubes in epochs 2 and 3
-        runs = _classified_and_bare_runs(tmp_path, monkeypatch, c0=1.0)
+        runs, paths = _classified_and_bare_runs(tmp_path, monkeypatch, c0=1.0)
         assert sum(sum(e.screened_cubes.values()) for e in runs[0].epochs) > 0
+        assert "_mixed_counts" in paths[0]
 
     def test_rejects_wrong_arm_count(self):
         env = make_constant_multi_arm((0.2, 0.8), d=1)
