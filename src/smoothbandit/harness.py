@@ -30,6 +30,7 @@ from .environments import (
     make_lower_bound_instance,
     make_smooth_instance,
 )
+from .geometry import build_lattice
 from .policy import PolicyConfig, run_multi_arm, run_two_arm
 from .results import RunResult
 
@@ -214,6 +215,39 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# An elimination run's memory grows with its lattice: a d = 3, T = 2^14 run
+# (3,796,416 cubes) peaked at 1,659 MB, about 460 bytes a cube.  A run
+# estimated above the budget, half of the 8 GB machine that measured it,
+# is refused before any run starts.
+_BYTES_PER_CUBE = 460
+_MEMORY_BUDGET = 4 * 2**30
+
+
+def _check_lattice_memory(cfg: dict, horizons: list) -> None:
+    """Reject a config with an elimination run whose lattice would not fit the memory budget.
+
+    The run's cube count is ``build_lattice``'s for the instance's ``d``
+    (1 when unset), the horizon and the policy's ``beta``.  A ``d`` that is
+    not a positive integer is left for ``build_instance`` to reject.
+    """
+    params = cfg["instance"].get("params", {}) if isinstance(cfg["instance"], dict) else {}
+    d = params.get("d", 1) if isinstance(params, dict) else 1
+    if not _is_int(d) or d < 1:
+        return
+    for i, p in enumerate(cfg["policies"]):
+        if p["name"] not in ("smooth", "smooth_multi"):
+            continue
+        for T in horizons:
+            cubes = build_lattice(T, p["params"]["beta"], d).n_cubes
+            if cubes * _BYTES_PER_CUBE > _MEMORY_BUDGET:
+                raise ConfigError(
+                    f"policies[{i}]",
+                    f"horizon {T} at d = {d} needs a lattice of {cubes:,} cubes, an estimated "
+                    f"{cubes * _BYTES_PER_CUBE / 2**30:.1f} GiB at {_BYTES_PER_CUBE} bytes a cube, "
+                    f"over the {_MEMORY_BUDGET / 2**30:.0f} GiB memory budget",
+                )
+
+
 def validate_experiment_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -267,6 +301,7 @@ def validate_experiment_config(cfg: dict) -> dict:
         raise ConfigError("checkpoints", "must be an integer count or a list of times")
     if not isinstance(cfg.get("save_states", False), bool):
         raise ConfigError("save_states", "must be true or false")
+    _check_lattice_memory(cfg, horizons)
     out.setdefault("reps", reps)
     out.setdefault("base_seed", base_seed)
     out.setdefault("checkpoints", checkpoints)

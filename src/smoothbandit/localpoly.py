@@ -14,9 +14,12 @@ lies in the balls of a contiguous run of each row's queries.  Adding its
 raw moments at the run's start and subtracting them at its end, a running
 sum along the row gives every query's raw moments about a nearby origin,
 and a binomial shift turns them into the query's Gram matrix and moment
-vector; batched eigenvalue and solve calls then make the fits.  The cost
-grows with the (row, sample) pairs and the queries, not with the in-ball
-samples of every query.  ``fit_at_centers`` fits many queries with it;
+vector; a batched solve call then makes the fits.  The Gram minimum
+eigenvalue is read only through the degenerate flag and the smallest value
+over the fits, so ``_eigen_filter`` computes it only for the few fits
+that could set either and proves the rest above both.  The cost grows
+with the (row, sample) pairs and the queries, not with the in-ball samples
+of every query.  ``fit_at_centers`` fits many queries with it;
 ``local_poly_estimate`` and ``gram_matrix`` are its one-query case, with
 the same in-ball samples.
 """
@@ -38,6 +41,9 @@ _ORIGIN_SPAN = 0.125
 # group of rows, and (pair, origin block) terms plus M per query in a chunk
 # of whole origin blocks, as a query holds an M x M Gram matrix.
 _CHUNK = 2**15
+# Fits of a chunk whose Gram minimum eigenvalues ``_eigen_filter`` computes
+# first, to set the threshold that lets it skip most of the others.
+_PICKS = 16
 
 
 def _multi_indices(d: int, degree: int) -> list[tuple[int, ...]]:
@@ -126,6 +132,60 @@ def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, 0]
 
 
+def _above(gram: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Where ``gram - tau I`` has all pivots positive, by symmetric elimination without pivoting.
+
+    Works on the lower triangle, one array over the stack per entry.
+    """
+    size = gram.shape[-1]
+    a = {(i, k): gram[:, i, k] - tau if i == k else gram[:, i, k] for i in range(size) for k in range(i + 1)}
+    ok = np.ones(len(gram), dtype=bool)
+    for j in range(size):
+        ok &= a[j, j] > 0
+        pivot = np.where(ok, a[j, j], 1.0)
+        factor = {i: a[i, j] / pivot for i in range(j + 1, size)}
+        for i in range(j + 1, size):
+            for k in range(j + 1, i + 1):
+                a[i, k] = a[i, k] - factor[i] * a[k, j]
+    return ok
+
+
+def _eigen_filter(gram: np.ndarray, eig_tol: float) -> np.ndarray:
+    """``_min_eigenvalues(gram)`` of a non-empty (n, M, M) stack, bit for bit,
+    except ``inf`` for a matrix whose value is proven to be at least both
+    ``eig_tol`` and the least value returned.
+
+    So ``lam < eig_tol`` and ``lam.min()`` are those of ``_min_eigenvalues``.
+    Up to M = 2, or for at most ``_PICKS`` matrices, every value is
+    computed.  Otherwise the ``_PICKS`` matrices with the smallest diagonal
+    entry, an upper bound on the smallest eigenvalue, are computed first,
+    and ``t = max(their least value, eig_tol)``.  A matrix G for which
+    ``G - tau I`` has all pivots positive, with ``tau = t + 64 M^2 eps |G|``,
+    eps the machine epsilon and |G| the sum of its absolute entries (a bound
+    on its 2-norm), gets ``inf``: the computed pivots make ``G - tau I``
+    plus a perturbation of 2-norm about ``(M + 1) M eps |G|`` positive
+    definite (the backward error of elimination with positive pivots, and
+    the rounding of the diagonal), and ``eigvalsh`` returns the smallest
+    eigenvalue to within a small multiple of ``M eps |G|`` (a backward
+    stable reduction), so its value would be at least ``t``.  The rest are
+    computed.
+    """
+    n, size = gram.shape[:2]
+    if size <= 2 or n <= _PICKS:
+        return _min_eigenvalues(gram)
+    lam = np.full(n, np.inf)
+    least_diagonal = np.minimum.reduce([gram[:, i, i] for i in range(size)])
+    picks = np.argpartition(least_diagonal, _PICKS - 1)[:_PICKS]
+    lam[picks] = _min_eigenvalues(gram[picks])
+    t = max(lam[picks].min(), eig_tol)
+    norm = np.abs(gram).reshape(n, -1) @ np.ones(size * size)
+    tau = t + 64 * size * size * np.finfo(float).eps * norm
+    rest = ~_above(gram, tau)
+    rest[picks] = False
+    lam[rest] = _min_eigenvalues(gram[rest])
+    return lam
+
+
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix.
 
@@ -160,11 +220,13 @@ class LocalPolyFit:
 
 
 class CenterFits(NamedTuple):
-    """Per-query results of ``fit_at_centers``, each of length n_centers."""
+    """Results of ``fit_at_centers``: per query, of length n_centers, except
+    ``min_eig``, the smallest Gram minimum eigenvalue over the queries
+    (``inf`` for none)."""
 
     values: np.ndarray
     degenerate: np.ndarray
-    min_eigs: np.ndarray
+    min_eig: float
     n_in_ball: np.ndarray
 
 
@@ -440,10 +502,10 @@ class _MomentPlan:
 
 def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float,
                 basis: MultiIndexBasis):
-    """Yield (index, counts, gram, coef, min_eigs, degenerate) per chunk of
+    """Yield (index, counts, gram, coef, min_eig, degenerate) per chunk of
     whole origin blocks: the queries ``centers[index]`` with their in-ball
-    sample counts, Gram matrices, scaled coefficients, Gram minimum
-    eigenvalues and degenerate flags.
+    sample counts, Gram matrices and scaled coefficients, the smallest Gram
+    minimum eigenvalue over the chunk, and the degenerate flags.
 
     A sample x is in the ball of query c when ``r2 = sum_{k < d-1} (x_k -
     c_k)^2 <= h^2`` and then ``c_last - w <= x_last <= c_last + w`` with
@@ -457,10 +519,11 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
     matrix and moment vector.  A query with no in-ball sample gets a zero
     Gram matrix.  Rows are taken in groups of about ``_CHUNK`` candidate
     pairs, and each group's origin blocks in chunks of about ``_CHUNK``
-    (pair, block) terms plus ``M`` per query.  Each chunk's systems go
-    through one batched eigenvalue and one batched solve call; a fit whose
-    Gram minimum eigenvalue is below ``default_eig_tol(basis)`` is
-    degenerate and has zero coefficients.
+    (pair, block) terms plus ``M`` per query.  A fit whose Gram minimum
+    eigenvalue is below ``default_eig_tol(basis)`` is degenerate and has
+    zero coefficients; ``_eigen_filter`` gives each chunk's flags and
+    minimum exactly, calling ``eigvalsh`` on the few fits that could set
+    them.  The other systems go through one batched solve call.
     """
     if len(centers) == 0:
         return
@@ -493,13 +556,13 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
             rhs = rhs_plan.centered(raw[:, K:], s)
             count = counts[q0 - p0:q1 - p0]
             gram[count == 0] = 0.0
-            lam = _min_eigenvalues(gram)
+            lam = _eigen_filter(gram, eig_tol)
             degenerate = lam < eig_tol
             coef = np.zeros(rhs.shape)
             ok = ~degenerate
             if ok.any():
                 coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-            yield sweep.order[q0:q1], count, gram, coef, lam, degenerate
+            yield sweep.order[q0:q1], count, gram, coef, lam.min(), degenerate
 
 
 def local_poly_estimate(
@@ -508,16 +571,17 @@ def local_poly_estimate(
     """Least-squares polynomial value at ``x`` from samples within B(x, h).
 
     The one-row, one-query case of ``fit_at_centers``: the same in-ball
-    samples, and bit for bit the value, minimum eigenvalue and degenerate
-    flag that ``fit_at_centers`` gives a query alone in its row.  The value
-    is independent of the scaling.  Returns 0 with ``degenerate=True`` when
-    the Gram minimum eigenvalue is below ``default_eig_tol``
-    (``1e-8 * M``), including the empty-ball case.
+    samples, and bit for bit the value and degenerate flag that
+    ``fit_at_centers`` gives a query alone in its row.  Its one fit is its
+    chunk, so ``min_eigenvalue`` is the fit's exact Gram minimum
+    eigenvalue.  The value is independent of the scaling.  Returns 0 with
+    ``degenerate=True`` when the Gram minimum eigenvalue is below
+    ``default_eig_tol`` (``1e-8 * M``), including the empty-ball case.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     x, points, rewards = _checked_inputs(x, points, rewards, h)
-    ((_, counts, gram, coef, lam, degenerate),) = _block_fits(x, points, rewards, h, basis)
-    fit = LocalPolyFit(x[0], h, coef[0], gram[0], float(lam[0]), int(counts[0]), bool(degenerate[0]))
+    ((_, counts, gram, coef, min_eig, degenerate),) = _block_fits(x, points, rewards, h, basis)
+    fit = LocalPolyFit(x[0], h, coef[0], gram[0], float(min_eig), int(counts[0]), bool(degenerate[0]))
     return float(coef[0, 0]), fit
 
 
@@ -541,17 +605,20 @@ def fit_at_centers(
     bit ``local_poly_estimate``'s fit; the centers of a longer row share
     running sums, which round differently.  Work is done in chunks of
     whole origin blocks, so memory stays bounded for any number of
-    centers; the results do not depend on the chunk size.
+    centers; the results do not depend on the chunk size.  ``min_eig`` is
+    the exact smallest Gram minimum eigenvalue over the centers (``inf``
+    when there are none); per-center values are not computed, as a fit
+    proven well-conditioned needs none.
     """
     centers, points, rewards = _checked_inputs(centers, points, rewards, h)
     n = len(centers)
     values = np.zeros(n)
     degenerate = np.zeros(n, dtype=bool)
-    min_eigs = np.empty(n)
+    min_eig = math.inf
     n_in_ball = np.zeros(n, dtype=np.intp)
-    for index, counts, _, coef, lam, degen in _block_fits(centers, points, rewards, h, basis):
+    for index, counts, _, coef, chunk_min, degen in _block_fits(centers, points, rewards, h, basis):
         values[index] = coef[:, 0]
-        min_eigs[index] = lam
+        min_eig = min(min_eig, float(chunk_min))
         degenerate[index] = degen
         n_in_ball[index] = counts
-    return CenterFits(values, degenerate, min_eigs, n_in_ball)
+    return CenterFits(values, degenerate, min_eig, n_in_ball)

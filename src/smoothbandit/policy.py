@@ -282,11 +282,10 @@ def estimate_means_at_centers(
         if len(ids) == 0:
             continue
         X, y = state.samples[ai]
-        vals, degen, eigs, _ = fit_at_centers(state.lattice.centers(ids), X, y, bandwidth, basis)
+        vals, degen, min_eig, _ = fit_at_centers(state.lattice.centers(ids), X, y, bandwidth, basis)
         eta[ids, ai] = vals
         degenerate += int(degen.sum())
-        if len(eigs):
-            eig_min = min(eig_min, float(np.nanmin(eigs)))
+        eig_min = min(eig_min, min_eig)
     return eta, degenerate, None if math.isinf(eig_min) else eig_min
 
 

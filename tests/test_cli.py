@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import smoothbandit
 from smoothbandit.cli import cli
 
 
@@ -173,6 +177,27 @@ def test_bad_values_rejected_before_any_run(tmp_path, capsys, case):
     assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_lattice_over_the_memory_budget_exits_before_allocating(tmp_path):
+    # d = 4 at 2^16 (1,003,875,856 cubes) was accepted and failed only inside a run;
+    # the child process may address 1 GiB, far less than one per-cube table
+    cfg = {"instance": _instance("sinusoidal", d=4), "policies": _smooth(), "horizons": [2**16]}
+    path = write_config(tmp_path / "big.json", cfg)
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from smoothbandit.cli import cli; sys.exit(cli(sys.argv[1:]))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbandit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", path, "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: policies[0]: horizon 65536 at d = 4 needs a lattice of 1,003,875,856 cubes" in proc.stderr
+    assert not out.exists()
 
 
 class TestRunCommand:

@@ -306,6 +306,19 @@ class TestConfigValidation:
             validate_experiment_config(small_config(horizons=[500, 500]))
         assert info.value.fieldpath == "horizons"
 
+    def test_lattice_memory_budget(self):
+        # d = 3 at 2^16 (18,399,744 cubes, about 7.9 GiB estimated) was accepted
+        smooth = [{"name": "smooth_multi", "params": {"beta": 2.0}}, {"name": "uniform"}]
+        instance = {"family": "sinusoidal", "params": {"d": 3}}
+        cfg = small_config(instance=instance, policies=smooth, horizons=[2**12, 2**16])
+        message = r"^policies\[0\]: horizon 65536 at d = 3 needs a lattice of 18,399,744 cubes, an estimated 7.9 GiB"
+        with pytest.raises(ConfigError, match=message):
+            validate_experiment_config(cfg)
+        validate_experiment_config({**cfg, "horizons": [2**12, 2**14]})
+        # a rougher policy's lattice is coarser; baselines build none
+        validate_experiment_config({**cfg, "policies": [{"name": "smooth", "params": {"beta": 1.0}}]})
+        validate_experiment_config({**cfg, "policies": [{"name": "uniform"}]})
+
     def test_checkpoint_times_up_to_the_smallest_horizon_pass(self):
         rows, _, _ = run_experiment(small_config(checkpoints=[1, 500]), quiet=True)
         assert sorted({r[5] for r in rows}) == [1, 500, 1000]

@@ -178,6 +178,83 @@ class TestMinEigenvalue:
             assert min_eigenvalue(g) <= np.diag(g).min() + 1e-12
 
 
+def _spectral(rng, eigs):
+    """Symmetric matrices with the given eigenvalues, one per row of ``eigs``, in random bases."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), eigs.shape[1], eigs.shape[1])))
+    m = (q * eigs[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return (m + np.swapaxes(m, 1, 2)) / 2
+
+
+def _designs(rng, n, size):
+    """Gram matrices of random designs: 0 to 12 rows (0 is an empty ball), columns of varied scale."""
+    out = np.zeros((n, size, size))
+    for i in range(n):
+        x = rng.standard_normal((rng.integers(13), size)) * 10.0 ** rng.uniform(-3, 1, size)
+        out[i] = x.T @ x
+    return out
+
+
+def _filter_cases():
+    """Seeded (name, gram stack, eig_tol) inputs for ``_eigen_filter``."""
+    rng = np.random.default_rng(21)
+    for size in (1, 2):
+        yield f"designs-M{size}", _designs(rng, 100, size), 1e-8 * size
+    for size in (3, 4, 6):
+        eig_tol = 1e-8 * size
+        yield f"designs-M{size}", _designs(rng, 400, size), eig_tol
+        # smallest eigenvalues at eig_tol (1 +- 1e-15 ... 1e-6), the others up to
+        # 1e8 times larger, so that the norm and the margin vary
+        rel = np.repeat(np.logspace(-15, -6, 10), 40) * rng.choice([-1.0, 1.0], 400)
+        low = eig_tol * (1 + rel)
+        eigs = low[:, None] * 10.0 ** np.hstack([np.zeros((400, 1)), rng.uniform(0, 8, (400, size - 1))])
+        yield f"near-tol-M{size}", _spectral(rng, eigs), eig_tol
+        mixed = np.concatenate([_spectral(rng, eigs), _designs(rng, 100, size)])
+        yield f"near-tol-designs-M{size}", mixed, eig_tol
+        # ties: 40 copies of the matrix with the least eigenvalue, above eig_tol
+        tie = _spectral(rng, np.array([[1e-4] + [1.0] * (size - 1)]))
+        others = _designs(rng, 60, size) + np.eye(size)
+        yield f"ties-M{size}", np.concatenate([np.repeat(tie, 40, axis=0), others]), eig_tol
+        # the least eigenvalue at the largest diagonal: scaled identities have the
+        # smallest diagonal entries, a nearly collinear matrix the smallest eigenvalue
+        collinear = np.full((1, size, size), 1.0) + 1e-5 * np.eye(size)
+        scaled = np.eye(size) * rng.uniform(1e-3, 2e-3, (60, 1, 1))
+        yield f"hidden-min-M{size}", np.concatenate([scaled[:30], collinear, scaled[30:]]), eig_tol
+        indefinite = _spectral(rng, rng.uniform(-1, 1, (50, size)))
+        yield f"indefinite-M{size}", np.concatenate([indefinite, _designs(rng, 50, size)]), eig_tol
+        for n in (1, 5, 16, 17):
+            yield f"chunk-{n}-M{size}", _designs(rng, n, size), eig_tol
+
+
+FILTER_CASES = list(_filter_cases())
+
+
+class TestEigenFilter:
+    @pytest.mark.parametrize("case", FILTER_CASES, ids=[c[0] for c in FILTER_CASES])
+    def test_matches_every_fit_oracle(self, case):
+        _, gram, eig_tol = case
+        want = localpoly._min_eigenvalues(gram)
+        got = localpoly._eigen_filter(gram, eig_tol)
+        np.testing.assert_array_equal(got < eig_tol, want < eig_tol)
+        assert got.min() == want.min()
+        computed = np.isfinite(got)
+        np.testing.assert_array_equal(got[computed], want[computed])
+        assert np.all(want[~computed] >= want.min())
+        assert np.all(want[~computed] >= eig_tol)
+        if len(gram) <= localpoly._PICKS or gram.shape[-1] <= 2:
+            assert computed.all()
+
+    def test_cases_reach_both_sides_and_skip(self):
+        # the near-threshold stacks straddle eig_tol, and the filter skips most fits
+        for name, gram, eig_tol in FILTER_CASES:
+            if name.startswith("near-tol-M"):
+                want = localpoly._min_eigenvalues(gram)
+                assert (want < eig_tol).any() and (want >= eig_tol).any(), name
+        for name, gram, eig_tol in FILTER_CASES:
+            if name.startswith(("designs-M3", "designs-M4", "designs-M6", "ties", "hidden-min")):
+                skipped = np.isinf(localpoly._eigen_filter(gram, eig_tol))
+                assert skipped.mean() > 0.5, name
+
+
 class TestLocalPolyEstimate:
     def test_noiseless_linear_reproduced(self):
         rng = np.random.default_rng(2)
@@ -441,7 +518,7 @@ class TestFitAtCenters:
         got = fit_at_centers(centers, pts, y, h, basis)
         np.testing.assert_array_equal(got.n_in_ball, counts)
         np.testing.assert_array_equal(got.degenerate, degenerate)
-        np.testing.assert_allclose(got.min_eigs, min_eigs, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.min_eig, min_eigs.min(), rtol=1e-12, atol=1e-12)
         # The two sum the normal equations in different orders, and a solve
         # amplifies that rounding by the Gram condition number kappa: within
         # 1e-12 where kappa <= 1e3, within 1e-14 * kappa on every fit.
@@ -473,18 +550,23 @@ class TestFitAtCenters:
     def test_single_center_matches_local_poly_estimate(self, case):
         _, centers, pts, y, h, basis = case
         got = fit_at_centers(centers, pts, y, h, basis)
+        eigs = []
         for i, x in enumerate(centers):
             value, fit = local_poly_estimate(x, pts, y, h, basis)
             assert fit.n_in_ball == got.n_in_ball[i]
             assert value == got.values[i]
-            assert fit.min_eigenvalue == got.min_eigs[i]
             assert fit.degenerate == got.degenerate[i]
             np.testing.assert_array_equal(gram_matrix(x, pts, h, basis), fit.gram)
+            eigs.append(fit.min_eigenvalue)
+        assert got.min_eig == min(eigs)
 
-    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+    @pytest.mark.parametrize("block", [1, 7, None, "every-fit"], ids=["1", "7", "default", "every-fit"])
     def test_result_does_not_depend_on_block(self, block, monkeypatch):
         expected = [fit_at_centers(c, p, y, h, b) for _, c, p, y, h, b in ORACLE_CASES]
-        if block is not None:
+        if block == "every-fit":
+            # the eigenvalue filter replaced by the oracle on every fit
+            monkeypatch.setattr(localpoly, "_eigen_filter", lambda gram, _: localpoly._min_eigenvalues(gram))
+        elif block is not None:
             monkeypatch.setattr(localpoly, "_CHUNK", block)
         for (_, c, p, y, h, b), want in zip(ORACLE_CASES, expected):
             got = fit_at_centers(c, p, y, h, b)

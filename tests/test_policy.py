@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import smoothbandit
-from smoothbandit import baselines, geometry, harness, policy
+from smoothbandit import baselines, geometry, harness, localpoly, policy
 from smoothbandit.environments import (
     Instance,
     make_constant_multi_arm,
@@ -578,6 +578,51 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
     assert reports[0] == reports[1]
     return runs, paths
 
+
+_FILTER_RUNS = {
+    "two_arm_d2": (
+        lambda: make_smooth_instance("sinusoidal", d=2, frequency=1.0, amplitude=0.4, beta=2.0),
+        PolicyConfig(d=2, horizon=2048, beta=2.0, c_epoch=8.0, p=0.5),
+        run_two_arm,
+    ),
+    # short epochs on few samples: rank-deficient fits set the minimum
+    "multi_arm_d3": (
+        lambda: make_constant_multi_arm((0.3, 0.5, 0.55), d=3, beta=2.0),
+        PolicyConfig(d=3, horizon=400, arm_count=3, beta=2.0, c_epoch=64.0, p=0.5),
+        run_multi_arm,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FILTER_RUNS))
+def test_eigen_filter_keeps_diagnostics_and_state_reports(case, tmp_path, monkeypatch):
+    # the run as shipped, then with the filter replaced by the oracle on every fit
+    build, cfg, run = _FILTER_RUNS[case]
+    env = build()
+    skipped = []
+    shipped = localpoly._eigen_filter
+
+    def counted(gram, eig_tol):
+        lam = shipped(gram, eig_tol)
+        skipped.append(int(np.isinf(lam).sum()))
+        return lam
+
+    def every_fit(gram, eig_tol):
+        return localpoly._min_eigenvalues(gram)
+
+    runs, reports = [], []
+    for name, patch in (("shipped", counted), ("every_fit", every_fit)):
+        monkeypatch.setattr(localpoly, "_eigen_filter", patch)
+        runs.append(run(env, cfg, seed=11))
+        (tmp_path / name).mkdir()
+        (path,) = save_state_reports({("smooth", cfg.horizon, 0): runs[-1]}, str(tmp_path / name))
+        with open(path, "rb") as fh:
+            reports.append(fh.read())
+    assert sum(skipped) > 0
+    assert [e.to_dict() for e in runs[0].epochs] == [e.to_dict() for e in runs[1].epochs]
+    assert any(e.min_eig is not None for e in runs[0].epochs)
+    assert runs[0].equals(runs[1])
+    assert reports[0] == reports[1]
 
 class TestRunMultiArm:
     def test_matches_two_arm_under_shared_seed(self):

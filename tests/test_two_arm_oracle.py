@@ -148,11 +148,10 @@ def estimate_cate_at_centers(
     eig_min = math.inf
     for arm in (1, -1):
         X, y = state.samples[arm]
-        vals, degen, eigs, _ = fit_at_centers(centers, X, y, state.bandwidths[arm], basis)
+        vals, degen, min_eig, _ = fit_at_centers(centers, X, y, state.bandwidths[arm], basis)
         per_arm[arm] = vals
         diag["degenerate_fits"] += int(degen.sum())
-        if len(eigs):
-            eig_min = min(eig_min, float(np.nanmin(eigs)))
+        eig_min = min(eig_min, min_eig)
     tau[ids] = per_arm[1] - per_arm[-1]
     diag["min_eig"] = None if math.isinf(eig_min) else eig_min
     diag["estimated_cubes"] = len(ids)
