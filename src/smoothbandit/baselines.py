@@ -11,9 +11,12 @@ a table of ``math.log``, first-maximum ties).  So a seeded run's regret
 is that of the loop, value for value, alone or in any batch;
 ``run_binned_ucb`` is the batch of one.  Each step's reward is the
 instance's reward law at one uniform, drawn per block in step order,
-whatever the law.  Very few bins mean many short rounds and a slower run;
-see ``run_binned_ucb_batch``.  Uniform and oracle pick every step's arm up
-front and share one fixed-rule runner.
+whatever the law.  A block computes, before its rounds, every step's
+exploration term and its reward under every arm, so a round only reads
+slices of those tables.  Very few bins mean many short rounds and a
+slower run; see ``run_binned_ucb_batch``.  Uniform and oracle pick every
+step's arm up front and share one fixed-rule runner.  All three score
+their steps with ``environments.step_outcomes``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import time
 
 import numpy as np
 
-from .environments import Instance
+from .environments import Instance, first_max, step_outcomes
 from .geometry import GridLattice
 from .results import CheckpointTally, RunResult, normalize_checkpoints
 
@@ -48,9 +51,7 @@ def run_uniform(env: Instance, horizon: int, seed: int, checkpoints=None) -> Run
 
 def run_oracle(env: Instance, horizon: int, seed: int, checkpoints=None) -> RunResult:
     """Always the optimal arm; zero regret by construction."""
-    return _run_fixed_rule(
-        "oracle", lambda rng, means: means.argmax(axis=0), env, horizon, seed, checkpoints
-    )
+    return _run_fixed_rule("oracle", lambda rng, means: first_max(means), env, horizon, seed, checkpoints)
 
 
 def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int, checkpoints) -> RunResult:
@@ -63,9 +64,7 @@ def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int,
     rng = np.random.default_rng(int(seed))
     X = env.sample_contexts(rng, horizon)
     means = env.means_matrix(X)
-    arm_ix = choose(rng, means)
-    regret = means.max(axis=0) - means[arm_ix, np.arange(horizon)]
-    inferior = arm_ix != means.argmax(axis=0)
+    regret, inferior, _ = step_outcomes(means, choose(rng, means))
     return RunResult.from_steps(policy, env.name, seed, regret, inferior, checkpoints, started)
 
 
@@ -140,13 +139,18 @@ def run_binned_ucb_batch(
     arithmetic is that of a step-by-step loop, value for value: ``log`` is
     read from a table of ``math.log(v)``, division and square root are
     correctly rounded, ``argmax`` takes the first maximum, and the keys of
-    a round are distinct, so each bin's sums add in step order.  A run's
+    a round are distinct, so each bin's sums add in step order.  A step's
+    bin visits are its key's visits before the block plus its round, so
+    each block first tabulates, in round order, every step's ``exploration
+    * log(visits)`` and its reward under every arm, the latter from one
+    ``env.rewards`` call; a round reads its steps' slices and picks the
+    chosen arm's reward by flat index, for any number of arms.  A run's
     block draws its contexts, then one uniform per step in step order,
-    from the run's own generator, and each round reads its steps' rewards
-    off ``env.rewards``, so the rewards are those of a per-step loop that
-    draws them one step at a time.  Runs are taken in consecutive chunks
-    whose blocks stack at most ``_UCB_STACK`` steps; the chunking changes
-    no result.
+    from the run's own generator, and the reward law maps each (mean,
+    uniform) pair on its own, so the rewards are those of a per-step loop
+    that draws them one step at a time.  Runs are taken in consecutive
+    chunks whose blocks stack at most ``_UCB_STACK`` steps; the chunking
+    changes no result.
 
     Checkpoints are normalized for every run before any run starts, and
     each run's cumulative regret and inferior count are kept at its
@@ -156,8 +160,10 @@ def run_binned_ucb_batch(
     draws its contexts or means (an off-lattice context, say) raises
     ``RunError`` with the run's index in ``runs``.
 
-    Cost: each round pays the fixed overhead of a few NumPy calls, and a
-    stacked block has as many rounds as its busiest key has visits.  The
+    Cost: each round pays the fixed overhead of about a dozen NumPy calls
+    (gathers of the counts and sums, the choice, two scatter-adds and two
+    table reads), and a stacked block has as many rounds as its busiest key
+    has visits.  The reward law runs once a block, not once a round.  The
     default bin side gives tens of bins (16 to 41 at ``d = 1`` for
     horizons 2^12 to 2^16), so a lone run's block has a few hundred rounds
     of a few dozen steps each.  Stacked, the rounds of the runs overlap:
@@ -165,8 +171,9 @@ def run_binned_ucb_batch(
     and 9,413 one by one.  With very few bins the rounds are short and
     many: ``bin_rate`` 0.01 gives 2 bins at ``d = 1``, one of them holding
     over nine tenths of the contexts, so nearly every round of a lone run
-    is one step, and a run at 2^16 takes about twice as long as a
-    per-step loop.
+    is one step, and a run at 2^16 takes longer than a per-step loop.  The
+    tables add two floats per step and one per (step, arm) to a block's
+    memory.
     """
     check_binned_ucb_params(exploration, bin_rate, env.d)
     started = time.perf_counter()
@@ -223,26 +230,33 @@ def _run_chunk(env, runs, tallies, first, exploration, bin_rate) -> list[RunResu
             u.append(rngs[i].random(n))
         ends = np.cumsum([0] + [len(k) for k in keys])
         keys, means, u = np.concatenate(keys), np.concatenate(means, axis=1), np.concatenate(u)
-        # the stacked steps in round order; round k is order[bounds[k]:bounds[k + 1]]
+        # the stacked steps in round order; round r is order[bounds[r]:bounds[r + 1]]
         order, bounds = _rounds(keys)
-        keys, u = keys[order], u[order]
-        # a key's visits grow by at most one a round
+        keys = keys[order]
+        # A step's visits are its key's visits before the block plus its
+        # round, which grows them by at most one a round.  Tables in round
+        # order: each step's exploration * log(visits), and its reward
+        # under every arm, step j's under arm a at flat j * n_arms + a.
         log_visits = _log_table(log_visits, int(visits.max()) + len(bounds))
+        rank = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        explore = exploration * log_visits[visits[keys] + rank]
+        stepped = means.T[order]
+        rewards = env.rewards(stepped, np.broadcast_to(u[order, None], stepped.shape)).reshape(-1)
+        visits += np.bincount(keys, minlength=len(visits))
+        del u, rank, stepped
+        row = np.arange(0, len(rewards), n_arms)
         arms = np.empty(len(order), dtype=np.int64)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             b = keys[lo:hi]
-            arm = _ucb_choose(counts.take(b, axis=0), sums.take(b, axis=0), exploration, log_visits[visits[b]])
-            y = env.rewards(means[arm, order[lo:hi]], u[lo:hi])
+            arm = _ucb_choose(counts.take(b, axis=0), sums.take(b, axis=0), explore[lo:hi])
             cell = b * n_arms + arm
             flat_counts[cell] += 1
-            flat_sums[cell] += y
-            visits[b] += 1
+            flat_sums[cell] += rewards.take(row[lo:hi] + arm)
             arms[lo:hi] = arm
         arm_ix = np.empty_like(arms)
         arm_ix[order] = arms
-        del keys, u, order, arms
-        regret = means.max(axis=0) - means[arm_ix, np.arange(len(arm_ix))]
-        inferior = arm_ix != means.argmax(axis=0)
+        del keys, order, arms, explore, rewards, row
+        regret, inferior, _ = step_outcomes(means, arm_ix)
         del means, arm_ix
         for i, lo, hi in zip(live, ends[:-1], ends[1:]):
             tallies[i].add(regret[lo:hi], inferior[lo:hi])
@@ -289,12 +303,14 @@ def _log_table(table: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((table, np.fromiter(map(math.log, range(len(table), n)), float, n - len(table))))
 
 
-def _ucb_choose(counts: np.ndarray, sums: np.ndarray, exploration: float, log_visits: np.ndarray) -> np.ndarray:
+def _ucb_choose(counts: np.ndarray, sums: np.ndarray, explore: np.ndarray) -> np.ndarray:
     """Each row's arm: its first unpulled arm, else the first maximum UCB score.
 
-    ``log_visits`` is the log of each row's visits, its bin's step count.
+    ``explore`` is each row's ``exploration * log(visits)``, with
+    ``visits`` its bin's step count; the score is ``sums / counts +
+    sqrt(explore / counts)``.
     """
     pulled = np.maximum(counts, 1)
-    score = sums / pulled + np.sqrt(exploration * log_visits[:, None] / pulled)
+    score = sums / pulled + np.sqrt(explore[:, None] / pulled)
     score[counts == 0] = np.inf
     return score.argmax(axis=1)

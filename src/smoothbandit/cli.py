@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import os
 import sys
 
@@ -63,6 +64,11 @@ def _load_json(path: str, what: str) -> dict:
         raise harness.ConfigError(what, f"invalid JSON in {path}: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_json(args.config, "config")
     if args.seed is not None and isinstance(cfg, dict):
@@ -94,10 +100,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_json(args.config, "config")
+    if not isinstance(cfg, dict):
+        raise harness.ConfigError("<root>", "config must be a JSON object")
     if "instance" not in cfg:
         raise harness.ConfigError("instance", "missing")
-    env = harness.build_instance(cfg["instance"])
     vcfg = cfg.get("verify", {})
+    if not isinstance(vcfg, dict):
+        raise harness.ConfigError("verify", "must be a mapping")
+    for key in ("alpha", "gamma", "beta", "L"):
+        if key in vcfg and not _is_number(vcfg[key]):
+            raise harness.ConfigError(f"verify.{key}", f"must be a number, got {vcfg[key]!r}")
+    t_grid = vcfg.get("t_grid", [])
+    if not (isinstance(t_grid, list) and all(_is_number(t) and t > 0 for t in t_grid)):
+        raise harness.ConfigError("verify.t_grid", "must be a list of positive numbers")
+    env = harness.build_instance(cfg["instance"])
     rng = np.random.default_rng(args.seed)
     reports = []
     meta = env.meta
@@ -152,8 +168,33 @@ def _cmd_rate(args) -> int:
     return 0 if passed else 1
 
 
+# Fields of a state report's epoch that ``inspect`` prints, and their JSON types.
+_EPOCH_FIELDS = {
+    "epoch": int, "start": int, "length": int, "tolerance": (int, float),
+    "explore_cubes": int, "exploit_cubes": dict, "screened_cubes": dict, "anomalies": int,
+}
+
+
+def _check_state_report(report) -> None:
+    """Raise ``ConfigError`` naming the first field ``inspect`` reads that has the wrong shape."""
+    if not isinstance(report, dict):
+        raise harness.ConfigError("state", "must be a JSON object")
+    if not _is_number(report.get("final_regret")):
+        raise harness.ConfigError("state.final_regret", "missing or not a number")
+    epochs = report.get("epochs", [])
+    if not isinstance(epochs, list):
+        raise harness.ConfigError("state.epochs", "must be a list")
+    for i, e in enumerate(epochs):
+        if not isinstance(e, dict):
+            raise harness.ConfigError(f"state.epochs[{i}]", "must be a mapping")
+        for key, kind in _EPOCH_FIELDS.items():
+            if not isinstance(e.get(key), kind):
+                raise harness.ConfigError(f"state.epochs[{i}].{key}", "missing or of the wrong type")
+
+
 def _cmd_inspect(args) -> int:
     report = _load_json(args.state, "state")
+    _check_state_report(report)
     print(f"policy={report.get('policy')} instance={report.get('instance')} T={report.get('horizon')}")
     print(f"final regret {report.get('final_regret'):.3f}, inferior pulls {report.get('inferior_count')}")
     header = f"{'epoch':>5s} {'start':>8s} {'length':>8s} {'tol':>8s} {'explore':>8s} {'exploit':>16s} {'screened':>12s} {'anom':>5s}"

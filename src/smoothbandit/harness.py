@@ -301,6 +301,9 @@ def validate_experiment_config(cfg: dict) -> dict:
         raise ConfigError("checkpoints", "must be an integer count or a list of times")
     if not isinstance(cfg.get("save_states", False), bool):
         raise ConfigError("save_states", "must be true or false")
+    out_dir = cfg.get("out_dir", ".")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("out_dir", f"must be a non-empty string, got {out_dir!r}")
     _check_lattice_memory(cfg, horizons)
     out.setdefault("reps", reps)
     out.setdefault("base_seed", base_seed)

@@ -432,8 +432,8 @@ class _Sweep:
         v^q`` over a query's in-ball pairs, with ``v = (x - origin) / h``.
         Each pair adds its term at the first query of its run in a block and
         subtracts it after the run's last; a running sum within each block
-        then gives every query's moments.  A block's sums do not depend on
-        which other blocks share the call.
+        then gives every query's moments (``_running_sums``).  A block's
+        sums do not depend on which other blocks share the call.
         """
         q0, q1 = self.block_start[c0], self.block_end[c1 - 1]
         pick = np.flatnonzero((pairs.first_block < c1) & (pairs.last_block >= c0))
@@ -456,11 +456,27 @@ class _Sweep:
             term = _product(gathered[factor], v_powers[q])
             ended = None if term is None else term[ends]
             raw[:, k] = _bincount(add_at, term, n) - _bincount(sub_at, ended, n)
-        step = np.arange(q0, q1) - self.block_start[self.block_of[q0:q1]]
-        for o in range(1, int(step.max()) + 1):
-            i = np.flatnonzero(step == o)
-            raw[i] += raw[i - 1]
-        return raw
+        query_block = self.block_of[q0:q1]
+        return _running_sums(raw, query_block - c0, np.arange(q0, q1) - self.block_start[query_block])
+
+
+def _running_sums(raw: np.ndarray, block: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Running sums of the rows of ``raw`` (n, K) within each block, in position order.
+
+    Row ``i`` sits at position ``step[i]`` of block ``block[i]``, blocks
+    numbered from 0.  The blocks lie side by side in a zero-padded
+    ``(width, blocks, K)`` array, and one ``np.add.accumulate`` along the
+    positions adds each block's rows in order, as a loop over the
+    positions would, so the sums are that loop's bit for bit.  Positions
+    lead, not blocks: NumPy accumulates lane by lane, and this layout
+    measured faster both for many narrow blocks (``d = 2``) and for a few
+    wide ones (``d = 1``).
+    """
+    blocks = int(block.max()) + 1
+    padded = np.zeros((int(step.max()) + 1, blocks, raw.shape[1]))
+    at = step * blocks + block
+    padded.reshape(-1, raw.shape[1])[at] = raw
+    return np.add.accumulate(padded, axis=0).reshape(-1, raw.shape[1]).take(at, axis=0)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .environments import Instance, check_dimension_and_smoothness
+from .environments import Instance, check_dimension_and_smoothness, step_outcomes
 from .geometry import (
     GridLattice,
     RegionMask,
@@ -203,11 +203,8 @@ def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
         step = start_t + off[0] + 1
         raise RuntimeError(f"context {X[off[0]]} at step {step} lies off the cube lattice")
     arm_ix = _choose_arms(table, counts, flat, rng.random(n))
-    means = env.means_matrix(X)
-    chosen = means[arm_ix, np.arange(n)]
+    regret, inferior, chosen = step_outcomes(env.means_matrix(X), arm_ix)
     rewards = env.sample_rewards(rng, chosen)
-    regret = means.max(axis=0) - chosen
-    inferior = arm_ix != means.argmax(axis=0)
     return X, arm_ix, rewards, regret, inferior
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import smoothbandit
+from smoothbandit import harness
 from smoothbandit.cli import cli
 
 
@@ -179,6 +180,20 @@ def test_bad_values_rejected_before_any_run(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out_dir", [5, "", None, ["out"]], ids=["int", "empty", "null", "list"])
+def test_out_dir_not_a_string_rejected_before_any_run(run_config, tmp_path, capsys, monkeypatch, out_dir):
+    # once every run of the grid ran, then os.makedirs raised with a traceback (exit 1)
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    with open(run_config) as fh:
+        cfg = json.load(fh)
+    path = write_config(tmp_path / "out_dir.json", {**cfg, "out_dir": out_dir})
+    assert cli(["run", path]) == 2
+    assert f"config error: out_dir: must be a non-empty string, got {out_dir!r}" in capsys.readouterr().err
+
+
 def test_lattice_over_the_memory_budget_exits_before_allocating(tmp_path):
     # d = 4 at 2^16 (1,003,875,856 cubes) was accepted and failed only inside a run;
     # the child process may address 1 GiB, far less than one per-cube table
@@ -265,6 +280,29 @@ class TestVerifyCommand:
         )
         assert cli(["verify", path, "--samples", "100000"]) == 0
 
+    # each once an uncaught traceback (exit 1)
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"verify": [1]}, "verify: must be a mapping"),
+            ({"verify": {"alpha": "one"}}, "verify.alpha: must be a number"),
+            ({"verify": {"t_grid": 0.1}}, "verify.t_grid: must be a list of positive numbers"),
+            # once a ValueError from verify_margin, after the instance was built
+            ({"verify": {"t_grid": [0.1, -0.2]}}, "verify.t_grid: must be a list of positive numbers"),
+        ],
+        ids=["list", "alpha_string", "t_grid_number", "t_grid_negative"],
+    )
+    def test_verify_block_of_the_wrong_shape(self, tmp_path, capsys, cfg, message):
+        instance = {"family": "sinusoidal", "params": {"d": 1, "amplitude": 0.4, "beta": 2.0}}
+        path = write_config(tmp_path / "v.json", {"instance": instance, **cfg})
+        assert cli(["verify", path, "--samples", "20000"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        path = write_config(tmp_path / "v.json", 5)
+        assert cli(["verify", path]) == 2
+        assert "config error: <root>: config must be a JSON object" in capsys.readouterr().err
+
 
 class TestInspectCommand:
     def test_inspect_state_report(self, tmp_path, capsys):
@@ -285,3 +323,20 @@ class TestInspectCommand:
         assert state.exists()
         assert cli(["inspect", str(state)]) == 0
         assert "epoch" in capsys.readouterr().out
+
+    # each once an uncaught traceback (exit 1)
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ({"policy": "x"}, "state.final_regret: missing or not a number"),
+            ([1, 2], "state: must be a JSON object"),
+            ({"final_regret": 1.0, "epochs": {"epoch": 1}}, "state.epochs: must be a list"),
+            ({"final_regret": 1.0, "epochs": [3]}, "state.epochs[0]: must be a mapping"),
+            ({"final_regret": 1.0, "epochs": [{"epoch": 1}]}, "state.epochs[0].start: missing or of the wrong type"),
+        ],
+        ids=["no_final_regret", "list", "epochs_mapping", "epoch_number", "epoch_without_start"],
+    )
+    def test_report_of_the_wrong_shape(self, tmp_path, capsys, report, message):
+        path = write_config(tmp_path / "state.json", report)
+        assert cli(["inspect", path]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err

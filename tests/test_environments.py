@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
+import former_paths
 import reward_oracle
 import smoothbandit
 from smoothbandit import environments
@@ -18,11 +20,13 @@ from smoothbandit.environments import (
     bump_u,
     bump_u_deriv,
     cate,
+    first_max,
     make_constant_multi_arm,
     make_lower_bound_instance,
     make_smooth_instance,
     margin_probability,
     oracle_arm,
+    step_outcomes,
     verify_density,
     verify_holder,
     verify_margin,
@@ -323,6 +327,126 @@ class TestMultiArm:
             make_constant_multi_arm((0.2,))
         with pytest.raises(ValueError):
             make_constant_multi_arm((0.2, 1.4))
+
+
+# ---------------------------------------------------------------------------
+# One tau per step, the first-maximum rule and the step outcomes, each
+# against the former expression, bit for bit
+
+# every symmetric two-arm family, with effects of both signs, zero and at the ends
+_SYMMETRIC = {
+    "constant_gap": lambda: make_smooth_instance("constant_gap", d=2, gap=0.3),
+    "constant_gap_zero": lambda: make_smooth_instance("constant_gap", d=1, gap=0.0),
+    "constant_gap_one": lambda: make_smooth_instance("constant_gap", d=1, gap=1.0),
+    "sinusoidal": lambda: make_smooth_instance("sinusoidal", d=1, frequency=1.0, amplitude=0.4),
+    "sinusoidal_d3": lambda: make_smooth_instance("sinusoidal", d=3, frequency=2.5, amplitude=1.0),
+    "polynomial_boundary_cubic": lambda: make_smooth_instance("polynomial_boundary", d=1, degree=3, scale=0.5),
+    "polynomial_boundary_square": lambda: make_smooth_instance("polynomial_boundary", d=2, degree=2, scale=2.0),
+}
+
+
+def _symmetric_points(d: int) -> np.ndarray:
+    rng = np.random.default_rng(d)
+    edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1e-300, 1 - 2**-53])
+    return np.vstack([rng.random((500, d)), np.repeat(edges[:, None], d, axis=1)])
+
+
+class TestOneTau:
+    @pytest.mark.parametrize("noise", ["bernoulli", "truncated_gaussian"])
+    @pytest.mark.parametrize("family", list(_SYMMETRIC))
+    def test_means_matrix_and_cate_equal_the_per_arm_rows(self, family, noise):
+        env = dataclasses.replace(_SYMMETRIC[family](), noise=noise)
+        assert env.tau is not None
+        X = _symmetric_points(env.d)
+        want = np.stack([env.mean(X, a) for a in env.arms])
+        got = env.means_matrix(X)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert cate(env, X).tobytes() == (env.mean(X, 1) - env.mean(X, -1)).tobytes()
+        assert env.means_matrix(X[0]).tobytes() == want[:, :1].tobytes()
+
+    def test_tau_is_evaluated_once_per_call(self):
+        env = make_smooth_instance("sinusoidal", d=1)
+        effect, calls = env.tau, []
+
+        def tau(points):
+            calls.append(len(points))
+            return effect(points)
+
+        env = dataclasses.replace(env, tau=tau)
+        env.means_matrix(np.random.default_rng(0).random((9, 1)))
+        assert calls == [9]
+
+    def test_other_instances_call_mean_per_arm(self):
+        multi = make_constant_multi_arm((0.2, 0.7, 0.4), d=2)
+        lower = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
+        for env in (multi, lower):
+            assert env.tau is None
+            X = env.sample_contexts(np.random.default_rng(1), 400)
+            want = np.stack([env.mean(X, a) for a in env.arms])
+            assert env.means_matrix(X).tobytes() == want.tobytes()
+        X = lower.sample_contexts(np.random.default_rng(2), 400)
+        assert cate(lower, X).tobytes() == (lower.mean(X, 1) - lower.mean(X, -1)).tobytes()
+
+
+# values that tie, NaN, infinities and signed zeros, mixed with ordinary floats
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf])
+_VALUES = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True, width=64))
+
+
+class TestFirstMax:
+    @settings(max_examples=400, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(0, 12)), elements=_VALUES))
+    def test_equals_argmax_on_every_input(self, values):
+        got = first_max(values)
+        want = np.argmax(values, axis=0)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "column, want",
+        [
+            ([1.0, 1.0, 1.0], 0),
+            ([0.0, -0.0, 0.0], 0),
+            ([1.0, np.nan, np.nan], 1),
+            ([np.nan, 2.0, np.nan], 0),
+            ([-np.inf, -np.inf, -np.inf], 0),
+            ([1.0, np.inf, np.inf, np.nan], 3),
+            ([-np.inf, np.nan, np.inf], 1),
+            ([0.2, 0.7, 0.7, 0.1, 0.7], 1),
+        ],
+    )
+    def test_named_columns(self, column, want):
+        values = np.array(column)[:, None]
+        assert first_max(values)[0] == want == np.argmax(values, axis=0)[0]
+
+    def test_oracle_indices_take_the_first_best_arm(self):
+        env = make_constant_multi_arm((0.5, 0.9, 0.9, 0.1), d=1)
+        X = np.random.default_rng(0).random((50, 1))
+        np.testing.assert_array_equal(env.oracle_indices(X), np.ones(50, dtype=np.intp))
+
+
+class TestStepOutcomes:
+    @pytest.mark.parametrize("n_arms", [1, 2, 3, 5, 70])
+    @pytest.mark.parametrize("n", [0, 1, 257])
+    def test_equals_the_former_expression(self, n_arms, n):
+        rng = np.random.default_rng(n_arms * 1000 + n)
+        # coarse values, so that many columns tie
+        means = rng.integers(0, 4, (n_arms, n)) / 4.0
+        arm_ix = rng.integers(0, n_arms, n)
+        got = step_outcomes(means, arm_ix)
+        want = former_paths.step_outcomes(means, arm_ix)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_on_instance_means(self):
+        env = make_smooth_instance("sinusoidal", d=2, amplitude=0.4)
+        X = env.sample_contexts(np.random.default_rng(3), 1000)
+        means = env.means_matrix(X)
+        arm_ix = np.random.default_rng(4).integers(0, 2, 1000)
+        got = step_outcomes(means, arm_ix)
+        want = former_paths.step_outcomes(means, arm_ix)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def _quad_bump_u(t: float) -> float:

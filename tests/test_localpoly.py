@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import former_paths
 from smoothbandit import localpoly
 from smoothbandit.geometry import GridLattice, build_lattice
 from smoothbandit.localpoly import (
@@ -607,3 +608,56 @@ class TestFitAtCenters:
         assert peak < limit, peak
         assert got.n_in_ball.sum() > 3_000_000
         assert not got.degenerate[got.n_in_ball >= 20].any()
+
+
+def _blocks(widths):
+    """(block, step) of rows laid out block after block, with the given block widths."""
+    block = np.repeat(np.arange(len(widths)), widths)
+    step = np.concatenate([np.arange(w) for w in widths])
+    return block, step
+
+
+def _running_sum_cases():
+    """(name, raw, widths) inputs for the block running sums."""
+    rng = np.random.default_rng(17)
+    yield "width-1", rng.standard_normal((9, 3)), [1] * 9
+    yield "one-block", rng.standard_normal((6, 2)), [6]
+    yield "mixed", rng.standard_normal((31, 5)), [1, 4, 2, 7, 1, 1, 10, 3, 2]
+    yield "long", rng.standard_normal((700, 2)) * 10.0 ** rng.integers(-8, 9, (700, 2)), [3, 400, 1, 296]
+    # magnitudes where the grouping of the sum shows: any order but the
+    # sequential one gives 1 for the last row of each block
+    column = np.array([1e16, 1.0, -1e16, 1.0, 1e16, -1e16])
+    yield "magnitudes", np.column_stack([column, column[::-1]]), [3, 3]
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("case", list(_running_sum_cases()), ids=lambda c: c[0])
+    def test_matches_the_position_loop(self, case):
+        _, raw, widths = case
+        block, step = _blocks(widths)
+        got = localpoly._running_sums(raw, block, step)
+        want = former_paths.running_sums(raw, step)
+        assert got.shape == raw.shape and got.tobytes() == want.tobytes()
+
+    def test_adds_in_position_order(self):
+        raw = np.array([[1e16], [1.0], [-1e16], [1.0], [1e16], [-1e16]])
+        block, step = _blocks([3, 3])
+        got = localpoly._running_sums(raw, block, step)[:, 0]
+        np.testing.assert_array_equal(got, [1e16, 1e16, 0.0, 1.0, 1e16, 0.0])
+
+    def test_raw_moments_match_the_former_loop(self, monkeypatch):
+        shipped = localpoly._Sweep.raw_moments
+        widths = []
+
+        def both(sweep, pairs, factors, columns, c0, c1):
+            got = shipped(sweep, pairs, factors, columns, c0, c1)
+            want = former_paths.raw_moments(sweep, pairs, factors, columns, c0, c1)
+            assert got.tobytes() == want.tobytes()
+            widths.extend((sweep.block_end[c0:c1] - sweep.block_start[c0:c1]).tolist())
+            return got
+
+        monkeypatch.setattr(localpoly._Sweep, "raw_moments", both)
+        for _, c, p, y, h, b in ORACLE_CASES:
+            fit_at_centers(c, p, y, h, b)
+        # blocks of one query and blocks of several, in the same calls
+        assert min(widths) == 1 and max(widths) >= 5
