@@ -99,6 +99,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # zero samples would pass every validator vacuously
+    if args.samples < 1:
+        raise harness.ConfigError("--samples", f"must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise harness.ConfigError("--seed", f"must be non-negative, got {args.seed}")
     cfg = _load_json(args.config, "config")
     if not isinstance(cfg, dict):
         raise harness.ConfigError("<root>", "config must be a JSON object")

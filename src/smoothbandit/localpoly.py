@@ -278,6 +278,14 @@ def _product(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return a if b is None else a * b
 
 
+def _powers(v: np.ndarray, top: int) -> list:
+    """``[None, v, v * v, ...]`` up to ``v^top`` by repeated products, ``None`` standing for ones."""
+    out = [None, v]
+    for _ in range(2, top + 1):
+        out.append(out[-1] * v)
+    return out
+
+
 def _bincount(at: np.ndarray, weights: np.ndarray | None, n: int) -> np.ndarray:
     """Float sums of ``weights`` (ones for ``None``) at each of ``range(n)``, in input order."""
     return np.bincount(at, weights, minlength=n).astype(float, copy=False)
@@ -434,28 +442,47 @@ class _Sweep:
         subtracts it after the run's last; a running sum within each block
         then gives every query's moments (``_running_sums``).  A block's
         sums do not depend on which other blocks share the call.
+
+        The (pair, block) terms come from per-pair arrays: each picked pair's
+        ``x`` and factors are taken once and repeated over its blocks in
+        c0:c1.  A run starts in its first block, so a term adds at its
+        block's start, except a pair's first term in c0:c1, which adds at
+        ``max(start, block start)``.  A run can end inside a block only in
+        its last one, so the subtraction terms are those of the pairs whose
+        last block lies in c0:c1 and ends after ``stop``, one a pair.  Each
+        query's additions and subtractions are each summed in pair order.
         """
         q0, q1 = self.block_start[c0], self.block_end[c1 - 1]
         pick = np.flatnonzero((pairs.first_block < c1) & (pairs.last_block >= c0))
-        lo = np.maximum(pairs.first_block[pick], c0)
-        count = np.minimum(pairs.last_block[pick], c1 - 1) - lo + 1
-        pair, block = np.repeat(pick, count), _ranges(lo, count)
-        add_at = np.maximum(pairs.start[pair], self.block_start[block]) - q0
-        ends = pairs.stop[pair] < self.block_end[block]
-        sub_at = pairs.stop[pair][ends] - q0
-        v = (pairs.x[pair] - self.origin[block]) / self.h
-        v_powers = [None, v]
-        for _ in range(2, max(q for _, q in columns) + 1):
-            v_powers.append(v_powers[-1] * v)
+        last = pairs.last_block.take(pick)
+        lo = np.maximum(pairs.first_block.take(pick), c0)
+        count = np.minimum(last, c1 - 1) - lo + 1
+        head = np.cumsum(count) - count  # each pair's first term
+        block = np.repeat(lo - head, count)
+        block += np.arange(len(block))
+        add_at = self.block_start.take(block)
+        add_at[head] = np.maximum(pairs.start.take(pick), self.block_start.take(lo))
+        add_at -= q0
+        stop = pairs.stop.take(pick)
+        ends = (last < c1) & (stop < self.block_end.take(last))
+        sub_at = stop[ends] - q0
+        x = pairs.x.take(pick)
+        v = np.repeat(x, count)
+        v -= self.origin.take(block)
+        v /= self.h
+        v_end = (x[ends] - self.origin.take(last[ends])) / self.h
+        top = max(q for _, q in columns)
+        v_powers, end_powers = _powers(v, top), _powers(v_end, top)
         n = q1 - q0
         raw = np.empty((n, len(columns)))
-        gathered = {}
+        spread, ended = {}, {}
         for k, (factor, q) in enumerate(columns):
-            if factor not in gathered:
-                gathered[factor] = None if factors[factor] is None else factors[factor][pair]
-            term = _product(gathered[factor], v_powers[q])
-            ended = None if term is None else term[ends]
-            raw[:, k] = _bincount(add_at, term, n) - _bincount(sub_at, ended, n)
+            if factor not in spread:
+                picked = None if factors[factor] is None else factors[factor].take(pick)
+                spread[factor] = None if picked is None else np.repeat(picked, count)
+                ended[factor] = None if picked is None else picked[ends]
+            raw[:, k] = (_bincount(add_at, _product(spread[factor], v_powers[q]), n)
+                         - _bincount(sub_at, _product(ended[factor], end_powers[q]), n))
         query_block = self.block_of[q0:q1]
         return _running_sums(raw, query_block - c0, np.arange(q0, q1) - self.block_start[query_block])
 
@@ -505,9 +532,7 @@ class _MomentPlan:
 
     def centered(self, raw: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Centered moments (n, K) from raw moments (n, K) and query offsets ``s``."""
-        powers = [None, -s]
-        for _ in range(2, max(len(terms) for terms in self.shift)):
-            powers.append(powers[-1] * -s)
+        powers = _powers(-s, max(len(terms) for terms in self.shift) - 1)
         out = np.empty_like(raw)
         for k, ((top, _, _), *rest) in enumerate(self.shift):
             out[:, k] = raw[:, top]

@@ -303,6 +303,30 @@ class TestVerifyCommand:
         assert cli(["verify", path]) == 2
         assert "config error: <root>: config must be a JSON object" in capsys.readouterr().err
 
+    # -5 and -1 were once tracebacks (exit 1); 0 once passed every check on no samples
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--samples", "-5"], "--samples: must be at least 1, got -5"),
+            (["--samples", "0"], "--samples: must be at least 1, got 0"),
+            (["--seed", "-1"], "--seed: must be non-negative, got -1"),
+        ],
+        ids=["samples_negative", "samples_zero", "seed_negative"],
+    )
+    def test_rejects_bad_option(self, tmp_path, capsys, option, message):
+        instance = {"family": "sinusoidal", "params": {"d": 1, "amplitude": 0.4, "beta": 2.0}}
+        path = write_config(tmp_path / "v.json", {"instance": instance})
+        assert cli(["verify", path, *option]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_one_sample_and_seed_zero_are_accepted(self, tmp_path, capsys):
+        instance = {"family": "sinusoidal", "params": {"d": 1, "amplitude": 0.4, "beta": 2.0}}
+        path = write_config(tmp_path / "v.json", {"instance": instance})
+        assert cli(["verify", path, "--samples", "1", "--seed", "0"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
 
 class TestInspectCommand:
     def test_inspect_state_report(self, tmp_path, capsys):

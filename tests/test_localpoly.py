@@ -645,19 +645,36 @@ class TestRunningSums:
         got = localpoly._running_sums(raw, block, step)[:, 0]
         np.testing.assert_array_equal(got, [1e16, 1e16, 0.0, 1.0, 1e16, 0.0])
 
-    def test_raw_moments_match_the_former_loop(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+    def test_raw_moments_match_the_former_loop(self, chunk, monkeypatch):
         shipped = localpoly._Sweep.raw_moments
         widths = []
+        seen = set()
 
         def both(sweep, pairs, factors, columns, c0, c1):
             got = shipped(sweep, pairs, factors, columns, c0, c1)
             want = former_paths.raw_moments(sweep, pairs, factors, columns, c0, c1)
             assert got.tobytes() == want.tobytes()
             widths.extend((sweep.block_end[c0:c1] - sweep.block_start[c0:c1]).tolist())
+            picked = (pairs.first_block < c1) & (pairs.last_block >= c0)
+            inside = picked & (pairs.last_block < c1)
+            at_end = pairs.stop == sweep.block_end[pairs.last_block]
+            branches = {
+                "no pair": not picked.any(),
+                "enters from an earlier chunk": (picked & (pairs.first_block < c0)).any(),
+                "last block past the chunk": (picked & (pairs.last_block >= c1)).any(),
+                "run ends at a block's end": (inside & at_end).any(),
+                "run ends inside a block": (inside & ~at_end).any(),
+            }
+            seen.update(name for name, hit in branches.items() if hit)
             return got
 
+        if chunk is not None:
+            monkeypatch.setattr(localpoly, "_CHUNK", chunk)
         monkeypatch.setattr(localpoly._Sweep, "raw_moments", both)
         for _, c, p, y, h, b in ORACLE_CASES:
             fit_at_centers(c, p, y, h, b)
         # blocks of one query and blocks of several, in the same calls
         assert min(widths) == 1 and max(widths) >= 5
+        assert seen == {"no pair", "enters from an earlier chunk", "last block past the chunk",
+                        "run ends at a block's end", "run ends inside a block"}
