@@ -14,18 +14,21 @@ lies in the balls of a contiguous run of each row's queries.  Adding its
 raw moments at the run's start and subtracting them at its end, a running
 sum along the row gives every query's raw moments about a nearby origin,
 and a binomial shift turns them into the query's Gram matrix and moment
-vector; a batched solve call then makes the fits.  The Gram minimum
-eigenvalue is read only through the degenerate flag and the smallest value
-over the fits, so ``_eigen_filter`` computes it only for the few fits
-that could set either and proves the rest above both.  The cost grows
-with the (row, sample) pairs and the queries, not with the in-ball samples
-of every query.  ``fit_at_centers`` fits many queries with it;
-``local_poly_estimate`` and ``gram_matrix`` are its one-query case, with
-the same in-ball samples.
+vector.  One vectorized elimination without pivoting, ``_eliminate``, runs
+over a whole chunk of fits, one array per matrix entry: ``_solve`` makes
+the fits with it, and the pivot test ``_above`` shares it.  The Gram
+minimum eigenvalue is read only through the degenerate flag and the
+smallest value over the fits, so ``_eigen_filter`` computes it only for
+the few fits that could set either and proves the rest above both.  The
+cost grows with the (row, sample) pairs and the queries, not with the
+in-ball samples of every query.  ``fit_at_centers`` fits many queries with
+it; ``local_poly_estimate`` and ``gram_matrix`` are its one-query case,
+with the same in-ball samples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -132,22 +135,75 @@ def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, 0]
 
 
-def _above(gram: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Where ``gram - tau I`` has all pivots positive, by symmetric elimination without pivoting.
+def _eliminate(a: dict, size: int, rhs: list | None = None) -> np.ndarray:
+    """Symmetric elimination without pivoting over a stack of matrices; where every pivot is positive.
 
-    Works on the lower triangle, one array over the stack per entry.
+    ``a`` maps each lower-triangle entry ``(i, k)``, ``i >= k``, of the
+    ``size x size`` matrices to one array over the stack, and ``rhs``, if
+    given, lists one array per right-hand-side entry.  Step ``j`` subtracts
+    ``a[i, j] * (1 / a[j, j])`` times row ``j`` from each row ``i > j``, on
+    the entries ``(i, k)`` with ``j < k <= i`` and on ``rhs[i]``; the
+    multiplier scales by the pivot's reciprocal, as LAPACK's LU does.  Both
+    are updated in place: afterwards ``a[j, j]`` is pivot ``j`` and
+    ``a[k, j]``, ``k > j``, entry ``(j, k)`` of the upper triangular
+    factor.  A matrix with a non-positive pivot goes on with whatever values
+    follow, inf or NaN included, without a warning; the caller does not
+    read them.
+    """
+    ok = np.ones(len(a[0, 0]), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(size):
+            ok &= a[j, j] > 0
+            reciprocal = 1.0 / a[j, j]
+            for i in range(j + 1, size):
+                factor = a[i, j] * reciprocal
+                for k in range(j + 1, i + 1):
+                    a[i, k] = a[i, k] - factor * a[k, j]
+                if rhs is not None:
+                    rhs[i] = rhs[i] - factor * rhs[j]
+    return ok
+
+
+def _lower(gram: np.ndarray) -> dict:
+    """The lower triangle of a (n, M, M) stack, one array over the stack per entry."""
+    return {(i, k): gram[:, i, k] for i in range(gram.shape[-1]) for k in range(i + 1)}
+
+
+def _above(gram: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Where ``gram - tau I`` has all pivots positive, by ``_eliminate``."""
+    a = _lower(gram)
+    for j in range(gram.shape[-1]):
+        a[j, j] = a[j, j] - tau
+    return _eliminate(a, gram.shape[-1])
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """Solutions (n, M) of ``gram[i] @ coef[i] = rhs[i]``, zero where ``degenerate``.
+
+    Every system goes through ``_eliminate`` and back substitution, from the
+    last unknown to the first.  The non-degenerate Gram matrices are
+    positive definite, so elimination without pivoting is backward stable
+    on them, as Cholesky is.  A non-degenerate system whose elimination
+    still meets a non-positive pivot, a matrix positive definite only to
+    within rounding, is solved by ``np.linalg.solve`` instead.
     """
     size = gram.shape[-1]
-    a = {(i, k): gram[:, i, k] - tau if i == k else gram[:, i, k] for i in range(size) for k in range(i + 1)}
-    ok = np.ones(len(gram), dtype=bool)
-    for j in range(size):
-        ok &= a[j, j] > 0
-        pivot = np.where(ok, a[j, j], 1.0)
-        factor = {i: a[i, j] / pivot for i in range(j + 1, size)}
-        for i in range(j + 1, size):
-            for k in range(j + 1, i + 1):
-                a[i, k] = a[i, k] - factor[i] * a[k, j]
-    return ok
+    a = _lower(gram)
+    b = [rhs[:, i] for i in range(size)]
+    ok = _eliminate(a, size, b)
+    x = [None] * size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(size - 1, -1, -1):
+            x[j] = b[j]
+            for k in range(j + 1, size):
+                x[j] = x[j] - a[k, j] * x[k]
+            x[j] = x[j] / a[j, j]
+    coef = np.stack(x, axis=1)
+    coef[degenerate] = 0.0
+    lost = ~ok & ~degenerate
+    if lost.any():
+        coef[lost] = np.linalg.solve(gram[lost], rhs[lost][:, :, None])[:, :, 0]
+    return coef
 
 
 def _eigen_filter(gram: np.ndarray, eig_tol: float) -> np.ndarray:
@@ -330,6 +386,21 @@ class _Pairs(NamedTuple):
     last_block: np.ndarray
 
 
+def _stable_order(values: np.ndarray):
+    """``np.argsort(values, kind="stable")`` and the sorted values.
+
+    The default sort is faster.  When its sorted values increase strictly,
+    no two values compare equal, so every sort gives that order; otherwise
+    (ties, NaN, ``-0.0`` beside ``0.0``) the stable sort decides.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    if not np.all(ordered[1:] > ordered[:-1]):
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+    return order, ordered
+
+
 class _Sweep:
     """Queries sorted into rows, rows cut into origin blocks, and each row's candidate samples.
 
@@ -371,11 +442,10 @@ class _Sweep:
         self._stride = self.last.max() - self._low + 2.0
         self._key = self._search_key(row_of, self.last)
 
-        self.sample_order = np.argsort(points[:, 0], kind="stable")
+        self.sample_order, first_axis = _stable_order(points[:, 0])
         if centers.shape[1] == 1:
             self.lo, self.hi = np.zeros(1, dtype=np.intp), np.full(1, len(points))
         else:
-            first_axis = points[self.sample_order, 0]
             reach = h + 1e-9 * (h + np.abs(self.keys[:, 0]))
             self.lo = np.searchsorted(first_axis, self.keys[:, 0] - reach, side="left")
             self.hi = np.searchsorted(first_axis, self.keys[:, 0] + reach, side="right")
@@ -541,6 +611,26 @@ class _MomentPlan:
         return out
 
 
+@functools.cache
+def _plans(basis: MultiIndexBasis):
+    """(gram_plan, rhs_plan, columns, entry) of a basis, built once.
+
+    The plans shift the raw moments of the doubled basis (the Gram matrix's
+    entries) and of the basis (the moment vector); ``columns`` lists each raw
+    moment column as ((key part, times the reward?), last-axis power), the
+    Gram plan's first; ``entry[m1, m2]`` is the Gram plan column of Gram
+    entry (m1, m2).  ``entry`` is read-only, as every call shares it.
+    """
+    gram_plan = _MomentPlan.of(enumerate_basis(basis.d, 2 * basis.l))
+    rhs_plan = _MomentPlan.of(basis)
+    columns = tuple([((r[:-1], False), r[-1]) for r in gram_plan.columns]
+                    + [((r[:-1], True), r[-1]) for r in rhs_plan.columns])
+    gram_column = {r: k for k, r in enumerate(gram_plan.columns)}
+    entry = np.array([[gram_column[tuple(np.add(r1, r2))] for r2 in basis.indices] for r1 in basis.indices])
+    entry.flags.writeable = False
+    return gram_plan, rhs_plan, columns, entry
+
+
 def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float,
                 basis: MultiIndexBasis):
     """Yield (index, counts, gram, coef, min_eig, degenerate) per chunk of
@@ -564,19 +654,14 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
     eigenvalue is below ``default_eig_tol(basis)`` is degenerate and has
     zero coefficients; ``_eigen_filter`` gives each chunk's flags and
     minimum exactly, calling ``eigvalsh`` on the few fits that could set
-    them.  The other systems go through one batched solve call.
+    them.  ``_solve`` then solves every system of the chunk by one
+    vectorized elimination and zeroes the degenerate ones.
     """
     if len(centers) == 0:
         return
     eig_tol = default_eig_tol(basis)
-    gram_plan = _MomentPlan.of(enumerate_basis(basis.d, 2 * basis.l))
-    rhs_plan = _MomentPlan.of(basis)
-    # raw moment columns: (key part, times the reward?), last-axis power
-    columns = [((r[:-1], False), r[-1]) for r in gram_plan.columns]
-    columns += [((r[:-1], True), r[-1]) for r in rhs_plan.columns]
+    gram_plan, rhs_plan, columns, entry = _plans(basis)
     K = len(gram_plan.columns)
-    gram_column = {r: k for k, r in enumerate(gram_plan.columns)}
-    entry = np.array([[gram_column[tuple(np.add(r1, r2))] for r2 in basis.indices] for r1 in basis.indices])
     sweep = _Sweep(centers, points, h)
     for r0, r1 in _spans(sweep.hi - sweep.lo + sweep.row_end - sweep.row_start, _CHUNK):
         pairs = sweep.pairs(r0, r1, points, rewards)
@@ -599,11 +684,7 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
             gram[count == 0] = 0.0
             lam = _eigen_filter(gram, eig_tol)
             degenerate = lam < eig_tol
-            coef = np.zeros(rhs.shape)
-            ok = ~degenerate
-            if ok.any():
-                coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-            yield sweep.order[q0:q1], count, gram, coef, lam.min(), degenerate
+            yield sweep.order[q0:q1], count, gram, _solve(gram, rhs, degenerate), lam.min(), degenerate
 
 
 def local_poly_estimate(

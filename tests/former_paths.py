@@ -10,6 +10,8 @@ paths:
 - ``step_outcomes``: the three-line expression the elimination policy and
   both baseline runners repeated;
 - ``raw_moments``: block running sums by a Python loop over block positions;
+- ``solve``: the fits by one batched ``np.linalg.solve`` call (LAPACK's LU
+  with partial pivoting, one matrix at a time) on the non-degenerate systems;
 - ``run_chunk``: binned-UCB rounds that gather visits, read the log table and
   call ``env.rewards`` once a round.
 """
@@ -71,6 +73,14 @@ def running_sums(raw, step):
         i = np.flatnonzero(step == o)
         raw[i] += raw[i - 1]
     return raw
+
+
+def solve(gram, rhs, degenerate):
+    coef = np.zeros(rhs.shape)
+    ok = ~degenerate
+    if ok.any():
+        coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
+    return coef
 
 
 def ucb_choose(counts, sums, exploration, log_visits):
@@ -148,4 +158,5 @@ def restore(monkeypatch) -> None:
     for module in (policy, baselines):
         monkeypatch.setattr(module, "step_outcomes", step_outcomes)
     monkeypatch.setattr(localpoly._Sweep, "raw_moments", raw_moments)
+    monkeypatch.setattr(localpoly, "_solve", solve)
     monkeypatch.setattr(baselines, "_run_chunk", run_chunk)

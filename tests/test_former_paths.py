@@ -2,9 +2,11 @@
 
 Each case runs once as shipped and once with every former path restored:
 one ``tau`` call per arm, ``argmax`` for the first maximum, the three-line
-step outcomes, block running sums by a loop over positions and binned-UCB
-rounds fed one ``env.rewards`` call each.  Results, CSV rows, summaries and
-state reports must be equal bit for bit.
+step outcomes, block running sums by a loop over positions, fits solved by
+``np.linalg.solve`` and binned-UCB rounds fed one ``env.rewards`` call
+each.  Results, CSV rows, summaries and state reports must be equal bit
+for bit: the solvers' fit values differ by a rounding, and a run reads
+them only through its elimination comparisons.
 """
 
 import json

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.spatial import cKDTree
 
 import former_paths
 from smoothbandit import localpoly
+from smoothbandit.environments import make_smooth_instance
 from smoothbandit.geometry import GridLattice, build_lattice
 from smoothbandit.localpoly import (
     default_eig_tol,
@@ -17,6 +19,7 @@ from smoothbandit.localpoly import (
     min_eigenvalue,
     scaled_design,
 )
+from smoothbandit.policy import PolicyConfig, run_two_arm
 
 
 def brute_force_estimate(x, points, rewards, h, basis):
@@ -678,3 +681,133 @@ class TestRunningSums:
         assert min(widths) == 1 and max(widths) >= 5
         assert seen == {"no pair", "enters from an earlier chunk", "last block past the chunk",
                         "run ends at a block's end", "run ends inside a block"}
+
+
+def _relative_errors(got, want, gram):
+    """Per system: the largest coefficient error over the largest coefficient, and the Gram condition number."""
+    eigs = np.linalg.eigvalsh(gram)
+    scale = np.maximum(np.max(np.abs(want), axis=1), np.finfo(float).tiny)
+    return np.max(np.abs(got - want), axis=1) / scale, eigs[:, -1] / eigs[:, 0]
+
+
+class TestSolve:
+    # Both solvers are backward stable on positive definite systems, so they
+    # differ by a rounding that the Gram condition number kappa amplifies:
+    # within 1e-14 * kappa of the largest coefficient, as the fits' bound.
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6, 10])
+    def test_matches_lapack_on_positive_definite_stacks(self, size):
+        rng = np.random.default_rng(size)
+        gram = _spectral(rng, 10.0 ** rng.uniform(-6, 4, (300, size)))
+        rhs = rng.standard_normal((300, size)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+        got = localpoly._solve(gram, rhs, np.zeros(300, dtype=bool))
+        want = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        err, kappa = _relative_errors(got, want, gram)
+        assert np.all(err <= 1e-14 * kappa), np.max(err / kappa)
+        assert size == 1 or kappa.max() > 1e8
+
+    def test_matches_lapack_on_every_chunk_of_the_kernel_cases(self, monkeypatch):
+        shipped = localpoly._solve
+        sizes, flags = set(), []
+
+        def both(gram, rhs, degenerate):
+            got = shipped(gram, rhs, degenerate)
+            want = former_paths.solve(gram, rhs, degenerate)
+            sizes.add(gram.shape[-1])
+            flags.append(degenerate)
+            assert np.all(got[degenerate] == 0.0)
+            ok = ~degenerate
+            if ok.any():
+                err, kappa = _relative_errors(got[ok], want[ok], gram[ok])
+                assert np.all(err <= 1e-14 * kappa), np.max(err / kappa)
+            return got
+
+        monkeypatch.setattr(localpoly, "_solve", both)
+        for _, c, p, y, h, b in ORACLE_CASES:
+            fit_at_centers(c, p, y, h, b)
+        flags = np.concatenate(flags)
+        assert sizes == {1, 2, 3, 4, 6, 10, 20}
+        assert flags.any() and np.count_nonzero(~flags) > 2000
+
+    def test_zero_gram_rows_give_zero_coefficients_without_warning(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 6):
+            gram = _designs(rng, 40, size) + np.eye(size)
+            gram[::3] = 0.0
+            degenerate = np.zeros(40, dtype=bool)
+            degenerate[::3] = True
+            rhs = rng.standard_normal((40, size))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = localpoly._solve(gram, rhs, degenerate)
+            assert np.all(got[degenerate] == 0.0)
+            assert np.all(np.isfinite(got))
+        # empty balls through the kernel: every fit of a sample-free call
+        _, centers, pts, y, h, basis = next(c for c in KERNEL_CASES if c[0] == "no-points-d2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_at_centers(centers, pts, y, h, basis)
+        assert got.degenerate.all() and np.all(got.values == 0.0)
+
+    def test_a_lost_pivot_falls_back_to_lapack(self):
+        # [[0, 1], [1, 0]] meets a zero pivot, [[1, 2], [2, 1]] a negative one;
+        # passed as non-degenerate, LAPACK's pivoted LU solves them
+        gram = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]])
+        rhs = np.array([[1.0, 2.0], [3.0, 3.0], [3.0, 0.0]])
+        got = localpoly._solve(gram, rhs, np.zeros(3, dtype=bool))
+        want = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
+        np.testing.assert_allclose(got[1], [1.0, 1.0], rtol=1e-15)
+
+    def test_fits_call_no_lapack_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        _, centers, pts, y, h, basis = next(c for c in LATTICE_CASES if c[0] == "lattice-d2-l1")
+        want = fit_at_centers(centers, pts, y, h, basis)
+        env = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
+        config = PolicyConfig(beta=2.0, d=1, horizon=4096, c_epoch=8.0)
+        run = run_two_arm(env, config, seed=3, record_actions=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", refuse)
+            got = fit_at_centers(centers, pts, y, h, basis)
+            # d = 1 fits are 2 x 2 (beta = 2): closed-form eigenvalues, so no LAPACK at all
+            patch.setattr(np.linalg, "eigvalsh", refuse)
+            again = run_two_arm(env, config, seed=3, record_actions=True)
+        for field in got._fields:
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert (~got.degenerate).sum() > 100
+        assert again.equals(run) and len(run.epochs) >= 2
+
+
+def _order_cases():
+    """(name, values) inputs for the sample order."""
+    rng = np.random.default_rng(23)
+    yield "distinct", rng.random(500)
+    yield "empty", np.empty(0)
+    yield "one", np.array([0.5])
+    yield "ties", rng.integers(0, 20, 300).astype(float)
+    yield "one-tie", np.append(rng.random(100), 0.25 * np.ones(2))
+    yield "nan", np.where(rng.random(200) < 0.1, np.nan, rng.random(200))
+    yield "signed-zeros", rng.permutation(np.concatenate([np.zeros(5), -np.zeros(5), rng.random(20) - 0.5]))
+    yield "strided", rng.random((300, 2))[:, 0]
+
+
+class TestSampleOrder:
+    @pytest.mark.parametrize("case", list(_order_cases()), ids=lambda c: c[0])
+    def test_matches_the_stable_sort(self, case):
+        _, values = case
+        order, ordered = localpoly._stable_order(values)
+        want = np.argsort(values, kind="stable")
+        np.testing.assert_array_equal(order, want)
+        assert ordered.tobytes() == values[want].tobytes()
+
+
+class TestPlans:
+    def test_one_plan_per_basis(self):
+        first = localpoly._plans(enumerate_basis(2, 2))
+        again = localpoly._plans(enumerate_basis(2, 2))
+        assert all(a is b for a, b in zip(first, again))
+        assert localpoly._plans(enumerate_basis(2, 1))[3].shape == (3, 3)
+        with pytest.raises(ValueError):
+            first[3][0, 0] = 0
