@@ -10,13 +10,17 @@ and reports the value 0.
 Every fit goes through one kernel, ``_block_fits``, a sweep over rows of
 queries: the queries that share every coordinate but the last form a row.
 Each sample pairs with the rows whose strip on the other axes holds it and
-lies in the balls of a contiguous run of each row's queries.  Adding its
-raw moments at the run's start and subtracting them at its end, a running
-sum along the row gives every query's raw moments about a nearby origin,
-and a binomial shift turns them into the query's Gram matrix and moment
-vector.  One vectorized elimination without pivoting, ``_eliminate``, runs
-over a whole chunk of fits, one array per matrix entry: ``_solve`` makes
-the fits with it, and the pivot test ``_above`` shares it.  The Gram
+lies in the balls of a contiguous run of each row's queries, found without
+a binary search per run end: at ``d = 1`` by one search of the sorted
+samples, otherwise through a bucket index over the rows' queries.  Adding
+its raw moments at the run's start and subtracting them at its end, a
+running sum along the row gives every query's raw moments about a nearby
+origin, and a binomial shift turns them into the query's Gram matrix and
+moment vector.  Raw moments are summed in chunks and the fits made in
+batches of consecutive chunks.  One vectorized elimination without
+pivoting, ``_eliminate``, runs over a whole batch of fits, one array per
+matrix entry: ``_solve`` makes the fits with it, and the pivot test
+``_above`` shares it.  The Gram
 minimum eigenvalue is read only through the degenerate flag and the
 smallest value over the fits, so ``_eigen_filter`` computes it only for
 the few fits that could set either and proves the rest above both.  The
@@ -41,10 +45,10 @@ import numpy as np
 # sample-free band came within 1% of the kernel tests' error bound.
 _ORIGIN_SPAN = 0.125
 # Work held at once by ``_block_fits``: candidate (row, sample) pairs per
-# group of rows, and (pair, origin block) terms plus M per query in a chunk
-# of whole origin blocks, as a query holds an M x M Gram matrix.
+# group of rows, (pair, origin block) terms plus M per query in a chunk of
+# whole origin blocks, and M^2 Gram entries per query in a batch of chunks.
 _CHUNK = 2**15
-# Fits of a chunk whose Gram minimum eigenvalues ``_eigen_filter`` computes
+# Fits of a batch whose Gram minimum eigenvalues ``_eigen_filter`` computes
 # first, to set the threshold that lets it skip most of the others.
 _PICKS = 16
 
@@ -401,6 +405,60 @@ def _stable_order(values: np.ndarray):
     return order, ordered
 
 
+class _Buckets:
+    """A bucket index over the sorted last coordinates ``c`` of a group of
+    rows, row i holding ``c[first[i]:end[i]]``.
+
+    Row i, of n queries spanning s > 0, has ``top[i] = 2 n`` buckets of
+    width s / (2 n) from its first query, plus one below and one above,
+    numbered from ``base[i]``; ``of`` gives the bucket of a value.  The
+    bucket never decreases as the value grows, and queries and values go
+    through the same ``of``, so a query in an earlier bucket than a value is
+    below it and one in a later bucket above it.  ``below[b]`` counts the
+    queries in the buckets before b, and ``held[b]`` those in b.  A row
+    whose ``scale``, 2 n / s, is not positive and finite (one of zero span)
+    gets ``top`` 0 and ``scale`` 0, and each of its buckets counts as
+    crowded, ``held`` 2.
+    """
+
+    def __init__(self, c: np.ndarray, first: np.ndarray, end: np.ndarray):
+        self.c = c
+        self.origin = c[first]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 2 * (end - first) / (c[end - 1] - self.origin)
+        indexed = (scale > 0) & (scale < np.inf)
+        self.scale = np.where(indexed, scale, 0.0)
+        self.top = np.where(indexed, 2 * (end - first), 0)
+        self.base = np.cumsum(self.top + 2) - (self.top + 2)
+        bucket = self.of(np.repeat(np.arange(len(first)), end - first), c)
+        self.held = np.bincount(bucket, minlength=self.base[-1] + self.top[-1] + 2)
+        self.below = np.cumsum(self.held) - self.held
+        self.held[(self.base[~indexed, None] + np.arange(2)).reshape(-1)] = 2
+
+    def of(self, i: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """The bucket of each value in row ``i``; a NaN falls below."""
+        t = (value - self.origin.take(i)) * self.scale.take(i)
+        np.floor(t, out=t)
+        np.fmax(t, -1.0, out=t)
+        np.fmin(t, self.top.take(i), out=t)
+        return self.base.take(i) + 1 + t.astype(np.intp)
+
+    def place(self, i: np.ndarray, value: np.ndarray, side: str):
+        """(pos, crowded): ``searchsorted(side)`` of each value in row ``i``,
+        as a position in ``c``, except where ``crowded``, its bucket holding
+        two queries or more, which ``pos`` does not place.
+
+        An empty bucket places a value by the queries before it, a bucket of
+        one query by one compare with that query.
+        """
+        bucket = self.of(i, value)
+        held = self.held.take(bucket)
+        pos = self.below.take(bucket)
+        query = self.c.take(pos, mode="clip")
+        pos += (held == 1) & ((query < value) if side == "left" else (query <= value))
+        return pos, held > 1
+
+
 class _Sweep:
     """Queries sorted into rows, rows cut into origin blocks, and each row's candidate samples.
 
@@ -414,6 +472,12 @@ class _Sweep:
     ``sample_order[lo[r]:hi[r]]``: every sample at ``d = 1``, otherwise
     the sorted window ``|x_0 - c_0| <= h`` on the first axis, padded a
     little so that rounding cannot drop a sample the exact test keeps.
+
+    ``pairs`` finds each candidate pair's run of queries.  At ``d = 1`` one
+    ``searchsorted`` of the sorted samples gives every run exactly.
+    Otherwise each group of rows gets a ``_Buckets`` index, which places
+    most run ends with at most one compare; the rest fall back to one
+    binary search over search keys (``_search``), built on first use.
     """
 
     def __init__(self, centers: np.ndarray, points: np.ndarray, h: float):
@@ -436,38 +500,57 @@ class _Sweep:
         self.block_end = np.append(self.block_start[1:], n)
         self.origin = (self.last[self.block_start] + self.last[self.block_end - 1]) / 2
         self.shift = (self.last - self.origin[self.block_of]) / h
-        # One increasing search key over all rows: row r's last coordinates,
-        # clipped to [low, low + stride - 1], plus r * stride.
         self._low = self.last.min() - 1.0
         self._stride = self.last.max() - self._low + 2.0
-        self._key = self._search_key(row_of, self.last)
 
-        self.sample_order, first_axis = _stable_order(points[:, 0])
+        self.sample_order, self._first_axis = _stable_order(points[:, 0])
         if centers.shape[1] == 1:
             self.lo, self.hi = np.zeros(1, dtype=np.intp), np.full(1, len(points))
         else:
             reach = h + 1e-9 * (h + np.abs(self.keys[:, 0]))
-            self.lo = np.searchsorted(first_axis, self.keys[:, 0] - reach, side="left")
-            self.hi = np.searchsorted(first_axis, self.keys[:, 0] + reach, side="right")
+            self.lo = np.searchsorted(self._first_axis, self.keys[:, 0] - reach, side="left")
+            self.hi = np.searchsorted(self._first_axis, self.keys[:, 0] + reach, side="right")
+
+    @functools.cached_property
+    def _key(self) -> np.ndarray:
+        """One increasing search key over all rows, built on first use: row
+        r's last coordinates, clipped to [low, low + stride - 1], plus r * stride."""
+        row = np.repeat(np.arange(len(self.row_start)), self.row_end - self.row_start)
+        return self._search_key(row, self.last)
 
     def _search_key(self, row: np.ndarray, value: np.ndarray) -> np.ndarray:
         clipped = np.clip(value, self._low, self._low + self._stride - 1.0)
         return row * self._stride + (clipped - self._low)
 
-    def _runs(self, row: np.ndarray, x: np.ndarray, w: np.ndarray, p0: int, p1: int):
+    def _search(self, row: np.ndarray, value: np.ndarray, side: str, p0: int, p1: int) -> np.ndarray:
+        """Each value's ``searchsorted`` position along its row, to within a
+        rounding, by one binary search over the search keys of positions p0:p1."""
+        found = p0 + np.searchsorted(self._key[p0:p1], self._search_key(row, value), side=side)
+        return np.clip(found, self.row_start[row], self.row_end[row])
+
+    def _runs(self, row: np.ndarray, x: np.ndarray, w: np.ndarray, r0: int, r1: int):
         """Sorted positions [start, stop) of the queries c of ``row`` with c - w <= x <= c + w.
 
-        Every row lies within the positions p0:p1.  The rule is monotone
-        along a row, so its queries form a run.  ``searchsorted`` at x - w
-        and x + w places each end to within a rounding; testing the rule on
-        the query just inside and just outside an end, until neither moves
-        it, fixes the end.
+        Every row lies in r0:r1.  The rule is monotone along a row, so its
+        queries form a run.  ``_place`` puts each end at the ``searchsorted``
+        position of x - w or x + w along the row, through the rows' bucket
+        index, or to within a rounding where it falls back to ``_search``;
+        testing the rule on the query just inside and just outside an end,
+        until neither moves it, fixes the end, whatever its first place.
         """
         c = self.last
         first, end = self.row_start[row], self.row_end[row]
-        keys = self._key[p0:p1]
-        start = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x - w), side="left"), first, end)
-        stop = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x + w), side="right"), first, end)
+        p0, p1 = self.row_start[r0], self.row_end[r1 - 1]
+        index = _Buckets(c[p0:p1], self.row_start[r0:r1] - p0, self.row_end[r0:r1] - p0)
+
+        def place(value, side):
+            pos, crowded = index.place(row - r0, value, side)
+            pos += p0
+            if crowded.any():
+                pos[crowded] = self._search(row[crowded], value[crowded], side, p0, p1)
+            return pos
+
+        start, stop = place(x - w, "left"), place(x + w, "right")
 
         def settle(pos, move, test):
             while (hit := test(pos)).any():
@@ -483,10 +566,23 @@ class _Sweep:
     def pairs(self, r0: int, r1: int, points: np.ndarray, rewards: np.ndarray) -> _Pairs:
         """The pairs of rows r0:r1 with a non-empty run, by row and then sample order.
 
-        A candidate pair is kept when ``r2 = sum_{k < d-1} (x_k - c_k)^2 <=
-        h^2``; its run is then that of ``_runs`` with ``w = sqrt(h^2 - r2)``.
+        At ``d = 1`` there is one row and every sample is a candidate, with
+        ``w = sqrt(h^2)``.  ``fl(c + w)`` and ``fl(c - w)`` do not decrease
+        along the row, so ``searchsorted`` of the sorted samples among them
+        gives each run exactly.  Otherwise a candidate pair is kept when
+        ``r2 = sum_{k < d-1} (x_k - c_k)^2 <= h^2``; its run is then that of
+        ``_runs`` with ``w = sqrt(h^2 - r2)``.
         """
         h = self.h
+        if self.keys.shape[1] == 0:
+            w = np.sqrt(h * h)
+            x = self._first_axis
+            start = np.searchsorted(self.last + w, x, side="left")
+            stop = np.searchsorted(self.last - w, x, side="right")
+            hit = stop > start
+            start, stop = start[hit], stop[hit]
+            return _Pairs(np.empty((len(start), 0)), x[hit], rewards[self.sample_order[hit]], start, stop,
+                          self.block_of[start], self.block_of[stop - 1])
         width = self.hi[r0:r1] - self.lo[r0:r1]
         row = np.repeat(np.arange(r0, r1), width)
         sample = self.sample_order[_ranges(self.lo[r0:r1], width)]
@@ -497,7 +593,7 @@ class _Sweep:
         near = r2 <= h * h
         row, sample, offset, r2 = row[near], sample[near], offset[near], r2[near]
         x = points[sample, -1]
-        start, stop = self._runs(row, x, np.sqrt(h * h - r2), self.row_start[r0], self.row_end[r1 - 1])
+        start, stop = self._runs(row, x, np.sqrt(h * h - r2), r0, r1)
         hit = stop > start
         start, stop = start[hit], stop[hit]
         return _Pairs(offset[hit] / h, x[hit], rewards[sample[hit]], start, stop,
@@ -633,10 +729,10 @@ def _plans(basis: MultiIndexBasis):
 
 def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float,
                 basis: MultiIndexBasis):
-    """Yield (index, counts, gram, coef, min_eig, degenerate) per chunk of
+    """Yield (index, counts, gram, coef, min_eig, degenerate) per batch of
     whole origin blocks: the queries ``centers[index]`` with their in-ball
     sample counts, Gram matrices and scaled coefficients, the smallest Gram
-    minimum eigenvalue over the chunk, and the degenerate flags.
+    minimum eigenvalue over the batch, and the degenerate flags.
 
     A sample x is in the ball of query c when ``r2 = sum_{k < d-1} (x_k -
     c_k)^2 <= h^2`` and then ``c_last - w <= x_last <= c_last + w`` with
@@ -650,12 +746,18 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
     matrix and moment vector.  A query with no in-ball sample gets a zero
     Gram matrix.  Rows are taken in groups of about ``_CHUNK`` candidate
     pairs, and each group's origin blocks in chunks of about ``_CHUNK``
-    (pair, block) terms plus ``M`` per query.  A fit whose Gram minimum
-    eigenvalue is below ``default_eig_tol(basis)`` is degenerate and has
-    zero coefficients; ``_eigen_filter`` gives each chunk's flags and
-    minimum exactly, calling ``eigvalsh`` on the few fits that could set
-    them.  ``_solve`` then solves every system of the chunk by one
-    vectorized elimination and zeroes the degenerate ones.
+    (pair, block) terms plus ``M`` per query, whose raw moments are summed
+    one chunk at a time.  Consecutive chunks of a group then make one batch
+    of fits, written into one array, while the batch holds at most
+    ``_CHUNK`` Gram entries, ``M^2`` a query; a heavier chunk is a batch of
+    its own.  A fit whose Gram minimum eigenvalue is below
+    ``default_eig_tol(basis)`` is degenerate and has zero coefficients;
+    ``_eigen_filter`` gives each batch's flags and minimum exactly, calling
+    ``eigvalsh`` on the few fits that could set them.  ``_solve`` then
+    solves every system of the batch by one vectorized elimination and
+    zeroes the degenerate ones.  Each fit works on its own matrix, and the
+    flags and minimum are exact for any batch, so no result depends on how
+    the queries are cut into chunks or batches.
     """
     if len(centers) == 0:
         return
@@ -673,10 +775,14 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
         b0, b1 = sweep.block_of[p0], sweep.block_of[p1 - 1] + 1
         terms = _coverage(pairs.first_block - b0, pairs.last_block + 1 - b0, b1 - b0)
         queries = sweep.block_end[b0:b1] - sweep.block_start[b0:b1]
-        for c0, c1 in _spans(terms + basis.M * queries, _CHUNK):
-            c0, c1 = b0 + c0, b0 + c1
-            q0, q1 = sweep.block_start[c0], sweep.block_end[c1 - 1]
-            raw = sweep.raw_moments(pairs, factors, columns, c0, c1)
+        chunks = b0 + np.array(list(_spans(terms + basis.M * queries, _CHUNK)))
+        sizes = sweep.block_end[chunks[:, 1] - 1] - sweep.block_start[chunks[:, 0]]
+        for k0, k1 in _spans(sizes * basis.M**2, _CHUNK):
+            q0, q1 = sweep.block_start[chunks[k0, 0]], sweep.block_end[chunks[k1 - 1, 1] - 1]
+            raw = np.empty((q1 - q0, len(columns)))
+            for c0, c1 in chunks[k0:k1]:
+                raw[sweep.block_start[c0] - q0:sweep.block_end[c1 - 1] - q0] = sweep.raw_moments(
+                    pairs, factors, columns, c0, c1)
             s = sweep.shift[q0:q1]
             gram = gram_plan.centered(raw[:, :K], s)[:, entry]
             rhs = rhs_plan.centered(raw[:, K:], s)
@@ -695,7 +801,7 @@ def local_poly_estimate(
     The one-row, one-query case of ``fit_at_centers``: the same in-ball
     samples, and bit for bit the value and degenerate flag that
     ``fit_at_centers`` gives a query alone in its row.  Its one fit is its
-    chunk, so ``min_eigenvalue`` is the fit's exact Gram minimum
+    batch, so ``min_eigenvalue`` is the fit's exact Gram minimum
     eigenvalue.  The value is independent of the scaling.  Returns 0 with
     ``degenerate=True`` when the Gram minimum eigenvalue is below
     ``default_eig_tol`` (``1e-8 * M``), including the empty-ball case.
@@ -725,9 +831,9 @@ def fit_at_centers(
     it: value 0 and the degenerate flag where the Gram minimum eigenvalue
     is below ``default_eig_tol``.  A center alone in its row gets bit for
     bit ``local_poly_estimate``'s fit; the centers of a longer row share
-    running sums, which round differently.  Work is done in chunks of
-    whole origin blocks, so memory stays bounded for any number of
-    centers; the results do not depend on the chunk size.  ``min_eig`` is
+    running sums, which round differently.  Work is done in chunks and
+    batches of whole origin blocks, so memory stays bounded for any number
+    of centers; the results do not depend on their sizes.  ``min_eig`` is
     the exact smallest Gram minimum eigenvalue over the centers (``inf``
     when there are none); per-center values are not computed, as a fit
     proven well-conditioned needs none.
@@ -738,9 +844,9 @@ def fit_at_centers(
     degenerate = np.zeros(n, dtype=bool)
     min_eig = math.inf
     n_in_ball = np.zeros(n, dtype=np.intp)
-    for index, counts, _, coef, chunk_min, degen in _block_fits(centers, points, rewards, h, basis):
+    for index, counts, _, coef, batch_min, degen in _block_fits(centers, points, rewards, h, basis):
         values[index] = coef[:, 0]
-        min_eig = min(min_eig, float(chunk_min))
+        min_eig = min(min_eig, float(batch_min))
         degenerate[index] = degen
         n_in_ball[index] = counts
     return CenterFits(values, degenerate, min_eig, n_in_ball)

@@ -9,6 +9,10 @@ paths:
 - ``first_max``: ``np.argmax(values, axis=0)``;
 - ``step_outcomes``: the three-line expression the elimination policy and
   both baseline runners repeated;
+- ``pairs`` and ``runs``: every run end placed by ``np.searchsorted`` over
+  one search key of all rows, then fixed by the rule, ``d = 1`` included;
+- ``block_fits``: the fit stage (binomial shift, eigenvalue filter, solve)
+  run once per raw-moment chunk;
 - ``raw_moments``: block running sums by a Python loop over block positions;
 - ``solve``: the fits by one batched ``np.linalg.solve`` call (LAPACK's LU
   with partial pivoting, one matrix at a time) on the non-degenerate systems;
@@ -64,6 +68,75 @@ def raw_moments(self, pairs, factors, columns, c0, c1):
         ended = None if term is None else term[ends]
         raw[:, k] = localpoly._bincount(add_at, term, n) - localpoly._bincount(sub_at, ended, n)
     return running_sums(raw, np.arange(q0, q1) - self.block_start[self.block_of[q0:q1]])
+
+
+def runs(self, row, x, w, p0, p1):
+    c = self.last
+    first, end = self.row_start[row], self.row_end[row]
+    keys = self._key[p0:p1]
+    start = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x - w), side="left"), first, end)
+    stop = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x + w), side="right"), first, end)
+
+    def settle(pos, move, test):
+        while (hit := test(pos)).any():
+            pos[hit] += move
+
+    top = len(c) - 1
+    settle(start, -1, lambda p: (p > first) & (x <= c[p - 1] + w))
+    settle(start, 1, lambda p: (p < end) & (x > c[np.minimum(p, top)] + w))
+    settle(stop, -1, lambda p: (p > first) & (c[p - 1] - w > x))
+    settle(stop, 1, lambda p: (p < end) & (c[np.minimum(p, top)] - w <= x))
+    return start, np.maximum(start, stop)
+
+
+def pairs(self, r0, r1, points, rewards):
+    h = self.h
+    width = self.hi[r0:r1] - self.lo[r0:r1]
+    row = np.repeat(np.arange(r0, r1), width)
+    sample = self.sample_order[localpoly._ranges(self.lo[r0:r1], width)]
+    offset = points[sample, :-1] - self.keys[row]
+    r2 = np.zeros(len(row))
+    for k in range(offset.shape[1]):
+        r2 += offset[:, k] * offset[:, k]
+    near = r2 <= h * h
+    row, sample, offset, r2 = row[near], sample[near], offset[near], r2[near]
+    x = points[sample, -1]
+    start, stop = runs(self, row, x, np.sqrt(h * h - r2), self.row_start[r0], self.row_end[r1 - 1])
+    hit = stop > start
+    start, stop = start[hit], stop[hit]
+    return localpoly._Pairs(offset[hit] / h, x[hit], rewards[sample[hit]], start, stop,
+                            self.block_of[start], self.block_of[stop - 1])
+
+
+def block_fits(centers, points, rewards, h, basis):
+    if len(centers) == 0:
+        return
+    eig_tol = localpoly.default_eig_tol(basis)
+    gram_plan, rhs_plan, columns, entry = localpoly._plans(basis)
+    K = len(gram_plan.columns)
+    sweep = localpoly._Sweep(centers, points, h)
+    for r0, r1 in localpoly._spans(sweep.hi - sweep.lo + sweep.row_end - sweep.row_start, localpoly._CHUNK):
+        pairs = sweep.pairs(r0, r1, points, rewards)
+        p0, p1 = sweep.row_start[r0], sweep.row_end[r1 - 1]
+        counts = localpoly._coverage(pairs.start - p0, pairs.stop - p0, p1 - p0)
+        key_powers = localpoly._monomials(pairs.u, {key for (key, _), _ in columns})
+        factors = {(key, reward): localpoly._product(key_powers[key], pairs.y if reward else None)
+                   for (key, reward), _ in columns}
+        b0, b1 = sweep.block_of[p0], sweep.block_of[p1 - 1] + 1
+        terms = localpoly._coverage(pairs.first_block - b0, pairs.last_block + 1 - b0, b1 - b0)
+        queries = sweep.block_end[b0:b1] - sweep.block_start[b0:b1]
+        for c0, c1 in localpoly._spans(terms + basis.M * queries, localpoly._CHUNK):
+            c0, c1 = b0 + c0, b0 + c1
+            q0, q1 = sweep.block_start[c0], sweep.block_end[c1 - 1]
+            raw = sweep.raw_moments(pairs, factors, columns, c0, c1)
+            s = sweep.shift[q0:q1]
+            gram = gram_plan.centered(raw[:, :K], s)[:, entry]
+            rhs = rhs_plan.centered(raw[:, K:], s)
+            count = counts[q0 - p0:q1 - p0]
+            gram[count == 0] = 0.0
+            lam = localpoly._eigen_filter(gram, eig_tol)
+            degenerate = lam < eig_tol
+            yield sweep.order[q0:q1], count, gram, localpoly._solve(gram, rhs, degenerate), lam.min(), degenerate
 
 
 def running_sums(raw, step):
@@ -157,6 +230,8 @@ def restore(monkeypatch) -> None:
         monkeypatch.setattr(module, "first_max", first_max)
     for module in (policy, baselines):
         monkeypatch.setattr(module, "step_outcomes", step_outcomes)
+    monkeypatch.setattr(localpoly._Sweep, "pairs", pairs)
+    monkeypatch.setattr(localpoly, "_block_fits", block_fits)
     monkeypatch.setattr(localpoly._Sweep, "raw_moments", raw_moments)
     monkeypatch.setattr(localpoly, "_solve", solve)
     monkeypatch.setattr(baselines, "_run_chunk", run_chunk)

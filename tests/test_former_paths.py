@@ -2,9 +2,10 @@
 
 Each case runs once as shipped and once with every former path restored:
 one ``tau`` call per arm, ``argmax`` for the first maximum, the three-line
-step outcomes, block running sums by a loop over positions, fits solved by
-``np.linalg.solve`` and binned-UCB rounds fed one ``env.rewards`` call
-each.  Results, CSV rows, summaries and state reports must be equal bit
+step outcomes, run ends placed by a binary search over search keys, the
+fit stage run once per raw-moment chunk, block running sums by a loop over
+positions, fits solved by ``np.linalg.solve`` and binned-UCB rounds fed
+one ``env.rewards`` call each.  Results, CSV rows, summaries and state reports must be equal bit
 for bit: the solvers' fit values differ by a rounding, and a run reads
 them only through its elimination comparisons.
 """
@@ -18,7 +19,7 @@ import former_paths
 from smoothbandit import harness
 from smoothbandit.baselines import run_binned_ucb_batch
 from smoothbandit.environments import make_constant_multi_arm, make_smooth_instance
-from smoothbandit.policy import PolicyConfig, run_multi_arm
+from smoothbandit.policy import PolicyConfig, run_multi_arm, run_two_arm
 
 
 def _shipped_and_former(monkeypatch, run):
@@ -85,3 +86,13 @@ def test_d3_smooth_multi_run_and_its_state_report(monkeypatch):
     _assert_equal_runs(shipped, former)
     run = shipped[0]
     assert len(run.epochs) >= 2 and sum(e.explore_cubes for e in run.epochs[1:]) > 0
+
+
+def test_d2_two_arm_run_and_its_state_report(monkeypatch):
+    env = make_smooth_instance("sinusoidal", d=2, amplitude=0.4)
+    config = PolicyConfig(beta=2.0, d=2, horizon=2048, c_epoch=8.0)
+    shipped, former = _shipped_and_former(
+        monkeypatch, lambda: [run_two_arm(env, config, 7, checkpoints=8, record_actions=True)]
+    )
+    _assert_equal_runs(shipped, former)
+    assert len(shipped[0].epochs) >= 3

@@ -780,6 +780,269 @@ class TestSolve:
         assert again.equals(run) and len(run.epochs) >= 2
 
 
+def _run_cases():
+    """Seeded (name, centers, points, h) inputs at d >= 2 for the run search, each row crafted."""
+    rng = np.random.default_rng(41)
+    grid = (np.arange(24) + 0.5) / 24
+
+    def rows(last_coords):
+        """Centers of one row per list of last coordinates, rows 0.05 apart on the first axis."""
+        return np.vstack([np.column_stack([np.full(len(c), 0.3 + 0.05 * i), c]) for i, c in enumerate(last_coords)])
+
+    pts = rng.random((600, 2))
+    yield "repeated-last", rows([np.repeat(grid[::2], 3), np.sort(np.append(grid, grid[5:9]))]), pts, 0.2
+    yield "one-query-rows", rows([[0.1], [0.5], [0.93], [0.5]]), pts, 0.25
+    yield "zero-span-rows", rows([np.full(5, 0.4), np.full(2, 0.71), grid]), pts, 0.2
+    # most of a row within 1e-4 of 0.5: many queries share a bucket
+    clustered = np.sort(np.concatenate([0.5 + 1e-4 * rng.random(30), [0.02, 0.98], grid[::5]]))
+    yield "clustered", rows([clustered, clustered[10:]]), pts, 0.15
+    # last coordinates far outside every row, with first coordinates near the rows
+    far = np.column_stack([0.3 + 0.2 * rng.random(300), np.concatenate([-4 - rng.random(150), 4 + rng.random(150)])])
+    yield "far-below-and-above", rows([grid, grid[3:7], [0.5]]), np.vstack([far, pts[:100]]), 0.3
+    # samples on the ball boundary: dyadic centers and h = 5/16, offsets
+    # whose squared lengths equal h^2 exactly, so x = c +- w exactly
+    lattice = GridLattice(d=2, delta=1 / 16, cells_per_axis=16)
+    centers = lattice.centers(_row_subset(lattice, rng, rows=6, keep=0.7))
+    picks = centers[rng.choice(len(centers), size=40)]
+    offsets = [(3, 4), (4, 3), (0, 5), (5, 0), (3, -4), (-4, -3)]
+    edge = np.vstack([picks + np.array(o) / 16 for o in offsets])
+    yield "ball-boundary-d2", centers, np.vstack([edge, pts[:200]]), 5 / 16
+    # samples at fl(c_last +- w), w = sqrt(h^2 - r2) as the sweep rounds it,
+    # and their neighbours: the search's compares against x -+ w can differ
+    # from the rule by a rounding
+    h = 0.21
+    centers = rows([np.sort(rng.random(30)) for _ in range(8)])
+    picks = centers[rng.choice(len(centers), size=600)]
+    first = picks[:, 0] + h * (rng.random(600) - 0.5)
+    r2 = (first - picks[:, 0]) * (first - picks[:, 0])
+    w = np.sqrt(h * h - r2)
+    ends = np.concatenate([picks[:, 1] + w, picks[:, 1] - w])
+    ends = np.concatenate([ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+    yield "rounded-ends-d2", centers, np.column_stack([np.tile(first, 6), ends]), h
+    lattice = GridLattice(d=3, delta=1 / 12, cells_per_axis=12)
+    ids = _row_subset(lattice, rng, rows=20, keep=0.6)
+    yield "lattice-d3", lattice.centers(ids), rng.random((900, 3)), 0.3
+
+
+RUN_CASES = list(_run_cases())
+
+
+def _d1_edge_cases():
+    """(name, centers, points, h) at d = 1: samples at fl(c +- w), their neighbours, and far away."""
+    rng = np.random.default_rng(43)
+    for name, centers, h in [
+        ("grid", (np.arange(40) + 0.5) / 40, 0.1),
+        ("repeated", np.repeat(rng.random(12), 3), 0.07),
+        ("one-query", np.array([0.3]), 0.2),
+    ]:
+        w = np.sqrt(h * h)
+        edge = np.concatenate([centers + w, centers - w])
+        pts = np.concatenate([edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
+                              rng.random(200), [-5.0, -1.0, 2.0, 7.0]])
+        yield name, centers[:, None], pts[:, None], h
+
+
+D1_EDGE_CASES = list(_d1_edge_cases())
+
+
+def _compare_runs(case, monkeypatch) -> set:
+    """Fit ``case`` with every ``_Sweep._runs`` call checked against the
+    former runs; returns the (side, branch) pairs of the bucket search taken."""
+    _, centers, pts, h = case
+    runs, place = localpoly._Sweep._runs, localpoly._Buckets.place
+    seen = set()
+
+    def both(sweep, row, x, w, r0, r1):
+        got = runs(sweep, row, x, w, r0, r1)
+        want = former_paths.runs(sweep, row, x, w, sweep.row_start[r0], sweep.row_end[r1 - 1])
+        for g, f in zip(got, want):
+            assert g.tobytes() == f.tobytes()
+        return got
+
+    def recorded(index, i, value, side):
+        pos, crowded = place(index, i, value, side)
+        bucket = index.of(i, value)
+        held, before = index.held[bucket], index.below[bucket]
+        above = index.base[i] + index.top[i] + 1
+        seen.update((side, kind) for kind, hit in [
+            ("empty bucket", held == 0),
+            ("one query, before it", (held == 1) & (pos == before)),
+            ("one query, after it", (held == 1) & (pos > before)),
+            ("crowded", crowded & (index.top[i] > 0)),
+            ("row without an index", crowded & (index.top[i] == 0)),
+            ("below the row", ~crowded & (pos == index.below[index.base[i]])),
+            ("above the row", ~crowded & (pos == index.below[above] + index.held[above])),
+        ] if hit.any())
+        return pos, crowded
+
+    with monkeypatch.context() as patch:
+        patch.setattr(localpoly._Sweep, "_runs", both)
+        patch.setattr(localpoly._Buckets, "place", recorded)
+        for l in (1, 2):
+            fit_at_centers(centers, pts, np.ones(len(pts)), h, enumerate_basis(centers.shape[1], l))
+    return seen
+
+
+class TestRunSearch:
+    @pytest.mark.parametrize("case", RUN_CASES, ids=[c[0] for c in RUN_CASES])
+    def test_bucket_search_matches_the_former_runs(self, case, monkeypatch):
+        _compare_runs(case, monkeypatch)
+
+    def test_cases_reach_every_branch(self, monkeypatch):
+        seen = {case[0]: _compare_runs(case, monkeypatch) for case in RUN_CASES}
+        kinds = {"empty bucket", "one query, before it", "one query, after it", "crowded",
+                 "row without an index", "below the row", "above the row"}
+        assert set().union(*seen.values()) == {(side, kind) for side in ("left", "right") for kind in kinds}
+        assert ("left", "row without an index") in seen["zero-span-rows"]
+        assert ("left", "crowded") in seen["clustered"]
+
+    @pytest.mark.parametrize("case", RUN_CASES, ids=[c[0] for c in RUN_CASES])
+    def test_pairs_and_fits_match_the_former_path(self, case, monkeypatch):
+        _, centers, pts, h = case
+        y = np.sin(5 * pts.sum(axis=1))
+        basis = enumerate_basis(centers.shape[1], 1)
+        sweep = localpoly._Sweep(centers, pts, h)
+        r1 = len(sweep.row_start)
+        got, want = sweep.pairs(0, r1, pts, y), former_paths.pairs(sweep, 0, r1, pts, y)
+        for field in got._fields:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        # the in-ball rule of ``_block_fits``, by brute force
+        offset = pts[None, :, :-1] - centers[:, None, :-1]
+        r2 = np.zeros(offset.shape[:2])
+        for k in range(offset.shape[2]):
+            r2 += offset[:, :, k] * offset[:, :, k]
+        w = np.sqrt(np.maximum(h * h - r2, 0.0))
+        c, x = centers[:, None, -1], pts[None, :, -1]
+        inside = (r2 <= h * h) & (c - w <= x) & (x <= c + w)
+        np.testing.assert_array_equal(fit_at_centers(centers, pts, y, h, basis).n_in_ball, inside.sum(axis=1))
+
+    @pytest.mark.parametrize("case", D1_EDGE_CASES, ids=[c[0] for c in D1_EDGE_CASES])
+    def test_d1_search_matches_the_former_path(self, case):
+        _, centers, pts, h = case
+        y = np.cos(3 * pts[:, 0])
+        sweep = localpoly._Sweep(centers, pts, h)
+        got, want = sweep.pairs(0, 1, pts, y), former_paths.pairs(sweep, 0, 1, pts, y)
+        for field in got._fields:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        # the in-ball rule, each side rounded once: fl(c - w) <= x <= fl(c + w)
+        w = np.sqrt(h * h)
+        c, x = centers[:, 0, None], pts[None, :, 0]
+        inside = (c - w <= x) & (x <= c + w)
+        got = fit_at_centers(centers, pts, y, h, enumerate_basis(1, 1))
+        np.testing.assert_array_equal(got.n_in_ball, inside.sum(axis=1))
+        # samples at an edge are in, their outer neighbours out
+        assert np.any(inside & (x == c + w)) and np.any(inside & (x == c - w))
+        assert not np.any(inside & ((x > c + w) | (x < c - w)))
+
+    @pytest.mark.parametrize("h", [0.44, 0.33])
+    def test_lattice_rows_take_no_binary_search(self, h, monkeypatch):
+        # the shape of a d = 2 benchmark pass: every cube of a 97 x 97 lattice
+        centers = build_lattice(2**11, 2.0, 2).centers()
+        assert len(centers) == 97 * 97
+        pts = np.random.default_rng(97).random((846, 2))
+        y = np.sin(3 * pts.sum(axis=1))
+        want = fit_at_centers(centers, pts, y, h, enumerate_basis(2, 1))
+        placed = []
+
+        def refuse(*args):
+            raise AssertionError("binary search fallback taken")
+
+        place = localpoly._Buckets.place
+        monkeypatch.setattr(localpoly._Sweep, "_search", refuse)
+        monkeypatch.setattr(localpoly._Buckets, "place",
+                            lambda index, i, value, side: placed.append(len(value)) or place(index, i, value, side))
+        got = fit_at_centers(centers, pts, y, h, enumerate_basis(2, 1))
+        for field in got._fields:
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+        assert sum(placed) > 8 * len(centers)
+
+    def test_d1_builds_no_bucket_index(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("d = 1 took the d >= 2 search")
+
+        cases = [c for c in ORACLE_CASES if c[1].shape[1] == 1]
+        want = [fit_at_centers(c, p, y, h, b) for _, c, p, y, h, b in cases]
+        monkeypatch.setattr(localpoly, "_Buckets", refuse)
+        monkeypatch.setattr(localpoly._Sweep, "_search", refuse)
+        monkeypatch.setattr(localpoly._Sweep, "_key", property(refuse))
+        for (_, c, p, y, h, b), expected in zip(cases, want):
+            got = fit_at_centers(c, p, y, h, b)
+            for field in got._fields:
+                assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(expected, field)).tobytes()
+
+
+def _record_batches(monkeypatch) -> list:
+    """Patch the kernel to record, per batch of fits, its chunks' query counts and M."""
+    raw_moments, eigen_filter = localpoly._Sweep.raw_moments, localpoly._eigen_filter
+    pending, batches = [], []
+
+    def chunk(sweep, pairs, factors, columns, c0, c1):
+        raw = raw_moments(sweep, pairs, factors, columns, c0, c1)
+        pending.append(len(raw))
+        return raw
+
+    def batch(gram, eig_tol):
+        assert sum(pending) == len(gram)
+        batches.append((list(pending), gram.shape[-1]))
+        pending.clear()
+        return eigen_filter(gram, eig_tol)
+
+    monkeypatch.setattr(localpoly._Sweep, "raw_moments", chunk)
+    monkeypatch.setattr(localpoly, "_eigen_filter", batch)
+    return batches
+
+
+def _batch_shapes(name, chunk, monkeypatch) -> set:
+    """Fit lattice case ``name`` with ``_CHUNK = chunk``, checking the fits
+    against the default chunk and the former per-chunk fit stage, and each
+    batch against its cap; returns (M, several chunks?, above the cap?) per batch."""
+    _, centers, pts, y, h, basis = next(c for c in LATTICE_CASES if c[0] == name)
+    shipped = fit_at_centers(centers, pts, y, h, basis)
+    with monkeypatch.context() as patch:
+        patch.setattr(localpoly, "_CHUNK", chunk)
+        patch.setattr(localpoly, "_block_fits", former_paths.block_fits)
+        former = fit_at_centers(centers, pts, y, h, basis)
+    with monkeypatch.context() as patch:
+        patch.setattr(localpoly, "_CHUNK", chunk)
+        batches = _record_batches(patch)
+        got = fit_at_centers(centers, pts, y, h, basis)
+    for field in got._fields:
+        for want in (shipped, former):
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+    M = basis.M
+    assert {m for _, m in batches} == {M}
+    for chunks, _ in batches:
+        assert sum(chunks) <= max(chunks[0] if len(chunks) == 1 else 0, chunk // M**2)
+    return {(M, len(chunks) > 1, sum(chunks) > chunk // M**2) for chunks, _ in batches}
+
+
+BATCH_CASES = [(name, chunk) for name in ("lattice-d2-l1", "lattice-d3-l3") for chunk in (2**8, 2**12, 2**15)]
+
+
+class TestFitBatches:
+    @pytest.mark.parametrize("name, chunk", BATCH_CASES)
+    def test_batches_stay_within_their_cap(self, name, chunk, monkeypatch):
+        _batch_shapes(name, chunk, monkeypatch)
+
+    def test_batches_join_chunks_and_keep_heavy_ones_alone(self, monkeypatch):
+        # M = 3 batches of several chunks, and M = 20 chunks above the cap,
+        # each a batch of its own
+        shapes = set().union(*(_batch_shapes(name, chunk, monkeypatch) for name, chunk in BATCH_CASES))
+        assert {(3, True, False), (20, False, True)} <= shapes
+
+    @pytest.mark.parametrize("chunk", [1, None], ids=["1", "default"])
+    def test_local_poly_estimate_is_one_batch(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(localpoly, "_CHUNK", chunk)
+        batches = _record_batches(monkeypatch)
+        calls = 0
+        for _, centers, pts, y, h, basis in SINGLE_CENTER_CASES + KERNEL_CASES[:8]:
+            for x in centers[:3]:
+                local_poly_estimate(x, pts, y, h, basis)
+                calls += 1
+        assert [len(chunks) for chunks, _ in batches] == [1] * calls
+
+
 def _order_cases():
     """(name, values) inputs for the sample order."""
     rng = np.random.default_rng(23)
