@@ -202,6 +202,11 @@ def check_dimension_and_smoothness(d, beta) -> None:
         raise ValueError(f"smoothness must be a finite number >= 1, got {beta!r}")
 
 
+def strict_floor(beta: float) -> int:
+    """Largest integer strictly smaller than beta."""
+    return math.ceil(beta) - 1
+
+
 def _uniform_sampler(d: int):
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random((n, d))
@@ -307,7 +312,7 @@ def _sinusoidal_instance(
         # d^k/dx^k sin(wx) = w^k sin(wx + k pi/2)
         return amplitude * w**k * np.sin(w * points[:, 0] + k * math.pi / 2)
 
-    lsmall = math.ceil(beta) - 1  # largest integer strictly below beta
+    lsmall = strict_floor(beta)
     taylor_L = 0.5 * amplitude * w ** (lsmall + 1) / math.factorial(lsmall + 1)
     meta = InstanceMeta(
         beta=beta,
@@ -555,7 +560,7 @@ def certified_bump_scale(beta: float, L: float, d: int) -> float:
     L / sum_{|r|=l} 1/r!.  Supports l in {0, 1}; pass an explicit height
     for smoother constructions.
     """
-    l = math.ceil(beta) - 1
+    l = strict_floor(beta)
     if l == 0:
         c_beta = 1.0
         seminorm = max(_bump_deriv_sup(1), 1.0)
@@ -939,7 +944,7 @@ def verify_holder(
     if instance.mean_deriv is None:
         raise ValueError(f"instance {instance.name} does not expose analytic derivatives")
     rng = rng or np.random.default_rng(0)
-    l = math.ceil(beta) - 1
+    l = strict_floor(beta)
     indices = sorted(enumerate_basis(instance.d, l).indices)
     half = n_pairs // 2
     x = rng.random((n_pairs, instance.d))

@@ -12,7 +12,8 @@ queries: the queries that share every coordinate but the last form a row.
 Each sample pairs with the rows whose strip on the other axes holds it and
 lies in the balls of a contiguous run of each row's queries, found without
 a binary search per run end: at ``d = 1`` by one search of the sorted
-samples, otherwise through a bucket index over the rows' queries.  Adding
+samples, otherwise through a bucket index over the rows' queries, which
+bisects only buckets of several queries.  Adding
 its raw moments at the run's start and subtracting them at its end, a
 running sum along the row gives every query's raw moments about a nearby
 origin, and a binomial shift turns them into the query's Gram matrix and
@@ -295,8 +296,10 @@ def _checked_inputs(centers, points, rewards, h: float):
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rewards = np.asarray(rewards, dtype=float).reshape(-1)
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"bandwidth must be a finite positive number, got {h}")
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("centers must be finite")
     if centers.shape[1] != points.shape[1]:
         raise ValueError(f"queries have dimension {centers.shape[1]}, samples {points.shape[1]}")
     if len(points) != len(rewards):
@@ -356,19 +359,13 @@ def _monomials(u: np.ndarray, exponents) -> dict:
 
     The zero exponent maps to ``None``, a column of ones.
     """
-    powers = {}
-
-    def power(k: int, p: int) -> np.ndarray:
-        if (k, p) not in powers:
-            powers[k, p] = u[:, k] if p == 1 else power(k, p - 1) * u[:, k]
-        return powers[k, p]
-
+    top = max((max(e, default=0) for e in exponents), default=0)
+    powers = [_powers(u[:, k], top) for k in range(u.shape[1])]
     out = {}
     for e in exponents:
         column = None
         for k, p in enumerate(e):
-            if p:
-                column = _product(column, power(k, p))
+            column = _product(column, powers[k][p])
         out[e] = column
     return out
 
@@ -409,54 +406,62 @@ class _Buckets:
     """A bucket index over the sorted last coordinates ``c`` of a group of
     rows, row i holding ``c[first[i]:end[i]]``.
 
-    Row i, of n queries spanning s > 0, has ``top[i] = 2 n`` buckets of
-    width s / (2 n) from its first query, plus one below and one above,
-    numbered from ``base[i]``; ``of`` gives the bucket of a value.  The
-    bucket never decreases as the value grows, and queries and values go
-    through the same ``of``, so a query in an earlier bucket than a value is
-    below it and one in a later bucket above it.  ``below[b]`` counts the
-    queries in the buckets before b, and ``held[b]`` those in b.  A row
-    whose ``scale``, 2 n / s, is not positive and finite (one of zero span)
-    gets ``top`` 0 and ``scale`` 0, and each of its buckets counts as
-    crowded, ``held`` 2.
+    Row i, of n queries spanning s, has ``top[i] = 2 n`` buckets of width
+    s / (2 n) from its first query, plus one below and one above, numbered
+    from ``base[i]``; ``of`` gives the bucket of a value.  The bucket never
+    decreases as the value grows, and queries and values go through the same
+    ``of``, so a query in an earlier bucket than a value is below it and one
+    in a later bucket above it.  ``below[b]`` counts the queries in the
+    buckets before b, and ``held[b]`` those in b.  A row of zero span has
+    ``scale`` 2 n / 0 = inf: its queries, and every value at or below them,
+    fall in the below bucket, and every value above them in the above one.
+    (A span beyond the largest float gives ``scale`` 0 and breaks that
+    order; ``_Sweep._runs`` then moves each end to its place.)
     """
 
     def __init__(self, c: np.ndarray, first: np.ndarray, end: np.ndarray):
         self.c = c
         self.origin = c[first]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = 2 * (end - first) / (c[end - 1] - self.origin)
-        indexed = (scale > 0) & (scale < np.inf)
-        self.scale = np.where(indexed, scale, 0.0)
-        self.top = np.where(indexed, 2 * (end - first), 0)
+        self.top = 2 * (end - first)
+        with np.errstate(divide="ignore", over="ignore"):
+            self.scale = self.top / (c[end - 1] - self.origin)
         self.base = np.cumsum(self.top + 2) - (self.top + 2)
         bucket = self.of(np.repeat(np.arange(len(first)), end - first), c)
         self.held = np.bincount(bucket, minlength=self.base[-1] + self.top[-1] + 2)
         self.below = np.cumsum(self.held) - self.held
-        self.held[(self.base[~indexed, None] + np.arange(2)).reshape(-1)] = 2
 
     def of(self, i: np.ndarray, value: np.ndarray) -> np.ndarray:
         """The bucket of each value in row ``i``; a NaN falls below."""
-        t = (value - self.origin.take(i)) * self.scale.take(i)
+        with np.errstate(invalid="ignore"):  # 0 * inf at a zero-span row's queries
+            t = (value - self.origin.take(i)) * self.scale.take(i)
         np.floor(t, out=t)
         np.fmax(t, -1.0, out=t)
         np.fmin(t, self.top.take(i), out=t)
         return self.base.take(i) + 1 + t.astype(np.intp)
 
-    def place(self, i: np.ndarray, value: np.ndarray, side: str):
-        """(pos, crowded): ``searchsorted(side)`` of each value in row ``i``,
-        as a position in ``c``, except where ``crowded``, its bucket holding
-        two queries or more, which ``pos`` does not place.
+    def place(self, i: np.ndarray, value: np.ndarray, side: str) -> np.ndarray:
+        """``searchsorted(side)`` of each non-NaN value in row ``i``, as a position in ``c``.
 
-        An empty bucket places a value by the queries before it, a bucket of
-        one query by one compare with that query.
+        A value's bucket holds the queries ``c[below[b]:below[b] + held[b]]``.
+        An empty bucket places it by the queries before it, a bucket of one
+        query by one compare with that query, and a bucket of more by a
+        bisection over its queries.
         """
+        before = np.less if side == "left" else np.less_equal
         bucket = self.of(i, value)
         held = self.held.take(bucket)
         pos = self.below.take(bucket)
-        query = self.c.take(pos, mode="clip")
-        pos += (held == 1) & ((query < value) if side == "left" else (query <= value))
-        return pos, held > 1
+        pos += (held == 1) & before(self.c.take(pos, mode="clip"), value)
+        crowded = np.flatnonzero(held > 1)
+        if len(crowded):
+            lo, n, v = pos[crowded], held[crowded], value[crowded]
+            for _ in range(int(n.max()).bit_length()):
+                half = n // 2
+                right = (n > 0) & before(self.c.take(lo + half, mode="clip"), v)
+                lo = np.where(right, lo + half + 1, lo)
+                n = np.where(right, n - half - 1, half)
+            pos[crowded] = lo
+        return pos
 
 
 class _Sweep:
@@ -476,8 +481,8 @@ class _Sweep:
     ``pairs`` finds each candidate pair's run of queries.  At ``d = 1`` one
     ``searchsorted`` of the sorted samples gives every run exactly.
     Otherwise each group of rows gets a ``_Buckets`` index, which places
-    most run ends with at most one compare; the rest fall back to one
-    binary search over search keys (``_search``), built on first use.
+    each run end with at most one compare, or by a bisection over a bucket
+    of several queries.
     """
 
     def __init__(self, centers: np.ndarray, points: np.ndarray, h: float):
@@ -500,8 +505,6 @@ class _Sweep:
         self.block_end = np.append(self.block_start[1:], n)
         self.origin = (self.last[self.block_start] + self.last[self.block_end - 1]) / 2
         self.shift = (self.last - self.origin[self.block_of]) / h
-        self._low = self.last.min() - 1.0
-        self._stride = self.last.max() - self._low + 2.0
 
         self.sample_order, self._first_axis = _stable_order(points[:, 0])
         if centers.shape[1] == 1:
@@ -511,46 +514,23 @@ class _Sweep:
             self.lo = np.searchsorted(self._first_axis, self.keys[:, 0] - reach, side="left")
             self.hi = np.searchsorted(self._first_axis, self.keys[:, 0] + reach, side="right")
 
-    @functools.cached_property
-    def _key(self) -> np.ndarray:
-        """One increasing search key over all rows, built on first use: row
-        r's last coordinates, clipped to [low, low + stride - 1], plus r * stride."""
-        row = np.repeat(np.arange(len(self.row_start)), self.row_end - self.row_start)
-        return self._search_key(row, self.last)
-
-    def _search_key(self, row: np.ndarray, value: np.ndarray) -> np.ndarray:
-        clipped = np.clip(value, self._low, self._low + self._stride - 1.0)
-        return row * self._stride + (clipped - self._low)
-
-    def _search(self, row: np.ndarray, value: np.ndarray, side: str, p0: int, p1: int) -> np.ndarray:
-        """Each value's ``searchsorted`` position along its row, to within a
-        rounding, by one binary search over the search keys of positions p0:p1."""
-        found = p0 + np.searchsorted(self._key[p0:p1], self._search_key(row, value), side=side)
-        return np.clip(found, self.row_start[row], self.row_end[row])
-
     def _runs(self, row: np.ndarray, x: np.ndarray, w: np.ndarray, r0: int, r1: int):
         """Sorted positions [start, stop) of the queries c of ``row`` with c - w <= x <= c + w.
 
         Every row lies in r0:r1.  The rule is monotone along a row, so its
-        queries form a run.  ``_place`` puts each end at the ``searchsorted``
-        position of x - w or x + w along the row, through the rows' bucket
-        index, or to within a rounding where it falls back to ``_search``;
-        testing the rule on the query just inside and just outside an end,
-        until neither moves it, fixes the end, whatever its first place.
+        queries form a run.  The rows' bucket index puts each end at the
+        ``searchsorted`` position of x - w or x + w along the row, which can
+        differ from the rule's by a rounding; testing the rule on the query
+        just inside and just outside an end, until neither moves it, fixes
+        the end.
         """
         c = self.last
         first, end = self.row_start[row], self.row_end[row]
         p0, p1 = self.row_start[r0], self.row_end[r1 - 1]
         index = _Buckets(c[p0:p1], self.row_start[r0:r1] - p0, self.row_end[r0:r1] - p0)
-
-        def place(value, side):
-            pos, crowded = index.place(row - r0, value, side)
-            pos += p0
-            if crowded.any():
-                pos[crowded] = self._search(row[crowded], value[crowded], side, p0, p1)
-            return pos
-
-        start, stop = place(x - w, "left"), place(x + w, "right")
+        start, stop = index.place(row - r0, x - w, "left"), index.place(row - r0, x + w, "right")
+        start += p0
+        stop += p0
 
         def settle(pos, move, test):
             while (hit := test(pos)).any():

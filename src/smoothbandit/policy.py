@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .environments import Instance, check_dimension_and_smoothness, step_outcomes
+from .environments import Instance, check_dimension_and_smoothness, step_outcomes, strict_floor
 from .geometry import (
     GridLattice,
     RegionMask,
@@ -45,11 +45,6 @@ from .localpoly import (
 from .results import EpochDiagnostics, RunResult
 
 log = logging.getLogger(__name__)
-
-
-def strict_floor(beta: float) -> int:
-    """Largest integer strictly smaller than beta."""
-    return math.ceil(beta) - 1
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,16 @@ def raw_moments(self, pairs, factors, columns, c0, c1):
 def runs(self, row, x, w, p0, p1):
     c = self.last
     first, end = self.row_start[row], self.row_end[row]
-    keys = self._key[p0:p1]
-    start = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x - w), side="left"), first, end)
-    stop = np.clip(p0 + np.searchsorted(keys, self._search_key(row, x + w), side="right"), first, end)
+    # row r's last coordinates, clipped to [low, low + stride - 1], plus r * stride
+    low = c.min() - 1.0
+    stride = c.max() - low + 2.0
+
+    def search_key(r, value):
+        return r * stride + (np.clip(value, low, low + stride - 1.0) - low)
+
+    keys = search_key(np.repeat(np.arange(len(self.row_start)), self.row_end - self.row_start), c)[p0:p1]
+    start = np.clip(p0 + np.searchsorted(keys, search_key(row, x - w), side="left"), first, end)
+    stop = np.clip(p0 + np.searchsorted(keys, search_key(row, x + w), side="right"), first, end)
 
     def settle(pos, move, test):
         while (hit := test(pos)).any():

@@ -1,12 +1,19 @@
+import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import former_paths
+import smoothbandit
 from smoothbandit import localpoly
 from smoothbandit.environments import make_smooth_instance
 from smoothbandit.geometry import GridLattice, build_lattice
@@ -860,7 +867,7 @@ def _compare_runs(case, monkeypatch) -> set:
         return got
 
     def recorded(index, i, value, side):
-        pos, crowded = place(index, i, value, side)
+        pos = place(index, i, value, side)
         bucket = index.of(i, value)
         held, before = index.held[bucket], index.below[bucket]
         above = index.base[i] + index.top[i] + 1
@@ -868,12 +875,11 @@ def _compare_runs(case, monkeypatch) -> set:
             ("empty bucket", held == 0),
             ("one query, before it", (held == 1) & (pos == before)),
             ("one query, after it", (held == 1) & (pos > before)),
-            ("crowded", crowded & (index.top[i] > 0)),
-            ("row without an index", crowded & (index.top[i] == 0)),
-            ("below the row", ~crowded & (pos == index.below[index.base[i]])),
-            ("above the row", ~crowded & (pos == index.below[above] + index.held[above])),
+            ("crowded", held > 1),
+            ("below the row", pos == index.below[index.base[i]]),
+            ("above the row", pos == index.below[above] + index.held[above]),
         ] if hit.any())
-        return pos, crowded
+        return pos
 
     with monkeypatch.context() as patch:
         patch.setattr(localpoly._Sweep, "_runs", both)
@@ -891,9 +897,10 @@ class TestRunSearch:
     def test_cases_reach_every_branch(self, monkeypatch):
         seen = {case[0]: _compare_runs(case, monkeypatch) for case in RUN_CASES}
         kinds = {"empty bucket", "one query, before it", "one query, after it", "crowded",
-                 "row without an index", "below the row", "above the row"}
+                 "below the row", "above the row"}
         assert set().union(*seen.values()) == {(side, kind) for side in ("left", "right") for kind in kinds}
-        assert ("left", "row without an index") in seen["zero-span-rows"]
+        # a zero-span row's queries share its below bucket
+        assert ("left", "crowded") in seen["zero-span-rows"]
         assert ("left", "crowded") in seen["clustered"]
 
     @pytest.mark.parametrize("case", RUN_CASES, ids=[c[0] for c in RUN_CASES])
@@ -942,19 +949,21 @@ class TestRunSearch:
         pts = np.random.default_rng(97).random((846, 2))
         y = np.sin(3 * pts.sum(axis=1))
         want = fit_at_centers(centers, pts, y, h, enumerate_basis(2, 1))
-        placed = []
-
-        def refuse(*args):
-            raise AssertionError("binary search fallback taken")
-
+        placed, crowded = [], []
         place = localpoly._Buckets.place
-        monkeypatch.setattr(localpoly._Sweep, "_search", refuse)
-        monkeypatch.setattr(localpoly._Buckets, "place",
-                            lambda index, i, value, side: placed.append(len(value)) or place(index, i, value, side))
+
+        def recorded(index, i, value, side):
+            placed.append(len(value))
+            crowded.append(int(np.count_nonzero(index.held[index.of(i, value)] > 1)))
+            return place(index, i, value, side)
+
+        monkeypatch.setattr(localpoly._Buckets, "place", recorded)
         got = fit_at_centers(centers, pts, y, h, enumerate_basis(2, 1))
         for field in got._fields:
             assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
         assert sum(placed) > 8 * len(centers)
+        # every run end is placed with at most one compare, none bisected
+        assert sum(crowded) == 0
 
     def test_d1_builds_no_bucket_index(self, monkeypatch):
         def refuse(*args):
@@ -963,12 +972,111 @@ class TestRunSearch:
         cases = [c for c in ORACLE_CASES if c[1].shape[1] == 1]
         want = [fit_at_centers(c, p, y, h, b) for _, c, p, y, h, b in cases]
         monkeypatch.setattr(localpoly, "_Buckets", refuse)
-        monkeypatch.setattr(localpoly._Sweep, "_search", refuse)
-        monkeypatch.setattr(localpoly._Sweep, "_key", property(refuse))
         for (_, c, p, y, h, b), expected in zip(cases, want):
             got = fit_at_centers(c, p, y, h, b)
             for field in got._fields:
                 assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(expected, field)).tobytes()
+
+
+def _clustered_row(seed: int) -> np.ndarray:
+    """1,001 queries within 1e-9 of 0.5, in one bucket of width about 1 / 2006, plus 0 and 1."""
+    return np.sort(np.append(0.5 + 1e-9 * np.random.default_rng(seed).random(1001), [0.0, 1.0]))
+
+
+_FLOATS = st.floats(-1.0, 1.0, allow_nan=False)
+_BUCKET_ROWS = st.lists(
+    st.one_of(
+        _FLOATS.map(lambda v: np.array([v])),
+        st.tuples(_FLOATS, st.integers(2, 30)).map(lambda a: np.full(a[1], a[0])),
+        st.integers(0, 2**32 - 1).map(_clustered_row),
+        st.lists(st.integers(-8, 8), min_size=1, max_size=40).map(lambda k: np.sort(np.array(k) / 8)),
+        st.lists(_FLOATS, min_size=1, max_size=40).map(np.sort),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestBuckets:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_BUCKET_ROWS)
+    @example(rows=[np.array([0.0, 5e-324]), np.array([-1e-310, 0.0, 1e-310])])
+    def test_place_is_searchsorted_along_the_row(self, rows):
+        # rows of one query, of zero span, clustered in one bucket, with dyadic
+        # ties, and arbitrary; values at every query, beside it and at +-inf.
+        # The example's spans are subnormal: 2 n / span overflows to inf.
+        c = np.concatenate(rows)
+        end = np.cumsum([len(r) for r in rows])
+        first = end - [len(r) for r in rows]
+        index = localpoly._Buckets(c, first, end)
+        values = np.concatenate([c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf), [np.inf, -np.inf]])
+        for side in ("left", "right"):
+            for i, (f, e) in enumerate(zip(first, end)):
+                got = index.place(np.full(len(values), i), values, side)
+                want = f + np.searchsorted(c[f:e], values, side=side)
+                np.testing.assert_array_equal(got, want)
+
+    def test_infinite_last_coordinate_beside_a_one_query_row(self):
+        # the first row holds one query, so its bucket scale is 2 / 0 = inf
+        centers = np.array([[0.3, 0.5], [0.6, 0.2], [0.6, 0.4], [0.6, 0.7]])
+        rng = np.random.default_rng(5)
+        pts = rng.random((300, 2))
+        y = np.sin(4 * pts.sum(axis=1))
+        far = np.array([[0.31, np.inf], [0.29, -np.inf]])
+        basis = enumerate_basis(2, 1)
+        want = fit_at_centers(centers, pts, y, 0.2, basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_at_centers(centers, np.vstack([pts, far]), np.append(y, [1.0, 1.0]), 0.2, basis)
+        for field in got._fields:
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+
+
+class TestLoudInputs:
+    """Non-finite queries and bandwidths are refused by name, also under ``python -O``."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rejects_nonfinite_centers(self, d):
+        basis = enumerate_basis(d, 1)
+        pts = np.random.default_rng(8).random((50, d))
+        for bad in (np.nan, np.inf, -np.inf):
+            centers = np.full((3, d), 0.5)
+            centers[1, -1] = bad
+            with pytest.raises(ValueError, match="centers must be finite"):
+                fit_at_centers(centers, pts, np.ones(50), 0.2, basis)
+            with pytest.raises(ValueError, match="centers must be finite"):
+                local_poly_estimate(centers[1], pts, np.ones(50), 0.2, basis)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_rejects_a_bandwidth_not_finite_and_positive(self, h):
+        pts = np.random.default_rng(9).random((50, 2))
+        with pytest.raises(ValueError, match="bandwidth must be a finite positive number"):
+            fit_at_centers(np.full((2, 2), 0.5), pts, np.ones(50), h, enumerate_basis(2, 1))
+        with pytest.raises(ValueError, match="bandwidth must be a finite positive number"):
+            gram_matrix(np.array([0.5, 0.5]), pts, h, enumerate_basis(2, 1))
+
+    def test_checks_survive_optimize_flag(self):
+        # the tests above, rerun in an interpreter that strips asserts
+        src = os.path.dirname(os.path.dirname(smoothbandit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+               "-k", "TestLoudInputs and rejects"]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "7 passed" in proc.stdout, proc.stdout
+
+
+def test_d2_fit_leaves_no_cyclic_garbage():
+    _, centers, pts, y, h, basis = next(c for c in LATTICE_CASES if c[0] == "lattice-d2-l1")
+    fit_at_centers(centers, pts, y, h, basis)  # builds the basis plans, cached for good
+    gc.collect()
+    gc.disable()
+    try:
+        fit_at_centers(centers, pts, y, h, basis)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _record_batches(monkeypatch) -> list:
