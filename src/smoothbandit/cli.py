@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import numbers
 import os
 import sys
@@ -115,9 +116,11 @@ def _cmd_verify(args) -> int:
     for key in ("alpha", "gamma", "beta", "L"):
         if key in vcfg and not _is_number(vcfg[key]):
             raise harness.ConfigError(f"verify.{key}", f"must be a number, got {vcfg[key]!r}")
-    t_grid = vcfg.get("t_grid", [])
+    t_grid = vcfg.get("t_grid", [0.01, 0.05, 0.1, 0.2, 0.4])
     if not (isinstance(t_grid, list) and all(_is_number(t) and t > 0 for t in t_grid)):
         raise harness.ConfigError("verify.t_grid", "must be a list of positive numbers")
+    if not t_grid:
+        raise harness.ConfigError("verify.t_grid", "must not be empty: an empty grid checks nothing")
     env = harness.build_instance(cfg["instance"])
     rng = np.random.default_rng(args.seed)
     reports = []
@@ -125,7 +128,6 @@ def _cmd_verify(args) -> int:
     alpha = vcfg.get("alpha", meta.alpha)
     gamma = vcfg.get("gamma", meta.gamma)
     if np.isfinite(alpha):
-        t_grid = vcfg.get("t_grid", [0.01, 0.05, 0.1, 0.2, 0.4])
         reports.append(
             environments.verify_margin(env, alpha, gamma, t_grid, max(args.samples, 10_000), rng)
         )
@@ -157,6 +159,10 @@ def _cmd_rate(args) -> int:
             lo, hi = (float(v) for v in args.band.split(","))
         except ValueError:
             raise harness.ConfigError("--band", "expected two comma-separated numbers")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise harness.ConfigError(
+                "--band", f"expected two finite numbers lo,hi with lo <= hi, got {args.band!r}"
+            )
         band = (lo, hi)
     try:
         fit, exponent, band, passed = harness.summary_rate_check(summary, args.policy, band)

@@ -903,6 +903,8 @@ def verify_margin(
         raise ValueError("need at least 1e4 samples for a meaningful margin check")
     rng = rng or np.random.default_rng(0)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("t grid must not be empty: an empty grid checks nothing")
     if np.any(t_grid <= 0):
         raise ValueError("t grid must be positive")
     X = instance.sample_contexts(rng, n_samples)

@@ -190,9 +190,10 @@ class RegionMask:
 
 
 # Bound on the work held in memory at once while screening: quadrature
-# points per block of centers on the point-level path, integer gathers per
-# block on the lattice path, and row slots (each ``resolution`` points) per
-# block of its mixed-cube pass.
+# points per block of :func:`_point_counts` (the point-level path and the
+# support mask's mixed cubes), integer gathers per block on the lattice
+# path, and row slots (each ``resolution`` points) per block of its
+# mixed-cube pass.
 _SCREEN_CHUNK = 1 << 18
 
 
@@ -235,22 +236,19 @@ def _ball_quadrature(d: int, resolution: int) -> tuple[np.ndarray, ...]:
     return entry
 
 
-def _point_counts(
-    centers: np.ndarray, radius: float, region: RegionMask | Predicate, resolution: int
-) -> np.ndarray:
-    """In-ball quadrature points inside the region, per center.
+def _point_counts(origins: np.ndarray, offsets: np.ndarray, region: RegionMask | Predicate) -> np.ndarray:
+    """Points ``origin + offset`` inside the region, per origin.
 
     Evaluates the region's membership test on the points themselves, for
-    any region; blocks of centers bound the size of the point cloud.
+    any region, in blocks of origins of at most ``_SCREEN_CHUNK`` points.
     """
-    n, d = centers.shape
-    scaled = radius * _ball_quadrature(d, resolution)[0]
+    n, d = origins.shape
     contains = region.contains if isinstance(region, RegionMask) else region
     counts = np.empty(n, dtype=np.int64)
-    step = max(1, _SCREEN_CHUNK // len(scaled))
+    step = max(1, _SCREEN_CHUNK // len(offsets))
     for start in range(0, n, step):
-        block = centers[start : start + step]
-        points = (block[:, None, :] + scaled[None, :, :]).reshape(-1, d)
+        block = origins[start : start + step]
+        points = (block[:, None, :] + offsets[None, :, :]).reshape(-1, d)
         member = np.asarray(contains(points), dtype=bool).reshape(len(block), -1)
         counts[start : start + step] = np.count_nonzero(member, axis=1)
     return counts
@@ -439,14 +437,17 @@ def ball_region_fraction(
     of the ball: both the ball volume and the intersection volume are
     counted on the same grid, so the full-region fraction is exactly 1 and
     symmetric cuts through the center are exact.  Deterministic for a
-    fixed resolution.
+    fixed resolution.  ``center`` is one point: a scalar at ``d = 1``, a
+    ``(d,)`` vector or a ``(1, d)`` row.
     """
     _check_ball_args(radius, resolution)
-    center = np.asarray(center, dtype=float).reshape(1, -1)
-    denom = len(_ball_quadrature(center.shape[1], resolution)[0])
-    if denom == 0:
+    center = np.asarray(center, dtype=float)
+    if center.ndim > 2 or center.ndim == 2 and len(center) != 1:
+        raise ValueError(f"center must be one point, got an array of shape {center.shape}")
+    offsets = _ball_quadrature(center.size, resolution)[0]
+    if len(offsets) == 0:
         return 0.0
-    return int(_point_counts(center, radius, region, resolution)[0]) / denom
+    return int(_point_counts(center.reshape(1, -1), radius * offsets, region)[0]) / len(offsets)
 
 
 def is_weakly_regular(
@@ -511,13 +512,13 @@ def batch_weak_regularity(
     _check_ball_args(radius, resolution, c)
     centers = np.atleast_2d(centers)
     n, d = centers.shape
-    denom = len(_ball_quadrature(d, resolution)[0])
-    if n == 0 or denom == 0:
+    offsets = _ball_quadrature(d, resolution)[0]
+    if n == 0 or len(offsets) == 0:
         return np.zeros(n, dtype=bool)
-    need = _need(c, denom)
+    need = _need(c, len(offsets))
     cells = _lattice_cells(centers, region)
     if cells is None:
-        counts = _point_counts(centers, radius, region, resolution)
+        counts = _point_counts(centers, radius * offsets, region)
     else:
         counts = _lattice_counts(cells, radius, region, resolution, need)
     return counts >= need
@@ -537,12 +538,11 @@ def support_cube_mask(
     intersects the unit cube).  A classified support (see ``CUBE_IN``)
     needs the quadrature only in its mixed cubes: an out cube holds none
     of its points, and an in cube holds those inside the unit cube, which
-    are counted axis by axis with the same float operations.
+    are counted axis by axis with the same float operations.  Mixed cubes
+    are counted by the screen's blocked counter (:func:`_point_counts`).
     """
-    if support is None:
-        support = unit_cube_support
     d, cpa = lattice.d, lattice.cells_per_axis
-    classify = _classifier(support)
+    classify = _classifier(support)  # the unit cube's for None, which has no mixed cube
     if classify is None:
         classes = np.full(lattice.n_cubes, CUBE_MIXED, dtype=np.int8)
     else:
@@ -550,13 +550,11 @@ def support_cube_mask(
     corners = (np.arange(cpa) + 0.5) * lattice.delta - lattice.delta / 2.0
     coords = corners[:, None] + lattice.delta * ((_midpoint_axis(resolution) + 1.0) / 2.0)[None, :]
     in_unit = np.count_nonzero((coords >= 0.0) & (coords <= 1.0), axis=1)
-    inside = in_unit[lattice.cube_ids()].prod(axis=1)
+    inside = functools.reduce(np.multiply.outer, [in_unit] * d).ravel()
     fraction = np.where(classes == CUBE_IN, inside / resolution**d, 0.0)
     mixed = np.nonzero(classes == CUBE_MIXED)[0]
     if len(mixed):
-        offsets = (_midpoint_offsets(d, resolution) + 1.0) / 2.0  # in [0,1]^d
+        offsets = lattice.delta * ((_midpoint_offsets(d, resolution) + 1.0) / 2.0)  # from the corner
         corners = lattice.centers(mixed) - lattice.delta / 2.0
-        points = (corners[:, None, :] + lattice.delta * offsets[None, :, :]).reshape(-1, d)
-        member = np.asarray(support(points), dtype=bool).reshape(len(mixed), -1)
-        fraction[mixed] = member.mean(axis=1)
+        fraction[mixed] = _point_counts(corners, offsets, support) / len(offsets)
     return fraction > mass_threshold

@@ -327,6 +327,11 @@ def run_experiment(cfg: dict, quiet: bool = False):
     env = build_instance(cfg["instance"])
     for i, pol in enumerate(cfg["policies"]):
         validate_policy_params(i, pol["name"], dict(pol.get("params", {})), env.d)
+        if pol["name"] == "smooth" and tuple(env.arms) != (1, -1):
+            raise ConfigError(
+                f"policies[{i}].name",
+                f"'smooth' needs an instance with arms (+1, -1), got {list(env.arms)}; use 'smooth_multi'",
+            )
     # each policy's runs, in job order: (label, name, params, [(T, rep, seed), ...])
     plan = []
     for pol in cfg["policies"]:

@@ -426,29 +426,46 @@ class _Buckets:
         with np.errstate(divide="ignore", over="ignore"):
             self.scale = self.top / (c[end - 1] - self.origin)
         self.base = np.cumsum(self.top + 2) - (self.top + 2)
-        bucket = self.of(np.repeat(np.arange(len(first)), end - first), c)
+        (bucket,) = self.of(np.repeat(np.arange(len(first)), end - first), c)
         self.held = np.bincount(bucket, minlength=self.base[-1] + self.top[-1] + 2)
         self.below = np.cumsum(self.held) - self.held
 
-    def of(self, i: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """The bucket of each value in row ``i``; a NaN falls below."""
-        with np.errstate(invalid="ignore"):  # 0 * inf at a zero-span row's queries
-            t = (value - self.origin.take(i)) * self.scale.take(i)
-        np.floor(t, out=t)
-        np.fmax(t, -1.0, out=t)
-        np.fmin(t, self.top.take(i), out=t)
-        return self.base.take(i) + 1 + t.astype(np.intp)
+    def of(self, i: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
+        """The bucket of each value in row ``i``, for each array of values; a NaN falls below.
 
-    def place(self, i: np.ndarray, value: np.ndarray, side: str) -> np.ndarray:
-        """``searchsorted(side)`` of each non-NaN value in row ``i``, as a position in ``c``.
+        Each field of the rows is gathered once for all the arrays, and one
+        at a time: fewer large arrays alive at once keep NumPy's allocations
+        cheap.
+        """
+        field = self.origin.take(i)
+        with np.errstate(invalid="ignore"):  # 0 * inf at a zero-span row's queries
+            t = [value - field for value in values]
+            field = self.scale.take(i)
+            for u in t:
+                u *= field
+        field = self.top.take(i)
+        for u in t:
+            np.floor(u, out=u)
+            np.fmax(u, -1.0, out=u)
+            np.fmin(u, field, out=u)
+        field = self.base.take(i) + 1
+        return [field + u.astype(np.intp) for u in t]
+
+    def place(self, i: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``searchsorted`` of each non-NaN value in row ``i``, as positions in ``c``:
+        side ``"left"`` for ``lo`` and ``"right"`` for ``hi``, from one gather of the rows.
 
         A value's bucket holds the queries ``c[below[b]:below[b] + held[b]]``.
         An empty bucket places it by the queries before it, a bucket of one
         query by one compare with that query, and a bucket of more by a
         bisection over its queries.
         """
-        before = np.less if side == "left" else np.less_equal
-        bucket = self.of(i, value)
+        buckets = self.of(i, lo, hi)
+        return self._search(buckets[0], lo, np.less), self._search(buckets[1], hi, np.less_equal)
+
+    def _search(self, bucket: np.ndarray, value: np.ndarray, before) -> np.ndarray:
+        """Positions of the values in their buckets; ``before`` is ``np.less`` for side
+        ``"left"`` and ``np.less_equal`` for ``"right"``."""
         held = self.held.take(bucket)
         pos = self.below.take(bucket)
         pos += (held == 1) & before(self.c.take(pos, mode="clip"), value)
@@ -528,7 +545,7 @@ class _Sweep:
         first, end = self.row_start[row], self.row_end[row]
         p0, p1 = self.row_start[r0], self.row_end[r1 - 1]
         index = _Buckets(c[p0:p1], self.row_start[r0:r1] - p0, self.row_end[r0:r1] - p0)
-        start, stop = index.place(row - r0, x - w, "left"), index.place(row - r0, x + w, "right")
+        start, stop = index.place(row - r0, x - w, x + w)
         start += p0
         stop += p0
 

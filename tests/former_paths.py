@@ -17,7 +17,9 @@ paths:
 - ``solve``: the fits by one batched ``np.linalg.solve`` call (LAPACK's LU
   with partial pivoting, one matrix at a time) on the non-degenerate systems;
 - ``run_chunk``: binned-UCB rounds that gather visits, read the log table and
-  call ``env.rewards`` once a round.
+  call ``env.rewards`` once a round;
+- ``support_cube_mask``: every mixed cube's quadrature points built in one
+  array, and the in-cube share gathered through ``lattice.cube_ids()``.
 """
 
 import math
@@ -25,7 +27,15 @@ import math
 import numpy as np
 
 from smoothbandit import baselines, environments, localpoly, policy
-from smoothbandit.geometry import GridLattice
+from smoothbandit.geometry import (
+    CUBE_IN,
+    CUBE_MIXED,
+    GridLattice,
+    _classifier,
+    _midpoint_axis,
+    _midpoint_offsets,
+    unit_cube_support,
+)
 from smoothbandit.results import RunResult
 
 
@@ -230,6 +240,30 @@ def run_chunk(env, runs, tallies, first, exploration, bin_rate):
     ]
 
 
+def support_cube_mask(lattice, support, resolution=8, mass_threshold=1e-9):
+    if support is None:
+        support = unit_cube_support
+    d, cpa = lattice.d, lattice.cells_per_axis
+    classify = _classifier(support)
+    if classify is None:
+        classes = np.full(lattice.n_cubes, CUBE_MIXED, dtype=np.int8)
+    else:
+        classes = np.asarray(classify(lattice))
+    corners = (np.arange(cpa) + 0.5) * lattice.delta - lattice.delta / 2.0
+    coords = corners[:, None] + lattice.delta * ((_midpoint_axis(resolution) + 1.0) / 2.0)[None, :]
+    in_unit = np.count_nonzero((coords >= 0.0) & (coords <= 1.0), axis=1)
+    inside = in_unit[lattice.cube_ids()].prod(axis=1)
+    fraction = np.where(classes == CUBE_IN, inside / resolution**d, 0.0)
+    mixed = np.nonzero(classes == CUBE_MIXED)[0]
+    if len(mixed):
+        offsets = (_midpoint_offsets(d, resolution) + 1.0) / 2.0  # in [0,1]^d
+        corners = lattice.centers(mixed) - lattice.delta / 2.0
+        points = (corners[:, None, :] + lattice.delta * offsets[None, :, :]).reshape(-1, d)
+        member = np.asarray(support(points), dtype=bool).reshape(len(mixed), -1)
+        fraction[mixed] = member.mean(axis=1)
+    return fraction > mass_threshold
+
+
 def restore(monkeypatch) -> None:
     """Put every former path back in place of the shipped one, for one test."""
     monkeypatch.setattr(environments.Instance, "means_matrix", means_matrix)
@@ -242,3 +276,4 @@ def restore(monkeypatch) -> None:
     monkeypatch.setattr(localpoly._Sweep, "raw_moments", raw_moments)
     monkeypatch.setattr(localpoly, "_solve", solve)
     monkeypatch.setattr(baselines, "_run_chunk", run_chunk)
+    monkeypatch.setattr(policy, "support_cube_mask", support_cube_mask)

@@ -215,6 +215,25 @@ def test_lattice_over_the_memory_budget_exits_before_allocating(tmp_path):
     assert not out.exists()
 
 
+def test_smooth_without_arms_plus_minus_one_runs_nothing(tmp_path, capsys, monkeypatch):
+    # once every uniform and binned-UCB run ran first, then exit 1 at the smooth run
+    ran = []
+    for module, name in ((harness, "run_policy"), (harness.baselines, "run_binned_ucb_batch")):
+        monkeypatch.setattr(module, name, lambda *args, _n=name, **kwargs: ran.append(_n))
+    cfg = {
+        "instance": _instance("constant_multi", means=[0.2, 0.8]),
+        "policies": [{"name": "uniform"}, {"name": "binned_ucb"}, *_smooth()],
+        "horizons": [4096],
+        "reps": 1,
+    }
+    path = write_config(tmp_path / "arms.json", cfg)
+    assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: policies[2].name: 'smooth' needs an instance with arms (+1, -1), got [0, 1]" in err
+    assert "use 'smooth_multi'" in err
+    assert ran == [] and not (tmp_path / "out").exists()
+
+
 class TestRunCommand:
     def test_run_writes_outputs(self, run_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -258,6 +277,19 @@ class TestRateCommand:
         cli(["run", run_config, "--out-dir", str(out), "--quiet"])
         assert cli(["rate", str(out / "summary.json"), "--band", "oops"]) == 2
 
+    def test_band_that_is_not_an_interval(self, run_config, tmp_path, capsys):
+        # the first two once printed FAIL and exited 1, a check failure for a usage error
+        out = tmp_path / "out"
+        cli(["run", run_config, "--out-dir", str(out), "--quiet"])
+        capsys.readouterr()
+        for band in ("0.5,0.1", "nan,nan", "0.1,nan", "-inf,1", "0.1,inf"):
+            assert cli(["rate", str(out / "summary.json"), "--policy", "uniform", f"--band={band}"]) == 2
+            captured = capsys.readouterr()
+            assert f"config error: --band: expected two finite numbers lo,hi with lo <= hi, got {band!r}" in captured.err
+            assert "FAIL" not in captured.out and "PASS" not in captured.out
+        # a band of one point is an interval
+        assert cli(["rate", str(out / "summary.json"), "--policy", "uniform", "--band", "1,1"]) in (0, 1)
+
 
 class TestVerifyCommand:
     def test_sinusoidal_instance_passes(self, tmp_path, capsys):
@@ -297,6 +329,18 @@ class TestVerifyCommand:
         path = write_config(tmp_path / "v.json", {"instance": instance, **cfg})
         assert cli(["verify", path, "--samples", "20000"]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_empty_t_grid(self, tmp_path, capsys):
+        # once a vacuous [PASS] of the margin check, with no row under it
+        instance = {"family": "sinusoidal", "params": {"d": 1, "amplitude": 0.4, "beta": 2.0}}
+        path = write_config(tmp_path / "v.json", {"instance": instance, "verify": {"t_grid": []}})
+        assert cli(["verify", path, "--samples", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: verify.t_grid: must not be empty" in captured.err
+        assert "PASS" not in captured.out
+        env = harness.build_instance(instance)
+        with pytest.raises(ValueError, match="t grid must not be empty"):
+            smoothbandit.environments.verify_margin(env, 1.0, 2.5, [], 20_000)
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         path = write_config(tmp_path / "v.json", 5)

@@ -4,8 +4,9 @@ Each case runs once as shipped and once with every former path restored:
 one ``tau`` call per arm, ``argmax`` for the first maximum, the three-line
 step outcomes, run ends placed by a binary search over search keys, the
 fit stage run once per raw-moment chunk, block running sums by a loop over
-positions, fits solved by ``np.linalg.solve`` and binned-UCB rounds fed
-one ``env.rewards`` call each.  Results, CSV rows, summaries and state reports must be equal bit
+positions, fits solved by ``np.linalg.solve``, binned-UCB rounds fed
+one ``env.rewards`` call each and the support mask's points built in one
+array.  Results, CSV rows, summaries and state reports must be equal bit
 for bit: the solvers' fit values differ by a rounding, and a run reads
 them only through its elimination comparisons.
 """

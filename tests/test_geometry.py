@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import former_paths
 from smoothbandit import geometry
 from smoothbandit.environments import BumpGridSupport, make_lower_bound_instance
 from smoothbandit.geometry import (
@@ -334,6 +338,32 @@ class TestWeakRegularity:
         with pytest.raises(ValueError, match="radius must be finite and positive"):
             ball_region_fraction(centers[0], radius, region)
 
+    def test_entry_points_take_one_point(self):
+        # two 2-D centers were once read as one 4-D center (fraction 0.25)
+        for center in ([[0.5, 0.5], [0.0, 0.0]], np.zeros((5, 2)), np.zeros((1, 1, 2)), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="center must be one point"):
+                ball_region_fraction(center, 0.1, unit_cube_support, resolution=16)
+            with pytest.raises(ValueError, match="center must be one point"):
+                is_weakly_regular(center, 0.1, 0.5, unit_cube_support, resolution=16)
+        for center in (0.5, [0.5], [[0.5]]):
+            assert ball_region_fraction(center, 0.1, unit_cube_support) == 1.0
+        row = ball_region_fraction([[0.5, 0.0]], 0.1, unit_cube_support, resolution=16)
+        assert row == ball_region_fraction([0.5, 0.0], 0.1, unit_cube_support, resolution=16) == 0.5
+
+    def test_one_point_check_holds_under_optimize(self):
+        code = (
+            "import numpy as np\n"
+            "from smoothbandit.geometry import ball_region_fraction, unit_cube_support\n"
+            "try:\n"
+            "    ball_region_fraction(np.zeros((5, 2)), 0.1, unit_cube_support, resolution=2)\n"
+            "except ValueError as exc:\n"
+            "    print('refused', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.startswith("refused center must be one point")
+
     def test_entry_points_reject_bad_constant_and_resolution(self):
         x = np.array([[0.5, 0.5]])
         for fn in (batch_weak_regularity, is_weakly_regular):
@@ -421,8 +451,9 @@ def _assert_counts_stop_at_need(cells, centers, radius, region, resolution, rng)
     """The lattice path's counts stopped at ``need`` against the point path's
     exact counts, for ``need`` 0, 1, a random value, ``denom`` and ``denom + 1``
     (the exact count)."""
-    exact = geometry._point_counts(centers, radius, region, resolution)
-    denom = len(geometry._ball_quadrature(centers.shape[1], resolution)[0])
+    offsets = geometry._ball_quadrature(centers.shape[1], resolution)[0]
+    exact = geometry._point_counts(centers, radius * offsets, region)
+    denom = len(offsets)
     for need in (0, 1, int(rng.integers(0, denom + 2)), denom, denom + 1):
         np.testing.assert_array_equal(
             geometry._lattice_counts(cells, radius, region, resolution, need), np.minimum(exact, need)
@@ -591,6 +622,20 @@ class TestLatticeScreening:
         assert point_peak < limit, point_peak
         np.testing.assert_array_equal(on_lattice, by_points)
 
+    def test_large_support_mask_in_bounded_memory(self):
+        # a bare predicate makes every cube mixed; one array of all their
+        # points took 804 MB
+        lat = build_lattice(2**16, 2.0, 2)
+        support = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3).support
+        tracemalloc.start()
+        try:
+            mask = support_cube_mask(lat, lambda points: support(points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20, peak
+        np.testing.assert_array_equal(mask, support_cube_mask(lat, support))
+
 
 def _cube_probes(lat, cube, rng):
     """Corners, face and edge points, the center and random interior points of a
@@ -666,3 +711,28 @@ class TestCubeClassifier:
                 support_cube_mask(lat, unit_cube_support),
                 support_cube_mask(lat, lambda points: unit_cube_support(points)),
             )
+
+    def test_support_mask_matches_the_one_shot_oracle(self):
+        # the former mask built every mixed cube's points in one array
+        rng = np.random.default_rng(24)
+        for case in range(60):
+            d = case % 3 + 1
+            lat = _random_lattice(rng, d)
+            support = _random_bump_grid(rng, d)
+            supports = (support, lambda points, s=support: s(points), None, unit_cube_support)
+            for resolution in (2, 8):
+                for sup in supports:
+                    np.testing.assert_array_equal(
+                        support_cube_mask(lat, sup, resolution),
+                        former_paths.support_cube_mask(lat, sup, resolution),
+                    )
+
+    def test_support_mask_blocks_match_the_oracle(self, monkeypatch):
+        # several blocks of mixed cubes, one ending mid-way
+        lat = GridLattice(d=2, delta=1.3 / 23, cells_per_axis=23)
+        support = BumpGridSupport(d=2, q=5, m=11, radius=0.05)
+        bare = lambda points: support(points)  # noqa: E731
+        want = former_paths.support_cube_mask(lat, bare, 8)
+        monkeypatch.setattr(geometry, "_SCREEN_CHUNK", 7 * 64)
+        np.testing.assert_array_equal(support_cube_mask(lat, bare, 8), want)
+        assert 0 < want.sum() < lat.n_cubes

@@ -866,20 +866,20 @@ def _compare_runs(case, monkeypatch) -> set:
             assert g.tobytes() == f.tobytes()
         return got
 
-    def recorded(index, i, value, side):
-        pos = place(index, i, value, side)
-        bucket = index.of(i, value)
-        held, before = index.held[bucket], index.below[bucket]
+    def recorded(index, i, lo, hi):
+        got = place(index, i, lo, hi)
         above = index.base[i] + index.top[i] + 1
-        seen.update((side, kind) for kind, hit in [
-            ("empty bucket", held == 0),
-            ("one query, before it", (held == 1) & (pos == before)),
-            ("one query, after it", (held == 1) & (pos > before)),
-            ("crowded", held > 1),
-            ("below the row", pos == index.below[index.base[i]]),
-            ("above the row", pos == index.below[above] + index.held[above]),
-        ] if hit.any())
-        return pos
+        for side, pos, bucket in zip(("left", "right"), got, index.of(i, lo, hi)):
+            held, before = index.held[bucket], index.below[bucket]
+            seen.update((side, kind) for kind, hit in [
+                ("empty bucket", held == 0),
+                ("one query, before it", (held == 1) & (pos == before)),
+                ("one query, after it", (held == 1) & (pos > before)),
+                ("crowded", held > 1),
+                ("below the row", pos == index.below[index.base[i]]),
+                ("above the row", pos == index.below[above] + index.held[above]),
+            ] if hit.any())
+        return got
 
     with monkeypatch.context() as patch:
         patch.setattr(localpoly._Sweep, "_runs", both)
@@ -952,10 +952,10 @@ class TestRunSearch:
         placed, crowded = [], []
         place = localpoly._Buckets.place
 
-        def recorded(index, i, value, side):
-            placed.append(len(value))
-            crowded.append(int(np.count_nonzero(index.held[index.of(i, value)] > 1)))
-            return place(index, i, value, side)
+        def recorded(index, i, lo, hi):
+            placed.append(len(lo) + len(hi))
+            crowded.extend(int(np.count_nonzero(index.held[bucket] > 1)) for bucket in index.of(i, lo, hi))
+            return place(index, i, lo, hi)
 
         monkeypatch.setattr(localpoly._Buckets, "place", recorded)
         got = fit_at_centers(centers, pts, y, h, enumerate_basis(2, 1))
@@ -1010,11 +1010,11 @@ class TestBuckets:
         first = end - [len(r) for r in rows]
         index = localpoly._Buckets(c, first, end)
         values = np.concatenate([c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf), [np.inf, -np.inf]])
-        for side in ("left", "right"):
-            for i, (f, e) in enumerate(zip(first, end)):
-                got = index.place(np.full(len(values), i), values, side)
+        for i, (f, e) in enumerate(zip(first, end)):
+            got = index.place(np.full(len(values), i), values, values)
+            for side, pos in zip(("left", "right"), got):
                 want = f + np.searchsorted(c[f:e], values, side=side)
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(pos, want)
 
     def test_infinite_last_coordinate_beside_a_one_query_row(self):
         # the first row holds one query, so its bucket scale is 2 / 0 = inf

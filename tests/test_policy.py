@@ -549,17 +549,27 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
     The classified support screens on the lattice, the bare predicate on the
     points; the runs and their state reports must not tell them apart.
     Returns the runs and the sorted names of the counting functions each
-    one called.
+    one's screen called (the support mask counts its mixed cubes with
+    ``_point_counts`` too, outside the screen).
     """
     env = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
     bare = dataclasses.replace(env, support=lambda points: env.support(points))
     assert hasattr(env.support, "classify_cubes") and not hasattr(bare.support, "classify_cubes")
     cfg = PolicyConfig(d=2, horizon=2**11, arm_count=2, beta=2.0, c_epoch=8.0, p=0.5, **config)
-    calls = []
+    calls, screening = [], [False]
+
+    def screen(*args, _f=policy.batch_weak_regularity):
+        screening[0] = True
+        try:
+            return _f(*args)
+        finally:
+            screening[0] = False
+
+    monkeypatch.setattr(policy, "batch_weak_regularity", screen)
     for name in ("_point_counts", "_lattice_counts", "_mixed_counts"):
         counted = getattr(geometry, name)
         monkeypatch.setattr(
-            geometry, name, lambda *a, _f=counted, _n=name: calls.append(_n) or _f(*a)
+            geometry, name, lambda *a, _f=counted, _n=name: screening[0] and calls.append(_n) or _f(*a)
         )
     runs, paths = [], []
     for e in (env, bare):
