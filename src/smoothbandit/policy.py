@@ -412,9 +412,9 @@ def _log_epoch_samples(state: MultiArmState, X, arm_ix, rewards, config, arms):
     diagonal = math.sqrt(config.d) * state.lattice.delta
     below = 0
     for ai, arm in enumerate(arms):
-        mask = arm_ix == ai
-        count = int(mask.sum())
-        state.samples[ai] = (X[mask], rewards[mask])
+        drawn = np.flatnonzero(arm_ix == ai)
+        count = len(drawn)
+        state.samples[ai] = (X.take(drawn, axis=0), rewards.take(drawn))
         if count > 0:
             bw = count**exponent
             state.bandwidths[ai] = bw

@@ -19,7 +19,9 @@ paths:
 - ``run_chunk``: binned-UCB rounds that gather visits, read the log table and
   call ``env.rewards`` once a round;
 - ``support_cube_mask``: every mixed cube's quadrature points built in one
-  array, and the in-cube share gathered through ``lattice.cube_ids()``.
+  array, and the in-cube share gathered through ``lattice.cube_ids()``;
+- ``classify``: the bump-grid cube classes from one set of ``(n_cubes, d)``
+  arrays over every cube of the lattice.
 """
 
 import math
@@ -27,9 +29,11 @@ import math
 import numpy as np
 
 from smoothbandit import baselines, environments, localpoly, policy
+from smoothbandit.environments import _CLASSIFY_MARGIN
 from smoothbandit.geometry import (
     CUBE_IN,
     CUBE_MIXED,
+    CUBE_OUT,
     GridLattice,
     _classifier,
     _midpoint_axis,
@@ -264,6 +268,30 @@ def support_cube_mask(lattice, support, resolution=8, mass_threshold=1e-9):
     return fraction > mass_threshold
 
 
+def classify(self, lattice):
+    d, q = self.d, self.q
+    cube = lattice.cube_ids()
+    lo = np.clip(cube * lattice.delta - _CLASSIFY_MARGIN, 0.0, 1.0)
+    hi = np.clip((cube + 1) * lattice.delta + _CLASSIFY_MARGIN, 0.0, 1.0)
+    cell_lo = np.clip(np.floor(lo * q).astype(np.int64), 0, q - 1)
+    cell_hi = np.clip(np.floor(hi * q).astype(np.int64), 0, q - 1)
+    meets_bump = np.ravel_multi_index(tuple(cell_lo.T), (q,) * d) < self.m
+    only_bumps = np.ravel_multi_index(tuple(cell_hi.T), (q,) * d) < self.m
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    near = np.clip(np.rint(mid * q - 0.5), cell_lo, cell_hi)
+    gap = np.maximum(np.abs((near + 0.5) / q - mid) - half, 0.0)
+    nearest = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    center = (cell_lo + 0.5) / q
+    reach = np.maximum(center - lo, hi - center)
+    farthest = np.sqrt(np.einsum("ij,ij->i", reach, reach))
+    one_cell = np.all(cell_lo == cell_hi, axis=1)
+    classes = np.full(lattice.n_cubes, CUBE_MIXED, dtype=np.int8)
+    classes[~meets_bump] = CUBE_IN
+    classes[only_bumps & (nearest > self.radius + _CLASSIFY_MARGIN)] = CUBE_OUT
+    classes[only_bumps & one_cell & (farthest <= self.radius - _CLASSIFY_MARGIN)] = CUBE_IN
+    return classes
+
+
 def restore(monkeypatch) -> None:
     """Put every former path back in place of the shipped one, for one test."""
     monkeypatch.setattr(environments.Instance, "means_matrix", means_matrix)
@@ -277,3 +305,4 @@ def restore(monkeypatch) -> None:
     monkeypatch.setattr(localpoly, "_solve", solve)
     monkeypatch.setattr(baselines, "_run_chunk", run_chunk)
     monkeypatch.setattr(policy, "support_cube_mask", support_cube_mask)
+    monkeypatch.setattr(environments.BumpGridSupport, "_classify", classify)

@@ -692,6 +692,35 @@ class TestCubeClassifier:
         assert support.classify_cubes(lat) is first and not first.flags.writeable
         assert np.bincount(first, minlength=3)[CUBE_MIXED] < lat.n_cubes // 10
 
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["block_1", "block_7", "default_block"])
+    def test_blocks_match_the_one_shot_oracle(self, monkeypatch, block):
+        # the former classifier built every cube's arrays at once; cases:
+        # hard_d2's support and lattice, then random grids at d = 1, 2, 3
+        hard = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
+        cases = [(hard.support, build_lattice(2048, 2.0, 2))]
+        rng = np.random.default_rng(25)
+        cases += [(_random_bump_grid(rng, d), _random_lattice(rng, d)) for d in (1, 2, 3) * 10]
+        seen = set()
+        for support, lat in cases:
+            if block is not None:
+                monkeypatch.setattr(geometry, "_SCREEN_CHUNK", block * support.d)
+            want = former_paths.classify(support, lat)
+            np.testing.assert_array_equal(support._classify(lat), want)
+            seen.update(np.unique(want).tolist())
+        assert seen == {CUBE_IN, CUBE_OUT, CUBE_MIXED}
+
+    def test_large_classification_in_bounded_memory(self):
+        # d = 3 bump grid at 2^12, 729,000 cubes: 235 MB traced in one shot
+        support = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=3, seed=3).support
+        lat = build_lattice(4096, 2.0, 3)
+        tracemalloc.start()
+        try:
+            support._classify(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
     def test_unit_cube_has_no_mixed_cube(self):
         lat = GridLattice(d=2, delta=0.3, cells_per_axis=4)
         assert np.all(unit_cube_support.classify_cubes(lat) == CUBE_IN)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -481,3 +484,107 @@ class TestSummaryRateCheck:
         _, exponent, band, passed = summary_rate_check(summary, "smooth")
         assert exponent == theoretical_exponent(2.0, math.inf, 1) == 0.0
         assert band == (-0.15, 0.25) and passed
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapPolicy:
+    """Grid runs set glibc's heap thresholds once per process, and only on glibc."""
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        # a fake C library recording its mallopt calls; the cache is cleared
+        # before and after, so that a later grid run sets the real thresholds
+        calls = []
+
+        class FakeLibc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        fake = FakeLibc()
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: fake)
+        monkeypatch.setattr(harness.os, "confstr", lambda name: "glibc 2.36")
+        harness._keep_freed_heap.cache_clear()
+        yield fake, calls
+        harness._keep_freed_heap.cache_clear()
+
+    _CONFIG = {
+        "instance": {"family": "sinusoidal", "params": {"d": 1}},
+        "policies": [{"name": "uniform"}],
+        "horizons": [10],
+    }
+
+    def test_thresholds_set_once_per_process(self, libc):
+        _, calls = libc
+        run_experiment(self._CONFIG, quiet=True)
+        run_experiment(self._CONFIG, quiet=True)
+        harness._keep_freed_heap()
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_set_before_the_config_is_read(self, libc):
+        _, calls = libc
+        with pytest.raises(ConfigError):
+            run_experiment({"policies": []})
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("version", [None, "", "musl 1.2", ValueError, OSError, AttributeError])
+    def test_nothing_set_without_glibc(self, libc, monkeypatch, version):
+        _, calls = libc
+        if isinstance(version, type):
+            def confstr(name, error=version):
+                raise error(name)
+            monkeypatch.setattr(harness.os, "confstr", confstr)
+        else:
+            monkeypatch.setattr(harness.os, "confstr", lambda name: version)
+        run_experiment(self._CONFIG, quiet=True)
+        assert calls == []
+
+    def test_nothing_set_without_mallopt(self, libc, monkeypatch):
+        fake, calls = libc
+        monkeypatch.delattr(type(fake), "mallopt")
+        run_experiment(self._CONFIG, quiet=True)
+        assert calls == []
+
+    _BURSTS = """
+import resource, sys
+import numpy as np
+from smoothbandit import harness
+
+if sys.argv[1] == "policy":
+    harness._keep_freed_heap()
+
+def burst():
+    arrays = [np.ones(3 * 2**20 // 8) for _ in range(4)]
+    del arrays
+
+burst()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    burst()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    @pytest.mark.skipif(not _glibc(), reason="the heap thresholds are glibc's")
+    def test_freed_arrays_are_not_faulted_in_again(self):
+        # four 3 MiB arrays allocated and freed 50 times, after one warm burst:
+        # glibc's default thresholds return them to the kernel every time
+        # (3,072 faults a burst); the policy keeps them in the heap
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = path
+        faults = {}
+        for mode in ("default", "policy"):
+            cmd = [sys.executable, "-c", self._BURSTS, mode]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            faults[mode] = int(proc.stdout)
+        assert faults["default"] > 50 * 1000, faults
+        assert faults["policy"] < 1000, faults

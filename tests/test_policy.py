@@ -763,6 +763,25 @@ class TestLogEpochSamples:
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 1 and "for arm 7 fell below the cube diagonal" in warnings[0]
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_samples_equal_the_boolean_mask_selection(self, d):
+        # arm 2 of four draws nothing; the others are interleaved at random
+        cfg = PolicyConfig(beta=2.0, d=d, horizon=500, arm_count=4)
+        lattice = build_lattice(cfg.horizon, cfg.beta, cfg.d)
+        state = initial_multi_state(lattice, support_cube_mask(lattice, None), 4)
+        rng = np.random.default_rng(d)
+        arm_ix = rng.choice([0, 1, 3], size=997)
+        X, rewards = rng.random((len(arm_ix), d)), rng.random(len(arm_ix))
+        policy._log_epoch_samples(state, X, arm_ix, rewards, cfg, (1, 2, 3, 4))
+        assert sorted(state.samples) == [0, 1, 2, 3]
+        for ai, (got_x, got_y) in state.samples.items():
+            mask = arm_ix == ai
+            for got, want in ((got_x, X[mask]), (got_y, rewards[mask])):
+                assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+        assert state.samples[2][0].shape == (0, d) and state.samples[2][1].shape == (0,)
+        assert sorted(state.bandwidths) == [0, 1, 3]
+
 
 def _break_partition(update):
     def broken(state, *args):
