@@ -68,16 +68,16 @@ def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int,
     return RunResult.from_steps(policy, env.name, seed, regret, inferior, checkpoints, started)
 
 
-def check_binned_ucb_params(exploration=2.0, bin_rate=None, d: int | None = None) -> None:
+def check_binned_ucb_params(d: int, exploration=2.0, bin_rate=None) -> None:
     """Raise ``ValueError`` naming the first binned-UCB parameter out of range.
 
     ``exploration`` must be a finite number >= 0 and ``bin_rate`` either
-    None or a finite number > 0, at most ``1 / d`` when the context
-    dimension ``d`` is given.  A NaN exploration would make every score
-    NaN and the arm choice meaningless; a negative one would take the
-    square root of a negative number.  A ``bin_rate`` above ``1 / d`` asks
-    for more bins (about ``horizon**(bin_rate * d)``) than there are steps,
-    and soon for more memory than the host has.
+    None or a finite number > 0, at most ``1 / d`` for the context
+    dimension ``d``.  A NaN exploration would make every score NaN and the
+    arm choice meaningless; a negative one would take the square root of a
+    negative number.  A ``bin_rate`` above ``1 / d`` asks for more bins
+    (about ``horizon**(bin_rate * d)``) than there are steps, and soon for
+    more memory than the host has.
     """
     if not (isinstance(exploration, numbers.Real) and math.isfinite(exploration) and exploration >= 0):
         raise ValueError(f"exploration must be a finite number >= 0, got {exploration!r}")
@@ -85,7 +85,7 @@ def check_binned_ucb_params(exploration=2.0, bin_rate=None, d: int | None = None
         isinstance(bin_rate, numbers.Real) and math.isfinite(bin_rate) and bin_rate > 0
     ):
         raise ValueError(f"bin_rate must be None or a finite number > 0, got {bin_rate!r}")
-    if bin_rate is not None and d is not None and bin_rate > 1.0 / d:
+    if bin_rate is not None and bin_rate > 1.0 / d:
         raise ValueError(
             f"bin_rate must be at most 1/d = {1.0 / d:g} (more bins than steps otherwise), got {bin_rate!r}"
         )
@@ -175,7 +175,7 @@ def run_binned_ucb_batch(
     tables add two floats per step and one per (step, arm) to a block's
     memory.
     """
-    check_binned_ucb_params(exploration, bin_rate, env.d)
+    check_binned_ucb_params(env.d, exploration, bin_rate)
     started = time.perf_counter()
     runs = [(int(horizon), int(seed)) for horizon, seed in runs]
     tallies = [CheckpointTally(normalize_checkpoints(checkpoints, horizon)) for horizon, _ in runs]

@@ -81,8 +81,8 @@ def _cmd_run(args) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # made only now, so that a config error found against the built
-    # instance leaves nothing behind
+    # made only once every run has succeeded, so that a failed run leaves
+    # nothing behind
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
         reports.append(
             environments.verify_margin(env, alpha, gamma, t_grid, max(args.samples, 10_000), rng)
         )
-    if env.mean_deriv is not None:
+    if env.means_deriv is not None:
         reports.append(
             environments.verify_holder(
                 env, vcfg.get("beta", meta.beta), vcfg.get("L", meta.L),

@@ -56,30 +56,30 @@ class InstanceMeta:
 class Instance:
     """A sampleable bandit environment.
 
-    ``mean(points, arm)`` returns conditional mean rewards in [0,1];
-    ``sample_contexts(rng, n)`` draws contexts inside the support; the
-    reward law given the mean is Bernoulli by default, or a Gaussian
+    ``means(points)`` returns every arm's conditional mean rewards in
+    [0,1] at an ``(n, d)`` array of points, shape ``(n_arms, n)`` with rows
+    in ``arms`` order; ``means_deriv(points, r)``, when set, returns their
+    partial derivatives ``D^r`` in the same shape, ``means`` itself at
+    ``r = 0``.  ``sample_contexts(rng, n)`` draws contexts inside the
+    support; the reward law given the mean is Bernoulli by default, or a Gaussian
     truncated symmetrically around the mean (mean-preserving) when
     ``noise`` is ``"truncated_gaussian"``.  Either law lives in
     :meth:`rewards`, which maps one uniform per step to its reward;
     :meth:`sample_rewards` draws those uniforms from a generator.
     Construction rejects any other ``noise`` and a ``noise_scale`` that is
-    not a finite positive number.  ``tau`` is set on symmetric two-arm
-    instances only: their arms' means are ``1/2 +- tau/2``, and
-    :meth:`means_matrix` reads ``tau`` in place of ``mean``.
+    not a finite positive number.
     """
 
     name: str
     d: int
     arms: tuple
-    mean: Callable[[np.ndarray, object], np.ndarray]
+    means: Callable[[np.ndarray], np.ndarray]
     sample_contexts: Callable[[np.random.Generator, int], np.ndarray]
     support: Callable[[np.ndarray], np.ndarray]
     meta: InstanceMeta
     noise: str = "bernoulli"
     noise_scale: float = 0.1
-    mean_deriv: Callable[[np.ndarray, object, tuple], np.ndarray] | None = None
-    tau: Callable[[np.ndarray], np.ndarray] | None = None
+    means_deriv: Callable[[np.ndarray, tuple], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.noise not in ("bernoulli", "truncated_gaussian"):
@@ -92,21 +92,8 @@ class Instance:
         return len(self.arms)
 
     def means_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Mean rewards for every arm, shape (n_arms, n).
-
-        A symmetric two-arm instance evaluates ``tau`` once for both rows,
-        ``0.5 + h`` and ``0.5 - h`` with ``h = 0.5 * tau``: bit for bit
-        ``mean(points, 1)`` and ``mean(points, -1)``, since ``0.5 * arm *
-        tau`` is exactly ``+-h`` for ``arm = +-1``.
-        """
-        points = np.atleast_2d(points)
-        if self.tau is None:
-            return np.stack([self.mean(points, a) for a in self.arms])
-        h = 0.5 * self.tau(points)
-        means = np.empty((2, len(h)))
-        np.add(0.5, h, out=means[0])
-        np.subtract(0.5, h, out=means[1])
-        return means
+        """Mean rewards for every arm, shape (n_arms, n); one point may be a vector."""
+        return self.means(np.atleast_2d(points))
 
     def oracle_indices(self, points: np.ndarray) -> np.ndarray:
         """Index (into ``arms``) of the optimal arm; ties go to the arm
@@ -235,30 +222,37 @@ def make_smooth_instance(family: str, d: int = 1, **params) -> Instance:
 
 
 def _symmetric_two_arm(name, d, tau_fn, tau_deriv_fn, meta, noise="bernoulli", noise_scale=0.1):
-    """Two arms at 1/2 +- tau/2; keeps means in [0,1] whenever |tau| <= 1."""
+    """Arms +1 and -1 at 1/2 +- tau/2; keeps means in [0,1] whenever |tau| <= 1.
 
-    def mean(points, arm):
-        points = np.atleast_2d(points)
-        return 0.5 + 0.5 * arm * tau_fn(points)
+    ``tau`` is evaluated once for both rows, ``0.5 + h`` and ``0.5 - h``
+    with ``h = 0.5 * tau``, and each derivative as the rows ``+-h`` with
+    ``h = 0.5 * D^r tau``.
+    """
 
-    def mean_deriv(points, arm, r):
-        points = np.atleast_2d(points)
+    def means(points):
+        h = 0.5 * tau_fn(points)
+        out = np.empty((2, len(h)))
+        np.add(0.5, h, out=out[0])
+        np.subtract(0.5, h, out=out[1])
+        return out
+
+    def means_deriv(points, r):
         if sum(r) == 0:
-            return mean(points, arm)
-        return 0.5 * arm * tau_deriv_fn(points, r)
+            return means(points)
+        h = 0.5 * tau_deriv_fn(points, r)
+        return np.stack([h, -h])
 
     return Instance(
         name=name,
         d=d,
         arms=TWO_ARMS,
-        mean=mean,
+        means=means,
         sample_contexts=_uniform_sampler(d),
         support=unit_cube_support,
         meta=meta,
         noise=noise,
         noise_scale=noise_scale,
-        mean_deriv=mean_deriv,
-        tau=tau_fn,
+        means_deriv=means_deriv,
     )
 
 
@@ -375,16 +369,13 @@ def make_constant_multi_arm(means: tuple, d: int = 1, beta: float = 2.0) -> Inst
         raise ValueError("need at least two arms")
     if not all(0 <= m <= 1 for m in means):
         raise ValueError(f"means must lie in [0, 1], got {means}")
-    arms = tuple(range(len(means)))
-    table = dict(zip(arms, means))
+    column = np.array(means)[:, None]
 
-    def mean(points, arm):
-        return np.full(len(np.atleast_2d(points)), table[arm])
+    def table(points):
+        return np.repeat(column, len(points), axis=1)
 
-    def mean_deriv(points, arm, r):
-        if sum(r) == 0:
-            return mean(points, arm)
-        return np.zeros(len(np.atleast_2d(points)))
+    def table_deriv(points, r):
+        return table(points) if sum(r) == 0 else np.zeros((len(means), len(points)))
 
     gaps = sorted({abs(a - b) for a in means for b in means if a != b})
     meta = InstanceMeta(
@@ -395,12 +386,12 @@ def make_constant_multi_arm(means: tuple, d: int = 1, beta: float = 2.0) -> Inst
     return Instance(
         name=f"constant_multi{means}",
         d=d,
-        arms=arms,
-        mean=mean,
+        arms=tuple(range(len(means))),
+        means=table,
         sample_contexts=_uniform_sampler(d),
         support=unit_cube_support,
         meta=meta,
-        mean_deriv=mean_deriv,
+        means_deriv=table_deriv,
     )
 
 
@@ -768,28 +759,21 @@ def make_lower_bound_instance(
     support = BumpGridSupport(d=d, q=q, m=m, radius=ball_radius)
     centers = support.cell_centers(np.arange(m, dtype=np.int64))
 
-    def mean(points, arm):
-        points = np.atleast_2d(points)
-        out = np.full(len(points), 0.5)
-        if arm == -1:
-            return out
+    # arm +1 (row 0) carries the bumps; arm -1 (row 1) stays at 1/2
+    def means(points):
+        out = np.full((2, len(points)), 0.5)
         inside, cells, offsets = support.bump_offsets(points)
-        if len(cells):
-            u_val = bump_u(q * np.linalg.norm(offsets, axis=1))
-            out[inside] += sigma[cells] * C_phi * float(q) ** -beta * u_val
+        u_val = bump_u(q * np.linalg.norm(offsets, axis=1))
+        out[0, inside] += sigma[cells] * C_phi * float(q) ** -beta * u_val
         return out
 
-    def mean_deriv(points, arm, r):
-        points = np.atleast_2d(points)
+    def means_deriv(points, r):
         if sum(r) == 0:
-            return mean(points, arm)
-        out = np.zeros(len(points))
-        if arm == -1:
-            return out
+            return means(points)
+        out = np.zeros((2, len(points)))
         inside, cells, offsets = support.bump_offsets(points)
-        if len(cells):
-            vals = _radial_bump_deriv(q * offsets, tuple(r))
-            out[inside] = sigma[cells] * C_phi * float(q) ** (sum(r) - beta) * vals
+        vals = _radial_bump_deriv(q * offsets, tuple(r))
+        out[0, inside] = sigma[cells] * C_phi * float(q) ** (sum(r) - beta) * vals
         return out
 
     def sample_contexts(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -822,12 +806,12 @@ def make_lower_bound_instance(
         name=f"lower_bound(T={T},beta={beta},alpha={alpha},d={d})",
         d=d,
         arms=TWO_ARMS,
-        mean=mean,
+        means=means,
         sample_contexts=sample_contexts,
         support=support,
         meta=meta,
         noise=noise,
-        mean_deriv=mean_deriv,
+        means_deriv=means_deriv,
         sigma=sigma,
         q=q,
         m=m,
@@ -917,13 +901,12 @@ def verify_margin(
         raise ValueError("t grid must not be empty: an empty grid checks nothing")
     if np.any(t_grid <= 0):
         raise ValueError("t grid must be positive")
-    X = instance.sample_contexts(rng, n_samples)
-    abs_tau = np.abs(cate(instance, X))
+    abs_tau = np.abs(cate(instance, instance.sample_contexts(rng, n_samples)))
     rows = []
     z99 = 2.5758293035489004
     for t in t_grid:
-        p_hat = float(np.mean((abs_tau > 0) & (abs_tau <= t)))
-        half = z99 * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n_samples)
+        p_hat, se = _margin_share(abs_tau, t)
+        half = z99 * se
         bound = gamma * t**alpha
         rows.append(CheckRow(f"t={t:.4g}", p_hat, bound + half, p_hat - half <= bound))
     return ValidationReport(f"margin(alpha={alpha}, gamma={gamma}) on {instance.name}", tuple(rows))
@@ -931,11 +914,13 @@ def verify_margin(
 
 def margin_probability(instance: Instance, t: float, n_samples: int, rng: np.random.Generator) -> tuple[float, float]:
     """Point estimate and standard error of P(0 < |tau(X)| <= t)."""
-    X = instance.sample_contexts(rng, n_samples)
-    abs_tau = np.abs(cate(instance, X))
+    return _margin_share(np.abs(cate(instance, instance.sample_contexts(rng, n_samples))), t)
+
+
+def _margin_share(abs_tau: np.ndarray, t: float) -> tuple[float, float]:
+    """Share of the effects ``abs_tau`` in (0, t], and its standard error."""
     p_hat = float(np.mean((abs_tau > 0) & (abs_tau <= t)))
-    se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n_samples)
-    return p_hat, se
+    return p_hat, math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / len(abs_tau))
 
 
 def verify_holder(
@@ -944,16 +929,16 @@ def verify_holder(
     L: float,
     n_pairs: int = 10_000,
     rng: np.random.Generator | None = None,
-    arms=None,
 ) -> ValidationReport:
     """Taylor-remainder check of the smoothness class membership.
 
     Samples point pairs (half global, half local perturbations), expands
-    each arm's mean to the largest order strictly below ``beta`` using the
-    instance's analytic derivatives, and compares the remainder with
-    ``L * distance**beta``.  Requires derivative access.
+    every arm's mean to the largest order strictly below ``beta`` using the
+    instance's analytic derivatives, one ``means_deriv`` call per order,
+    and compares the remainder with ``L * distance**beta``.  Requires
+    derivative access.
     """
-    if instance.mean_deriv is None:
+    if instance.means_deriv is None:
         raise ValueError(f"instance {instance.name} does not expose analytic derivatives")
     rng = rng or np.random.default_rng(0)
     l = strict_floor(beta)
@@ -970,16 +955,14 @@ def verify_holder(
     keep = dist > 1e-12
     x, x2, dist = x[keep], x2[keep], dist[keep]
 
+    taylor = np.zeros((instance.n_arms, len(x)))
+    for r in indices:
+        coef = np.prod([math.factorial(ri) for ri in r])
+        diff_pow = np.prod((x2 - x) ** np.asarray(r, dtype=float), axis=1)
+        taylor += diff_pow / coef * instance.means_deriv(x, r)
+    ratios = np.abs(instance.means(x2) - taylor) / dist**beta
     rows = []
-    arms = arms if arms is not None else instance.arms
-    for arm in arms:
-        taylor = np.zeros(len(x))
-        for r in indices:
-            coef = np.prod([math.factorial(ri) for ri in r])
-            diff_pow = np.prod((x2 - x) ** np.asarray(r, dtype=float), axis=1)
-            taylor += diff_pow / coef * instance.mean_deriv(x, arm, r)
-        remainder = np.abs(instance.mean(x2, arm) - taylor)
-        ratio = remainder / dist**beta
+    for arm, ratio in zip(instance.arms, ratios):
         worst = float(np.max(ratio, initial=0.0))
         # additive slack absorbs cancellation noise on exactly-polynomial means
         rows.append(CheckRow(f"arm {arm} max remainder ratio", worst, L, worst <= L * (1 + 1e-9) + 1e-7))

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import baselines
 from .environments import (
+    TWO_ARMS,
     Instance,
     make_constant_multi_arm,
     make_lower_bound_instance,
@@ -163,11 +164,11 @@ _BASELINE_PARAMS = {
 _HARNESS_OWNED = {"d", "horizon", "arm_count"}
 
 
-def validate_policy_params(index: int, name: str, params: dict, d: int | None = None) -> None:
-    """Reject malformed policy parameter blocks with a field-level error.
+def validate_policy_params(index: int, name: str, params: dict, env: Instance) -> None:
+    """Reject a malformed parameter block, or a policy that ``env`` cannot run, with a field-level error.
 
-    ``d``, the instance's context dimension once it is built, bounds what
-    depends on it (binned UCB's ``bin_rate``).
+    The instance's context dimension ``env.d`` bounds binned UCB's
+    ``bin_rate``, and ``smooth`` needs the arms (+1, -1).
     """
     fieldpath = f"policies[{index}].params"
     if name in ("smooth", "smooth_multi"):
@@ -184,9 +185,14 @@ def validate_policy_params(index: int, name: str, params: dict, d: int | None = 
             raise ConfigError(fieldpath, f"unknown parameters {sorted(unknown)} for {name!r}")
         if name == "binned_ucb":
             try:
-                baselines.check_binned_ucb_params(**params, d=d)
+                baselines.check_binned_ucb_params(env.d, **params)
             except ValueError as exc:
                 raise ConfigError(fieldpath, str(exc)) from exc
+    if name == "smooth" and tuple(env.arms) != TWO_ARMS:
+        raise ConfigError(
+            f"policies[{index}].name",
+            f"'smooth' needs an instance with arms (+1, -1), got {list(env.arms)}; use 'smooth_multi'",
+        )
 
 
 def run_policy(
@@ -225,17 +231,12 @@ _BYTES_PER_CUBE = 460
 _MEMORY_BUDGET = 4 * 2**30
 
 
-def _check_lattice_memory(cfg: dict, horizons: list) -> None:
+def _check_lattice_memory(cfg: dict, horizons: list, d: int) -> None:
     """Reject a config with an elimination run whose lattice would not fit the memory budget.
 
-    The run's cube count is ``build_lattice``'s for the instance's ``d``
-    (1 when unset), the horizon and the policy's ``beta``.  A ``d`` that is
-    not a positive integer is left for ``build_instance`` to reject.
+    The run's cube count is ``build_lattice``'s for the instance's
+    dimension ``d``, the horizon and the policy's ``beta``.
     """
-    params = cfg["instance"].get("params", {}) if isinstance(cfg["instance"], dict) else {}
-    d = params.get("d", 1) if isinstance(params, dict) else 1
-    if not _is_int(d) or d < 1:
-        return
     for i, p in enumerate(cfg["policies"]):
         if p["name"] not in ("smooth", "smooth_multi"):
             continue
@@ -251,11 +252,17 @@ def _check_lattice_memory(cfg: dict, horizons: list) -> None:
 
 
 def validate_experiment_config(cfg: dict) -> dict:
+    """The config with its defaults set, checked against the instance it builds.
+
+    Raises ``ConfigError`` naming the first field in error; the instance
+    block is checked first, as every policy is checked against its instance.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     out = dict(cfg)
     if "instance" not in cfg:
         raise ConfigError("instance", "missing")
+    env = build_instance(cfg["instance"])
     if "threads" in cfg:
         raise ConfigError("threads", "not supported: runs execute serially in one process; remove the key")
     policies = cfg.get("policies")
@@ -270,7 +277,7 @@ def validate_experiment_config(cfg: dict) -> dict:
         params = p.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"policies[{i}].params", "must be a mapping")
-        validate_policy_params(i, p["name"], dict(params))
+        validate_policy_params(i, p["name"], dict(params), env)
         label = p.get("label", p["name"])
         if not isinstance(label, str):
             raise ConfigError(f"policies[{i}].label", "must be a string")
@@ -306,7 +313,7 @@ def validate_experiment_config(cfg: dict) -> dict:
     out_dir = cfg.get("out_dir", ".")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", f"must be a non-empty string, got {out_dir!r}")
-    _check_lattice_memory(cfg, horizons)
+    _check_lattice_memory(cfg, horizons, env.d)
     out.setdefault("reps", reps)
     out.setdefault("base_seed", base_seed)
     out.setdefault("checkpoints", checkpoints)
@@ -367,13 +374,6 @@ def run_experiment(cfg: dict, quiet: bool = False):
     _keep_freed_heap()
     cfg = validate_experiment_config(cfg)
     env = build_instance(cfg["instance"])
-    for i, pol in enumerate(cfg["policies"]):
-        validate_policy_params(i, pol["name"], dict(pol.get("params", {})), env.d)
-        if pol["name"] == "smooth" and tuple(env.arms) != (1, -1):
-            raise ConfigError(
-                f"policies[{i}].name",
-                f"'smooth' needs an instance with arms (+1, -1), got {list(env.arms)}; use 'smooth_multi'",
-            )
     # each policy's runs, in job order: (label, name, params, [(T, rep, seed), ...])
     plan = []
     for pol in cfg["policies"]:

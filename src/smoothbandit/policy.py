@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .environments import Instance, check_dimension_and_smoothness, step_outcomes, strict_floor
+from .environments import TWO_ARMS, Instance, check_dimension_and_smoothness, step_outcomes, strict_floor
 from .geometry import (
     GridLattice,
     RegionMask,
@@ -443,7 +443,7 @@ def run_two_arm(
     final labels differ, which use the per-cube code 0 explore, 1 exploit
     +1, 2 exploit -1, 3 off-support.
     """
-    if tuple(env.arms) != (1, -1):
+    if tuple(env.arms) != TWO_ARMS:
         raise ValueError("two-arm runs require arms (+1, -1)")
     if config.arm_count != 2:
         raise ValueError("config.arm_count must be 2 for two-arm runs")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -28,24 +29,16 @@ class EpochDiagnostics:
     active_cubes: dict | None = None  # cubes where each arm may still be pulled
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "start": self.start,
-            "length": self.length,
-            "tolerance": self.tolerance,
-            "explore_cubes": self.explore_cubes,
-            "exploit_cubes": {str(k): v for k, v in self.exploit_cubes.items()},
-            "screened_cubes": {str(k): v for k, v in self.screened_cubes.items()},
-            "anomalies": self.anomalies,
-            "degenerate_fits": self.degenerate_fits,
-            "min_eig": self.min_eig,
-            "sample_counts": {str(k): v for k, v in self.sample_counts.items()},
-            "bandwidths": {str(k): v for k, v in self.bandwidths.items()},
-            "fail_safe_arms": [str(a) for a in self.fail_safe_arms],
-            "active_cubes": None
-            if self.active_cubes is None
-            else {str(k): v for k, v in self.active_cubes.items()},
-        }
+        """Every field by name, arms written as strings: dict keys and ``fail_safe_arms``."""
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = {str(k): v for k, v in value.items()}
+            elif f.name == "fail_safe_arms":
+                value = [str(a) for a in value]
+            out[f.name] = value
+        return out
 
 
 @dataclass

@@ -5,7 +5,6 @@ rewrites, and ``restore`` monkeypatches all of them back in, so that a test
 can compare a run of the shipped code with the same run on the former
 paths:
 
-- ``means_matrix``: one ``mean`` call, and so one ``tau`` evaluation, per arm;
 - ``first_max``: ``np.argmax(values, axis=0)``;
 - ``step_outcomes``: the three-line expression the elimination policy and
   both baseline runners repeated;
@@ -41,11 +40,6 @@ from smoothbandit.geometry import (
     unit_cube_support,
 )
 from smoothbandit.results import RunResult
-
-
-def means_matrix(self, points):
-    points = np.atleast_2d(points)
-    return np.stack([self.mean(points, a) for a in self.arms])
 
 
 def first_max(values):
@@ -294,7 +288,6 @@ def classify(self, lattice):
 
 def restore(monkeypatch) -> None:
     """Put every former path back in place of the shipped one, for one test."""
-    monkeypatch.setattr(environments.Instance, "means_matrix", means_matrix)
     for module in (environments, baselines):
         monkeypatch.setattr(module, "first_max", first_max)
     for module in (policy, baselines):

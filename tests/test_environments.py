@@ -17,6 +17,7 @@ import smoothbandit
 from smoothbandit import environments
 from smoothbandit.environments import (
     BumpGridSupport,
+    LowerBoundInstance,
     bump_u,
     bump_u_deriv,
     cate,
@@ -61,10 +62,8 @@ class TestSmoothFamilies:
             make_smooth_instance("sinusoidal", d=2, frequency=2.0, amplitude=1.0),
             make_smooth_instance("polynomial_boundary", d=1, degree=3, scale=0.5),
         ):
-            X = inst.sample_contexts(rng, 100_000)
-            for arm in inst.arms:
-                m = inst.mean(X, arm)
-                assert np.all((m >= 0) & (m <= 1))
+            m = inst.means_matrix(inst.sample_contexts(rng, 100_000))
+            assert np.all((m >= 0) & (m <= 1))
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -130,9 +129,8 @@ class TestSmoothFamilies:
             x = inst.sample_contexts(rng, 100_000)
             x2 = inst.sample_contexts(rng, 100_000)
             dist = np.linalg.norm(x - x2, axis=1)
-            for arm in inst.arms:
-                gap = np.abs(inst.mean(x, arm) - inst.mean(x2, arm))
-                assert np.all(gap <= inst.meta.L1 * dist + 1e-12)
+            gap = np.abs(inst.means_matrix(x) - inst.means_matrix(x2))
+            assert np.all(gap <= inst.meta.L1 * dist + 1e-12)
 
     def test_holder_report_sinusoidal(self):
         # Lagrange remainder oracle: |eta_a'' | <= (A/2)(2 pi f)^2, so the
@@ -166,7 +164,7 @@ class TestRewards:
         inst = make_smooth_instance("sinusoidal", d=1, amplitude=0.4)
         rng = np.random.default_rng(11)
         x = np.array([[0.2]])
-        mean = float(inst.mean(x, 1)[0])
+        mean = float(inst.means_matrix(x)[0, 0])  # arm +1
         draws = inst.sample_rewards(rng, np.full(100_000, mean))
         se = math.sqrt(mean * (1 - mean) / 100_000)
         assert np.isin(draws, [0.0, 1.0]).all()
@@ -330,8 +328,9 @@ class TestMultiArm:
 
 
 # ---------------------------------------------------------------------------
-# One tau per step, the first-maximum rule and the step outcomes, each
-# against the former expression, bit for bit
+# One tau per step, against each family's closed form arm by arm; the
+# first-maximum rule and the step outcomes against the former expression;
+# all bit for bit
 
 # every symmetric two-arm family, with effects of both signs, zero and at the ends
 _SYMMETRIC = {
@@ -351,42 +350,82 @@ def _symmetric_points(d: int) -> np.ndarray:
     return np.vstack([rng.random((500, d)), np.repeat(edges[:, None], d, axis=1)])
 
 
+def _closed_form_means(env, X: np.ndarray) -> np.ndarray:
+    """Every arm's means at ``X`` from the family's closed form, one row per arm in ``arms`` order.
+
+    Symmetric families take ``tau`` from ``meta.extras`` and evaluate it
+    once per arm, ``0.5 + 0.5 * arm * tau``; the bump grid adds each bump
+    to arm +1 and holds arm -1 at 1/2.
+    """
+    extras = env.meta.extras
+    if isinstance(env, LowerBoundInstance):
+        cells = env.support.cell_index(X)
+        inside = (cells < env.m) & np.all((X >= 0) & (X <= 1), axis=1)
+        cells = cells[inside]
+        rho = np.linalg.norm(X[inside] - env.bump_centers[cells], axis=1)
+        bumped = np.full(len(X), 0.5)
+        bumped[inside] += env.sigma[cells] * env.c_phi * float(env.q) ** -env.meta.beta * bump_u(env.q * rho)
+        return np.stack([bumped, np.full(len(X), 0.5)])
+    if "means" in extras:  # constant_multi
+        return np.repeat(np.array(extras["means"])[:, None], len(X), axis=1)
+    if "gap" in extras:
+        tau = np.full(len(X), extras["gap"])
+    elif "frequency" in extras:
+        tau = extras["amplitude"] * np.sin(2 * math.pi * extras["frequency"] * X[:, 0])
+    else:
+        tau = extras["scale"] * (X[:, 0] - 0.5) ** extras["degree"]
+    return np.stack([0.5 + 0.5 * arm * tau for arm in env.arms])
+
+
 class TestOneTau:
     @pytest.mark.parametrize("noise", ["bernoulli", "truncated_gaussian"])
     @pytest.mark.parametrize("family", list(_SYMMETRIC))
     def test_means_matrix_and_cate_equal_the_per_arm_rows(self, family, noise):
         env = dataclasses.replace(_SYMMETRIC[family](), noise=noise)
-        assert env.tau is not None
         X = _symmetric_points(env.d)
-        want = np.stack([env.mean(X, a) for a in env.arms])
+        want = _closed_form_means(env, X)
         got = env.means_matrix(X)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert cate(env, X).tobytes() == (env.mean(X, 1) - env.mean(X, -1)).tobytes()
+        assert cate(env, X).tobytes() == (want[0] - want[1]).tobytes()
         assert env.means_matrix(X[0]).tobytes() == want[:, :1].tobytes()
 
     def test_tau_is_evaluated_once_per_call(self):
-        env = make_smooth_instance("sinusoidal", d=1)
-        effect, calls = env.tau, []
+        calls = []
 
         def tau(points):
-            calls.append(len(points))
-            return effect(points)
+            calls.append(("tau", len(points)))
+            return np.sin(points[:, 0])
 
-        env = dataclasses.replace(env, tau=tau)
-        env.means_matrix(np.random.default_rng(0).random((9, 1)))
-        assert calls == [9]
+        def tau_deriv(points, r):
+            calls.append(("deriv", len(points)))
+            return np.cos(points[:, 0])
 
-    def test_other_instances_call_mean_per_arm(self):
+        meta = make_smooth_instance("sinusoidal", d=1).meta
+        env = environments._symmetric_two_arm("counted", 1, tau, tau_deriv, meta)
+        X = np.random.default_rng(0).random((9, 1))
+        env.means_matrix(X)
+        assert calls == [("tau", 9)]
+        h = 0.5 * np.cos(X[:, 0])
+        assert env.means_deriv(X, (1,)).tobytes() == np.stack([h, -h]).tobytes()
+        assert calls == [("tau", 9), ("deriv", 9)]
+
+    def test_other_instances_equal_their_closed_forms(self):
         multi = make_constant_multi_arm((0.2, 0.7, 0.4), d=2)
         lower = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
-        for env in (multi, lower):
-            assert env.tau is None
-            X = env.sample_contexts(np.random.default_rng(1), 400)
-            want = np.stack([env.mean(X, a) for a in env.arms])
-            assert env.means_matrix(X).tobytes() == want.tobytes()
+        for noise in ("bernoulli", "truncated_gaussian"):
+            for env in (multi, lower):
+                env = dataclasses.replace(env, noise=noise)
+                X = env.sample_contexts(np.random.default_rng(1), 400)
+                want = _closed_form_means(env, X)
+                got = env.means_matrix(X)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert env.means_matrix(X[0]).tobytes() == want[:, :1].tobytes()
         X = lower.sample_contexts(np.random.default_rng(2), 400)
-        assert cate(lower, X).tobytes() == (lower.mean(X, 1) - lower.mean(X, -1)).tobytes()
+        want = _closed_form_means(lower, X)
+        assert np.any(want[0] > 0.5) and np.any(want[0] < 0.5)  # bumps of both signs were met
+        assert cate(lower, X).tobytes() == (want[0] - want[1]).tobytes()
 
 
 # values that tie, NaN, infinities and signed zeros, mixed with ordinary floats

@@ -322,6 +322,38 @@ class TestConfigValidation:
         validate_experiment_config({**cfg, "policies": [{"name": "smooth", "params": {"beta": 1.0}}]})
         validate_experiment_config({**cfg, "policies": [{"name": "uniform"}]})
 
+    @pytest.mark.parametrize(
+        "instance, policy, fieldpath, message",
+        [
+            (
+                {"family": "sinusoidal", "params": {"d": 2}},
+                {"name": "binned_ucb", "params": {"bin_rate": 0.6}},
+                "policies[1].params",
+                "bin_rate must be at most 1/d = 0.5 (more bins than steps otherwise), got 0.6",
+            ),
+            (
+                {"family": "constant_multi", "params": {"means": [0.2, 0.8]}},
+                {"name": "smooth", "params": {"beta": 2.0}},
+                "policies[1].name",
+                "'smooth' needs an instance with arms (+1, -1), got [0, 1]; use 'smooth_multi'",
+            ),
+        ],
+        ids=["bin_rate_above_one_over_d", "smooth_without_arms_plus_minus_one"],
+    )
+    def test_policies_are_checked_against_the_instance(self, instance, policy, fieldpath, message):
+        # these were once raised by run_experiment alone: a caller that only validated was not told
+        cfg = small_config(instance=instance, policies=[{"name": "uniform"}, policy])
+        for validate in (validate_experiment_config, run_experiment):
+            with pytest.raises(ConfigError) as info:
+                validate(cfg)
+            assert (info.value.fieldpath, str(info.value)) == (fieldpath, f"{fieldpath}: {message}")
+
+    def test_instance_block_is_checked_first(self):
+        cfg = small_config(instance={"family": "constant_gap", "params": {"d": 1, "gap": 2.0}}, threads=2, reps=0)
+        with pytest.raises(ConfigError) as info:
+            validate_experiment_config(cfg)
+        assert info.value.fieldpath == "instance.params (constant_gap)"
+
     def test_checkpoint_times_up_to_the_smallest_horizon_pass(self):
         rows, _, _ = run_experiment(small_config(checkpoints=[1, 500]), quiet=True)
         assert sorted({r[5] for r in rows}) == [1, 500, 1000]

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import smoothbandit
 from smoothbandit import baselines, geometry, harness, localpoly, policy
 from smoothbandit.environments import (
+    TWO_ARMS,
     Instance,
     make_constant_multi_arm,
     make_lower_bound_instance,
@@ -37,7 +39,6 @@ from smoothbandit.policy import (
 
 # two-arm instances list their arms as (+1, -1): arm index 0 is +1, index 1 is -1
 POS, NEG = 0, 1
-TWO_ARMS = (1, -1)
 
 
 def two_arm_planned_length(k, config, delta):
@@ -432,9 +433,8 @@ class TestRunTwoArm:
 
         from smoothbandit.environments import Instance, InstanceMeta
 
-        def mean(points, arm):
-            points = np.atleast_2d(points)
-            return 0.5 + 0.25 * arm * np.sin(2 * _math.pi * points[:, 0] / 0.5)
+        def means(points):
+            return np.stack([0.5 + 0.25 * arm * np.sin(2 * _math.pi * points[:, 0] / 0.5) for arm in (1, -1)])
 
         def sample(rng, n):
             out = rng.random((n, 1))
@@ -451,7 +451,7 @@ class TestRunTwoArm:
             name="left_half",
             d=1,
             arms=(1, -1),
-            mean=mean,
+            means=means,
             sample_contexts=sample,
             support=support,
             meta=InstanceMeta(beta=2.0, L=20.0, L1=4.0, alpha=1.0, gamma=2.0,
@@ -697,9 +697,8 @@ class TestRunMultiArm:
 
         from smoothbandit.environments import Instance, InstanceMeta
 
-        def mean(points, arm):
-            points = np.atleast_2d(points)
-            return 0.5 + 0.3 * np.sin(2 * _math.pi * (points[:, 0] - arm / 3.0))
+        def means(points):
+            return np.stack([0.5 + 0.3 * np.sin(2 * _math.pi * (points[:, 0] - arm / 3.0)) for arm in (0, 1, 2)])
 
         def support(points):
             points = np.atleast_2d(points)
@@ -709,7 +708,7 @@ class TestRunMultiArm:
             name="phased_three_arm",
             d=1,
             arms=(0, 1, 2),
-            mean=mean,
+            means=means,
             sample_contexts=lambda rng, n: rng.random((n, 1)),
             support=support,
             meta=InstanceMeta(beta=2.0, L=0.3 * (2 * _math.pi) ** 2 / 2, L1=0.3 * 2 * _math.pi,
@@ -861,11 +860,20 @@ class TestOffLatticeContexts:
             run_two_arm(env, PolicyConfig(beta=1.0, d=1, horizon=2000), seed=0)
 
 
+def _bench_spans():
+    """The benchmark's tracer module, ``bench/spans.py``, imported from its file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestPatchPoints:
-    def test_traced_names_are_module_attributes(self):
-        # the benchmark's outside-in tracer replaces these attributes of the
-        # policy module for the length of a pass, and fails when one is missing
-        names = (
+    # the benchmark's outside-in tracer replaces these attributes for the
+    # length of a pass, and fails when one is missing
+    TRACED = {
+        policy: (
             "_static_epoch",
             "update_regions",
             "update_active_sets",
@@ -873,30 +881,68 @@ class TestPatchPoints:
             "estimate_cate_at_centers",
             "estimate_means_at_centers",
             "scaled_design",
-        )
-        missing = [name for name in names if name not in vars(policy)]
+        ),
+        harness: (
+            "run_experiment",
+            "run_policy",
+            "write_csv",
+            "write_summary",
+            "build_instance",
+            "run_two_arm",
+            "run_multi_arm",
+        ),
+        baselines: ("run_binned_ucb", "run_uniform", "run_oracle"),
+        Instance: ("means_matrix", "sample_rewards"),
+    }
+
+    def test_traced_names_are_module_attributes(self):
+        missing = [name for name in self.TRACED[policy] if name not in vars(policy)]
         assert not missing, missing
 
     def test_traced_names_of_the_other_layers(self):
-        # the same tracer replaces these attributes of the harness, the
-        # baselines and the instance class
-        owners = {
-            harness: (
-                "run_experiment",
-                "run_policy",
-                "write_csv",
-                "write_summary",
-                "build_instance",
-                "run_two_arm",
-                "run_multi_arm",
-            ),
-            baselines: ("run_binned_ucb", "run_uniform", "run_oracle"),
-            Instance: ("means_matrix", "sample_rewards"),
-        }
         missing = [
             f"{owner.__name__}.{name}"
-            for owner, names in owners.items()
+            for owner, names in self.TRACED.items()
+            if owner is not policy
             for name in names
             if name not in vars(owner)
         ]
         assert not missing, missing
+
+    def test_one_traced_pass(self):
+        spans = _bench_spans()
+        instance = {"family": "sinusoidal", "params": {"d": 2, "frequency": 1.0, "amplitude": 0.4, "beta": 2.0}}
+        cfg = {
+            "instance": instance,
+            "policies": [
+                {"name": "smooth", "params": {"beta": 2.0, "c_epoch": 8.0, "p": 0.5}},
+                {"name": "binned_ucb"},
+                {"name": "uniform"},
+                {"name": "oracle"},
+            ],
+            "horizons": [2048],
+            "reps": 1,
+        }
+        before = {(owner, name): vars(owner)[name] for owner, names in self.TRACED.items() for name in names}
+        tracer = spans.Tracer()
+        with spans.traced(tracer, smoothbandit):
+            _, _, results = harness.run_experiment(cfg, quiet=True)
+        expected = {
+            "geometry.screen",
+            "localpoly.estimate",
+            "policy.update",
+            "policy.simulate",
+            "environments.sample",
+            "environments.means",
+            "environments.rewards",
+            "baselines.fixed",
+            "harness.run_policy",
+        }
+        missing = expected - {span[0] for span in tracer.spans}
+        assert not missing, sorted(missing)
+        _, counts = spans.layer_metrics(tracer, results, {"smooth"})
+        assert counts["environments.steps"] == 4 * 2048
+        changed = [
+            f"{owner.__name__}.{name}" for (owner, name), value in before.items() if vars(owner)[name] is not value
+        ]
+        assert not changed, changed

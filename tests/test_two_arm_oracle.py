@@ -344,9 +344,8 @@ def _rate_instance():
 
 def _left_half_instance():
     # contexts and support on [0, 1/2] only, as in test_restricted_support_run
-    def mean(points, arm):
-        points = np.atleast_2d(points)
-        return 0.5 + 0.25 * arm * np.sin(2 * math.pi * points[:, 0] / 0.5)
+    def means(points):
+        return np.stack([0.5 + 0.25 * arm * np.sin(2 * math.pi * points[:, 0] / 0.5) for arm in (1, -1)])
 
     def sample(rng, n):
         out = rng.random((n, 1))
@@ -361,7 +360,7 @@ def _left_half_instance():
         name="left_half",
         d=1,
         arms=(1, -1),
-        mean=mean,
+        means=means,
         sample_contexts=sample,
         support=support,
         meta=InstanceMeta(beta=2.0, L=20.0, L1=4.0, alpha=1.0, gamma=2.0,
