@@ -192,8 +192,8 @@ class RegionMask:
 # Bound on the work held in memory at once while screening: quadrature
 # points per block of :func:`_point_counts` (the point-level path and the
 # support mask's mixed cubes), integer gathers per block on the lattice
-# path, and row slots (each ``resolution`` points) per block of its
-# mixed-cube pass.
+# path, cubes per block of a running-count slab, and row slots (each
+# ``resolution`` points) per block of its mixed-cube pass.
 _SCREEN_CHUNK = 1 << 18
 
 
@@ -286,13 +286,25 @@ def _padded_rows(flags: np.ndarray, d: int, cpa: int) -> np.ndarray:
 def _running_counts(rows: np.ndarray, axis_cube: np.ndarray, resolution: int) -> np.ndarray:
     """Flat running counts of flagged cubes along the last axis of every ball.
 
-    ``running[(q * cpa + j) * (resolution + 1) + k]`` counts the flagged
+    ``running[k * len(rows) * cpa + q * cpa + j]`` counts the flagged
     cubes among the first ``k`` last-axis coordinates of the ball around
     last-axis cube ``j``, among the cubes whose first ``d - 1`` indices
-    flatten (with the padding cube) to ``q``.
+    flatten (with the padding cube) to ``q``.  The table is slot-major, so
+    slot ``k`` is one contiguous ``(len(rows), cpa)`` slab, and holds one
+    byte a slot while ``resolution`` fits one (a count never exceeds it).
+    It is built slab by slab over blocks of at most ``_SCREEN_CHUNK``
+    cubes, with no temporary of the table's size.
     """
-    running = np.zeros((len(rows), len(axis_cube), resolution + 1), dtype=np.int32)
-    np.cumsum(rows[:, axis_cube], axis=2, dtype=np.int32, out=running[:, :, 1:])
+    n_rows, cpa = len(rows), len(axis_cube)
+    running = np.empty((resolution + 1, n_rows, cpa), dtype=np.min_scalar_type(resolution))
+    running[0] = 0
+    columns = np.ascontiguousarray(axis_cube.T)  # row ``k``: the cubes of slot ``k``
+    step = max(1, _SCREEN_CHUNK // cpa)
+    for start in range(0, n_rows, step):
+        block, slots = rows[start : start + step], running[:, start : start + step]
+        flags = np.empty((len(block), cpa), dtype=bool)
+        for k in range(resolution):
+            np.add(slots[k], np.take(block, columns[k], axis=1, out=flags), out=slots[k + 1])
     return running.ravel()
 
 
@@ -351,6 +363,8 @@ def _lattice_counts(
     mixed = _padded_rows(member & (classes == CUBE_MIXED), d, cpa)
     mixed_running = None
     order = np.argsort(lo - hi, kind="stable")
+    slab = (cpa + 1) ** (d - 1) * cpa  # one slot of the running tables
+    lo_slot, hi_slot = lo * slab, hi * slab
     counts = np.zeros(len(cells), dtype=np.int64)
     step = max(1, _SCREEN_CHUNK // len(lo))
     for start in range(0, len(cells), step):
@@ -359,8 +373,10 @@ def _lattice_counts(
             rows = order[done : done + max(1, done)]
             block = cells[below]
             prefix_cube = _prefix_cubes(block, prefix[:, rows], axis_cube, cpa)
-            base = (prefix_cube * cpa + block[:, d - 1, None]) * (resolution + 1)
-            counts[below] += (in_running[base + hi[rows]] - in_running[base + lo[rows]]).sum(axis=1)
+            base = prefix_cube * cpa + block[:, d - 1, None]
+            # a running count never falls along a row, so the difference does not wrap
+            within = in_running[base + hi_slot[rows]] - in_running[base + lo_slot[rows]]
+            counts[below] += within.sum(axis=1, dtype=np.int64)
             below = below[counts[below] < need]
             done += len(rows)
         if len(below) and mixed.any():
@@ -368,8 +384,8 @@ def _lattice_counts(
                 mixed_running = _running_counts(mixed, axis_cube, resolution)
             block = cells[below]
             prefix_cube = _prefix_cubes(block, prefix, axis_cube, cpa)
-            base = (prefix_cube * cpa + block[:, d - 1, None]) * (resolution + 1)
-            touched = mixed_running[base + hi] > mixed_running[base + lo]
+            base = prefix_cube * cpa + block[:, d - 1, None]
+            touched = mixed_running[base + hi_slot] > mixed_running[base + lo_slot]
             counts[below] += _mixed_counts(
                 block, prefix_cube, touched, coords, axis_cube, mixed, region.support, resolution
             )

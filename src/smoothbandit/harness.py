@@ -223,16 +223,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# An elimination run's memory grows with its lattice: a d = 3, T = 2^14 run
-# (3,796,416 cubes) peaked at 1,659 MB, about 460 bytes a cube.  A run
-# estimated above the budget, half of the 8 GB machine that measured it,
-# is refused before any run starts.
-_BYTES_PER_CUBE = 460
+# An elimination run's peak memory is a fixed part (the interpreter and
+# the package), a part per lattice cube (the per-cube tables of the
+# screen, the estimates and the active sets) and a part per step of the
+# horizon (an epoch's contexts, actions, rewards and outcomes).  The three
+# were fitted, each rounded up, to the peak RSS of fresh `smoothbandit run`
+# processes (sinusoid, bump grid and equal-means 2-, 3- and 5-arm
+# instances at d = 1 up to 2^22 steps, d = 2 up to 2^16, d = 3 up to 2^14
+# with 3,796,416 cubes), so that the estimate is at or above every one of
+# them.  The peaks also grow with the arm count, about 18 bytes a cube an
+# arm, which the per-cube term covers up to five arms.  A run estimated above the budget, half of the 8 GB machine that
+# measured it, is refused before any run starts.
+_FIXED_BYTES = 50 * 2**20
+_BYTES_PER_CUBE = 265
+_BYTES_PER_STEP = 78
 _MEMORY_BUDGET = 4 * 2**30
 
 
+def _estimated_bytes(cubes: int, horizon: int) -> int:
+    """Estimated peak memory of an elimination run with this lattice and horizon."""
+    return _FIXED_BYTES + cubes * _BYTES_PER_CUBE + horizon * _BYTES_PER_STEP
+
+
 def _check_lattice_memory(cfg: dict, horizons: list, d: int) -> None:
-    """Reject a config with an elimination run whose lattice would not fit the memory budget.
+    """Reject a config with an elimination run that would not fit the memory budget.
 
     The run's cube count is ``build_lattice``'s for the instance's
     dimension ``d``, the horizon and the policy's ``beta``.
@@ -242,12 +256,14 @@ def _check_lattice_memory(cfg: dict, horizons: list, d: int) -> None:
             continue
         for T in horizons:
             cubes = build_lattice(T, p["params"]["beta"], d).n_cubes
-            if cubes * _BYTES_PER_CUBE > _MEMORY_BUDGET:
+            estimate = _estimated_bytes(cubes, T)
+            if estimate > _MEMORY_BUDGET:
                 raise ConfigError(
                     f"policies[{i}]",
                     f"horizon {T} at d = {d} needs a lattice of {cubes:,} cubes, an estimated "
-                    f"{cubes * _BYTES_PER_CUBE / 2**30:.1f} GiB at {_BYTES_PER_CUBE} bytes a cube, "
-                    f"over the {_MEMORY_BUDGET / 2**30:.0f} GiB memory budget",
+                    f"{estimate / 2**30:.1f} GiB ({_FIXED_BYTES // 2**20} MiB, {_BYTES_PER_CUBE} bytes "
+                    f"a cube and {_BYTES_PER_STEP} bytes a step), over the "
+                    f"{_MEMORY_BUDGET / 2**30:.0f} GiB memory budget",
                 )
 
 

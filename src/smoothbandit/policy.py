@@ -209,7 +209,13 @@ def _static_epoch(env: Instance, rng, n, lattice, table, counts, start_t=0):
 
 @dataclass
 class MultiArmState:
-    """Per-cube active arm sets plus the last epoch's sample log; only sampled arms have a bandwidth."""
+    """Per-cube active arm sets plus the last epoch's sample log; only sampled arms have a bandwidth.
+
+    The run's ``(n_cubes, n_arms)`` tables (``active``, the screen table and
+    the estimates) are column-major, so each arm's column is contiguous and
+    the per-cube reductions over arms run along contiguous memory.  Every
+    stage gives the same result on C-ordered tables, only more slowly.
+    """
 
     lattice: GridLattice
     support_cubes: np.ndarray
@@ -224,11 +230,12 @@ class MultiArmState:
         return self.active[:, arm_index] & self.support_cubes
 
     def invariants_ok(self) -> bool:
-        return bool(np.all(self.active[self.support_cubes].sum(axis=1) >= 1))
+        return bool(self.active.any(axis=1)[self.support_cubes].all())
 
 
 def initial_multi_state(lattice: GridLattice, support_cubes: np.ndarray, n_arms: int) -> MultiArmState:
-    return MultiArmState(lattice, support_cubes, np.ones((lattice.n_cubes, n_arms), dtype=bool))
+    """Every arm active in every cube, in a column-major table (see ``MultiArmState``)."""
+    return MultiArmState(lattice, support_cubes, np.ones((lattice.n_cubes, n_arms), dtype=bool, order="F"))
 
 
 def screen_multi_arm(state: MultiArmState, arm_index: int, support, config: PolicyConfig) -> np.ndarray:
@@ -264,7 +271,7 @@ def estimate_means_at_centers(
     eigenvalue (``None`` when nothing was fitted).  NaN marks combinations
     with no estimate: arm inactive, screened, or without samples.
     """
-    eta = np.full(state.active.shape, np.nan)
+    eta = np.full(state.active.shape, np.nan, order="F")
     estimable = state.active & ~screened & (state.support_cubes & (state.active_counts() >= 2))[:, None]
     basis = config.basis()
     degenerate = 0
@@ -295,7 +302,7 @@ def update_active_sets(
     best = np.fmax.reduce(eta_hat, axis=1)  # NaN, and so beating nothing, where no arm has an estimate
     removal = (screened | (best[:, None] - eta_hat > tolerance)) & state.active
     would_empty = removal.any(axis=1) & ~(state.active & ~removal).any(axis=1)
-    removal[would_empty] = False
+    removal &= ~would_empty[:, None]
     return MultiArmState(state.lattice, state.support_cubes, state.active & ~removal), int(would_empty.sum())
 
 
@@ -304,9 +311,23 @@ estimate_cate_at_centers = estimate_means_at_centers  # the name it patches for 
 
 
 def _multi_arm_tables(state: MultiArmState):
-    """Each cube's active arm indices first, and their count (at least 1); see ``_choose_arms``."""
-    table = np.argsort(~state.active, axis=1, kind="stable").astype(np.int64)
-    return table, np.maximum(state.active_counts(), 1).astype(np.int64)
+    """Each cube's active arm indices first, and their count (at least 1); see ``_choose_arms``.
+
+    A row lists the active arms, then the inactive ones, each in arm
+    order: an active arm goes to the count of active arms before it, an
+    inactive one after every active arm, by the count of inactive arms
+    before it.
+    """
+    n_cubes, n_arms = state.active.shape
+    counts = state.active_counts()
+    table = np.empty((n_cubes, n_arms), dtype=np.int64)
+    cubes = np.arange(n_cubes)
+    seen = np.zeros(n_cubes, dtype=np.int64)  # active arms before arm a
+    for a in range(n_arms):
+        column = state.active[:, a]
+        table[cubes, np.where(column, seen, counts + (a - seen))] = a
+        seen += column
+    return table, np.maximum(counts, 1).astype(np.int64)
 
 
 def run_multi_arm(
@@ -343,13 +364,12 @@ def run_multi_arm(
     below_cube_total = 0
     start_t = 0
     for k, length in enumerate(schedule.realized, start=1):
-        screened = np.zeros(state.active.shape, dtype=bool)
+        screened = np.zeros(state.active.shape, dtype=bool, order="F")
         fail_safe, anomalies, degenerate, min_eig = [], 0, 0, None
         if k >= 2:
             fail_safe = [arm for ai, arm in enumerate(env.arms) if ai not in state.bandwidths]
-            screened = np.column_stack(
-                [screen_multi_arm(state, ai, env.support, config) for ai in range(n_arms)]
-            )
+            for ai in range(n_arms):
+                screened[:, ai] = screen_multi_arm(state, ai, env.support, config)
             eta_hat, degenerate, min_eig = estimate_means_at_centers(state, config, screened)
             state, anomalies = update_active_sets(state, eta_hat, screened, schedule.tolerances[k - 2])
             if not state.invariants_ok():

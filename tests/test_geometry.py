@@ -363,6 +363,12 @@ class TestWeakRegularity:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.startswith("refused center must be one point")
+        # and the screen-table layout tests, all but the memory one
+        selected = "TestScreenTableLayout and not memory"
+        cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", selected]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "17 passed" in proc.stdout, proc.stdout
 
     def test_entry_points_reject_bad_constant_and_resolution(self):
         x = np.array([[0.5, 0.5]])
@@ -635,6 +641,85 @@ class TestLatticeScreening:
             tracemalloc.stop()
         assert peak < 128 * 2**20, peak
         np.testing.assert_array_equal(mask, support_cube_mask(lat, support))
+
+
+class TestScreenTableLayout:
+    """The byte-wide, slot-major running table against a plain cumsum, and the
+    lattice path's masks against the point path at the default resolution and
+    at one that takes the wider type.  Raises rather than asserts, so it also
+    runs under ``python -O``."""
+
+    @pytest.mark.parametrize("resolution, dtype", [(2, np.uint8), (32, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)])
+    def test_running_counts_are_a_slot_major_cumsum(self, monkeypatch, resolution, dtype):
+        rng = np.random.default_rng(resolution)
+        d, cpa = 2, 7
+        rows = geometry._padded_rows(rng.random(cpa**d) < 0.9, d, cpa)
+        rows[0, :cpa] = True  # a row whose counts pass 255 at the wider resolutions
+        axis_cube = rng.integers(0, cpa + 1, size=(cpa, resolution))
+        axis_cube[0] = rng.integers(0, cpa, size=resolution)
+        want = np.zeros((resolution + 1, len(rows), cpa), dtype=np.int64)
+        want[1:] = np.cumsum(rows[:, axis_cube], axis=2).transpose(2, 0, 1)
+        np.testing.assert_equal(int(want.max()), resolution)
+        # one block, one row a block, and blocks that do not divide the rows
+        for chunk in (geometry._SCREEN_CHUNK, cpa, 3 * cpa):
+            monkeypatch.setattr(geometry, "_SCREEN_CHUNK", chunk)
+            running = geometry._running_counts(rows, axis_cube, resolution)
+            np.testing.assert_equal(running.dtype, np.dtype(dtype))
+            np.testing.assert_array_equal(running.reshape(want.shape), want)
+
+    # d = 3 at resolution 256 is left out: its quadrature grid alone is 16.7M points
+    @pytest.mark.parametrize("d, resolution", [(1, 32), (2, 32), (3, 32), (1, 256), (2, 256), (1, 300)])
+    @pytest.mark.parametrize("bumps", [False, True])
+    def test_lattice_masks_match_the_point_path(self, monkeypatch, d, resolution, bumps):
+        rng = np.random.default_rng(100 * d + resolution + bumps)
+        cells = {1: 37, 2: 11, 3: 6}[d]
+        lat = GridLattice(d=d, delta=rng.uniform(1.0, 1.3) / cells, cells_per_axis=cells)
+        support = BumpGridSupport(d=d, q=3, m=3**d // 2 + 1, radius=1.0 / 12.0) if bumps else None
+        member = rng.random(lat.n_cubes) < 0.7
+        region = RegionMask(lat, member, support)
+        if bumps:  # member cubes the support cuts, which the mixed-cube table counts
+            np.testing.assert_equal(bool(np.any(member & (support.classify_cubes(lat) == CUBE_MIXED))), True)
+        dtypes = []
+        running_counts = geometry._running_counts
+
+        def recorded(rows, axis_cube, res):
+            out = running_counts(rows, axis_cube, res)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(geometry, "_running_counts", recorded)
+        centers = _screen_centers(rng, lat, 24)
+        radius = 2.5 * lat.delta
+        cells_of = geometry._lattice_cells(centers, region)
+        _assert_counts_stop_at_need(cells_of, centers, radius, region, resolution, rng)
+        # an in-cube table per call, five calls, and on the bump grid mixed-cube
+        # tables for the calls that leave centers below need
+        np.testing.assert_equal(len(dtypes) > 5, bumps)
+        np.testing.assert_array_equal(dtypes, np.dtype(np.uint8 if resolution < 256 else np.uint16))
+        fractions = _cloud_fractions(centers, radius, region, resolution)
+        for c in (float(np.median(fractions)), 1.0 / 96.0, 1.0):
+            np.testing.assert_array_equal(
+                batch_weak_regularity(centers, radius, c, region, resolution),
+                batch_weak_regularity(centers, radius, c, region.contains, resolution),
+            )
+            np.testing.assert_array_equal(batch_weak_regularity(centers, radius, c, region, resolution), fractions >= c)
+
+    def test_d3_lattice_screens_in_bounded_memory(self):
+        # the int32 table with its cumsum temporary traced 210-237 MB here
+        lat = build_lattice(2**12, 2.0, 3)
+        np.testing.assert_equal(lat.n_cubes, 729_000)
+        rng = np.random.default_rng(12)
+        region = RegionMask(lat, rng.random(lat.n_cubes) < 0.5)
+        centers = lat.centers(rng.choice(lat.n_cubes, size=2000, replace=False))
+        radius, c = 0.1, 1.0 / 96.0
+        tracemalloc.start()
+        try:
+            on_lattice = batch_weak_regularity(centers, radius, c, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_less(peak, 80 * 2**20)
+        np.testing.assert_array_equal(on_lattice[:100], batch_weak_regularity(centers[:100], radius, c, region.contains))
 
 
 def _cube_probes(lat, cube, rng):

@@ -310,17 +310,41 @@ class TestConfigValidation:
         assert info.value.fieldpath == "horizons"
 
     def test_lattice_memory_budget(self):
-        # d = 3 at 2^16 (18,399,744 cubes, about 7.9 GiB estimated) was accepted
+        # d = 3 at 2^16 (18,399,744 cubes, about 4.6 GiB estimated) was accepted
         smooth = [{"name": "smooth_multi", "params": {"beta": 2.0}}, {"name": "uniform"}]
         instance = {"family": "sinusoidal", "params": {"d": 3}}
         cfg = small_config(instance=instance, policies=smooth, horizons=[2**12, 2**16])
-        message = r"^policies\[0\]: horizon 65536 at d = 3 needs a lattice of 18,399,744 cubes, an estimated 7.9 GiB"
+        message = r"^policies\[0\]: horizon 65536 at d = 3 needs a lattice of 18,399,744 cubes, an estimated 4.6 GiB"
         with pytest.raises(ConfigError, match=message):
             validate_experiment_config(cfg)
         validate_experiment_config({**cfg, "horizons": [2**12, 2**14]})
         # a rougher policy's lattice is coarser; baselines build none
         validate_experiment_config({**cfg, "policies": [{"name": "smooth", "params": {"beta": 1.0}}]})
         validate_experiment_config({**cfg, "policies": [{"name": "uniform"}]})
+
+    def test_memory_budget_counts_the_steps(self):
+        # d = 1 at 2^26 has 24,351 cubes, yet its epochs' per-step arrays alone need about 5 GB
+        instance = {"family": "sinusoidal", "params": {"d": 1}}
+        cfg = small_config(instance=instance, policies=[{"name": "smooth", "params": {"beta": 2.0}}], horizons=[2**26])
+        message = r"^policies\[0\]: horizon 67108864 at d = 1 needs a lattice of 24,351 cubes, an estimated 4.9 GiB"
+        with pytest.raises(ConfigError, match=message):
+            validate_experiment_config(cfg)
+        validate_experiment_config({**cfg, "horizons": [2**25]})
+
+    @pytest.mark.parametrize(
+        "d, horizon, arms, peak_mib",
+        [
+            # peak RSS of fresh `smoothbandit run` processes, one run each (sinusoid,
+            # bump grid, equal means): the estimate stays at or above every one
+            (1, 4096, 2, 39.7), (1, 65536, 2, 43.8), (1, 2**18, 2, 55.2), (1, 2**20, 2, 127.1),
+            (1, 2**22, 2, 359.5), (2, 2**14, 2, 56.3), (2, 2**16, 2, 80.1), (2, 2**16, 2, 82.4),
+            (3, 2**12, 2, 188.8), (3, 2**12, 2, 173.0), (3, 2**12, 3, 201.7), (3, 2**12, 5, 233.0),
+            (3, 2**13, 2, 394.8), (3, 2**14, 2, 832.6),
+        ],
+    )
+    def test_memory_estimate_covers_the_measured_peaks(self, d, horizon, arms, peak_mib):
+        cubes = harness.build_lattice(horizon, 2.0, d).n_cubes
+        assert harness._estimated_bytes(cubes, horizon) >= peak_mib * 2**20
 
     @pytest.mark.parametrize(
         "instance, policy, fieldpath, message",

@@ -816,15 +816,83 @@ class TestInvariantChecks:
             run_multi_arm(env, PolicyConfig(beta=1.0, d=1, horizon=2000, arm_count=3), seed=0)
 
     def test_checks_survive_optimize_flag(self):
-        # the two tests above, rerun in an interpreter that strips asserts
+        # the two tests above and the arm-table layout tests, rerun in an
+        # interpreter that strips asserts
         src = os.path.dirname(os.path.dirname(smoothbandit.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        selected = "TestInvariantChecks and raises"
+        selected = "TestInvariantChecks and raises or TestArmTableLayout"
         cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", selected]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "2 passed" in proc.stdout, proc.stdout
+        assert "10 passed" in proc.stdout, proc.stdout
+
+
+def _random_arm_tables(rng, n_cubes, n_arms):
+    """An active table with empty, full and random rows, random estimates
+    (NaN where the arm has none), a random screen table and support."""
+    active = rng.random((n_cubes, n_arms)) < rng.uniform(0.2, 0.8)
+    active[: n_cubes // 10] = False
+    active[n_cubes // 10 : n_cubes // 5] = True
+    eta = np.where(rng.random((n_cubes, n_arms)) < 0.8, rng.normal(0.0, 0.3, (n_cubes, n_arms)), np.nan)
+    screened = rng.random((n_cubes, n_arms)) < 0.1
+    return active, eta, screened, rng.random(n_cubes) < 0.9
+
+
+class TestArmTableLayout:
+    """Column-major arm tables give what row-major ones give, and a run keeps
+    them column-major.  Raises rather than asserts, so it also runs under
+    ``python -O``."""
+
+    @pytest.mark.parametrize("n_arms", [2, 3, 4, 5])
+    def test_arm_tables_match_a_stable_argsort(self, n_arms):
+        lattice = build_lattice(4096, 2.0, 2)
+        active, _, _, support = _random_arm_tables(np.random.default_rng(n_arms), lattice.n_cubes, n_arms)
+        for order in "CF":
+            table, counts = _multi_arm_tables(MultiArmState(lattice, support, np.asarray(active, order=order)))
+            np.testing.assert_array_equal(table, np.argsort(~active, axis=1, kind="stable"))
+            np.testing.assert_array_equal(counts, np.maximum(active.sum(axis=1), 1))
+            np.testing.assert_equal((table.dtype, counts.dtype), (np.dtype(np.int64), np.dtype(np.int64)))
+
+    @pytest.mark.parametrize("n_arms", [2, 3, 5])
+    def test_update_counts_and_invariants_do_not_depend_on_order(self, n_arms):
+        lattice = build_lattice(4096, 2.0, 2)
+        active, eta, screened, support = _random_arm_tables(np.random.default_rng(n_arms), lattice.n_cubes, n_arms)
+        outcomes = []
+        for order in "CF":
+            state = MultiArmState(lattice, support, np.asarray(active, order=order))
+            after, anomalies = update_active_sets(
+                state, np.asarray(eta, order=order), np.asarray(screened, order=order), 0.1
+            )
+            np.testing.assert_equal(after.active.flags.f_contiguous, order == "F")
+            filled = after.active.copy(order="K")  # empty rows left off the support only
+            filled[support & (after.active.sum(axis=1) == 0), 0] = True
+            filled = MultiArmState(lattice, support, filled)
+            outcomes.append(
+                (after.active, anomalies, state.active_counts(), after.active_counts(),
+                 state.invariants_ok(), filled.invariants_ok())
+            )
+        np.testing.assert_equal(outcomes[0], outcomes[1])
+        # empty rows on the support fail the check, empty rows off it do not
+        np.testing.assert_equal(outcomes[0][4:], (False, True))
+
+    def test_runs_keep_the_tables_column_major(self, monkeypatch):
+        layouts = []
+        update = policy.update_active_sets
+
+        def recorded(state, eta_hat, screened, tolerance):
+            after, anomalies = update(state, eta_hat, screened, tolerance)
+            tables = (state.active, eta_hat, screened, after.active)
+            layouts.append([table.flags.f_contiguous and not table.flags.c_contiguous for table in tables])
+            return after, anomalies
+
+        monkeypatch.setattr(policy, "update_active_sets", recorded)
+        env = make_smooth_instance("sinusoidal", d=2, amplitude=0.4, beta=2.0)
+        run_two_arm(env, PolicyConfig(beta=2.0, d=2, horizon=2048, c_epoch=8.0, p=0.5), seed=2024)
+        env = make_constant_multi_arm((0.3, 0.6, 0.9), d=1)
+        run_multi_arm(env, PolicyConfig(beta=1.0, d=1, horizon=5000, arm_count=3), seed=1)
+        np.testing.assert_array_less(2, len(layouts))
+        np.testing.assert_array_equal(layouts, True)
 
 
 class TestOffLatticeContexts:
