@@ -105,11 +105,22 @@ class GridLattice:
         return j
 
     def cube_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat cube index for each point; -1 for points off the lattice."""
+        """Flat cube index for each point; -1 for points off the lattice.
+
+        Built axis by axis by Horner's rule, with the validity kept as one
+        mask over the points; an off-lattice point's index may wrap around
+        before it is replaced.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         j = self.axis_index(points)
-        valid = np.all((points >= 0.0) & (j >= 0) & (j < self.cells_per_axis), axis=1)
-        return np.where(valid, np.ravel_multi_index(tuple(j.T), self.shape, mode="clip"), -1)
+        cpa = self.cells_per_axis
+        flat = j[:, 0].copy()
+        valid = (points[:, 0] >= 0.0) & (flat >= 0) & (flat < cpa)
+        for k in range(1, self.d):
+            flat *= cpa
+            flat += j[:, k]
+            valid &= (points[:, k] >= 0.0) & (j[:, k] >= 0) & (j[:, k] < cpa)
+        return np.where(valid, flat, -1)
 
     def cube_ids(self, flat: np.ndarray | None = None) -> np.ndarray:
         """Per-axis cube indices of flat cube indices (every cube when ``None``), shape (n, d)."""

@@ -225,44 +225,56 @@ def _is_int(value) -> bool:
 
 # An elimination run's peak memory is a fixed part (the interpreter and
 # the package), a part per lattice cube (the per-cube tables of the
-# screen, the estimates and the active sets) and a part per step of the
-# horizon (an epoch's contexts, actions, rewards and outcomes).  The three
-# were fitted, each rounded up, to the peak RSS of fresh `smoothbandit run`
-# processes (sinusoid, bump grid and equal-means 2-, 3- and 5-arm
-# instances at d = 1 up to 2^22 steps, d = 2 up to 2^16, d = 3 up to 2^14
-# with 3,796,416 cubes), so that the estimate is at or above every one of
-# them.  The peaks also grow with the arm count, about 18 bytes a cube an
-# arm, which the per-cube term covers up to five arms.  A run estimated above the budget, half of the 8 GB machine that
-# measured it, is refused before any run starts.
+# screen, the estimates and the active sets), of which the `(n_cubes,
+# n_arms)` float and bool tables grow with the arm count, and a part per
+# step of the horizon (an epoch's contexts, actions, rewards and outcomes).
+# The terms were fitted, each rounded up, to the peak RSS of fresh
+# `smoothbandit run` processes (sinusoid, bump grid and equal-means 2-, 3-
+# and 5-arm instances at d = 1 up to 2^22 steps, d = 2 up to 2^16, d = 3
+# up to 2^14 with 3,796,416 cubes), so that the estimate is at or above
+# every one of them: the equal-means runs at d = 3, 2^12 (729,000 cubes)
+# peaked 15.6 MiB higher for each arm, 22.4 bytes a cube.  At two arms the
+# per-cube part, 265 bytes, stays above the 216 that the d = 3, 2^14 peak
+# needs, so a two-arm config is refused exactly where it was with one
+# per-cube term for up to five arms.  A run estimated above the budget,
+# half of the 8 GB machine that measured it, is refused before any run
+# starts.
 _FIXED_BYTES = 50 * 2**20
-_BYTES_PER_CUBE = 265
+_BYTES_PER_CUBE = 219
+_BYTES_PER_CUBE_ARM = 23
 _BYTES_PER_STEP = 78
 _MEMORY_BUDGET = 4 * 2**30
 
 
-def _estimated_bytes(cubes: int, horizon: int) -> int:
-    """Estimated peak memory of an elimination run with this lattice and horizon."""
-    return _FIXED_BYTES + cubes * _BYTES_PER_CUBE + horizon * _BYTES_PER_STEP
+def _cube_bytes(n_arms: int) -> int:
+    """Estimated bytes a lattice cube of an elimination run over ``n_arms`` arms."""
+    return _BYTES_PER_CUBE + n_arms * _BYTES_PER_CUBE_ARM
 
 
-def _check_lattice_memory(cfg: dict, horizons: list, d: int) -> None:
+def _estimated_bytes(cubes: int, horizon: int, n_arms: int) -> int:
+    """Estimated peak memory of an elimination run with this lattice, horizon and arm count."""
+    return _FIXED_BYTES + cubes * _cube_bytes(n_arms) + horizon * _BYTES_PER_STEP
+
+
+def _check_lattice_memory(cfg: dict, horizons: list, d: int, n_arms: int) -> None:
     """Reject a config with an elimination run that would not fit the memory budget.
 
     The run's cube count is ``build_lattice``'s for the instance's
-    dimension ``d``, the horizon and the policy's ``beta``.
+    dimension ``d``, the horizon and the policy's ``beta``; ``n_arms`` is
+    the instance's arm count.
     """
     for i, p in enumerate(cfg["policies"]):
         if p["name"] not in ("smooth", "smooth_multi"):
             continue
         for T in horizons:
             cubes = build_lattice(T, p["params"]["beta"], d).n_cubes
-            estimate = _estimated_bytes(cubes, T)
+            estimate = _estimated_bytes(cubes, T, n_arms)
             if estimate > _MEMORY_BUDGET:
                 raise ConfigError(
                     f"policies[{i}]",
                     f"horizon {T} at d = {d} needs a lattice of {cubes:,} cubes, an estimated "
-                    f"{estimate / 2**30:.1f} GiB ({_FIXED_BYTES // 2**20} MiB, {_BYTES_PER_CUBE} bytes "
-                    f"a cube and {_BYTES_PER_STEP} bytes a step), over the "
+                    f"{estimate / 2**30:.1f} GiB ({_FIXED_BYTES // 2**20} MiB, {_cube_bytes(n_arms)} bytes "
+                    f"a cube at {n_arms} arms and {_BYTES_PER_STEP} bytes a step), over the "
                     f"{_MEMORY_BUDGET / 2**30:.0f} GiB memory budget",
                 )
 
@@ -329,7 +341,7 @@ def validate_experiment_config(cfg: dict) -> dict:
     out_dir = cfg.get("out_dir", ".")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", f"must be a non-empty string, got {out_dir!r}")
-    _check_lattice_memory(cfg, horizons, env.d)
+    _check_lattice_memory(cfg, horizons, env.d, env.n_arms)
     out.setdefault("reps", reps)
     out.setdefault("base_seed", base_seed)
     out.setdefault("checkpoints", checkpoints)

@@ -40,11 +40,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Origin blocks span less than this fraction of the bandwidth along a row.
-# Narrower blocks cost more (pair, block) terms but round less in the
-# running sums and the binomial shift: at 1/4, a thin ball beside a
-# sample-free band came within 1% of the kernel tests' error bound.
-_ORIGIN_SPAN = 0.125
+# Origin blocks span less than this fraction of the bandwidth along a row:
+# the first value for bases of degree l <= 1, the second for l >= 2
+# (``_origin_span``).  Narrower blocks cost more (pair, block) terms but
+# round less in the running sums and the binomial shift, which carries a
+# moment of degree p from the block origin to a query |s| h away and scales
+# its rounding by at most (1 + |s|)^p.  The Gram matrix needs p <= 2 l.  At
+# l <= 1, blocks h / 2 wide keep |s| <= 1/4, a factor of at most 1.56; h / 8
+# blocks already reach 1.44 at l = 3, where wider ones lost precision: at
+# l = 2, blocks h / 4 wide put a thin ball beside a sample-free band within
+# 1% of the kernel tests' error bound.  Blocks h wide failed them at l = 1.
+_ORIGIN_SPAN = (0.5, 0.125)
 # Work held at once by ``_block_fits``: candidate (row, sample) pairs per
 # group of rows, (pair, origin block) terms plus M per query in a chunk of
 # whole origin blocks, and M^2 Gram entries per query in a batch of chunks.
@@ -309,6 +315,11 @@ def _checked_inputs(centers, points, rewards, h: float):
     return centers, points, rewards
 
 
+def _origin_span(basis: MultiIndexBasis) -> float:
+    """The width of ``basis``'s origin blocks over the bandwidth, from its degree (``_ORIGIN_SPAN``)."""
+    return _ORIGIN_SPAN[0] if basis.l <= 1 else _ORIGIN_SPAN[1]
+
+
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(s, s + n)`` over the pairs of ``starts`` and ``lengths``."""
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -488,13 +499,18 @@ class _Sweep:
     A row holds the queries that share every coordinate but the last; the
     sorted queries ``centers[order]`` list the rows one after another, each
     in increasing last coordinate.  An origin block is a run of a row's
-    queries less than ``_ORIGIN_SPAN * h`` wide, on a grid anchored at the
-    row's first query; its origin is the midpoint of its first and last
-    query on the last axis, and ``shift`` is each query's offset from its
-    block's origin over ``h``.  Row ``r``'s candidate samples are
-    ``sample_order[lo[r]:hi[r]]``: every sample at ``d = 1``, otherwise
-    the sorted window ``|x_0 - c_0| <= h`` on the first axis, padded a
-    little so that rounding cannot drop a sample the exact test keeps.
+    queries less than ``span * h`` wide, on a grid anchored at the row's
+    first query; its origin is the midpoint of its first and last query on
+    the last axis, and ``shift`` is each query's offset from its block's
+    origin over ``h``.  ``_block_fits`` sets ``span`` by the basis degree
+    (``_origin_span``): h / 2 wide blocks for a local constant or linear
+    fit, whose Gram matrix needs moments of degree at most 2 only, and
+    h / 8 for higher degrees, whose binomial shift amplifies rounding more;
+    the default, h / 8, suits every degree.  Row ``r``'s candidate samples
+    are ``sample_order[lo[r]:hi[r]]``: every sample at ``d = 1``,
+    otherwise the sorted window ``|x_0 - c_0| <= h`` on the first axis,
+    padded a little so that rounding cannot drop a sample the exact test
+    keeps.
 
     ``pairs`` finds each candidate pair's run of queries.  At ``d = 1`` one
     ``searchsorted`` of the sorted samples gives every run exactly.
@@ -503,7 +519,7 @@ class _Sweep:
     of several queries.
     """
 
-    def __init__(self, centers: np.ndarray, points: np.ndarray, h: float):
+    def __init__(self, centers: np.ndarray, points: np.ndarray, h: float, span: float = _ORIGIN_SPAN[1]):
         n = len(centers)
         self.h = h
         self.order = np.lexsort(centers.T[::-1])
@@ -515,7 +531,7 @@ class _Sweep:
         self.row_end = np.append(self.row_start[1:], n)
         self.keys = ordered[self.row_start, :-1]
         row_of = np.cumsum(new_row) - 1
-        cell = np.floor((self.last - self.last[self.row_start][row_of]) / (_ORIGIN_SPAN * h))
+        cell = np.floor((self.last - self.last[self.row_start][row_of]) / (span * h))
         new_block = new_row.copy()
         new_block[1:] |= cell[1:] != cell[:-1]
         self.block_of = np.cumsum(new_block) - 1
@@ -762,7 +778,7 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
     eig_tol = default_eig_tol(basis)
     gram_plan, rhs_plan, columns, entry = _plans(basis)
     K = len(gram_plan.columns)
-    sweep = _Sweep(centers, points, h)
+    sweep = _Sweep(centers, points, h, _origin_span(basis))
     for r0, r1 in _spans(sweep.hi - sweep.lo + sweep.row_end - sweep.row_start, _CHUNK):
         pairs = sweep.pairs(r0, r1, points, rewards)
         p0, p1 = sweep.row_start[r0], sweep.row_end[r1 - 1]

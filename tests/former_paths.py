@@ -129,7 +129,7 @@ def block_fits(centers, points, rewards, h, basis):
     eig_tol = localpoly.default_eig_tol(basis)
     gram_plan, rhs_plan, columns, entry = localpoly._plans(basis)
     K = len(gram_plan.columns)
-    sweep = localpoly._Sweep(centers, points, h)
+    sweep = localpoly._Sweep(centers, points, h, localpoly._origin_span(basis))
     for r0, r1 in localpoly._spans(sweep.hi - sweep.lo + sweep.row_end - sweep.row_start, localpoly._CHUNK):
         pairs = sweep.pairs(r0, r1, points, rewards)
         p0, p1 = sweep.row_start[r0], sweep.row_end[r1 - 1]

@@ -340,11 +340,29 @@ class TestConfigValidation:
             (1, 2**22, 2, 359.5), (2, 2**14, 2, 56.3), (2, 2**16, 2, 80.1), (2, 2**16, 2, 82.4),
             (3, 2**12, 2, 188.8), (3, 2**12, 2, 173.0), (3, 2**12, 3, 201.7), (3, 2**12, 5, 233.0),
             (3, 2**13, 2, 394.8), (3, 2**14, 2, 832.6),
+            # equal means at 2, 3 and 5 arms, measured again after the wider origin blocks
+            (3, 2**12, 2, 186.1), (3, 2**12, 3, 201.7), (3, 2**12, 5, 232.8), (3, 2**14, 2, 823.3),
         ],
     )
     def test_memory_estimate_covers_the_measured_peaks(self, d, horizon, arms, peak_mib):
         cubes = harness.build_lattice(horizon, 2.0, d).n_cubes
-        assert harness._estimated_bytes(cubes, horizon) >= peak_mib * 2**20
+        assert harness._estimated_bytes(cubes, horizon, arms) >= peak_mib * 2**20
+
+    def test_memory_budget_counts_the_arms(self):
+        # the estimate once ignored the arm count: 40 arms at d = 3, 2^14 were accepted
+        policies = [{"name": "smooth_multi", "params": {"beta": 2.0}}]
+
+        def cfg(arms):
+            instance = {"family": "constant_multi", "params": {"d": 3, "means": [0.5] * arms}}
+            return small_config(instance=instance, policies=policies, horizons=[2**14])
+
+        message = r"^policies\[0\]: horizon 16384 at d = 3 needs a lattice of 3,796,416 cubes, an estimated 4.1 GiB"
+        with pytest.raises(ConfigError, match=message):
+            validate_experiment_config(cfg(40))
+        validate_experiment_config(cfg(30))
+        cubes = 3_796_416
+        assert (harness._estimated_bytes(cubes, 2**14, 5) - harness._estimated_bytes(cubes, 2**14, 2)
+                == 3 * harness._BYTES_PER_CUBE_ARM * cubes)
 
     @pytest.mark.parametrize(
         "instance, policy, fieldpath, message",

@@ -450,7 +450,10 @@ def _lattice_cases():
     """Seeded (name, centers, points, rewards, h, basis) inputs whose rows hold many centers.
 
     The centers are lattice cube centers in flat order; each row is several
-    times ``localpoly._ORIGIN_SPAN * h`` long, so it spans several origin blocks.
+    times ``localpoly._origin_span(basis) * h`` long, so it spans several
+    origin blocks.  The empty-rows case runs at every degree that sets a
+    width of its own: l = 2 (h / 8) and, as ``-l0`` and ``-l1``, l = 0 and 1
+    (h / 2) on the same samples.
     """
     rng = np.random.default_rng(31)
     horizons = {1: 2**12, 2: 2**11, 3: 2**10}
@@ -469,6 +472,8 @@ def _lattice_cases():
         y = rng.random(len(pts))
         ids = _row_subset(lattice, rng, rows=12, keep=0.5)
         yield f"lattice-empty-rows-d{d}", lattice.centers(ids), pts, y, 0.1, enumerate_basis(d, 2)
+        for l in (0, 1):
+            yield f"lattice-empty-rows-d{d}-l{l}", lattice.centers(ids), pts, y, 0.1, enumerate_basis(d, l)
     # samples exactly at a run end: dyadic centers, h = 5/16, and offsets
     # (3/16, 4/16) and (0, 5/16) whose squared lengths equal h^2 exactly
     for d in (1, 2, 3):
@@ -487,6 +492,21 @@ def _lattice_cases():
 
 LATTICE_CASES = list(_lattice_cases())
 ORACLE_CASES = KERNEL_CASES + LATTICE_CASES
+
+
+class TestOriginBlocks:
+    @pytest.mark.parametrize("case", LATTICE_CASES, ids=[c[0] for c in LATTICE_CASES])
+    def test_blocks_are_narrower_than_their_span(self, case):
+        _, centers, pts, _, h, basis = case
+        span = localpoly._origin_span(basis)
+        assert span == (0.5 if basis.l <= 1 else 0.125)
+        sweep = localpoly._Sweep(centers, pts, h, span)
+        widths = sweep.last[sweep.block_end - 1] - sweep.last[sweep.block_start]
+        assert np.all(widths < span * h)
+        if case[0].startswith("lattice-"):
+            # every row meets several blocks, as the cases promise
+            blocks = sweep.block_of[sweep.row_end - 1] - sweep.block_of[sweep.row_start] + 1
+            assert blocks.min() >= 5, blocks.min()
 
 
 def _single_center_cases():
