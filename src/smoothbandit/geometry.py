@@ -95,10 +95,13 @@ class GridLattice:
         both centers; it is assigned to the lower-index cube, whose center
         is closer to the origin.  A coordinate in [0, 1] never lands past
         the last cube, even where ``1 / delta`` rounds above
-        ``cells_per_axis``.
+        ``cells_per_axis``.  An index out of range is only known to be out
+        of range: ``u`` is held in ``[-1, cells_per_axis + 1]`` before the
+        cast, so NaN, infinities and huge coordinates cast cleanly.
         """
         coords = np.asarray(coords, dtype=float)
         u = coords / self.delta
+        np.fmin(np.fmax(u, -1.0, out=u), self.cells_per_axis + 1.0, out=u)  # fmax takes NaN to -1
         j = np.floor(u).astype(np.int64)
         j -= (u == j) & (j > 0)
         np.minimum(j, self.cells_per_axis - 1, out=j, where=coords <= 1.0)
@@ -108,8 +111,8 @@ class GridLattice:
         """Flat cube index for each point; -1 for points off the lattice.
 
         Built axis by axis by Horner's rule, with the validity kept as one
-        mask over the points; an off-lattice point's index may wrap around
-        before it is replaced.
+        mask over the points; an off-lattice point's partial index means
+        nothing and is replaced.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         j = self.axis_index(points)
@@ -202,9 +205,10 @@ class RegionMask:
 
 # Bound on the work held in memory at once while screening: quadrature
 # points per block of :func:`_point_counts` (the point-level path and the
-# support mask's mixed cubes), integer gathers per block on the lattice
-# path, cubes per block of a running-count slab, and row slots (each
-# ``resolution`` points) per block of its mixed-cube pass.
+# support mask's mixed cubes) and of the one-row path at ``d = 1``, integer
+# gathers per block on the lattice path, cubes per block of a running-count
+# slab, and row slots (each ``resolution`` points) per block of its
+# mixed-cube pass.
 _SCREEN_CHUNK = 1 << 18
 
 
@@ -333,6 +337,11 @@ def _lattice_counts(
 ) -> np.ndarray:
     """``min(count, need)`` for :func:`_point_counts`' counts at lattice centers.
 
+    At ``d = 1`` a ball is one row that each center reads once, so no table
+    pays for itself there: :func:`_one_row_counts` gathers the centers' own
+    points instead.  The tables below serve ``d >= 2``, where each one
+    serves many (center, row) lookups.
+
     Along one axis, coordinate ``k`` of the ball around cube ``j`` is
     ``(j + 1/2) delta + radius * axis[k]`` whatever the other axes do, and
     membership of the unit cube is a per-axis test.  So one table gives the
@@ -361,6 +370,8 @@ def _lattice_counts(
     point count gives the exact counts.
     """
     lattice = region.lattice
+    if lattice.d == 1:
+        return _one_row_counts(cells, radius, region, resolution, need)
     d, cpa = lattice.d, lattice.cells_per_axis
     _, prefix, lo, hi = _ball_quadrature(d, resolution)
     centers = (np.arange(cpa) + 0.5) * lattice.delta
@@ -400,6 +411,51 @@ def _lattice_counts(
             counts[below] += _mixed_counts(
                 block, prefix_cube, touched, coords, axis_cube, mixed, region.support, resolution
             )
+    return np.minimum(counts, need)
+
+
+def _one_row_counts(
+    cells: np.ndarray, radius: float, region: RegionMask, resolution: int, need: int
+) -> np.ndarray:
+    """:func:`_lattice_counts` at ``d = 1``, from each center's own points.
+
+    A point is ``(j + 1/2) delta + radius * axis[k]``, the float operations
+    of :meth:`RegionMask.contains` on :func:`_point_counts`' points, and
+    :meth:`GridLattice.axis_index` gives its cube.  A point in the unit
+    cube and in a member cube that the support's classifier calls in
+    counts with one gathered flag; one in a member mixed cube counts if
+    the support predicate holds there.  The points are taken nearest the
+    center first: the ``need`` nearest of every center, then the rest for
+    only the centers still below ``need``.  Blocks hold at most
+    ``_SCREEN_CHUNK`` points.
+    """
+    lattice = region.lattice
+    cpa = lattice.cells_per_axis
+    axis = _ball_quadrature(1, resolution)[0][:, 0]
+    steps = radius * axis[np.argsort(np.abs(axis), kind="stable")]
+    member = np.asarray(region.cube_mask, dtype=bool)
+    classes = _classifier(region.support)(lattice)
+    # one flag a cube, and a padding slot ``cpa`` for points off the unit cube
+    counted = np.append(member & (classes == CUBE_IN), False)
+    mixed = np.append(member & (classes == CUBE_MIXED), False)
+    tested = mixed.any()
+    centers = (cells[:, 0] + 0.5) * lattice.delta
+    counts = np.zeros(len(cells), dtype=np.int64)
+    step = max(1, _SCREEN_CHUNK // len(steps))
+    for start in range(0, len(cells), step):
+        below = np.arange(start, min(start + step, len(cells)))
+        for part in (steps[:need], steps[need:]):
+            below = below[counts[below] < need]
+            if not len(below):
+                break
+            coords = centers[below, None] + part[None, :]
+            cube = np.where((coords >= 0.0) & (coords <= 1.0), lattice.axis_index(coords), cpa)
+            counts[below] += np.count_nonzero(counted[cube], axis=1)
+            if tested:
+                i, k = np.nonzero(mixed[cube])
+                if len(i):
+                    hit = np.asarray(region.support(coords[i, k, None]), dtype=bool)
+                    counts[below] += np.bincount(i[hit], minlength=len(below))
     return np.minimum(counts, need)
 
 
@@ -529,7 +585,12 @@ def batch_weak_regularity(
       reaches ``need``.  Only for the centers that every row leaves below
       ``need`` does the support predicate run, on the in-ball points that
       fall in member cubes it cuts, for the rows of the ball that touch
-      such a cube (:func:`_lattice_counts`);
+      such a cube (:func:`_lattice_counts`).  At ``d = 1`` the ball is
+      one row, read once per center, so no table is built: each center's
+      own points are mapped to cubes, nearest the center first, until it
+      reaches ``need``, with the predicate on those in member cubes the
+      support cuts (:func:`_one_row_counts`).  The tables stay at
+      ``d >= 2``, where each one serves many (center, row) lookups;
     - the point path otherwise, for example for off-lattice centers or a
       bare predicate: the region's membership test on every quadrature
       point, built for a bounded block of centers at a time

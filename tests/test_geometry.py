@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +208,25 @@ class TestLatticeCodec:
             assert _flat_id(lat, cube) == f
             assert lat.center(int(f)).tobytes() == centers[f].tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_and_huge_coordinates_cast_cleanly_off_the_lattice(self, d):
+        # these reached the int64 cast unbounded: "invalid value encountered in cast"
+        lat = GridLattice(d=d, delta=1.3 / 7, cells_per_axis=7)
+        rng = np.random.default_rng(d)
+        bad = [np.nan, np.inf, -np.inf, 1e30, -1e30]
+        points = rng.random((d * len(bad), d))
+        for i, (axis, value) in enumerate(itertools.product(range(d), bad)):
+            points[i, axis] = value
+        good = rng.random((6, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = lat.cube_index(np.vstack([points, good]))
+            j = lat.axis_index(points)
+        np.testing.assert_array_equal(flat[: len(points)], -1)
+        np.testing.assert_array_equal(flat[len(points) :], [_flat_id(lat, np.floor(x / lat.delta)) for x in good])
+        off = ~np.isfinite(points) | (np.abs(points) > 1.0)
+        np.testing.assert_array_equal((j < 0) | (j >= lat.cells_per_axis), off)
+
     def test_out_of_range_indices_raise(self):
         lat = GridLattice(d=2, delta=0.25, cells_per_axis=4)
         for flat in (-1, 16):
@@ -363,12 +384,12 @@ class TestWeakRegularity:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.startswith("refused center must be one point")
-        # and the screen-table layout tests, all but the memory one
-        selected = "TestScreenTableLayout and not memory"
+        # and the screen-table layout tests, all but the memory one, and the one-row screen's
+        selected = "(TestScreenTableLayout and not memory) or TestOneRowScreen"
         cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", selected]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "17 passed" in proc.stdout, proc.stdout
+        assert "31 passed" in proc.stdout, proc.stdout
 
     def test_entry_points_reject_bad_constant_and_resolution(self):
         x = np.array([[0.5, 0.5]])
@@ -692,10 +713,13 @@ class TestScreenTableLayout:
         radius = 2.5 * lat.delta
         cells_of = geometry._lattice_cells(centers, region)
         _assert_counts_stop_at_need(cells_of, centers, radius, region, resolution, rng)
-        # an in-cube table per call, five calls, and on the bump grid mixed-cube
-        # tables for the calls that leave centers below need
-        np.testing.assert_equal(len(dtypes) > 5, bumps)
-        np.testing.assert_array_equal(dtypes, np.dtype(np.uint8 if resolution < 256 else np.uint16))
+        if d == 1:  # a one-row ball gathers its own points: no table at all
+            np.testing.assert_equal(dtypes, [])
+        else:
+            # an in-cube table per call, five calls, and on the bump grid mixed-cube
+            # tables for the calls that leave centers below need
+            np.testing.assert_equal(len(dtypes) > 5, bumps)
+            np.testing.assert_array_equal(dtypes, np.dtype(np.uint8 if resolution < 256 else np.uint16))
         fractions = _cloud_fractions(centers, radius, region, resolution)
         for c in (float(np.median(fractions)), 1.0 / 96.0, 1.0):
             np.testing.assert_array_equal(
@@ -720,6 +744,111 @@ class TestScreenTableLayout:
             tracemalloc.stop()
         np.testing.assert_array_less(peak, 80 * 2**20)
         np.testing.assert_array_equal(on_lattice[:100], batch_weak_regularity(centers[:100], radius, c, region.contains))
+
+
+class TestOneRowScreen:
+    """The d = 1 screen, which gathers each center's own points and builds no
+    table, against the point path at its edges, for ``need`` 0, 1, 2, about
+    half the ball, all of it and one more.  Raises rather than asserts, so it
+    also runs under ``python -O``."""
+
+    @staticmethod
+    def _check(monkeypatch, lat, region, radius, resolution, centers=None):
+        def no_table(*args):
+            raise AssertionError("a d = 1 screen built a running-count table")
+
+        monkeypatch.setattr(geometry, "_running_counts", no_table)
+        centers = lat.centers() if centers is None else centers
+        cells = geometry._lattice_cells(centers, region)
+        np.testing.assert_equal(cells is None, False)
+        offsets = geometry._ball_quadrature(1, resolution)[0]
+        exact = geometry._point_counts(centers, radius * offsets, region)
+        denom = len(offsets)
+        for need in (0, 1, 2, denom // 2, denom, denom + 1):
+            np.testing.assert_array_equal(
+                geometry._lattice_counts(cells, radius, region, resolution, need), np.minimum(exact, need)
+            )
+        return exact
+
+    @pytest.mark.parametrize("resolution", [3, 5, 33])
+    def test_odd_resolution_counts_the_center_itself(self, monkeypatch, resolution):
+        np.testing.assert_equal(float(geometry._midpoint_axis(resolution)[resolution // 2]), 0.0)
+        lat = GridLattice(d=1, delta=1.0 / 23, cells_per_axis=23)
+        region = RegionMask(lat, np.random.default_rng(resolution).random(23) < 0.5)
+        exact = self._check(monkeypatch, lat, region, 2.5 * lat.delta, resolution)
+        # need 1 is decided by the center's own point for a member center
+        cells = geometry._lattice_cells(lat.centers(), region)
+        np.testing.assert_array_equal(
+            geometry._lattice_counts(cells, lat.delta / 3, region, resolution, 1), region.cube_mask.astype(np.int64)
+        )
+        np.testing.assert_equal(bool(np.any((exact > 0) & (exact < resolution))), True)
+
+    def test_last_cube_overhanging_one(self, monkeypatch):
+        lat = GridLattice(d=1, delta=1.45 / 11, cells_per_axis=11)
+        for member in (np.ones(11, dtype=bool), np.random.default_rng(11).random(11) < 0.6):
+            for support in (None, unit_cube_support):
+                exact = self._check(monkeypatch, lat, RegionMask(lat, member, support), lat.delta, 32)
+                # the last center lies past 1, and so do its far points
+                np.testing.assert_equal(int(exact[-1]) < 32, True)
+        np.testing.assert_equal(lat.centers()[-1, 0] > 1.0, True)
+
+    @pytest.mark.parametrize("scale", [0.2, 0.249])
+    def test_radius_below_a_quarter_cube(self, monkeypatch, scale):
+        lat = GridLattice(d=1, delta=1.2 / 17, cells_per_axis=17)
+        region = RegionMask(lat, np.random.default_rng(17).random(17) < 0.5)
+        exact = self._check(monkeypatch, lat, region, scale * lat.delta, 32)
+        # every point stays in the center's cube, and inside the unit cube for centers well below 1
+        inside = lat.centers()[:, 0] + lat.delta < 1.0
+        np.testing.assert_equal(int(inside.sum()), 13)
+        np.testing.assert_array_equal(exact[inside], np.where(region.cube_mask[inside], 32, 0))
+
+    @pytest.mark.parametrize("radius", [1.0 + 1e-9, 1.7])
+    def test_radius_above_one(self, monkeypatch, radius):
+        lat = GridLattice(d=1, delta=1.0 / 9, cells_per_axis=9)
+        for resolution in (2, 32, 33):
+            exact = self._check(monkeypatch, lat, RegionMask(lat, np.ones(9, dtype=bool)), radius, resolution)
+            np.testing.assert_equal(bool(np.all(exact < resolution)), True)
+
+    @pytest.mark.parametrize("resolution", [32, 33])
+    def test_nearest_points_in_mixed_cubes(self, monkeypatch, resolution):
+        support = BumpGridSupport(d=1, q=4, m=3, radius=0.06)
+        lat = GridLattice(d=1, delta=1.1 / 50, cells_per_axis=50)
+        mixed = np.nonzero(support.classify_cubes(lat) == CUBE_MIXED)[0]
+        np.testing.assert_equal(len(mixed) > 0, True)
+        tested = []
+
+        def counted(points):
+            tested.append(np.array(points))
+            return support(points)
+
+        counted.classify_cubes = support.classify_cubes
+        region = RegionMask(lat, np.ones(50, dtype=bool), counted)
+        centers = lat.centers(mixed)
+        for radius in (lat.delta / 3, 4 * lat.delta):
+            exact = self._check(monkeypatch, lat, region, radius, resolution, centers)
+            # some centers hit the support and some miss part of it
+            np.testing.assert_equal(bool(np.any(exact > 0) and np.any(exact < resolution)), True)
+        # the two nearest points of every center, tested first: both lie in its own mixed cube
+        tested.clear()
+        cells = geometry._lattice_cells(centers, region)
+        geometry._lattice_counts(cells, lat.delta / 3, region, resolution, 2)
+        steps = lat.delta / 3 * geometry._midpoint_axis(resolution)
+        nearest = np.sort(np.abs(steps))[1] + 1e-15
+        np.testing.assert_equal(len(tested[0]), 2 * len(centers))
+        np.testing.assert_array_less(np.abs(tested[0] - np.repeat(centers, 2, axis=0)), nearest)
+        # then the rest, of only the centers those two left below need
+        below = int(np.count_nonzero(support(tested[0]).reshape(-1, 2).sum(axis=1) < 2))
+        np.testing.assert_equal(0 < below < len(centers), True)
+        np.testing.assert_equal([len(t) for t in tested], [2 * len(centers), (resolution - 2) * below])
+
+    @pytest.mark.parametrize("chunk", [1, 31, 32, 97])
+    def test_blocks_do_not_change_counts(self, monkeypatch, chunk):
+        lat = build_lattice(2**12, 2.0, 1)
+        rng = np.random.default_rng(chunk)
+        support = BumpGridSupport(d=1, q=7, m=5, radius=0.03)
+        region = RegionMask(lat, rng.random(lat.n_cubes) < 0.8, support)
+        monkeypatch.setattr(geometry, "_SCREEN_CHUNK", chunk)
+        self._check(monkeypatch, lat, region, 3 * lat.delta, 32)
 
 
 def _cube_probes(lat, cube, rng):

@@ -542,9 +542,9 @@ class TestRunTwoArm:
         assert np.nanmax(tau[ids]) == pytest.approx(0.75, abs=0.05)
 
 
-def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
-    """Runs on the d = 2 bump-grid instance with its classified support and
-    with the bare predicate.
+def _classified_and_bare_runs(tmp_path, monkeypatch, d=2, **config):
+    """Runs on the bump-grid instance in ``d`` dimensions with its classified
+    support and with the bare predicate.
 
     The classified support screens on the lattice, the bare predicate on the
     points; the runs and their state reports must not tell them apart.
@@ -552,10 +552,10 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
     one's screen called (the support mask counts its mixed cubes with
     ``_point_counts`` too, outside the screen).
     """
-    env = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3)
+    env = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=d, seed=3)
     bare = dataclasses.replace(env, support=lambda points: env.support(points))
     assert hasattr(env.support, "classify_cubes") and not hasattr(bare.support, "classify_cubes")
-    cfg = PolicyConfig(d=2, horizon=2**11, arm_count=2, beta=2.0, c_epoch=8.0, p=0.5, **config)
+    cfg = PolicyConfig(d=d, horizon=2**11, arm_count=2, beta=2.0, c_epoch=8.0, p=0.5, **config)
     calls, screening = [], [False]
 
     def screen(*args, _f=policy.batch_weak_regularity):
@@ -566,7 +566,7 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, **config):
             screening[0] = False
 
     monkeypatch.setattr(policy, "batch_weak_regularity", screen)
-    for name in ("_point_counts", "_lattice_counts", "_mixed_counts"):
+    for name in ("_point_counts", "_lattice_counts", "_one_row_counts", "_mixed_counts"):
         counted = getattr(geometry, name)
         monkeypatch.setattr(
             geometry, name, lambda *a, _f=counted, _n=name: screening[0] and calls.append(_n) or _f(*a)
@@ -683,6 +683,14 @@ class TestRunMultiArm:
         runs, paths = _classified_and_bare_runs(tmp_path, monkeypatch, c0=1.0)
         assert sum(sum(e.screened_cubes.values()) for e in runs[0].epochs) > 0
         assert "_mixed_counts" in paths[0]
+
+    def test_d1_bump_grid_classifier_keeps_a_run_that_flags_cubes(self, tmp_path, monkeypatch):
+        # the same at d = 1, where each ball is one row that the screen
+        # gathers point by point; the d = 1 workload's unit-cube support has
+        # no mixed cube, so only a run like this one tests points in them
+        runs, paths = _classified_and_bare_runs(tmp_path, monkeypatch, d=1, c0=1.0)
+        assert sum(sum(e.screened_cubes.values()) for e in runs[0].epochs) > 0
+        assert "_one_row_counts" in paths[0] and "_mixed_counts" not in paths[0]
 
     def test_rejects_wrong_arm_count(self):
         env = make_constant_multi_arm((0.2, 0.8), d=1)
