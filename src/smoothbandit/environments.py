@@ -621,9 +621,13 @@ class BumpGridSupport:
         """Flat index of the 1/q grid cell of each point, clipped to the grid.
 
         Scales by ``q`` rather than dividing by ``1/q``: the two can differ
-        in the last bit, which would move a point on a cell face.
+        in the last bit, which would move a point on a cell face.  ``u`` is
+        held in ``[-1, q + 1]`` before the cast, as in
+        :meth:`GridLattice.axis_index`, so NaN, infinities and huge
+        coordinates cast cleanly; the support masks such points anyway.
         """
-        u = np.atleast_2d(points) * self.q
+        u = np.fmax(np.atleast_2d(points) * self.q, -1.0)  # fmax takes NaN to -1
+        np.fmin(u, self.q + 1.0, out=u)
         j = np.floor(u).astype(np.int64)
         j -= (u == j) & (j > 0)
         return np.ravel_multi_index(tuple(j.T), (self.q,) * self.d, mode="clip")

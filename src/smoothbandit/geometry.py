@@ -26,8 +26,8 @@ Predicate = Callable[[np.ndarray], np.ndarray]
 # that the lattice assigns to the cube (:meth:`GridLattice.axis_index`),
 # CUBE_OUT when it holds at none of them, and CUBE_MIXED otherwise or when
 # the classifier cannot certify either.  A classified support lies inside
-# the unit cube.  Screening and the support mask read the classes and test
-# points only in mixed cubes.
+# the unit cube.  Screening and the support mask read the classes and run
+# the predicate only on points in mixed cubes.
 CUBE_OUT, CUBE_IN, CUBE_MIXED = 0, 1, 2
 
 
@@ -112,9 +112,12 @@ class GridLattice:
 
         Built axis by axis by Horner's rule, with the validity kept as one
         mask over the points; an off-lattice point's partial index means
-        nothing and is replaced.
+        nothing and is replaced.  Points of another dimension are a
+        ``ValueError``, not a remap.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != self.d:
+            raise ValueError(f"points have shape {points.shape}, lattice has dimension {self.d}")
         j = self.axis_index(points)
         cpa = self.cells_per_axis
         flat = j[:, 0].copy()
@@ -205,10 +208,9 @@ class RegionMask:
 
 # Bound on the work held in memory at once while screening: quadrature
 # points per block of :func:`_point_counts` (the point-level path and the
-# support mask's mixed cubes) and of the one-row path at ``d = 1``, integer
-# gathers per block on the lattice path, cubes per block of a running-count
-# slab, and row slots (each ``resolution`` points) per block of its
-# mixed-cube pass.
+# support mask's mixed cubes) and of :func:`_own_point_counts`, integer
+# gathers per block of the row walk, and cubes per block of a
+# running-count slab.
 _SCREEN_CHUNK = 1 << 18
 
 
@@ -337,18 +339,16 @@ def _lattice_counts(
 ) -> np.ndarray:
     """``min(count, need)`` for :func:`_point_counts`' counts at lattice centers.
 
-    At ``d = 1`` a ball is one row that each center reads once, so no table
-    pays for itself there: :func:`_one_row_counts` gathers the centers' own
-    points instead.  The tables below serve ``d >= 2``, where each one
-    serves many (center, row) lookups.
+    A point in a member cube that the support's classifier calls in counts
+    without a test, one in an out cube does not count, and only one in a
+    member cube the support cuts (mixed) needs the support predicate.
 
-    Along one axis, coordinate ``k`` of the ball around cube ``j`` is
-    ``(j + 1/2) delta + radius * axis[k]`` whatever the other axes do, and
-    membership of the unit cube is a per-axis test.  So one table gives the
-    cube (or none) of every coordinate, computed with the same float
-    operations as :meth:`RegionMask.contains` on the points.  A point in a
-    member cube that the support's classifier calls in counts without a
-    test, one in an out cube does not count, and a running count of
+    At ``d >= 2`` a table decides most centers.  Along one axis, coordinate
+    ``k`` of the ball around cube ``j`` is ``(j + 1/2) delta + radius *
+    axis[k]`` whatever the other axes do, and membership of the unit cube
+    is a per-axis test.  So one table gives the cube (or none) of every
+    coordinate, computed with the same float operations as
+    :meth:`RegionMask.contains` on the points, and a running count of
     member-and-in cubes over the last axis turns each row of in-ball
     offsets into two integer lookups.
 
@@ -360,32 +360,29 @@ def _lattice_counts(
     stay below ``need`` (a ball has about 800 rows at ``d = 3``), and the
     blocks keep each pass's lookups near one another in the tables.
 
-    Only the centers still below ``need`` after every row go on to the
-    mixed cubes: a second running count, of member-and-mixed cubes (built
-    on first use), finds their rows that touch such a cube, and only those
-    rows' points in such cubes are built and tested with the support
-    predicate (:func:`_mixed_counts`).  A support without mixed cubes, such
-    as the unit cube, builds no points at all, and neither does a region
-    whose centers the in-cube rows all decide.  A ``need`` above the ball's
-    point count gives the exact counts.
+    The counts of the centers that every row leaves below ``need`` are
+    final unless the region has a member-and-mixed cube; then
+    :func:`_own_point_counts` counts them again from their own points.  At
+    ``d = 1`` a ball is one row that each center reads once, so no table
+    pays for itself: the own-point counter counts every center.  A ``need``
+    above the ball's point count gives the exact counts.
     """
     lattice = region.lattice
-    if lattice.d == 1:
-        return _one_row_counts(cells, radius, region, resolution, need)
     d, cpa = lattice.d, lattice.cells_per_axis
+    member = np.asarray(region.cube_mask, dtype=bool)
+    classes = _classifier(region.support)(lattice)
+    counted, mixed = member & (classes == CUBE_IN), member & (classes == CUBE_MIXED)
+    if d == 1:
+        return _own_point_counts(cells, radius, region, resolution, need, counted, mixed)
     _, prefix, lo, hi = _ball_quadrature(d, resolution)
     centers = (np.arange(cpa) + 0.5) * lattice.delta
     coords = centers[:, None] + radius * _midpoint_axis(resolution)[None, :]
     axis_cube = lattice.axis_index(coords)
     inside = (coords >= 0.0) & (coords <= 1.0) & (axis_cube >= 0) & (axis_cube < cpa)
     axis_cube[~inside] = cpa  # a padding cube that belongs to no region
-    member = np.asarray(region.cube_mask, dtype=bool)
-    classes = _classifier(region.support)(lattice)
-    in_running = _running_counts(_padded_rows(member & (classes == CUBE_IN), d, cpa), axis_cube, resolution)
-    mixed = _padded_rows(member & (classes == CUBE_MIXED), d, cpa)
-    mixed_running = None
+    running = _running_counts(_padded_rows(counted, d, cpa), axis_cube, resolution)
     order = np.argsort(lo - hi, kind="stable")
-    slab = (cpa + 1) ** (d - 1) * cpa  # one slot of the running tables
+    slab = (cpa + 1) ** (d - 1) * cpa  # one slot of the running table
     lo_slot, hi_slot = lo * slab, hi * slab
     counts = np.zeros(len(cells), dtype=np.int64)
     step = max(1, _SCREEN_CHUNK // len(lo))
@@ -397,49 +394,57 @@ def _lattice_counts(
             prefix_cube = _prefix_cubes(block, prefix[:, rows], axis_cube, cpa)
             base = prefix_cube * cpa + block[:, d - 1, None]
             # a running count never falls along a row, so the difference does not wrap
-            within = in_running[base + hi_slot[rows]] - in_running[base + lo_slot[rows]]
+            within = running[base + hi_slot[rows]] - running[base + lo_slot[rows]]
             counts[below] += within.sum(axis=1, dtype=np.int64)
             below = below[counts[below] < need]
             done += len(rows)
-        if len(below) and mixed.any():
-            if mixed_running is None:
-                mixed_running = _running_counts(mixed, axis_cube, resolution)
-            block = cells[below]
-            prefix_cube = _prefix_cubes(block, prefix, axis_cube, cpa)
-            base = prefix_cube * cpa + block[:, d - 1, None]
-            touched = mixed_running[base + hi_slot] > mixed_running[base + lo_slot]
-            counts[below] += _mixed_counts(
-                block, prefix_cube, touched, coords, axis_cube, mixed, region.support, resolution
-            )
+    del running  # free the table before the recount's blocks
+    below = np.nonzero(counts < need)[0]
+    if len(below) and mixed.any():
+        counts[below] = _own_point_counts(cells[below], radius, region, resolution, need, counted, mixed)
     return np.minimum(counts, need)
 
 
-def _one_row_counts(
-    cells: np.ndarray, radius: float, region: RegionMask, resolution: int, need: int
-) -> np.ndarray:
-    """:func:`_lattice_counts` at ``d = 1``, from each center's own points.
+@functools.cache
+def _nearest_offsets(d: int, resolution: int) -> np.ndarray:
+    """The in-ball quadrature offsets, nearest the origin first (ties in
+    row-major order), memoised read-only."""
+    offsets = _ball_quadrature(d, resolution)[0]
+    nearest = offsets[np.argsort(np.einsum("ij,ij->i", offsets, offsets), kind="stable")]
+    nearest.flags.writeable = False
+    return nearest
 
-    A point is ``(j + 1/2) delta + radius * axis[k]``, the float operations
-    of :meth:`RegionMask.contains` on :func:`_point_counts`' points, and
-    :meth:`GridLattice.axis_index` gives its cube.  A point in the unit
-    cube and in a member cube that the support's classifier calls in
-    counts with one gathered flag; one in a member mixed cube counts if
-    the support predicate holds there.  The points are taken nearest the
-    center first: the ``need`` nearest of every center, then the rest for
-    only the centers still below ``need``.  Blocks hold at most
-    ``_SCREEN_CHUNK`` points.
+
+def _own_point_counts(
+    cells: np.ndarray,
+    radius: float,
+    region: RegionMask,
+    resolution: int,
+    need: int,
+    counted: np.ndarray,
+    mixed: np.ndarray,
+) -> np.ndarray:
+    """:func:`_lattice_counts` from each center's own points, at any ``d``.
+
+    ``counted`` and ``mixed`` flag the member cubes that the support's
+    classifier calls in and mixed.  A point's coordinate on each axis is
+    ``(j + 1/2) delta + radius * offset``, the float operations of
+    :meth:`RegionMask.contains` on :func:`_point_counts`' points.
+    :meth:`GridLattice.axis_index` gives its cube on each axis, or the
+    padding cube ``cpa`` off the unit cube (as in :func:`_padded_rows`),
+    and Horner's rule the flat cube.  A point counts with one gathered
+    member-and-in flag, or, in a member-and-mixed cube, if the support
+    predicate holds there.  The points are taken nearest the center first:
+    the ``need`` nearest of every center, then the rest for only the
+    centers still below ``need``.  Blocks hold at most ``_SCREEN_CHUNK``
+    points.
     """
     lattice = region.lattice
-    cpa = lattice.cells_per_axis
-    axis = _ball_quadrature(1, resolution)[0][:, 0]
-    steps = radius * axis[np.argsort(np.abs(axis), kind="stable")]
-    member = np.asarray(region.cube_mask, dtype=bool)
-    classes = _classifier(region.support)(lattice)
-    # one flag a cube, and a padding slot ``cpa`` for points off the unit cube
-    counted = np.append(member & (classes == CUBE_IN), False)
-    mixed = np.append(member & (classes == CUBE_MIXED), False)
+    d, cpa = lattice.d, lattice.cells_per_axis
+    steps = radius * _nearest_offsets(d, resolution)
+    counted, mixed = (_padded_rows(flags, d, cpa).ravel() for flags in (counted, mixed))
     tested = mixed.any()
-    centers = (cells[:, 0] + 0.5) * lattice.delta
+    centers = (cells + 0.5) * lattice.delta
     counts = np.zeros(len(cells), dtype=np.int64)
     step = max(1, _SCREEN_CHUNK // len(steps))
     for start in range(0, len(cells), step):
@@ -448,53 +453,18 @@ def _one_row_counts(
             below = below[counts[below] < need]
             if not len(below):
                 break
-            coords = centers[below, None] + part[None, :]
-            cube = np.where((coords >= 0.0) & (coords <= 1.0), lattice.axis_index(coords), cpa)
+            cube = 0
+            for axis in range(d):
+                coords = centers[below, axis, None] + part[:, axis]
+                j = np.where((coords >= 0.0) & (coords <= 1.0), lattice.axis_index(coords), cpa)
+                cube = cube * (cpa + 1) + j
             counts[below] += np.count_nonzero(counted[cube], axis=1)
             if tested:
                 i, k = np.nonzero(mixed[cube])
                 if len(i):
-                    hit = np.asarray(region.support(coords[i, k, None]), dtype=bool)
+                    hit = np.asarray(region.support(centers[below[i]] + part[k]), dtype=bool)
                     counts[below] += np.bincount(i[hit], minlength=len(below))
     return np.minimum(counts, need)
-
-
-def _mixed_counts(
-    block: np.ndarray,
-    prefix_cube: np.ndarray,
-    touched: np.ndarray,
-    coords: np.ndarray,
-    axis_cube: np.ndarray,
-    mixed: np.ndarray,
-    support: Predicate,
-    resolution: int,
-) -> np.ndarray:
-    """Support hits among the points of a block's balls that lie in mixed member cubes.
-
-    ``touched[i, r]`` marks the rows of in-ball offsets of center ``i``
-    that meet a mixed member cube; ``prefix_cube``, ``coords``,
-    ``axis_cube`` and ``mixed`` are :func:`_lattice_counts`' tables.  The
-    points are those of :func:`_point_counts`, bit for bit, and at most
-    ``_SCREEN_CHUNK`` row slots are built at a time.
-    """
-    d = block.shape[1]
-    _, prefix, lo, hi = _ball_quadrature(d, resolution)
-    out = np.zeros(len(block), dtype=np.int64)
-    owner, row = np.nonzero(touched)
-    k = np.arange(resolution)
-    step = max(1, _SCREEN_CHUNK // resolution)
-    for start in range(0, len(owner), step):
-        i, r = owner[start : start + step], row[start : start + step]
-        last = block[i, d - 1]
-        in_mixed = mixed[prefix_cube[i, r, None], axis_cube[last]]
-        pair, kk = np.nonzero((k >= lo[r, None]) & (k < hi[r, None]) & in_mixed)
-        points = np.empty((len(pair), d))
-        for axis in range(d - 1):
-            points[:, axis] = coords[block[i[pair], axis], prefix[axis, r[pair]]]
-        points[:, d - 1] = coords[last[pair], kk]
-        hit = np.asarray(support(points), dtype=bool)
-        out += np.bincount(i[pair][hit], minlength=len(block))
-    return out
 
 
 def _check_ball_args(radius: float, resolution: int, c: float = 1.0) -> None:
@@ -579,18 +549,17 @@ def batch_weak_regularity(
       support is classified (``None``, :func:`unit_cube_support`, or
       any predicate with a ``classify_cubes`` hook, such as the bump-grid
       support of the lower-bound instance) and every center is a cube
-      center of its lattice: per-axis cube tables and running counts over
-      the last axis count the points in member cubes that are wholly in
-      the support, row by row of the ball, and a center stops once it
-      reaches ``need``.  Only for the centers that every row leaves below
-      ``need`` does the support predicate run, on the in-ball points that
-      fall in member cubes it cuts, for the rows of the ball that touch
-      such a cube (:func:`_lattice_counts`).  At ``d = 1`` the ball is
-      one row, read once per center, so no table is built: each center's
-      own points are mapped to cubes, nearest the center first, until it
-      reaches ``need``, with the predicate on those in member cubes the
-      support cuts (:func:`_one_row_counts`).  The tables stay at
-      ``d >= 2``, where each one serves many (center, row) lookups;
+      center of its lattice (:func:`_lattice_counts`).  At ``d >= 2``
+      per-axis cube tables and a running count over the last axis count
+      the points in member cubes that are wholly in the support, row by
+      row of the ball, and a center stops once it reaches ``need``.  One
+      rule counts what no table decides: each center's own points are
+      mapped to cubes, nearest the center first, until it reaches
+      ``need``, with the support predicate on those in member cubes it
+      cuts (:func:`_own_point_counts`).  It counts every center at
+      ``d = 1``, where a ball is one row read once and no table pays for
+      itself, and at ``d >= 2`` only the centers every row leaves below
+      ``need`` in a region with a member cube the support cuts;
     - the point path otherwise, for example for off-lattice centers or a
       bare predicate: the region's membership test on every quadrature
       point, built for a bounded block of centers at a time

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -227,6 +228,45 @@ class TestLatticeCodec:
         off = ~np.isfinite(points) | (np.abs(points) > 1.0)
         np.testing.assert_array_equal((j < 0) | (j >= lat.cells_per_axis), off)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bump_grid_support_casts_non_finite_and_huge_coordinates_cleanly(self, d):
+        # the support's cell index cast NaN and 1e30 unbounded: "invalid value encountered in cast"
+        support = BumpGridSupport(d=d, q=3, m=3**d // 2 + 1, radius=1.0 / 12.0)
+        lat = GridLattice(d=d, delta=1.2 / 7, cells_per_axis=7)
+        region = RegionMask(lat, np.ones(lat.n_cubes, dtype=bool), support)
+        bad = [np.nan, np.inf, -np.inf, 1e30, -1e30]
+        points = support.cell_centers(np.arange(d * len(bad)) % support.m)
+        for i, (axis, value) in enumerate(itertools.product(range(d), bad)):
+            points[i, axis] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = support.cell_index(points)
+            inside = support(points)
+            contained = region.contains(points)
+            fractions = [ball_region_fraction(x, 0.1, region, resolution=8) for x in points]
+            bumps = support(support.cell_centers(np.arange(support.m)))
+        np.testing.assert_array_equal((cells >= 0) & (cells < 3**d), True)
+        np.testing.assert_array_equal(inside, False)
+        np.testing.assert_array_equal(contained, False)
+        np.testing.assert_array_equal(fractions, 0.0)
+        np.testing.assert_array_equal(bumps, True)
+
+    def test_points_of_another_dimension_raise(self):
+        # a 3-d point landed in cube 0 of a 2-d lattice, a ball of 3-d points
+        # filled a 2-d region, and a 1-d point raised a bare IndexError
+        lat = GridLattice(d=2, delta=0.25, cells_per_axis=4)
+        region = RegionMask(lat, np.ones(lat.n_cubes, dtype=bool))
+        for point in ([[0.5, 0.5, 0.5]], [[0.5]]):
+            with pytest.raises(ValueError, match="lattice has dimension 2"):
+                lat.cube_index(point)
+            with pytest.raises(ValueError, match="lattice has dimension 2"):
+                region.contains(point)
+            with pytest.raises(ValueError, match="lattice has dimension 2"):
+                ball_region_fraction(point[0], 0.1, region, resolution=8)
+            for screened in (region, region.contains):
+                with pytest.raises(ValueError, match="lattice has dimension 2"):
+                    batch_weak_regularity(np.array(point), 0.1, 0.5, screened, resolution=8)
+
     def test_out_of_range_indices_raise(self):
         lat = GridLattice(d=2, delta=0.25, cells_per_axis=4)
         for flat in (-1, 16):
@@ -384,12 +424,20 @@ class TestWeakRegularity:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.startswith("refused center must be one point")
-        # and the screen-table layout tests, all but the memory one, and the one-row screen's
-        selected = "(TestScreenTableLayout and not memory) or TestOneRowScreen"
-        cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", selected]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        # and the screen-table layout and own-point screen tests but the memory
+        # ones: every test collected without -O passes under it, none skipped
+        selected = "(TestScreenTableLayout or TestOwnPointScreen) and not memory"
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", selected]
+        collected = subprocess.run([*cmd, "--collect-only"], env=env, capture_output=True, text=True, timeout=300)
+        assert collected.returncode == 0, collected.stdout + collected.stderr
+        n = int(re.search(r"^(\d+)(?:/\d+)? tests? collected", collected.stdout, re.MULTILINE).group(1))
+        assert n > 0
+        proc = subprocess.run([cmd[0], "-O", *cmd[1:]], env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "31 passed" in proc.stdout, proc.stdout
+        summary = proc.stdout.strip().splitlines()[-1]
+        outcomes = {word: int(count) for count, word in re.findall(r"(\d+) (\w+)", summary)}
+        assert outcomes.get("passed") == n, summary
+        assert set(outcomes) <= {"passed", "deselected", "warning", "warnings"}, summary
 
     def test_entry_points_reject_bad_constant_and_resolution(self):
         x = np.array([[0.5, 0.5]])
@@ -618,7 +666,7 @@ class TestLatticeScreening:
         cases = [(loose_centers, region), (lattice_centers, _halfspace), (lattice_centers, region)]
         whole = [_cloud_fractions(x, 0.1, reg, 32) >= 0.3 for x, reg in cases]
         # counts on the plain region and on one with mixed cubes, whose
-        # mixed-cube table a later block may be the first to need
+        # centers left below need the own-point counter recounts
         bumps = RegionMask(lat, region.cube_mask, BumpGridSupport(d=2, q=5, m=7, radius=0.05))
         cells = geometry._lattice_cells(lattice_centers, region)
         for chunk in (4 * len(offsets), 4 * len(lo)):
@@ -698,7 +746,7 @@ class TestScreenTableLayout:
         support = BumpGridSupport(d=d, q=3, m=3**d // 2 + 1, radius=1.0 / 12.0) if bumps else None
         member = rng.random(lat.n_cubes) < 0.7
         region = RegionMask(lat, member, support)
-        if bumps:  # member cubes the support cuts, which the mixed-cube table counts
+        if bumps:  # member cubes the support cuts, whose points the own-point counter tests
             np.testing.assert_equal(bool(np.any(member & (support.classify_cubes(lat) == CUBE_MIXED))), True)
         dtypes = []
         running_counts = geometry._running_counts
@@ -715,10 +763,8 @@ class TestScreenTableLayout:
         _assert_counts_stop_at_need(cells_of, centers, radius, region, resolution, rng)
         if d == 1:  # a one-row ball gathers its own points: no table at all
             np.testing.assert_equal(dtypes, [])
-        else:
-            # an in-cube table per call, five calls, and on the bump grid mixed-cube
-            # tables for the calls that leave centers below need
-            np.testing.assert_equal(len(dtypes) > 5, bumps)
+        else:  # one in-cube table a call, five calls, mixed cubes or not
+            np.testing.assert_equal(len(dtypes), 5)
             np.testing.assert_array_equal(dtypes, np.dtype(np.uint8 if resolution < 256 else np.uint16))
         fractions = _cloud_fractions(centers, radius, region, resolution)
         for c in (float(np.median(fractions)), 1.0 / 96.0, 1.0):
@@ -746,11 +792,32 @@ class TestScreenTableLayout:
         np.testing.assert_array_equal(on_lattice[:100], batch_weak_regularity(centers[:100], radius, c, region.contains))
 
 
-class TestOneRowScreen:
-    """The d = 1 screen, which gathers each center's own points and builds no
-    table, against the point path at its edges, for ``need`` 0, 1, 2, about
-    half the ball, all of it and one more.  Raises rather than asserts, so it
-    also runs under ``python -O``."""
+def _own_point_counts(cells, radius, region, resolution, need):
+    """The own-point counter on every given center, with the flags that
+    ``_lattice_counts`` passes it."""
+    member = np.asarray(region.cube_mask, dtype=bool)
+    classes = geometry._classifier(region.support)(region.lattice)
+    flags = member & (classes == CUBE_IN), member & (classes == CUBE_MIXED)
+    return geometry._own_point_counts(cells, radius, region, resolution, need, *flags)
+
+
+def _bump_grid_region(rng, d, overhang=1.0):
+    """A small lattice under a bump grid, with member cubes the grid cuts."""
+    cells = {2: 11, 3: 6}[d]
+    lat = GridLattice(d=d, delta=overhang / cells, cells_per_axis=cells)
+    support = BumpGridSupport(d=d, q=3, m=3**d // 2 + 1, radius=1.0 / 12.0)
+    region = RegionMask(lat, rng.random(lat.n_cubes) < 0.7, support)
+    np.testing.assert_equal(bool(np.any(region.cube_mask & (support.classify_cubes(lat) == CUBE_MIXED))), True)
+    return region
+
+
+class TestOwnPointScreen:
+    """The own-point counter, which gathers each center's own points and
+    builds no table: at d = 1, where it counts every center, against the
+    point path at its edges, for ``need`` 0, 1, 2, about half the ball, all
+    of it and one more; at d = 2 and 3 on every center of small bump-grid
+    lattices, not only on those the rows leave below ``need``.  Raises rather
+    than asserts, so it also runs under ``python -O``."""
 
     @staticmethod
     def _check(monkeypatch, lat, region, radius, resolution, centers=None):
@@ -849,6 +916,99 @@ class TestOneRowScreen:
         region = RegionMask(lat, rng.random(lat.n_cubes) < 0.8, support)
         monkeypatch.setattr(geometry, "_SCREEN_CHUNK", chunk)
         self._check(monkeypatch, lat, region, 3 * lat.delta, 32)
+
+    @pytest.mark.parametrize("d, resolution", [(2, 32), (2, 7), (3, 16), (3, 5)])
+    def test_whole_lattices_with_mixed_cubes(self, d, resolution):
+        rng = np.random.default_rng(10 * d + resolution)
+        offsets = geometry._ball_quadrature(d, resolution)[0]
+        denom, partial = len(offsets), False
+        for overhang in (1.0, rng.uniform(1.0, 1.3)):
+            region = _bump_grid_region(rng, d, overhang)
+            lat = region.lattice
+            centers = lat.centers()
+            cells = geometry._lattice_cells(centers, region)
+            for radius in (lat.delta / 3, 2.5 * lat.delta):
+                exact = geometry._point_counts(centers, radius * offsets, region)
+                partial |= bool(np.any((exact > 0) & (exact < denom)))
+                for need in (0, 1, int(rng.integers(0, denom + 2)), denom, denom + 1):
+                    np.testing.assert_array_equal(
+                        _own_point_counts(cells, radius, region, resolution, need), np.minimum(exact, need)
+                    )
+        np.testing.assert_equal(partial, True)
+
+    def test_first_need_points_are_the_nearest_at_d2(self):
+        support = BumpGridSupport(d=2, q=4, m=16, radius=0.06)
+        lat = GridLattice(d=2, delta=1.0 / 30, cells_per_axis=30)
+        tested = []
+
+        def counted(points):
+            tested.append(np.array(points))
+            return support(points)
+
+        counted.classify_cubes = support.classify_cubes
+        region = RegionMask(lat, np.ones(lat.n_cubes, dtype=bool), counted)
+        centers = lat.centers(np.nonzero(support.classify_cubes(lat) == CUBE_MIXED)[0])
+        cells = geometry._lattice_cells(centers, region)
+        # the four nearest offsets, (+-1/32, +-1/32), are strictly nearer than the rest,
+        # and at a third of a cube every point stays in its center's mixed cube
+        radius, need = lat.delta / 3, 4
+        norms = np.linalg.norm(geometry._nearest_offsets(2, 32), axis=1)
+        np.testing.assert_array_less(norms[need - 1], norms[need])
+        _own_point_counts(cells, radius, region, 32, need)
+        np.testing.assert_equal(len(tested[0]), need * len(centers))
+        distance = np.linalg.norm(tested[0] - np.repeat(centers, need, axis=0), axis=1)
+        np.testing.assert_array_less(distance, radius * (norms[need - 1] + norms[need]) / 2)
+        # then the rest, of only the centers those four left below need
+        below = int(np.count_nonzero(support(tested[0]).reshape(-1, need).sum(axis=1) < need))
+        np.testing.assert_equal(0 < below < len(centers), True)
+        np.testing.assert_equal([len(t) for t in tested], [need * len(centers), (len(norms) - need) * below])
+
+    @pytest.mark.parametrize("chunk", [1, 97, 1000, 5000])
+    def test_blocks_do_not_change_counts_at_d2_and_d3(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        for d, resolution in ((2, 32), (3, 8)):
+            region = _bump_grid_region(rng, d, rng.uniform(1.0, 1.3))
+            centers = region.lattice.centers()
+            cells = geometry._lattice_cells(centers, region)
+            radius = 2.5 * region.lattice.delta
+            offsets = geometry._ball_quadrature(d, resolution)[0]
+            exact = geometry._point_counts(centers, radius * offsets, region)
+            with monkeypatch.context() as patched:
+                patched.setattr(geometry, "_SCREEN_CHUNK", chunk)
+                for need in (1, len(offsets) // 2, len(offsets) + 1):
+                    want = np.minimum(exact, need)
+                    np.testing.assert_array_equal(_own_point_counts(cells, radius, region, resolution, need), want)
+                    np.testing.assert_array_equal(
+                        geometry._lattice_counts(cells, radius, region, resolution, need), want
+                    )
+
+    def test_flagged_d3_bump_grid_screen_in_bounded_memory(self, monkeypatch):
+        # with a second, member-and-mixed running table this screen traced 28 MB
+        support = make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=3, seed=3).support
+        lat = build_lattice(2**11, 2.0, 3)
+        rng = np.random.default_rng(30)
+        mixed = support.classify_cubes(lat) == CUBE_MIXED
+        member = support_cube_mask(lat, support) & (rng.random(lat.n_cubes) < 0.5)
+        region = RegionMask(lat, member, support)
+        centers = lat.centers(rng.choice(np.nonzero(member & mixed)[0], size=60, replace=False))
+        recounted = []
+        own_point_counts = geometry._own_point_counts
+
+        def recorded(cells, *args):
+            recounted.append(len(cells))
+            return own_point_counts(cells, *args)
+
+        monkeypatch.setattr(geometry, "_own_point_counts", recorded)
+        radius, c = 0.06, 1.0 / 8.0
+        tracemalloc.start()
+        try:
+            passed = batch_weak_regularity(centers, radius, c, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_less(peak, 20 * 2**20)
+        np.testing.assert_equal(0 < int(np.count_nonzero(~passed)) and len(recounted) == 1, True)
+        np.testing.assert_array_equal(passed, batch_weak_regularity(centers, radius, c, region.contains))
 
 
 def _cube_probes(lat, cube, rng):

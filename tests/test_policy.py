@@ -566,7 +566,7 @@ def _classified_and_bare_runs(tmp_path, monkeypatch, d=2, **config):
             screening[0] = False
 
     monkeypatch.setattr(policy, "batch_weak_regularity", screen)
-    for name in ("_point_counts", "_lattice_counts", "_one_row_counts", "_mixed_counts"):
+    for name in ("_point_counts", "_lattice_counts", "_own_point_counts"):
         counted = getattr(geometry, name)
         monkeypatch.setattr(
             geometry, name, lambda *a, _f=counted, _n=name: screening[0] and calls.append(_n) or _f(*a)
@@ -675,14 +675,14 @@ class TestRunMultiArm:
     def test_bump_grid_classifier_keeps_the_run(self, tmp_path, monkeypatch):
         _, paths = _classified_and_bare_runs(tmp_path, monkeypatch)
         # every center reaches the threshold on in-cube rows alone
-        assert "_mixed_counts" not in paths[0]
+        assert "_own_point_counts" not in paths[0]
 
     def test_bump_grid_classifier_keeps_a_run_that_flags_cubes(self, tmp_path, monkeypatch):
         # at the default c0 no cube is flagged, so the run above compares
         # all-pass masks; at c0 = 1 screening flags cubes in epochs 2 and 3
         runs, paths = _classified_and_bare_runs(tmp_path, monkeypatch, c0=1.0)
         assert sum(sum(e.screened_cubes.values()) for e in runs[0].epochs) > 0
-        assert "_mixed_counts" in paths[0]
+        assert "_own_point_counts" in paths[0]
 
     def test_d1_bump_grid_classifier_keeps_a_run_that_flags_cubes(self, tmp_path, monkeypatch):
         # the same at d = 1, where each ball is one row that the screen
@@ -690,7 +690,7 @@ class TestRunMultiArm:
         # no mixed cube, so only a run like this one tests points in them
         runs, paths = _classified_and_bare_runs(tmp_path, monkeypatch, d=1, c0=1.0)
         assert sum(sum(e.screened_cubes.values()) for e in runs[0].epochs) > 0
-        assert "_one_row_counts" in paths[0] and "_mixed_counts" not in paths[0]
+        assert "_own_point_counts" in paths[0]
 
     def test_rejects_wrong_arm_count(self):
         env = make_constant_multi_arm((0.2, 0.8), d=1)
