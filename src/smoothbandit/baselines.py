@@ -57,15 +57,16 @@ def run_oracle(env: Instance, horizon: int, seed: int, checkpoints=None) -> RunR
 def _run_fixed_rule(policy: str, choose, env: Instance, horizon: int, seed: int, checkpoints) -> RunResult:
     """Run a rule that picks every step's arm up front, ``choose(rng, means) -> arm_ix``.
 
-    Draws the contexts, then whatever ``choose`` draws.  The rule reads no
-    reward, so none is drawn.
+    Normalizes the checkpoints, then draws the contexts, then whatever
+    ``choose`` draws.  The rule reads no reward, so none is drawn.
     """
     started = time.perf_counter()
+    tally = CheckpointTally(normalize_checkpoints(checkpoints, horizon))
     rng = np.random.default_rng(int(seed))
-    X = env.sample_contexts(rng, horizon)
-    means = env.means_matrix(X)
+    means = env.means_matrix(env.sample_contexts(rng, horizon))
     regret, inferior, _ = step_outcomes(means, choose(rng, means))
-    return RunResult.from_steps(policy, env.name, seed, regret, inferior, checkpoints, started)
+    tally.add(regret, inferior)
+    return RunResult.from_tally(policy, env.name, seed, tally, time.perf_counter() - started)
 
 
 def check_binned_ucb_params(d: int, exploration=2.0, bin_rate=None) -> None:

@@ -213,6 +213,9 @@ class RegionMask:
 # running-count slab.
 _SCREEN_CHUNK = 1 << 18
 
+# Share of a cube's quadrature points in the support above which it carries context mass.
+_SUPPORT_MASS_THRESHOLD = 1e-9
+
 
 def _midpoint_axis(resolution: int) -> np.ndarray:
     """Midpoints of ``resolution`` equal cells over [-1, 1]."""
@@ -581,16 +584,11 @@ def batch_weak_regularity(
     return counts >= need
 
 
-def support_cube_mask(
-    lattice: GridLattice,
-    support: Predicate | None,
-    resolution: int = 8,
-    mass_threshold: float = 1e-9,
-) -> np.ndarray:
+def support_cube_mask(lattice: GridLattice, support: Predicate | None, resolution: int = 8) -> np.ndarray:
     """Flag cubes carrying context mass.
 
     A cube is kept when the quadrature fraction of its volume inside the
-    support exceeds ``mass_threshold``.  With the default full-cube
+    support exceeds ``_SUPPORT_MASS_THRESHOLD``.  With the default full-cube
     support every cube is kept (the overhang of the last cube past 1 still
     intersects the unit cube).  A classified support (see ``CUBE_IN``)
     needs the quadrature only in its mixed cubes: an out cube holds none
@@ -614,4 +612,4 @@ def support_cube_mask(
         offsets = lattice.delta * ((_midpoint_offsets(d, resolution) + 1.0) / 2.0)  # from the corner
         corners = lattice.centers(mixed) - lattice.delta / 2.0
         fraction[mixed] = _point_counts(corners, offsets, support) / len(offsets)
-    return fraction > mass_threshold
+    return fraction > _SUPPORT_MASS_THRESHOLD

@@ -309,6 +309,8 @@ def validate_experiment_config(cfg: dict) -> dict:
         label = p.get("label", p["name"])
         if not isinstance(label, str):
             raise ConfigError(f"policies[{i}].label", "must be a string")
+        if any(c in label for c in "/\\\0"):  # it names the run's state files
+            raise ConfigError(f"policies[{i}].label", f"must not contain '/', '\\' or NUL, got {label!r}")
         labels.append(label)
     if len(set(labels)) != len(labels):
         raise ConfigError("policies", f"labels must be unique, got {labels}; set 'label' to disambiguate")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,7 +43,7 @@ from .localpoly import (
     fit_at_centers,
     scaled_design,  # unused here; the benchmark's tracer patches policy.scaled_design
 )
-from .results import EpochDiagnostics, RunResult
+from .results import CheckpointTally, EpochDiagnostics, RunResult, normalize_checkpoints
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +72,9 @@ class PolicyConfig:
         for name in ("c_epoch", "p", "c0"):
             if isinstance(getattr(self, name), bool):  # JSON true would run as 1
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
-        if self.horizon < 3:
-            raise ValueError(f"horizon must be >= 3, got {self.horizon}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral) or self.horizon < 3:
+            raise ValueError(f"horizon must be an integer >= 3, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", int(self.horizon))  # a NumPy integer would reach the reports
         if not 0 < self.c_epoch < math.inf:
             raise ValueError(f"c_epoch must be a finite positive number, got {self.c_epoch}")
         if not 0 < self.p <= 1:
@@ -352,6 +354,7 @@ def run_multi_arm(
     if config.d != env.d:
         raise ValueError(f"config dimension {config.d} != instance dimension {env.d}")
     started = time.perf_counter()
+    tally = CheckpointTally(normalize_checkpoints(checkpoints, config.horizon))
     rng = np.random.default_rng(int(seed))
     lattice = build_lattice(config.horizon, config.beta, config.d)
     support = support_cube_mask(lattice, env.support)
@@ -359,7 +362,7 @@ def run_multi_arm(
     n_arms = len(env.arms)
     state = initial_multi_state(lattice, support, n_arms)
 
-    regret_parts, inferior_parts, action_parts = [], [], []
+    action_parts = []
     diags = []
     below_cube_total = 0
     start_t = 0
@@ -379,10 +382,10 @@ def run_multi_arm(
             env, rng, length, lattice, table, counts, start_t
         )
         below_cube_total += _log_epoch_samples(state, X, arm_ix, rewards, config, env.arms)
-        regret_parts.append(regret)
-        inferior_parts.append(inferior)
+        tally.add(regret, inferior)
         if record_actions:
             action_parts.append(np.asarray(env.arms)[arm_ix])
+        del X, arm_ix, rewards, regret, inferior  # so no step array lives into the next epoch
         active = state.active & support[:, None]
         arm_counts = active.sum(axis=1)
         diags.append(
@@ -407,9 +410,8 @@ def run_multi_arm(
 
     active_bits = (state.active.astype(np.int64) * (1 << np.arange(n_arms))).sum(axis=1)
     active_bits[~state.support_cubes] = -1
-    regret, inferior = np.concatenate(regret_parts), np.concatenate(inferior_parts)
-    return RunResult.from_steps(
-        "smooth_multi_arm", env.name, seed, regret, inferior, checkpoints, started,
+    return RunResult.from_tally(
+        "smooth_multi_arm", env.name, seed, tally, time.perf_counter() - started,
         epochs=diags,
         final_labels=active_bits,
         actions=np.concatenate(action_parts) if record_actions else None,

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import time
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,21 +68,6 @@ class RunResult:
     final_labels: np.ndarray | None = None
     actions: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_steps(
-        cls, policy: str, instance: str, seed: int, regret, inferior, checkpoints, started: float, **fields
-    ) -> "RunResult":
-        """The record of a run from its per-step regret and inferior-arm flags.
-
-        Cumulates both over the steps (the flags as int64),
-        samples them at the normalized ``checkpoints`` and stamps the wall
-        time since ``started`` (a ``time.perf_counter()`` reading).
-        ``fields`` sets the remaining attributes.
-        """
-        tally = CheckpointTally(normalize_checkpoints(checkpoints, len(regret)))
-        tally.add(regret, inferior)
-        return cls.from_tally(policy, instance, seed, tally, time.perf_counter() - started, **fields)
 
     @classmethod
     def from_tally(
@@ -170,15 +156,18 @@ class CheckpointTally:
 
 
 def normalize_checkpoints(checkpoints, horizon: int) -> np.ndarray:
-    """Sorted unique checkpoint times in [1, horizon], horizon included."""
+    """Sorted unique checkpoint times in [1, horizon], horizon included, from None,
+    a count or an iterable of times; all integers, not bools."""
     if checkpoints is None:
         ts = [horizon]
-    elif isinstance(checkpoints, int):
+    elif isinstance(checkpoints, numbers.Integral) and not isinstance(checkpoints, bool):
         if checkpoints < 1:
-            raise ValueError("checkpoint count must be >= 1")
-        ts = np.unique(np.geomspace(1, horizon, num=checkpoints).astype(np.int64)).tolist()
+            raise ValueError(f"checkpoint count must be >= 1, got {checkpoints!r}")
+        ts = np.geomspace(1, horizon, num=checkpoints).astype(np.int64).tolist()
     else:
-        ts = [int(t) for t in checkpoints]
+        ts = list(checkpoints) if isinstance(checkpoints, Iterable) else [checkpoints]
+        if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in ts):
+            raise ValueError(f"checkpoints must be a count or a list of integer times, got {checkpoints!r}")
     ts = sorted(set(ts) | {horizon})
     if ts[0] < 1 or ts[-1] > horizon:
         raise ValueError(f"checkpoints must lie in [1, {horizon}]")

@@ -16,6 +16,7 @@ from smoothbandit.environments import (
     make_smooth_instance,
 )
 from smoothbandit.geometry import GridLattice
+from smoothbandit.policy import PolicyConfig, run_multi_arm, run_two_arm
 from smoothbandit.results import CheckpointTally, RunResult
 
 # ---------------------------------------------------------------------------
@@ -394,8 +395,8 @@ class TestCheckpointTally:
         n = sum(blocks)
         regret = rng.random(n) * rng.integers(0, 2, n)
         inferior = rng.random(n) < 0.3
-        whole = RunResult.from_steps("p", "i", 0, regret, inferior, list(range(1, n + 1)), time.perf_counter())
-        tally = CheckpointTally(whole.checkpoint_times)
+        every_step = np.arange(1, n + 1)
+        tally = CheckpointTally(every_step)
         pos = 0
         for size in blocks:
             tally.add(regret[pos : pos + size], inferior[pos : pos + size])
@@ -403,7 +404,34 @@ class TestCheckpointTally:
         assert tally.steps == n
         assert tally.cum_regret.tobytes() == np.cumsum(regret).tobytes()
         np.testing.assert_array_equal(tally.cum_inferior, np.cumsum(inferior))
+        whole = RunResult(
+            "p", "i", 0, n, every_step, np.cumsum(regret), np.cumsum(inferior, dtype=np.int64), int(inferior.sum())
+        )
         assert RunResult.from_tally("p", "i", 0, tally, 0.0).equals(whole)
+
+
+@pytest.mark.parametrize("checkpoints", [[2049], [0]])
+@pytest.mark.parametrize("runner", ["two_arm", "multi_arm", "uniform", "oracle", "binned_ucb"])
+def test_bad_checkpoints_raise_before_the_first_draw(runner, checkpoints):
+    env = _sinusoidal(1)
+    sample_contexts, drawn = env.sample_contexts, []
+
+    def sample(rng, n):
+        drawn.append(n)
+        return sample_contexts(rng, n)
+
+    env = dataclasses.replace(env, sample_contexts=sample)
+    config = PolicyConfig(beta=2.0, d=1, horizon=2048)
+    run = {
+        "two_arm": lambda: run_two_arm(env, config, 0, checkpoints),
+        "multi_arm": lambda: run_multi_arm(env, config, 0, checkpoints),
+        "uniform": lambda: run_uniform(env, 2048, 0, checkpoints),
+        "oracle": lambda: run_oracle(env, 2048, 0, checkpoints),
+        "binned_ucb": lambda: run_binned_ucb(env, 2048, 0, checkpoints),
+    }[runner]
+    with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 2048\]"):
+        run()
+    assert drawn == []
 
 
 class TestOffLatticeContexts:

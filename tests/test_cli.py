@@ -65,6 +65,17 @@ class TestExitCodes:
         assert "config error: checkpoints: times must be integers in [1, 1024]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_label_that_cannot_name_a_file(self, run_config, tmp_path, capsys):
+        # once exit 1 after every run, when its state report could not be written
+        with open(run_config) as fh:
+            cfg = json.load(fh)
+        cfg["policies"][0]["label"] = "uniform/v2"
+        cfg["save_states"] = True
+        path = write_config(tmp_path / "label.json", cfg)
+        assert cli(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: policies[0].label: must not contain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_binned_ucb_params(self, run_config, tmp_path, capsys):
         with open(run_config) as fh:
             cfg = json.load(fh)

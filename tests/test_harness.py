@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from smoothbandit import baselines, harness
@@ -22,6 +24,7 @@ from smoothbandit.harness import (
     write_csv,
     write_summary,
 )
+from smoothbandit.results import normalize_checkpoints
 
 
 class TestTheoreticalExponent:
@@ -84,20 +87,51 @@ class TestFitRate:
 
 class TestCheckpoints:
     def test_explicit_list_and_counts(self):
-        from smoothbandit.results import normalize_checkpoints
-
         assert list(normalize_checkpoints([10, 5, 100], 100)) == [5, 10, 100]
+        assert list(normalize_checkpoints({10, 5}, 100)) == [5, 10, 100]
         assert list(normalize_checkpoints(None, 50)) == [50]
         ts = normalize_checkpoints(5, 1000)
         assert ts[-1] == 1000 and ts[0] >= 1 and len(ts) <= 6
 
     def test_rejects_out_of_range(self):
-        from smoothbandit.results import normalize_checkpoints
-
         with pytest.raises(ValueError):
             normalize_checkpoints([0, 10], 100)
         with pytest.raises(ValueError):
             normalize_checkpoints([10, 200], 100)
+
+    @pytest.mark.parametrize(
+        "checkpoints",
+        # once [2, 10], a count of 1, [1, 5, 10] and [1, 2, 10]
+        [[2.5], True, [True, 5], "12", [np.float64(3.0)], 2.0, object(), [1, [2]], np.array([[3, 5]])],
+    )
+    def test_rejects_what_is_not_an_integer(self, checkpoints):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(checkpoints))}$"):
+            normalize_checkpoints(checkpoints, 10)
+
+    def test_numpy_integers_count_as_integers(self):
+        # a NumPy count once raised TypeError: not iterable
+        assert normalize_checkpoints(np.int64(3), 1000).tolist() == normalize_checkpoints(3, 1000).tolist()
+        assert normalize_checkpoints([np.int64(3), 5], 10).tolist() == [3, 5, 10]
+        assert normalize_checkpoints(np.array([3, 5]), 10).tolist() == [3, 5, 10]
+        assert normalize_checkpoints([], 10).tolist() == [10]
+
+    def test_grid_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs about 1 MB on import; np.unique imported it on the
+        # first normalized checkpoint count, inside the run
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        cfg = {
+            "instance": {"family": "sinusoidal", "params": {"d": 1, "amplitude": 0.4, "beta": 2.0}},
+            "policies": [{"name": "smooth", "params": {"beta": 2.0}}, {"name": "binned_ucb"}, {"name": "uniform"}],
+            "horizons": [2048],
+        }
+        code = (
+            "import json, sys; from smoothbandit import harness; "
+            f"runs = harness.run_experiment(harness.validate_experiment_config(json.loads({json.dumps(cfg)!r})), "
+            "quiet=True)[2]; print(len(runs), 'numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "3 False"
 
 
 class TestSeeds:
@@ -280,6 +314,14 @@ class TestConfigValidation:
     def test_bad_reps(self):
         with pytest.raises(ConfigError, match="reps"):
             validate_experiment_config(small_config(reps=0))
+
+    @pytest.mark.parametrize("label", ["smooth/v2", "smooth\\v2", "smooth\0v2"])
+    def test_label_that_cannot_name_a_file_fails_at_validation(self, label):
+        # once every run executed, then its state report could not be written
+        cfg = small_config(policies=[{"name": "oracle", "label": label}], save_states=True)
+        with pytest.raises(ConfigError, match="must not contain") as info:
+            validate_experiment_config(cfg)
+        assert info.value.fieldpath == "policies[0].label"
 
     @pytest.mark.parametrize(
         "key, value, message",

@@ -1,9 +1,11 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,11 +129,24 @@ class TestSchedule:
             ("beta", True, "smoothness must be a finite number"),
             ("p", True, "p must be a number"),
             ("d", 1.5, "dimension must be an integer"),
+            # once accepted, and the run failed drawing its last epoch's contexts
+            ("horizon", 4096.0, "horizon must be an integer"),
+            ("horizon", 4096.5, "horizon must be an integer"),
+            # once refused only as below 3
+            ("horizon", True, "horizon must be an integer"),
         ],
     )
     def test_config_rejects_values_that_fail_late_or_silently(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             PolicyConfig(**{"beta": 2.0, "d": 1, "horizon": 1000, field: value})
+
+    def test_numpy_integer_horizon_runs_as_an_int(self):
+        env = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
+        cfg = PolicyConfig(beta=2.0, d=1, horizon=np.int64(4096))
+        assert type(cfg.horizon) is int
+        res = run_two_arm(env, cfg, seed=7, checkpoints=8)
+        assert res.equals(run_two_arm(env, PolicyConfig(beta=2.0, d=1, horizon=4096), seed=7, checkpoints=8))
+        json.dumps(res.to_report())  # a NumPy integer in an epoch's length would not serialize
 
     def test_degenerate_short_horizon_flag(self):
         cfg = PolicyConfig(beta=2.0, d=1, horizon=100)
@@ -352,6 +367,22 @@ class TestAct:
 
 
 class TestRunTwoArm:
+    def test_long_d1_run_in_bounded_memory(self):
+        # The run keeps its regret at the checkpoints only, and no step array
+        # outlives its epoch: 60 MiB traced, 65 MiB when an epoch's step
+        # arrays lived into the next epoch's screening and estimation, 76 MiB
+        # when every step's regret and inferior flag were kept to the end.
+        env = make_smooth_instance("sinusoidal", d=1, frequency=1.0, amplitude=0.4)
+        cfg = PolicyConfig(beta=2.0, d=1, horizon=2**20, c_epoch=8.0)
+        tracemalloc.start()
+        try:
+            res = run_two_arm(env, cfg, seed=7, checkpoints=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.horizon == 2**20 and len(res.checkpoint_times) == 8
+        assert peak < 64 * 2**20, peak
+
     def test_zero_effect_means_zero_regret(self):
         env = make_smooth_instance("constant_gap", d=1, gap=0.0)
         cfg = PolicyConfig(beta=1.0, d=1, horizon=2000)

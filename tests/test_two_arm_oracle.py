@@ -257,9 +257,7 @@ def run_two_arm(
     started = time.perf_counter()
     rng = np.random.default_rng(int(seed))
     lattice = build_lattice(config.horizon, config.beta, config.d)
-    support = support_cube_mask(
-        lattice, env.support, 8, 1e-9
-    )
+    support = support_cube_mask(lattice, env.support, 8)
     schedule = make_schedule(config)
     state = initial_state(lattice, support)
 
