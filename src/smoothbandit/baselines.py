@@ -29,7 +29,7 @@ import numpy as np
 
 from .environments import Instance, first_max, step_outcomes
 from .geometry import GridLattice
-from .results import CheckpointTally, RunResult, normalize_checkpoints
+from .results import CheckpointTally, RunError, RunResult, normalize_checkpoints
 
 # Steps whose contexts and reward uniforms binned UCB draws at once.  A
 # constant, not a setting: the block size fixes the order of the random
@@ -90,14 +90,6 @@ def check_binned_ucb_params(d: int, exploration=2.0, bin_rate=None) -> None:
         raise ValueError(
             f"bin_rate must be at most 1/d = {1.0 / d:g} (more bins than steps otherwise), got {bin_rate!r}"
         )
-
-
-class RunError(RuntimeError):
-    """A run of a binned-UCB batch failed; ``index`` is its place in the batch."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
 
 
 def run_binned_ucb(

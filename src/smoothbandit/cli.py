@@ -184,6 +184,8 @@ _EPOCH_FIELDS = {
     "epoch": int, "start": int, "length": int, "tolerance": (int, float),
     "explore_cubes": int, "exploit_cubes": dict, "screened_cubes": dict, "anomalies": int,
 }
+# Fields that reports of older versions lack; ``inspect`` prints "-" for them.
+_EPOCH_OPTIONAL = {"regret": (int, float), "inferior": int}
 
 
 def _check_state_report(report) -> None:
@@ -201,6 +203,9 @@ def _check_state_report(report) -> None:
         for key, kind in _EPOCH_FIELDS.items():
             if not isinstance(e.get(key), kind):
                 raise harness.ConfigError(f"state.epochs[{i}].{key}", "missing or of the wrong type")
+        for key, kind in _EPOCH_OPTIONAL.items():
+            if e.get(key) is not None and not isinstance(e[key], kind):
+                raise harness.ConfigError(f"state.epochs[{i}].{key}", "of the wrong type")
 
 
 def _cmd_inspect(args) -> int:
@@ -208,14 +213,17 @@ def _cmd_inspect(args) -> int:
     _check_state_report(report)
     print(f"policy={report.get('policy')} instance={report.get('instance')} T={report.get('horizon')}")
     print(f"final regret {report.get('final_regret'):.3f}, inferior pulls {report.get('inferior_count')}")
-    header = f"{'epoch':>5s} {'start':>8s} {'length':>8s} {'tol':>8s} {'explore':>8s} {'exploit':>16s} {'screened':>12s} {'anom':>5s}"
+    header = (f"{'epoch':>5s} {'start':>8s} {'length':>8s} {'tol':>8s} {'explore':>8s} {'exploit':>16s} "
+              f"{'screened':>12s} {'anom':>5s} {'regret':>10s} {'inferior':>8s}")
     print(header)
     for e in report.get("epochs", []):
         exploit = ",".join(f"{k}:{v}" for k, v in sorted(e["exploit_cubes"].items()))
         screened = ",".join(f"{k}:{v}" for k, v in sorted(e["screened_cubes"].items())) or "-"
+        regret = "-" if e.get("regret") is None else f"{e['regret']:.3f}"
+        inferior = "-" if e.get("inferior") is None else str(e["inferior"])
         print(
             f"{e['epoch']:>5d} {e['start']:>8d} {e['length']:>8d} {e['tolerance']:>8.4f} "
-            f"{e['explore_cubes']:>8d} {exploit:>16s} {screened:>12s} {e['anomalies']:>5d}"
+            f"{e['explore_cubes']:>8d} {exploit:>16s} {screened:>12s} {e['anomalies']:>5d} {regret:>10s} {inferior:>8s}"
         )
     return 0
 

@@ -5,9 +5,9 @@ derived stably from a base seed, accumulates regret and inferior-sampling
 trajectories, fits the growth exponent of the mean final regret against
 the horizon, and emits CSV rows plus a JSON summary.  Runs execute in a
 single process, one after another, except that a binned-UCB policy's
-runs interleave block by block in one batch; every run's results are
-those of the run alone, so identical configs produce byte-identical
-outputs.
+runs interleave block by block in one batch and an elimination policy's
+runs go epoch by epoch in lockstep stacks; every run's results are those
+of the run alone, so identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .environments import (
     make_smooth_instance,
 )
 from .geometry import build_lattice
-from .policy import PolicyConfig, run_multi_arm, run_two_arm
-from .results import RunResult
+from .policy import PolicyConfig, run_lockstep, run_multi_arm, run_two_arm
+from .results import RunError, RunResult
 
 log = logging.getLogger(__name__)
 
@@ -236,14 +236,28 @@ def _is_int(value) -> bool:
 # peaked 15.6 MiB higher for each arm, 22.4 bytes a cube.  At two arms the
 # per-cube part, 265 bytes, stays above the 216 that the d = 3, 2^14 peak
 # needs, so a two-arm config is refused exactly where it was with one
-# per-cube term for up to five arms.  A run estimated above the budget,
-# half of the 8 GB machine that measured it, is refused before any run
-# starts.
+# per-cube term for up to five arms.  A uniform or oracle run draws its
+# whole horizon at once, about 57 bytes a step (fresh `d = 1` peaks of 94.2
+# MB at 2^20 and 265.5 MB at 2^22), and is estimated by the fixed and
+# per-step parts alone.  A run estimated above the budget, half of the 8 GB
+# machine that measured it, is refused before any run starts.
 _FIXED_BYTES = 50 * 2**20
 _BYTES_PER_CUBE = 219
 _BYTES_PER_CUBE_ARM = 23
 _BYTES_PER_STEP = 78
 _MEMORY_BUDGET = 4 * 2**30
+# Most memory, estimated as above less the fixed part, of the elimination
+# runs of one lockstep stack.  A stack holds every run's samples and fits
+# them in one kernel pass, which saves the kernel's fixed cost per call;
+# that cost weighs on small runs, while the fits of larger ones are bound by
+# their work.  On the acceptance grid at d = 1 (runs of 0.4 to 5.1 MiB, 2^12
+# to 2^16 steps) this cap stacks the runs below 2^15 in one stack, those of
+# 2^15 in another, and lets each 2^16 run go alone: 15 fit calls a pass
+# against 34 one by one, which a replay timed 3-4% slower than one stack
+# of all ten (4 calls).  Its peak RSS was 0.3-0.4 MB above that of the
+# runs one by one (BENCH_33.json); one stack of all ten peaked 2.8 MB
+# higher.
+_STACK_BYTES = 6 * 2**20
 
 
 def _cube_bytes(n_arms: int) -> int:
@@ -256,25 +270,33 @@ def _estimated_bytes(cubes: int, horizon: int, n_arms: int) -> int:
     return _FIXED_BYTES + cubes * _cube_bytes(n_arms) + horizon * _BYTES_PER_STEP
 
 
-def _check_lattice_memory(cfg: dict, horizons: list, d: int, n_arms: int) -> None:
-    """Reject a config with an elimination run that would not fit the memory budget.
+def _check_memory(cfg: dict, horizons: list, d: int, n_arms: int) -> None:
+    """Reject a config with a run that would not fit the memory budget.
 
-    The run's cube count is ``build_lattice``'s for the instance's
-    dimension ``d``, the horizon and the policy's ``beta``; ``n_arms`` is
-    the instance's arm count.
+    An elimination run's cube count is ``build_lattice``'s for the
+    instance's dimension ``d``, the horizon and the policy's ``beta``;
+    ``n_arms`` is the instance's arm count.  A uniform or oracle run draws
+    its whole horizon at once, so it needs the fixed part and the part per
+    step, without a lattice.  Binned UCB works in blocks of steps.
     """
     for i, p in enumerate(cfg["policies"]):
-        if p["name"] not in ("smooth", "smooth_multi"):
-            continue
         for T in horizons:
-            cubes = build_lattice(T, p["params"]["beta"], d).n_cubes
-            estimate = _estimated_bytes(cubes, T, n_arms)
+            if p["name"] in ("uniform", "oracle"):
+                estimate = _FIXED_BYTES + T * _BYTES_PER_STEP
+                need = f"horizon {T} draws all its steps at once"
+                parts = f"{_FIXED_BYTES // 2**20} MiB and {_BYTES_PER_STEP} bytes a step"
+            elif p["name"] in ("smooth", "smooth_multi"):
+                cubes = build_lattice(T, p["params"]["beta"], d).n_cubes
+                estimate = _estimated_bytes(cubes, T, n_arms)
+                need = f"horizon {T} at d = {d} needs a lattice of {cubes:,} cubes"
+                parts = (f"{_FIXED_BYTES // 2**20} MiB, {_cube_bytes(n_arms)} bytes a cube at {n_arms} arms "
+                         f"and {_BYTES_PER_STEP} bytes a step")
+            else:
+                continue
             if estimate > _MEMORY_BUDGET:
                 raise ConfigError(
                     f"policies[{i}]",
-                    f"horizon {T} at d = {d} needs a lattice of {cubes:,} cubes, an estimated "
-                    f"{estimate / 2**30:.1f} GiB ({_FIXED_BYTES // 2**20} MiB, {_cube_bytes(n_arms)} bytes "
-                    f"a cube at {n_arms} arms and {_BYTES_PER_STEP} bytes a step), over the "
+                    f"{need}, an estimated {estimate / 2**30:.1f} GiB ({parts}), over the "
                     f"{_MEMORY_BUDGET / 2**30:.0f} GiB memory budget",
                 )
 
@@ -343,7 +365,7 @@ def validate_experiment_config(cfg: dict) -> dict:
     out_dir = cfg.get("out_dir", ".")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", f"must be a non-empty string, got {out_dir!r}")
-    _check_lattice_memory(cfg, horizons, env.d, env.n_arms)
+    _check_memory(cfg, horizons, env.d, env.n_arms)
     out.setdefault("reps", reps)
     out.setdefault("base_seed", base_seed)
     out.setdefault("checkpoints", checkpoints)
@@ -393,9 +415,10 @@ def run_experiment(cfg: dict, quiet: bool = False):
 
     Runs execute one after another, in job order (policy, then horizon,
     then rep), except that a binned-UCB policy's runs execute together as
-    one batch (``baselines.run_binned_ucb_batch``), each with the results
-    of the run alone.  ``rows`` is the list of CSV tuples (one per
-    checkpoint per run) in deterministic order; ``summary`` is a
+    one batch (``baselines.run_binned_ucb_batch``) and an elimination
+    policy's runs in lockstep stacks (``_run_elimination_group``), each
+    with the results of the run alone.  ``rows`` is the list of CSV tuples
+    (one per checkpoint per run) in deterministic order; ``summary`` is a
     JSON-ready dict with per-group means and standard errors plus rate-fit
     inputs; ``results`` maps each (label, T, rep) to its ``RunResult``, in
     job order.  The first call in a process sets glibc's heap thresholds
@@ -420,6 +443,9 @@ def run_experiment(cfg: dict, quiet: bool = False):
     for label, name, params, runs in plan:
         if name == "binned_ucb":
             results.update(_run_binned_ucb_group(label, params, env, runs, cfg["checkpoints"]))
+            continue
+        if name in ("smooth", "smooth_multi"):
+            results.update(_run_elimination_group(label, name, params, env, runs, cfg["checkpoints"]))
             continue
         for T, rep, seed in runs:
             try:
@@ -479,12 +505,44 @@ def _run_binned_ucb_group(label: str, params: dict, env: Instance, runs: list, c
     """A binned-UCB policy's runs as one batch, keyed like ``run_experiment``'s results."""
     try:
         batch = baselines.run_binned_ucb_batch(env, [(T, seed) for T, _, seed in runs], checkpoints, **params)
-    except baselines.RunError as exc:
+    except RunError as exc:
         T, rep, seed = runs[exc.index]
         raise _run_failed(label, T, rep, seed, exc) from exc
     except Exception as exc:
         raise RuntimeError(f"run failed at policy={label} (batch of {len(runs)} runs): {exc}") from exc
     return {(label, T, rep): run for (T, rep, _), run in zip(runs, batch)}
+
+
+def _run_elimination_group(label: str, name: str, params: dict, env: Instance, runs: list, checkpoints) -> dict:
+    """An elimination policy's runs as lockstep stacks, keyed like ``run_experiment``'s results.
+
+    Runs join a stack in job order while the stack's ``_estimated_bytes``
+    above ``_FIXED_BYTES`` stay within ``_STACK_BYTES``; a run above that
+    is a stack of its own.
+    """
+    arms = 2 if name == "smooth" else env.n_arms
+    configs = [PolicyConfig(d=env.d, horizon=T, arm_count=arms, **params) for T, _, _ in runs]
+    stacks, held = [], math.inf
+    for i, config in enumerate(configs):
+        cubes = build_lattice(config.horizon, config.beta, env.d).n_cubes
+        size = _estimated_bytes(cubes, config.horizon, arms) - _FIXED_BYTES
+        if held + size > _STACK_BYTES:
+            stacks.append([])
+            held = 0
+        stacks[-1].append(i)
+        held += size
+    out = {}
+    for stack in stacks:
+        try:
+            batch = run_lockstep(env, [configs[i] for i in stack], [runs[i][2] for i in stack], checkpoints,
+                                 two_arm=name == "smooth")
+        except RunError as exc:
+            T, rep, seed = runs[stack[exc.index]]
+            raise _run_failed(label, T, rep, seed, exc) from exc
+        except Exception as exc:
+            raise RuntimeError(f"run failed at policy={label} (stack of {len(stack)} runs): {exc}") from exc
+        out.update({(label, *runs[i][:2]): run for i, run in zip(stack, batch)})
+    return out
 
 
 def write_csv(rows, path: str) -> None:

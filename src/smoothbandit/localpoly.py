@@ -26,9 +26,12 @@ minimum eigenvalue is read only through the degenerate flag and the
 smallest value over the fits, so ``_eigen_filter`` computes it only for
 the few fits that could set either and proves the rest above both.  The
 cost grows with the (row, sample) pairs and the queries, not with the
-in-ball samples of every query.  ``fit_at_centers`` fits many queries with
-it; ``local_poly_estimate`` and ``gram_matrix`` are its one-query case,
-with the same in-ball samples.
+in-ball samples of every query.  One pass of the kernel fits many
+independent problems, each its own queries, samples, rewards and
+bandwidth, as one set of rows: ``fit_problems`` gives each problem the
+results of its own call, and saves the kernel's fixed cost per call.
+``fit_at_centers`` is its one-problem case; ``local_poly_estimate`` and
+``gram_matrix`` are the one-query case, with the same in-ball samples.
 """
 
 from __future__ import annotations
@@ -496,57 +499,103 @@ class _Buckets:
 class _Sweep:
     """Queries sorted into rows, rows cut into origin blocks, and each row's candidate samples.
 
-    A row holds the queries that share every coordinate but the last; the
-    sorted queries ``centers[order]`` list the rows one after another, each
-    in increasing last coordinate.  An origin block is a run of a row's
-    queries less than ``span * h`` wide, on a grid anchored at the row's
-    first query; its origin is the midpoint of its first and last query on
-    the last axis, and ``shift`` is each query's offset from its block's
-    origin over ``h``.  ``_block_fits`` sets ``span`` by the basis degree
-    (``_origin_span``): h / 2 wide blocks for a local constant or linear
-    fit, whose Gram matrix needs moments of degree at most 2 only, and
-    h / 8 for higher degrees, whose binomial shift amplifies rounding more;
-    the default, h / 8, suits every degree.  Row ``r``'s candidate samples
-    are ``sample_order[lo[r]:hi[r]]``: every sample at ``d = 1``,
-    otherwise the sorted window ``|x_0 - c_0| <= h`` on the first axis,
-    padded a little so that rounding cannot drop a sample the exact test
-    keeps.
+    The queries are those of one or more problems, each its own queries,
+    samples, rewards and bandwidth (``fit_problems``); a problem without
+    queries is left out, and ``problem_ids`` gives the others' places in
+    the list.  A row holds the queries of one problem that share
+    every coordinate but the last; the sorted queries ``centers[order]``,
+    the problems' queries concatenated, list the rows one after another, by
+    problem, each in increasing last coordinate.  Problem ``p``'s queries
+    start at sorted position ``problem_start[p]`` and its rows at
+    ``problem_rows[p]``.  Every length along a row is its problem's:
+    ``row_h`` and ``block_h`` are the bandwidths of the rows and origin
+    blocks.  An origin block is a run of a row's queries less than ``span *
+    h`` wide, on a grid anchored at the row's first query; its origin is the
+    midpoint of its first and last query on the last axis, and ``shift`` is
+    each query's offset from its block's origin over ``h``.
+    ``_block_fits`` sets ``span`` by the basis degree (``_origin_span``):
+    h / 2 wide blocks for a local constant or linear fit, whose Gram matrix
+    needs moments of degree at most 2 only, and h / 8 for higher degrees,
+    whose binomial shift amplifies rounding more; the default, h / 8, suits
+    every degree.  ``points`` and ``rewards`` hold the problems' samples one
+    problem after another, each problem's in the order of ``_stable_order``
+    on the first axis.  Row ``r``'s candidate samples are ``lo[r]:hi[r]``
+    of them: all of its problem's at ``d = 1``, otherwise the sorted window
+    ``|x_0 - c_0| <= h``, padded a little so that rounding cannot drop a
+    sample the exact test keeps.  So a row sees what it would see in a
+    sweep of its problem alone.
 
-    ``pairs`` finds each candidate pair's run of queries.  At ``d = 1`` one
-    ``searchsorted`` of the sorted samples gives every run exactly.
+    ``groups`` cuts the rows into groups, and ``pairs`` finds each
+    candidate pair's run of queries in one group.  At ``d = 1`` one
+    ``searchsorted`` of a row's sorted samples gives every run exactly.
     Otherwise each group of rows gets a ``_Buckets`` index, which places
     each run end with at most one compare, or by a bisection over a bucket
     of several queries.
     """
 
-    def __init__(self, centers: np.ndarray, points: np.ndarray, h: float, span: float = _ORIGIN_SPAN[1]):
-        n = len(centers)
-        self.h = h
-        self.order = np.lexsort(centers.T[::-1])
-        ordered = centers[self.order]
+    def __init__(self, problems, span: float = _ORIGIN_SPAN[1]):
+        self.problem_ids = np.flatnonzero([len(c) for c, _, _, _ in problems])
+        problems = [problems[i] for i in self.problem_ids]
+        sizes = np.array([len(c) for c, _, _, _ in problems])
+        h = np.array([bandwidth for _, _, _, bandwidth in problems], dtype=float)
+        self.problem_start = np.cumsum(sizes) - sizes  # the problems' queries come one problem after another
+        by_problem = list(zip(self.problem_start, self.problem_start + sizes, h))
+        orders = [np.lexsort(c.T[::-1]) for c, _, _, _ in problems]
+        self.order = np.concatenate([order + q0 for order, (q0, _, _) in zip(orders, by_problem)])
+        ordered = np.concatenate([c[order] for (c, _, _, _), order in zip(problems, orders)])
+        n = len(ordered)
         self.last = ordered[:, -1]
         new_row = np.ones(n, dtype=bool)
         new_row[1:] = np.any(ordered[1:, :-1] != ordered[:-1, :-1], axis=1)
+        new_row[self.problem_start] = True
         self.row_start = np.flatnonzero(new_row)
         self.row_end = np.append(self.row_start[1:], n)
         self.keys = ordered[self.row_start, :-1]
+        row_problem = np.searchsorted(self.problem_start, self.row_start, side="right") - 1
+        self.row_h = h[row_problem]
         row_of = np.cumsum(new_row) - 1
-        cell = np.floor((self.last - self.last[self.row_start][row_of]) / (span * h))
+        cell = self.last - self.last[self.row_start][row_of]
+        for q0, q1, bandwidth in by_problem:  # by each problem's own scalar, as in a sweep of it alone
+            cell[q0:q1] /= span * bandwidth
+        np.floor(cell, out=cell)
         new_block = new_row.copy()
         new_block[1:] |= cell[1:] != cell[:-1]
         self.block_of = np.cumsum(new_block) - 1
         self.block_start = np.flatnonzero(new_block)
         self.block_end = np.append(self.block_start[1:], n)
+        self.block_h = h[np.searchsorted(self.problem_start, self.block_start, side="right") - 1]
         self.origin = (self.last[self.block_start] + self.last[self.block_end - 1]) / 2
-        self.shift = (self.last - self.origin[self.block_of]) / h
+        self.shift = self.last - self.origin[self.block_of]
+        for q0, q1, bandwidth in by_problem:
+            self.shift[q0:q1] /= bandwidth
 
-        self.sample_order, self._first_axis = _stable_order(points[:, 0])
-        if centers.shape[1] == 1:
-            self.lo, self.hi = np.zeros(1, dtype=np.intp), np.full(1, len(points))
-        else:
-            reach = h + 1e-9 * (h + np.abs(self.keys[:, 0]))
-            self.lo = np.searchsorted(self._first_axis, self.keys[:, 0] - reach, side="left")
-            self.hi = np.searchsorted(self._first_axis, self.keys[:, 0] + reach, side="right")
+        counts = np.array([len(p) for _, p, _, _ in problems])
+        first = np.cumsum(counts) - counts
+        self.points = np.empty((counts.sum(), ordered.shape[1]))
+        self.rewards = np.empty(counts.sum())
+        self.problem_rows = np.searchsorted(row_problem, np.arange(len(problems) + 1))
+        self.lo = first[row_problem]
+        self.hi = self.lo + counts[row_problem]
+        key, bounds = self.keys[:, :1], self.problem_rows
+        reach = self.row_h[:, None] + 1e-9 * (self.row_h[:, None] + np.abs(key))
+        for (_, points, rewards, _), f, count, b0, b1 in zip(problems, first, counts, bounds[:-1], bounds[1:]):
+            order, axis = _stable_order(points[:, 0])
+            points.take(order, axis=0, out=self.points[f:f + count])
+            rewards.take(order, out=self.rewards[f:f + count])
+            if key.shape[1]:
+                self.lo[b0:b1] += np.searchsorted(axis, key[b0:b1, 0] - reach[b0:b1, 0], side="left")
+                self.hi[b0:b1] = f + np.searchsorted(axis, key[b0:b1, 0] + reach[b0:b1, 0], side="right")
+
+    def groups(self, limit: int):
+        """Spans r0:r1 of rows: whole problems whose rows' candidate samples and
+        queries sum to at most ``limit``, or rows of one heavier problem, by
+        ``_spans``; so a group is never heavier than those of its problems
+        fitted one by one."""
+        weights = self.hi - self.lo + self.row_end - self.row_start
+        bounds = self.problem_rows
+        for p0, p1 in _spans(np.add.reduceat(weights, bounds[:-1]), limit):
+            for r0, r1 in _spans(weights[bounds[p0]:bounds[p1]], limit):
+                yield bounds[p0] + r0, bounds[p0] + r1
 
     def _runs(self, row: np.ndarray, x: np.ndarray, w: np.ndarray, r0: int, r1: int):
         """Sorted positions [start, stop) of the queries c of ``row`` with c - w <= x <= c + w.
@@ -577,41 +626,48 @@ class _Sweep:
         settle(stop, 1, lambda p: (p < end) & (c[np.minimum(p, top)] - w <= x))
         return start, np.maximum(start, stop)
 
-    def pairs(self, r0: int, r1: int, points: np.ndarray, rewards: np.ndarray) -> _Pairs:
+    def pairs(self, r0: int, r1: int) -> _Pairs:
         """The pairs of rows r0:r1 with a non-empty run, by row and then sample order.
 
-        At ``d = 1`` there is one row and every sample is a candidate, with
-        ``w = sqrt(h^2)``.  ``fl(c + w)`` and ``fl(c - w)`` do not decrease
-        along the row, so ``searchsorted`` of the sorted samples among them
-        gives each run exactly.  Otherwise a candidate pair is kept when
-        ``r2 = sum_{k < d-1} (x_k - c_k)^2 <= h^2``; its run is then that of
-        ``_runs`` with ``w = sqrt(h^2 - r2)``.
+        At ``d = 1`` a row holds every query of its problem and every sample
+        of it is a candidate, with ``w = sqrt(h^2)``.  ``fl(c + w)`` and
+        ``fl(c - w)`` do not decrease along the row, so ``searchsorted`` of
+        the sorted samples among them gives each run exactly.  Otherwise a
+        candidate pair is kept when ``r2 = sum_{k < d-1} (x_k - c_k)^2 <=
+        h^2``; its run is then that of ``_runs`` with ``w = sqrt(h^2 - r2)``.
         """
-        h = self.h
         if self.keys.shape[1] == 0:
-            w = np.sqrt(h * h)
-            x = self._first_axis
-            start = np.searchsorted(self.last + w, x, side="left")
-            stop = np.searchsorted(self.last - w, x, side="right")
+            s0, s1 = self.lo[r0], self.hi[r1 - 1]  # one row a problem: its samples follow the previous row's
+            x = self.points[s0:s1, 0]
+            start, stop = np.empty(s1 - s0, dtype=np.intp), np.empty(s1 - s0, dtype=np.intp)
+            for r in range(r0, r1):
+                c, w = self.last[self.row_start[r]:self.row_end[r]], np.sqrt(self.row_h[r] * self.row_h[r])
+                at = slice(self.lo[r] - s0, self.hi[r] - s0)
+                start[at] = self.row_start[r] + np.searchsorted(c + w, x[at], side="left")
+                stop[at] = self.row_start[r] + np.searchsorted(c - w, x[at], side="right")
             hit = stop > start
             start, stop = start[hit], stop[hit]
-            return _Pairs(np.empty((len(start), 0)), x[hit], rewards[self.sample_order[hit]], start, stop,
+            return _Pairs(np.empty((len(start), 0)), x[hit], self.rewards[s0:s1][hit], start, stop,
                           self.block_of[start], self.block_of[stop - 1])
         width = self.hi[r0:r1] - self.lo[r0:r1]
         row = np.repeat(np.arange(r0, r1), width)
-        sample = self.sample_order[_ranges(self.lo[r0:r1], width)]
-        offset = points[sample, :-1] - self.keys[row]
+        sample = _ranges(self.lo[r0:r1], width)
+        offset = self.points[sample, :-1] - self.keys[row]
         r2 = np.zeros(len(row))
         for k in range(offset.shape[1]):
             r2 += offset[:, k] * offset[:, k]
+        h = self.row_h[r0:r1]
+        per_pair = h.min() < h.max()  # rows of several bandwidths; one is a scalar, the faster way
+        h = self.row_h.take(row) if per_pair else h[0]
         near = r2 <= h * h
         row, sample, offset, r2 = row[near], sample[near], offset[near], r2[near]
-        x = points[sample, -1]
+        h = h[near] if per_pair else h
+        x = self.points[sample, -1]
         start, stop = self._runs(row, x, np.sqrt(h * h - r2), r0, r1)
         hit = stop > start
         start, stop = start[hit], stop[hit]
-        return _Pairs(offset[hit] / h, x[hit], rewards[sample[hit]], start, stop,
-                      self.block_of[start], self.block_of[stop - 1])
+        return _Pairs(offset[hit] / (h[hit, None] if per_pair else h), x[hit], self.rewards[sample[hit]],
+                      start, stop, self.block_of[start], self.block_of[stop - 1])
 
     def raw_moments(self, pairs: _Pairs, factors: dict, columns, c0: int, c1: int) -> np.ndarray:
         """Raw moments (n, K) of the queries of origin blocks c0:c1, about their blocks' origins.
@@ -649,20 +705,21 @@ class _Sweep:
         x = pairs.x.take(pick)
         v = np.repeat(x, count)
         v -= self.origin.take(block)
-        v /= self.h
-        v_end = (x[ends] - self.origin.take(last[ends])) / self.h
+        h = self.block_h[c0:c1]
+        one = h.min() == h.max()  # blocks of one problem divide by one scalar, the faster way
+        v /= h[0] if one else self.block_h.take(block)
+        v_end = (x[ends] - self.origin.take(last[ends])) / (h[0] if one else self.block_h.take(last[ends]))
         top = max(q for _, q in columns)
         v_powers, end_powers = _powers(v, top), _powers(v_end, top)
         n = q1 - q0
         raw = np.empty((n, len(columns)))
-        spread, ended = {}, {}
-        for k, (factor, q) in enumerate(columns):
-            if factor not in spread:
-                picked = None if factors[factor] is None else factors[factor].take(pick)
-                spread[factor] = None if picked is None else np.repeat(picked, count)
-                ended[factor] = None if picked is None else picked[ends]
-            raw[:, k] = (_bincount(add_at, _product(spread[factor], v_powers[q]), n)
-                         - _bincount(sub_at, _product(ended[factor], end_powers[q]), n))
+        for factor in dict.fromkeys(factor for factor, _ in columns):  # one factor's terms held at a time
+            picked = None if factors[factor] is None else factors[factor].take(pick)
+            spread = None if picked is None else np.repeat(picked, count)
+            ended = None if picked is None else picked[ends]
+            for k, (_, q) in ((k, column) for k, column in enumerate(columns) if column[0] == factor):
+                raw[:, k] = (_bincount(add_at, _product(spread, v_powers[q]), n)
+                             - _bincount(sub_at, _product(ended, end_powers[q]), n))
         query_block = self.block_of[q0:q1]
         return _running_sums(raw, query_block - c0, np.arange(q0, q1) - self.block_start[query_block])
 
@@ -683,7 +740,8 @@ def _running_sums(raw: np.ndarray, block: np.ndarray, step: np.ndarray) -> np.nd
     padded = np.zeros((int(step.max()) + 1, blocks, raw.shape[1]))
     at = step * blocks + block
     padded.reshape(-1, raw.shape[1])[at] = raw
-    return np.add.accumulate(padded, axis=0).reshape(-1, raw.shape[1]).take(at, axis=0)
+    np.add.accumulate(padded, axis=0, out=padded)
+    return padded.reshape(-1, raw.shape[1]).take(at, axis=0)
 
 
 @dataclass(frozen=True)
@@ -741,46 +799,51 @@ def _plans(basis: MultiIndexBasis):
     return gram_plan, rhs_plan, columns, entry
 
 
-def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h: float,
-                basis: MultiIndexBasis):
-    """Yield (index, counts, gram, coef, min_eig, degenerate) per batch of
-    whole origin blocks: the queries ``centers[index]`` with their in-ball
-    sample counts, Gram matrices and scaled coefficients, the smallest Gram
-    minimum eigenvalue over the batch, and the degenerate flags.
+def _block_fits(problems, basis: MultiIndexBasis):
+    """Yield (index, counts, gram, coef, minima, degenerate) per batch of
+    whole origin blocks: the queries ``index`` of the problems' queries
+    concatenated, with their in-ball sample counts, Gram matrices and scaled
+    coefficients, the smallest Gram minimum eigenvalue of each problem's
+    queries in the batch, by problem, and the degenerate flags.
 
-    A sample x is in the ball of query c when ``r2 = sum_{k < d-1} (x_k -
-    c_k)^2 <= h^2`` and then ``c_last - w <= x_last <= c_last + w`` with
-    ``w = sqrt(h^2 - r2)``, each side rounded once.  At ``d = 1`` this is
-    ``c - h <= x <= c + h``.
+    ``problems`` lists ``(centers, points, rewards, h)`` fits, the first
+    three as ``_checked_inputs`` returns them.  A sample x of a problem is
+    in the ball of its query c when ``r2 = sum_{k < d-1} (x_k - c_k)^2 <=
+    h^2`` and then ``c_last - w <= x_last <= c_last + w`` with ``w =
+    sqrt(h^2 - r2)``, each side rounded once.  At ``d = 1`` this is ``c - h
+    <= x <= c + h``.
 
-    The inputs are as ``_checked_inputs`` returns them.  ``_Sweep`` pairs
-    rows of queries with samples and finds each pair's run of queries;
-    ``_Sweep.raw_moments`` sums the pairs over the runs, and the binomial
-    shift of ``_MomentPlan`` turns a query's raw moments into its Gram
-    matrix and moment vector.  A query with no in-ball sample gets a zero
-    Gram matrix.  Rows are taken in groups of about ``_CHUNK`` candidate
-    pairs, and each group's origin blocks in chunks of about ``_CHUNK``
-    (pair, block) terms plus ``M`` per query, whose raw moments are summed
-    one chunk at a time.  Consecutive chunks of a group then make one batch
-    of fits, written into one array, while the batch holds at most
-    ``_CHUNK`` Gram entries, ``M^2`` a query; a heavier chunk is a batch of
-    its own.  A fit whose Gram minimum eigenvalue is below
-    ``default_eig_tol(basis)`` is degenerate and has zero coefficients;
-    ``_eigen_filter`` gives each batch's flags and minimum exactly, calling
-    ``eigvalsh`` on the few fits that could set them.  ``_solve`` then
-    solves every system of the batch by one vectorized elimination and
-    zeroes the degenerate ones.  Each fit works on its own matrix, and the
-    flags and minimum are exact for any batch, so no result depends on how
-    the queries are cut into chunks or batches.
+    ``_Sweep`` pairs rows of queries with samples of their problem and finds
+    each pair's run of queries; ``_Sweep.raw_moments`` sums the pairs over
+    the runs, and the binomial shift of ``_MomentPlan`` turns a query's raw
+    moments into its Gram matrix and moment vector.  A query with no
+    in-ball sample gets a zero Gram matrix.  Rows are taken in groups
+    (``_Sweep.groups``): whole problems of about ``_CHUNK`` candidate pairs
+    and queries in all, or rows of one heavier problem, so a group holds no
+    more than the groups of its problems fitted one by one.  Each group's
+    origin blocks are taken in chunks of about ``_CHUNK`` (pair, block)
+    terms plus ``M`` per query, whose raw moments are summed one chunk at a
+    time.  Consecutive chunks of a group then make one batch of fits,
+    written into one array, while the batch holds at most ``_CHUNK`` Gram
+    entries, ``M^2`` a query; a heavier chunk is a batch of its own.  A fit
+    whose Gram minimum eigenvalue is below ``default_eig_tol(basis)`` is
+    degenerate and has zero coefficients; ``_eigen_filter`` gives the flags
+    and, called once for each problem of a batch, the problem's least value
+    exactly, calling ``eigvalsh`` on the few fits that could set them.
+    ``_solve`` then solves every system of the batch by one vectorized
+    elimination and zeroes the degenerate ones.  Each fit works on its own
+    matrix, and the flags and each problem's minimum are exact for any
+    batch, so no result depends on how the queries are cut into chunks or
+    batches, nor on which problems share the call.
     """
-    if len(centers) == 0:
+    if not any(len(centers) for centers, _, _, _ in problems):
         return
     eig_tol = default_eig_tol(basis)
     gram_plan, rhs_plan, columns, entry = _plans(basis)
     K = len(gram_plan.columns)
-    sweep = _Sweep(centers, points, h, _origin_span(basis))
-    for r0, r1 in _spans(sweep.hi - sweep.lo + sweep.row_end - sweep.row_start, _CHUNK):
-        pairs = sweep.pairs(r0, r1, points, rewards)
+    sweep = _Sweep(problems, _origin_span(basis))
+    for r0, r1 in sweep.groups(_CHUNK):
+        pairs = sweep.pairs(r0, r1)
         p0, p1 = sweep.row_start[r0], sweep.row_end[r1 - 1]
         counts = _coverage(pairs.start - p0, pairs.stop - p0, p1 - p0)
         key_powers = _monomials(pairs.u, {key for (key, _), _ in columns})
@@ -802,9 +865,18 @@ def _block_fits(centers: np.ndarray, points: np.ndarray, rewards: np.ndarray, h:
             rhs = rhs_plan.centered(raw[:, K:], s)
             count = counts[q0 - p0:q1 - p0]
             gram[count == 0] = 0.0
-            lam = _eigen_filter(gram, eig_tol)
+            # the filter's least value is exact for its whole stack, so each
+            # problem gets a call of its own, except at M <= 2, where it
+            # computes every value
+            first, last = np.searchsorted(sweep.problem_start, (q0, q1 - 1), side="right")
+            cuts = sweep.problem_start[first:last] - q0  # where the batch's later problems start
+            pieces = [gram] if basis.M <= 2 else np.split(gram, cuts)
+            lam = np.concatenate([_eigen_filter(piece, eig_tol) for piece in pieces])
             degenerate = lam < eig_tol
-            yield sweep.order[q0:q1], count, gram, _solve(gram, rhs, degenerate), lam.min(), degenerate
+            minima = dict(zip(sweep.problem_ids[first - 1:last].tolist(),
+                              np.minimum.reduceat(lam, np.append(0, cuts)).tolist()))
+            yield sweep.order[q0:q1], count, gram, _solve(gram, rhs, degenerate), minima, degenerate
+        del pairs, key_powers, factors  # so no group's pairs live while the next group's are found
 
 
 def local_poly_estimate(
@@ -822,8 +894,8 @@ def local_poly_estimate(
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     x, points, rewards = _checked_inputs(x, points, rewards, h)
-    ((_, counts, gram, coef, min_eig, degenerate),) = _block_fits(x, points, rewards, h, basis)
-    fit = LocalPolyFit(x[0], h, coef[0], gram[0], float(min_eig), int(counts[0]), bool(degenerate[0]))
+    ((_, counts, gram, coef, minima, degenerate),) = _block_fits([(x, points, rewards, h)], basis)
+    fit = LocalPolyFit(x[0], h, coef[0], gram[0], minima[0], int(counts[0]), bool(degenerate[0]))
     return float(coef[0, 0]), fit
 
 
@@ -850,17 +922,35 @@ def fit_at_centers(
     of centers; the results do not depend on their sizes.  ``min_eig`` is
     the exact smallest Gram minimum eigenvalue over the centers (``inf``
     when there are none); per-center values are not computed, as a fit
-    proven well-conditioned needs none.
+    proven well-conditioned needs none.  The one-problem case of
+    ``fit_problems``.
     """
-    centers, points, rewards = _checked_inputs(centers, points, rewards, h)
-    n = len(centers)
+    return fit_problems([(centers, points, rewards, h)], basis)[0]
+
+
+def fit_problems(problems, basis: MultiIndexBasis) -> list[CenterFits]:
+    """``fit_at_centers`` of each ``(centers, points, rewards, h)`` problem, in one kernel pass.
+
+    The problems share the sweep, its chunks and its batches, but no row,
+    sample or bandwidth: each result equals the problem's own
+    ``fit_at_centers`` bit for bit, ``min_eig`` included.  One pass saves
+    the kernel's fixed cost per call, which dominates small fits.
+    """
+    problems = [(*_checked_inputs(c, p, y, h), h) for c, p, y, h in problems]
+    sizes = [len(centers) for centers, _, _, _ in problems]
+    n = sum(sizes)
     values = np.zeros(n)
     degenerate = np.zeros(n, dtype=bool)
-    min_eig = math.inf
     n_in_ball = np.zeros(n, dtype=np.intp)
-    for index, counts, _, coef, batch_min, degen in _block_fits(centers, points, rewards, h, basis):
+    min_eig = [math.inf] * len(problems)
+    for index, counts, _, coef, minima, degen in _block_fits(problems, basis):
         values[index] = coef[:, 0]
-        min_eig = min(min_eig, float(batch_min))
         degenerate[index] = degen
         n_in_ball[index] = counts
-    return CenterFits(values, degenerate, min_eig, n_in_ball)
+        for problem, least in minima.items():
+            min_eig[problem] = min(min_eig[problem], least)
+    cuts = np.cumsum(sizes)[:-1]
+    return [
+        CenterFits(v, g, m, c)
+        for v, g, m, c in zip(np.split(values, cuts), np.split(degenerate, cuts), min_eig, np.split(n_in_ball, cuts))
+    ]

@@ -7,16 +7,17 @@ At each epoch boundary the policy (1) screens out, per arm, cubes whose
 reachable sampling region has become too irregular for a trustworthy
 local polynomial fit, (2) re-estimates each arm's mean at the centers of
 the cubes still randomizing it, using samples from the previous epoch
-with a sample-size-matched bandwidth, all centers of an arm in one
-batched call to ``localpoly.fit_at_centers``, and (3) drops screened
-arms and arms beaten by more than the tolerance from each cube's set.
-The stages pass one ``(n_cubes, n_arms)`` bool screen table and plain
-return values; an arm that drew no samples last epoch has no bandwidth,
-and that alone marks its fail-safe state.  Within an epoch the action
-rule is static: every cube draws uniformly from its active arms.
-``run_multi_arm`` is the one run loop; ``run_two_arm`` is its two-arm
-case, reported with the explore/exploit region labels of the two-arm
-formulation.
+with a sample-size-matched bandwidth, and (3) drops screened arms and
+arms beaten by more than the tolerance from each cube's set.  The stages
+pass one ``(n_cubes, n_arms)`` bool screen table and plain return values;
+an arm that drew no samples last epoch has no bandwidth, and that alone
+marks its fail-safe state.  Within an epoch the action rule is static:
+every cube draws uniformly from its active arms.  ``run_lockstep``
+advances many runs of one instance by epoch index, each with the results
+of the run alone, and makes every run's and arm's fits of an epoch in one
+``localpoly.fit_problems`` call; ``run_multi_arm`` is its one-run case,
+and ``run_two_arm`` the two-arm case, reported with the explore/exploit
+region labels of the two-arm formulation.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .geometry import (
 from .localpoly import (
     MultiIndexBasis,
     enumerate_basis,
-    fit_at_centers,
+    fit_problems,
     scaled_design,  # unused here; the benchmark's tracer patches policy.scaled_design
 )
-from .results import CheckpointTally, EpochDiagnostics, RunResult, normalize_checkpoints
+from .results import CheckpointTally, EpochDiagnostics, RunError, RunResult, normalize_checkpoints
 
 log = logging.getLogger(__name__)
 
@@ -264,30 +265,32 @@ def screen_multi_arm(state: MultiArmState, arm_index: int, support, config: Poli
 
 
 def estimate_means_at_centers(
-    state: MultiArmState, config: PolicyConfig, screened: np.ndarray
-) -> tuple[np.ndarray, int, float | None]:
-    """Per-arm mean estimates at centers of multi-active, unscreened cubes.
+    states: list, basis: MultiIndexBasis, screened: list
+) -> list[tuple[np.ndarray, int, float | None]]:
+    """Per-arm mean estimates at centers of multi-active, unscreened cubes, for each run.
 
-    ``screened`` is the ``(n_cubes, n_arms)`` screen table.  Returns the
-    estimates, the number of degenerate fits and the smallest Gram
-    eigenvalue (``None`` when nothing was fitted).  NaN marks combinations
-    with no estimate: arm inactive, screened, or without samples.
+    ``states`` and ``screened`` hold each run's state and ``(n_cubes,
+    n_arms)`` screen table.  Every (run, arm) fit is one problem of one
+    ``fit_problems`` call, whose results are those of the problem alone.
+    Returns, per run, the estimates, the number of degenerate fits and the
+    smallest Gram eigenvalue (``None`` when nothing was fitted).  NaN marks
+    combinations with no estimate: arm inactive, screened, or without
+    samples.
     """
-    eta = np.full(state.active.shape, np.nan, order="F")
-    estimable = state.active & ~screened & (state.support_cubes & (state.active_counts() >= 2))[:, None]
-    basis = config.basis()
-    degenerate = 0
-    eig_min = math.inf
-    for ai, bandwidth in state.bandwidths.items():
-        ids = np.nonzero(estimable[:, ai])[0]
-        if len(ids) == 0:
-            continue
-        X, y = state.samples[ai]
-        vals, degen, min_eig, _ = fit_at_centers(state.lattice.centers(ids), X, y, bandwidth, basis)
-        eta[ids, ai] = vals
-        degenerate += int(degen.sum())
-        eig_min = min(eig_min, min_eig)
-    return eta, degenerate, None if math.isinf(eig_min) else eig_min
+    out, problems, owners = [], [], []
+    for run, (state, table) in enumerate(zip(states, screened)):
+        estimable = state.active & ~table & (state.support_cubes & (state.active_counts() >= 2))[:, None]
+        for ai, bandwidth in state.bandwidths.items():
+            ids = np.nonzero(estimable[:, ai])[0]
+            if len(ids):
+                problems.append((state.lattice.centers(ids), *state.samples[ai], bandwidth))
+                owners.append((run, ai, estimable[:, ai]))
+        out.append([np.full(state.active.shape, np.nan, order="F"), 0, math.inf])
+    for (run, ai, cubes), fit in zip(owners, fit_problems(problems, basis)):
+        out[run][0][cubes, ai] = fit.values
+        out[run][1] += int(fit.degenerate.sum())
+        out[run][2] = min(out[run][2], fit.min_eig)
+    return [(eta, degenerate, None if math.isinf(eig) else eig) for eta, degenerate, eig in out]
 
 
 def update_active_sets(
@@ -346,15 +349,85 @@ def run_multi_arm(
     acts statically.  Returns the regret and inferior-sampling trajectory
     plus per-epoch diagnostics and the final active-arm bits per cube
     (bit ``i`` set when arm ``env.arms[i]`` is active, -1 off support).
+    The one-run case of ``run_lockstep``.
     """
-    if config.arm_count != len(env.arms):
-        raise ValueError(
-            f"config.arm_count={config.arm_count} does not match the instance's {len(env.arms)} arms"
-        )
-    if config.d != env.d:
-        raise ValueError(f"config dimension {config.d} != instance dimension {env.d}")
+    return run_lockstep(env, [config], [seed], checkpoints, record_actions)[0]
+
+
+def run_lockstep(
+    env: Instance,
+    configs: list,
+    seeds: list,
+    checkpoints=None,
+    record_actions: bool = False,
+    two_arm: bool = False,
+) -> list[RunResult]:
+    """Elimination runs on one instance, one per (config, seed), in lockstep by epoch index.
+
+    The configs may differ in their horizons, not in their basis.  Each
+    run keeps its own generator, draw order, state and records, and its
+    result is that of the run alone: at each epoch index every run still
+    going screens its arms, then one ``estimate_means_at_centers`` call
+    fits every (run, arm) problem in one kernel pass, then each run
+    updates, acts, logs its samples and tallies the epoch.  A run of fewer
+    epochs drops out when it ends.  ``two_arm`` reports the runs as
+    ``run_two_arm`` does.  Checkpoints are normalized for every run before
+    any run starts.  ``wall_time`` is the elapsed time of all the runs
+    split in proportion to their horizons, as in a binned-UCB batch.  A
+    failing run stops the call once no earlier run is still going, and
+    ``RunError`` names the first failing run in ``configs`` order, the run
+    that would have failed first had they run one by one.
+    """
+    if two_arm and tuple(env.arms) != TWO_ARMS:
+        raise ValueError("two-arm runs require arms (+1, -1)")
+    basis = configs[0].basis()
+    for config in configs:
+        if config.arm_count != len(env.arms):
+            raise ValueError(
+                f"config.arm_count={config.arm_count} does not match the instance's {len(env.arms)} arms"
+            )
+        if config.d != env.d:
+            raise ValueError(f"config dimension {config.d} != instance dimension {env.d}")
+        if config.basis() != basis:
+            raise ValueError("lockstep runs must share their basis")
     started = time.perf_counter()
-    tally = CheckpointTally(normalize_checkpoints(checkpoints, config.horizon))
+    times = [normalize_checkpoints(checkpoints, config.horizon) for config in configs]
+    runs = [_one_run(env, *args, record_actions) for args in zip(configs, seeds, times)]
+    results, requests, failed = [None] * len(runs), {}, {}
+
+    def advance(i, fits):
+        try:
+            requests[i] = runs[i].send(fits)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:
+            failed[i] = exc
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while requests and not (failed and min(failed) < min(requests)):
+        pending = sorted(requests.items())
+        requests.clear()
+        fits = estimate_means_at_centers(
+            [state for _, (state, _) in pending], basis, [screened for _, (_, screened) in pending]
+        )
+        for (i, _), fit in zip(pending, fits):
+            advance(i, fit)
+    if failed:
+        i = min(failed)
+        raise RunError(i, str(failed[i])) from failed[i]
+    elapsed = time.perf_counter() - started
+    steps = sum(config.horizon for config in configs)
+    for result in results:
+        result.wall_time = elapsed * result.horizon / steps
+    return [_as_two_arm(result) for result in results] if two_arm else results
+
+
+def _one_run(env: Instance, config: PolicyConfig, seed: int, times: np.ndarray, record_actions: bool):
+    """One elimination run as a generator: it yields its state and screen table
+    before each epoch k >= 2, takes back their entry of
+    ``estimate_means_at_centers``, and returns its ``RunResult``."""
+    tally = CheckpointTally(times)
     rng = np.random.default_rng(int(seed))
     lattice = build_lattice(config.horizon, config.beta, config.d)
     support = support_cube_mask(lattice, env.support)
@@ -373,7 +446,7 @@ def run_multi_arm(
             fail_safe = [arm for ai, arm in enumerate(env.arms) if ai not in state.bandwidths]
             for ai in range(n_arms):
                 screened[:, ai] = screen_multi_arm(state, ai, env.support, config)
-            eta_hat, degenerate, min_eig = estimate_means_at_centers(state, config, screened)
+            eta_hat, degenerate, min_eig = yield state, screened
             state, anomalies = update_active_sets(state, eta_hat, screened, schedule.tolerances[k - 2])
             if not state.invariants_ok():
                 raise RuntimeError(f"epoch {k}: a support cube has no active arm left")
@@ -382,6 +455,7 @@ def run_multi_arm(
             env, rng, length, lattice, table, counts, start_t
         )
         below_cube_total += _log_epoch_samples(state, X, arm_ix, rewards, config, env.arms)
+        regret_before, inferior_before = tally.regret, tally.inferior_count
         tally.add(regret, inferior)
         if record_actions:
             action_parts.append(np.asarray(env.arms)[arm_ix])
@@ -404,6 +478,8 @@ def run_multi_arm(
                 bandwidths={env.arms[ai]: bw for ai, bw in state.bandwidths.items()},
                 fail_safe_arms=fail_safe,
                 active_cubes=dict(zip(env.arms, active.sum(axis=0).tolist())),
+                regret=float(tally.regret - regret_before),
+                inferior=tally.inferior_count - inferior_before,
             )
         )
         start_t += length
@@ -411,7 +487,7 @@ def run_multi_arm(
     active_bits = (state.active.astype(np.int64) * (1 << np.arange(n_arms))).sum(axis=1)
     active_bits[~state.support_cubes] = -1
     return RunResult.from_tally(
-        "smooth_multi_arm", env.name, seed, tally, time.perf_counter() - started,
+        "smooth_multi_arm", env.name, seed, tally, 0.0,
         epochs=diags,
         final_labels=active_bits,
         actions=np.concatenate(action_parts) if record_actions else None,
@@ -465,11 +541,11 @@ def run_two_arm(
     final labels differ, which use the per-cube code 0 explore, 1 exploit
     +1, 2 exploit -1, 3 off-support.
     """
-    if tuple(env.arms) != TWO_ARMS:
-        raise ValueError("two-arm runs require arms (+1, -1)")
-    if config.arm_count != 2:
-        raise ValueError("config.arm_count must be 2 for two-arm runs")
-    result = run_multi_arm(env, config, seed, checkpoints, record_actions)
+    return run_lockstep(env, [config], [seed], checkpoints, record_actions, two_arm=True)[0]
+
+
+def _as_two_arm(result: RunResult) -> RunResult:
+    """A two-arm run's result under ``run_two_arm``'s policy name and region labels."""
     return replace(
         result, policy="smooth_two_arm", final_labels=_TWO_ARM_LABELS[result.final_labels + 1]
     )

@@ -28,6 +28,8 @@ class EpochDiagnostics:
     bandwidths: dict
     fail_safe_arms: list
     active_cubes: dict | None = None  # cubes where each arm may still be pulled
+    regret: float | None = None  # regret of the epoch's own steps
+    inferior: int | None = None  # inferior pulls among them
 
     def to_dict(self) -> dict:
         """Every field by name, arms written as strings: dict keys and ``fail_safe_arms``."""
@@ -48,11 +50,12 @@ class RunResult:
 
     ``cum_regret`` and ``cum_inferior`` are sampled at ``checkpoint_times``
     (the horizon is always the last checkpoint).  ``wall_time`` is the
-    run's elapsed seconds.  The runs of a binned-UCB batch execute
-    together, so each gets the batch's elapsed time split in proportion to
-    its steps, and the wall times of a pass's runs still add up to the
-    pass.  ``wall_time`` is excluded from equality comparisons and from
-    every deterministic output.
+    run's elapsed seconds.  The runs of a binned-UCB batch, and those of
+    an elimination policy's lockstep stack, execute together, so each gets
+    the batch's or stack's elapsed time split in proportion to its steps,
+    and the wall times of a pass's runs still add up to the pass.
+    ``wall_time`` is excluded from equality comparisons and from every
+    deterministic output.
     """
 
     policy: str
@@ -120,6 +123,14 @@ class RunResult:
         return report
 
 
+class RunError(RuntimeError):
+    """A run of a batch or lockstep stack failed; ``index`` is its place in it."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class CheckpointTally:
     """A run's cumulative regret and inferior count, fed in consecutive blocks of steps.
 
@@ -136,12 +147,12 @@ class CheckpointTally:
         self.cum_inferior = np.zeros(len(times), dtype=np.int64)
         self.steps = 0
         self.inferior_count = 0
-        self._regret = 0.0
+        self.regret = 0.0  # with inferior_count, the running totals of the steps fed
 
     def add(self, regret: np.ndarray, inferior: np.ndarray) -> None:
         """Feed the next block's per-step regret and inferior-arm flags."""
         if self.steps:
-            cum = np.cumsum(np.concatenate(([self._regret], regret)))[1:]
+            cum = np.cumsum(np.concatenate(([self.regret], regret)))[1:]
         else:
             cum = np.cumsum(regret)
         cum_inferior = self.inferior_count + np.cumsum(inferior, dtype=np.int64)
@@ -151,7 +162,7 @@ class CheckpointTally:
         self.cum_regret[lo:hi] = cum[at]
         self.cum_inferior[lo:hi] = cum_inferior[at]
         self.steps += len(cum)
-        self._regret = cum[-1]
+        self.regret = cum[-1]
         self.inferior_count = int(cum_inferior[-1])
 
 

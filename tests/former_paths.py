@@ -11,7 +11,7 @@ paths:
 - ``pairs`` and ``runs``: every run end placed by ``np.searchsorted`` over
   one search key of all rows, then fixed by the rule, ``d = 1`` included;
 - ``block_fits``: the fit stage (binomial shift, eigenvalue filter, solve)
-  run once per raw-moment chunk;
+  run once per raw-moment chunk, and one sweep per problem;
 - ``raw_moments``: block running sums by a Python loop over block positions;
 - ``solve``: the fits by one batched ``np.linalg.solve`` call (LAPACK's LU
   with partial pivoting, one matrix at a time) on the non-degenerate systems;
@@ -62,7 +62,7 @@ def raw_moments(self, pairs, factors, columns, c0, c1):
     add_at = np.maximum(pairs.start[pair], self.block_start[block]) - q0
     ends = pairs.stop[pair] < self.block_end[block]
     sub_at = pairs.stop[pair][ends] - q0
-    v = (pairs.x[pair] - self.origin[block]) / self.h
+    v = (pairs.x[pair] - self.origin[block]) / self.block_h[block]
     v_powers = [None, v]
     for _ in range(2, max(q for _, q in columns) + 1):
         v_powers.append(v_powers[-1] * v)
@@ -104,34 +104,43 @@ def runs(self, row, x, w, p0, p1):
     return start, np.maximum(start, stop)
 
 
-def pairs(self, r0, r1, points, rewards):
-    h = self.h
+def pairs(self, r0, r1):
+    points, rewards = self.points, self.rewards
     width = self.hi[r0:r1] - self.lo[r0:r1]
     row = np.repeat(np.arange(r0, r1), width)
-    sample = self.sample_order[localpoly._ranges(self.lo[r0:r1], width)]
+    sample = localpoly._ranges(self.lo[r0:r1], width)
     offset = points[sample, :-1] - self.keys[row]
     r2 = np.zeros(len(row))
     for k in range(offset.shape[1]):
         r2 += offset[:, k] * offset[:, k]
+    h = self.row_h[row]
     near = r2 <= h * h
-    row, sample, offset, r2 = row[near], sample[near], offset[near], r2[near]
+    row, sample, offset, r2, h = row[near], sample[near], offset[near], r2[near], h[near]
     x = points[sample, -1]
     start, stop = runs(self, row, x, np.sqrt(h * h - r2), self.row_start[r0], self.row_end[r1 - 1])
     hit = stop > start
     start, stop = start[hit], stop[hit]
-    return localpoly._Pairs(offset[hit] / h, x[hit], rewards[sample[hit]], start, stop,
+    return localpoly._Pairs(offset[hit] / h[hit, None], x[hit], rewards[sample[hit]], start, stop,
                             self.block_of[start], self.block_of[stop - 1])
 
 
-def block_fits(centers, points, rewards, h, basis):
+def block_fits(problems, basis):
+    offset = 0
+    for i, problem in enumerate(problems):
+        for index, counts, gram, coef, lam, degenerate in _lone_block_fits(*problem, basis):
+            yield index + offset, counts, gram, coef, {i: float(lam.min())}, degenerate
+        offset += len(problem[0])
+
+
+def _lone_block_fits(centers, points, rewards, h, basis):
     if len(centers) == 0:
         return
     eig_tol = localpoly.default_eig_tol(basis)
     gram_plan, rhs_plan, columns, entry = localpoly._plans(basis)
     K = len(gram_plan.columns)
-    sweep = localpoly._Sweep(centers, points, h, localpoly._origin_span(basis))
+    sweep = localpoly._Sweep([(centers, points, rewards, h)], localpoly._origin_span(basis))
     for r0, r1 in localpoly._spans(sweep.hi - sweep.lo + sweep.row_end - sweep.row_start, localpoly._CHUNK):
-        pairs = sweep.pairs(r0, r1, points, rewards)
+        pairs = sweep.pairs(r0, r1)
         p0, p1 = sweep.row_start[r0], sweep.row_end[r1 - 1]
         counts = localpoly._coverage(pairs.start - p0, pairs.stop - p0, p1 - p0)
         key_powers = localpoly._monomials(pairs.u, {key for (key, _), _ in columns})
@@ -151,7 +160,7 @@ def block_fits(centers, points, rewards, h, basis):
             gram[count == 0] = 0.0
             lam = localpoly._eigen_filter(gram, eig_tol)
             degenerate = lam < eig_tol
-            yield sweep.order[q0:q1], count, gram, localpoly._solve(gram, rhs, degenerate), lam.min(), degenerate
+            yield sweep.order[q0:q1], count, gram, localpoly._solve(gram, rhs, degenerate), lam, degenerate
 
 
 def running_sums(raw, step):

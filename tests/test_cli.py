@@ -226,6 +226,28 @@ def test_lattice_over_the_memory_budget_exits_before_allocating(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["uniform", "oracle"])
+def test_fixed_rule_run_over_the_memory_budget_exits_before_allocating(tmp_path, name):
+    # uniform and oracle at 2^27 draw about 7.7 GB at once and were accepted;
+    # the child process may address 1 GiB
+    cfg = {"instance": _instance("sinusoidal", d=1), "policies": [{"name": name}], "horizons": [2**27]}
+    path = write_config(tmp_path / "big.json", cfg)
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from smoothbandit.cli import cli; sys.exit(cli(sys.argv[1:]))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbandit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", path, "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: policies[0]: horizon 134217728 draws all its steps at once" in proc.stderr
+    assert not out.exists()
+
+
 def test_smooth_without_arms_plus_minus_one_runs_nothing(tmp_path, capsys, monkeypatch):
     # once every uniform and binned-UCB run ran first, then exit 1 at the smooth run
     ran = []
@@ -383,6 +405,10 @@ class TestVerifyCommand:
         assert "PASS" in capsys.readouterr().out
 
 
+_EPOCH = {"epoch": 1, "start": 0, "length": 9, "tolerance": 0.5, "explore_cubes": 3,
+          "exploit_cubes": {}, "screened_cubes": {}, "anomalies": 0}
+
+
 class TestInspectCommand:
     def test_inspect_state_report(self, tmp_path, capsys):
         cfg = write_config(
@@ -401,7 +427,20 @@ class TestInspectCommand:
         state = out / "state_smooth_T2000.json"
         assert state.exists()
         assert cli(["inspect", str(state)]) == 0
-        assert "epoch" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split()[-2:] == ["regret", "inferior"]
+        report = json.loads(state.read_text())
+        rows = [line.split() for line in lines[3:]]
+        assert len(rows) == len(report["epochs"]) >= 2
+        for row, e in zip(rows, report["epochs"]):
+            assert row[-2:] == [f"{e['regret']:.3f}", str(e["inferior"])]
+        # a report written before the epochs had these fields still reads, with "-" for them
+        for e in report["epochs"]:
+            del e["regret"], e["inferior"]
+        old = write_config(tmp_path / "old.json", report)
+        assert cli(["inspect", old]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
+        assert len(rows) == len(report["epochs"]) and all(row[-2:] == ["-", "-"] for row in rows)
 
     # each once an uncaught traceback (exit 1)
     @pytest.mark.parametrize(
@@ -412,8 +451,9 @@ class TestInspectCommand:
             ({"final_regret": 1.0, "epochs": {"epoch": 1}}, "state.epochs: must be a list"),
             ({"final_regret": 1.0, "epochs": [3]}, "state.epochs[0]: must be a mapping"),
             ({"final_regret": 1.0, "epochs": [{"epoch": 1}]}, "state.epochs[0].start: missing or of the wrong type"),
+            ({"final_regret": 1.0, "epochs": [{**_EPOCH, "regret": "1.5"}]}, "state.epochs[0].regret: of the wrong type"),
         ],
-        ids=["no_final_regret", "list", "epochs_mapping", "epoch_number", "epoch_without_start"],
+        ids=["no_final_regret", "list", "epochs_mapping", "epoch_number", "epoch_without_start", "regret_string"],
     )
     def test_report_of_the_wrong_shape(self, tmp_path, capsys, report, message):
         path = write_config(tmp_path / "state.json", report)

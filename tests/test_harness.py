@@ -9,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from smoothbandit import baselines, harness
+from smoothbandit import baselines, harness, policy
+from smoothbandit.cli import cli
+from smoothbandit.geometry import build_lattice
+from smoothbandit.policy import PolicyConfig, run_two_arm
 from smoothbandit.baselines import run_binned_ucb, run_uniform
 from smoothbandit.environments import make_smooth_instance
 from smoothbandit.harness import (
@@ -298,6 +301,100 @@ class TestRunExperiment:
             assert r[6] <= 0.5 * r[7] + 1e-9
 
 
+class TestEliminationStacks:
+    """An elimination policy's runs go as lockstep stacks; no stacking changes a run."""
+
+    CFG = {
+        "instance": {"family": "sinusoidal", "params": {"d": 1, "amplitude": 0.4, "beta": 2.0}},
+        "policies": [
+            {"name": "smooth", "params": {"beta": 2.0, "c_epoch": 8.0}},
+            {"name": "uniform"},
+            {"name": "smooth_multi", "params": {"beta": 2.0, "c_epoch": 8.0}, "label": "multi"},
+        ],
+        "horizons": [700, 5000, 2000],
+        "reps": 2,
+        "base_seed": 5,
+        "checkpoints": 8,
+    }
+
+    def _run(self, monkeypatch, stack_bytes):
+        stacks = []
+        lockstep = harness.run_lockstep
+
+        def recorded(env, configs, seeds, checkpoints, **kwargs):
+            stacks.append([config.horizon for config in configs])
+            return lockstep(env, configs, seeds, checkpoints, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "run_lockstep", recorded)
+            if stack_bytes is not None:
+                patch.setattr(harness, "_STACK_BYTES", stack_bytes)
+            return run_experiment(self.CFG, quiet=True), stacks
+
+    def test_every_stacking_gives_the_lone_runs(self, monkeypatch):
+        (rows, summary, results), stacks = self._run(monkeypatch, None)
+        job_horizons = [700, 700, 5000, 5000, 2000, 2000]
+        assert stacks == [job_horizons, job_horizons]
+        alone, stacks = self._run(monkeypatch, 0)
+        assert stacks == [[T] for T in job_horizons * 2]
+        # estimated 0.08, 0.19 and 0.44 MiB above the fixed part at d = 1
+        sizes = {T: harness._estimated_bytes(build_lattice(T, 2.0, 1).n_cubes, T, 2) - harness._FIXED_BYTES
+                 for T in (700, 2000, 5000)}
+        pairs, stacks = self._run(monkeypatch, sizes[2000] + sizes[5000])
+        assert stacks == [[700, 700, 5000], [5000, 2000], [2000]] * 2
+        for other in (alone, pairs):
+            assert other[0] == rows and other[1] == summary and list(other[2]) == list(results)
+            assert all(results[key].equals(run) for key, run in other[2].items())
+        env = build_instance(self.CFG["instance"])
+        for (label, T, rep), run in results.items():
+            if label == "smooth":
+                config = PolicyConfig(beta=2.0, d=1, horizon=T, c_epoch=8.0)
+                assert run.equals(run_two_arm(env, config, derive_seed(5, label, T, rep), 8))
+            assert run.wall_time > 0
+
+    def test_failing_run_is_named_as_one_by_one(self, monkeypatch, tmp_path, capsys):
+        # rep 1 of T = 5000 fails at the last step of its second epoch, before
+        # rep 0 of T = 700 fails at the last step of its third and last one;
+        # one by one, T = 700 rep 0 fails first
+        build = harness.build_instance
+        draws = {}
+
+        def broken_build(block):
+            env = build(block)
+
+            def sample(rng, n):
+                run, count = draws.setdefault(id(rng), [len(draws), 0, rng])[:2]
+                draws[id(rng)][1] += 1
+                x = rng.random((n, 1))
+                if (run, count + 1) in ((0, 3), (3, 2)):
+                    x[-1] = 2.0
+                return x
+
+            return dataclasses.replace(env, sample_contexts=sample)
+
+        monkeypatch.setattr(harness, "build_instance", broken_build)
+        cfg = {**self.CFG, "policies": self.CFG["policies"][:1], "horizons": [700, 5000]}
+        seed = derive_seed(5, "smooth", 700, 0)
+        message = rf"^run failed at policy=smooth T=700 rep=0 seed={seed}: context \[2\.\] at step 700 lies off"
+        with pytest.raises(RuntimeError, match=message):
+            run_experiment(cfg, quiet=True)
+        draws.clear()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["run", str(path), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 1
+        assert re.search(message[1:], capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_stack_failure_outside_a_run_names_the_stack(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(policy, "estimate_means_at_centers", broken)
+        cfg = {**self.CFG, "policies": self.CFG["policies"][:1], "horizons": [700, 5000]}
+        with pytest.raises(RuntimeError, match=r"^run failed at policy=smooth \(stack of 4 runs\): boom$"):
+            run_experiment(cfg, quiet=True)
+
+
 class TestConfigValidation:
     def test_missing_instance(self):
         with pytest.raises(ConfigError, match="instance"):
@@ -372,6 +469,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             validate_experiment_config(cfg)
         validate_experiment_config({**cfg, "horizons": [2**25]})
+
+    @pytest.mark.parametrize("name", ["uniform", "oracle"])
+    def test_memory_budget_covers_fixed_rule_runs(self, name):
+        # uniform and oracle draw their whole horizon at once, about 57 bytes
+        # a step; the budget once skipped them, and 2^27 (about 7.7 GB) was accepted
+        instance = {"family": "sinusoidal", "params": {"d": 1}}
+        cfg = small_config(instance=instance, policies=[{"name": "binned_ucb"}, {"name": name}], horizons=[2**22, 2**27])
+        message = (r"^policies\[1\]: horizon 134217728 draws all its steps at once, an estimated 9.8 GiB "
+                   r"\(50 MiB and 78 bytes a step\), over the 4 GiB memory budget$")
+        with pytest.raises(ConfigError, match=message) as info:
+            validate_experiment_config(cfg)
+        assert info.value.fieldpath == "policies[1]"
+        validate_experiment_config({**cfg, "horizons": [2**22]})
 
     @pytest.mark.parametrize(
         "d, horizon, arms, peak_mib",

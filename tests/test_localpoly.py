@@ -497,10 +497,10 @@ ORACLE_CASES = KERNEL_CASES + LATTICE_CASES
 class TestOriginBlocks:
     @pytest.mark.parametrize("case", LATTICE_CASES, ids=[c[0] for c in LATTICE_CASES])
     def test_blocks_are_narrower_than_their_span(self, case):
-        _, centers, pts, _, h, basis = case
+        _, centers, pts, y, h, basis = case
         span = localpoly._origin_span(basis)
         assert span == (0.5 if basis.l <= 1 else 0.125)
-        sweep = localpoly._Sweep(centers, pts, h, span)
+        sweep = localpoly._Sweep([(centers, pts, y, h)], span)
         widths = sweep.last[sweep.block_end - 1] - sweep.last[sweep.block_start]
         assert np.all(widths < span * h)
         if case[0].startswith("lattice-"):
@@ -928,9 +928,9 @@ class TestRunSearch:
         _, centers, pts, h = case
         y = np.sin(5 * pts.sum(axis=1))
         basis = enumerate_basis(centers.shape[1], 1)
-        sweep = localpoly._Sweep(centers, pts, h)
+        sweep = localpoly._Sweep([(centers, pts, y, h)])
         r1 = len(sweep.row_start)
-        got, want = sweep.pairs(0, r1, pts, y), former_paths.pairs(sweep, 0, r1, pts, y)
+        got, want = sweep.pairs(0, r1), former_paths.pairs(sweep, 0, r1)
         for field in got._fields:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
         # the in-ball rule of ``_block_fits``, by brute force
@@ -947,8 +947,8 @@ class TestRunSearch:
     def test_d1_search_matches_the_former_path(self, case):
         _, centers, pts, h = case
         y = np.cos(3 * pts[:, 0])
-        sweep = localpoly._Sweep(centers, pts, h)
-        got, want = sweep.pairs(0, 1, pts, y), former_paths.pairs(sweep, 0, 1, pts, y)
+        sweep = localpoly._Sweep([(centers, pts, y, h)])
+        got, want = sweep.pairs(0, 1), former_paths.pairs(sweep, 0, 1)
         for field in got._fields:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
         # the in-ball rule, each side rounded once: fl(c - w) <= x <= fl(c + w)
@@ -1169,6 +1169,55 @@ class TestFitBatches:
                 local_poly_estimate(x, pts, y, h, basis)
                 calls += 1
         assert [len(chunks) for chunks, _ in batches] == [1] * calls
+
+
+def _stack_cases():
+    """(name, basis, problems) stacks of the oracle and run cases of one basis,
+    each problem with its own bandwidth, plus one problem without queries and
+    one without samples.  M = 2, 3 (at d = 1 and 2) and 6; the run cases
+    bring zero-span rows."""
+    rng = np.random.default_rng(33)
+    cases = [(c, p, y, h, b) for _, c, p, y, h, b in ORACLE_CASES]
+    cases += [(c, p, np.sin(5 * p.sum(axis=1)), h, enumerate_basis(c.shape[1], l))
+              for _, c, p, h in RUN_CASES for l in (1, 2)]
+    for d, l in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        problems = [(c, p, y, h) for c, p, y, h, b in cases if (b.d, b.l) == (d, l)]
+        problems.insert(1, (np.empty((0, d)), rng.random((5, d)), rng.random(5), 0.2))
+        problems.append((rng.random((7, d)), np.empty((0, d)), np.empty(0), 0.3))
+        basis = enumerate_basis(d, l)
+        yield f"M{basis.M}-d{d}-l{l}", basis, problems
+
+
+STACK_CASES = list(_stack_cases())
+
+
+class TestFitProblems:
+    @pytest.mark.parametrize("chunk", [None, 2**8, 7], ids=["default", "256", "7"])
+    @pytest.mark.parametrize("case", STACK_CASES, ids=[c[0] for c in STACK_CASES])
+    def test_stacked_fits_equal_lone_fits(self, case, chunk, monkeypatch):
+        _, basis, problems = case
+        lone = [fit_at_centers(*problem, basis) for problem in problems]
+        if chunk is not None:
+            monkeypatch.setattr(localpoly, "_CHUNK", chunk)
+        stacked = localpoly.fit_problems(problems, basis)
+        assert len(stacked) == len(problems)
+        for got, want in zip(stacked, lone):
+            for field in got._fields:
+                assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes(), field
+
+    def test_stacks_cover_what_they_promise(self):
+        for _, basis, problems in STACK_CASES:
+            lone = [fit_at_centers(*problem, basis) for problem in problems]
+            assert lone[1].min_eig == math.inf and len(lone[1].values) == 0
+            assert lone[-1].degenerate.all() and not lone[-1].n_in_ball.any()
+            # the problems' minima differ, so one minimum over the stack would show
+            assert len({fit.min_eig for fit in lone}) >= 4
+            assert len({h for *_, h in problems}) >= 3
+        zero_span = next(c for c in RUN_CASES if c[0] == "zero-span-rows")[1]
+        assert all(any(p[0] is zero_span for p in problems) for _, basis, problems in STACK_CASES if basis.d == 2)
+
+    def test_no_problems(self):
+        assert localpoly.fit_problems([], enumerate_basis(1, 1)) == []
 
 
 def _order_cases():

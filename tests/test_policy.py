@@ -32,6 +32,7 @@ from smoothbandit.policy import (
     initial_multi_state,
     make_schedule,
     planned_epoch_length,
+    run_lockstep,
     run_multi_arm,
     run_two_arm,
     screen_multi_arm,
@@ -532,7 +533,7 @@ class TestRunTwoArm:
             X = rng.random((600, 1))
             state.samples[ai] = (X, np.full(600, 0.5))
             state.bandwidths[ai] = 600 ** (-1.0 / 5)
-        eta, _, _ = estimate_means_at_centers(state, cfg, np.zeros((n, 2), bool))
+        eta, _, _ = estimate_means_at_centers([state], cfg.basis(), [np.zeros((n, 2), bool)])[0]
         tau = eta[:, POS] - eta[:, NEG]
         np.testing.assert_allclose(tau[~np.isnan(tau)], 0.0, atol=1e-12)
 
@@ -548,7 +549,7 @@ class TestRunTwoArm:
             X = rng.random((800, 1))
             state.samples[ai] = (X, np.full(800, level))
             state.bandwidths[ai] = 800 ** (-1.0 / 5)
-        eta, degenerate, _ = estimate_means_at_centers(state, cfg, np.zeros((n, 2), bool))
+        eta, degenerate, _ = estimate_means_at_centers([state], cfg.basis(), [np.zeros((n, 2), bool)])[0]
         tau = eta[:, POS] - eta[:, NEG]
         assert degenerate == 0
         np.testing.assert_allclose(tau[~np.isnan(tau)], 0.5, atol=1e-6)
@@ -565,7 +566,7 @@ class TestRunTwoArm:
         state.bandwidths[POS] = 800 ** (-1.0 / 5)
         state.samples[NEG] = (np.array([[0.0]]), np.array([0.25]))
         state.bandwidths[NEG] = 0.015
-        eta, degenerate, _ = estimate_means_at_centers(state, cfg, np.zeros((n, 2), bool))
+        eta, degenerate, _ = estimate_means_at_centers([state], cfg.basis(), [np.zeros((n, 2), bool)])[0]
         tau = eta[:, POS] - eta[:, NEG]
         assert degenerate > 0
         ids = ~np.isnan(tau)
@@ -780,6 +781,110 @@ class TestRunMultiArm:
         # every arm still owns some region: none is eliminated globally
         for arm in env.arms:
             assert any(b == (1 << arm) for b in bits[support_ids])
+
+
+# case id -> (instance builder, [(config, seed), ...], two_arm): horizons of
+# different epoch counts in each stack
+_LOCKSTEP_CASES = {
+    "two_arm_d1": (
+        lambda: make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0),
+        [(PolicyConfig(beta=2.0, d=1, horizon=T, c_epoch=8.0), seed)
+         for T, seed in ((700, 1), (5000, 2), (2000, 3), (5000, 4), (300, 5))],
+        True,
+    ),
+    # M = 3 fits with many centers a problem: the eigenvalue filter works per problem
+    "two_arm_d2": (
+        lambda: make_smooth_instance("sinusoidal", d=2, amplitude=0.4, beta=2.0),
+        [(PolicyConfig(beta=2.0, d=2, horizon=T, c_epoch=8.0), seed) for T, seed in ((2048, 7), (1024, 8), (2048, 9))],
+        True,
+    ),
+    # an arm without samples in an epoch: the fail-safe state
+    "fail_safe": (
+        lambda: make_smooth_instance("constant_gap", d=1, gap=0.8),
+        [(PolicyConfig(beta=1.0, d=1, horizon=T, c_epoch=8.0), seed) for T, seed in ((10_000, 0), (30_000, 1), (600, 2))],
+        True,
+    ),
+    "multi_arm_d1": (
+        lambda: make_constant_multi_arm((0.3, 0.6, 0.9), d=1),
+        [(PolicyConfig(beta=1.0, d=1, horizon=T, arm_count=3), seed) for T, seed in ((5000, 1), (900, 2), (3000, 3))],
+        False,
+    ),
+    "multi_arm_bump_grid_d2": (
+        lambda: make_lower_bound_instance(T=100000, beta=2.0, alpha=0.5, d=2, seed=3),
+        [(PolicyConfig(beta=2.0, d=2, horizon=T, c_epoch=8.0), seed) for T, seed in ((2048, 11), (1024, 12))],
+        False,
+    ),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", list(_LOCKSTEP_CASES))
+    def test_lockstep_equals_lone_runs(self, case):
+        build, runs, two_arm = _LOCKSTEP_CASES[case]
+        env = build()
+        configs, seeds = zip(*runs)
+        stacked = run_lockstep(env, list(configs), list(seeds), 8, record_actions=True, two_arm=two_arm)
+        lone = run_two_arm if two_arm else run_multi_arm
+        for got, (config, seed) in zip(stacked, runs):
+            assert got.equals(lone(env, config, seed, 8, record_actions=True))
+            assert got.policy == ("smooth_two_arm" if two_arm else "smooth_multi_arm")
+        assert len({len(run.epochs) for run in stacked}) >= 2
+        if case == "fail_safe":
+            assert any(e.fail_safe_arms for run in stacked for e in run.epochs)
+
+    def test_one_estimation_call_per_epoch_index(self, monkeypatch):
+        build, runs, _ = _LOCKSTEP_CASES["two_arm_d1"]
+        calls = []
+        estimate = policy.estimate_means_at_centers
+
+        def recorded(states, basis, screened):
+            calls.append(len(states))
+            return estimate(states, basis, screened)
+
+        monkeypatch.setattr(policy, "estimate_means_at_centers", recorded)
+        configs, seeds = zip(*runs)
+        stacked = run_lockstep(build(), list(configs), list(seeds))
+        epochs = [len(run.epochs) for run in stacked]
+        assert calls == [sum(k >= i for k in epochs) for i in range(2, max(epochs) + 1)]
+        assert sum(result.wall_time for result in stacked) > 0
+
+    def test_first_failing_run_in_order_is_named(self):
+        # run 2 fails at its second epoch, before run 0 fails at its third:
+        # one by one, run 0 would have failed first
+        base = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
+        draws = {}
+
+        def sample(rng, n):
+            run, count = draws.setdefault(id(rng), [len(draws), 0, rng])[:2]
+            draws[id(rng)][1] += 1
+            x = rng.random((n, 1))
+            if (run, count + 1) in ((0, 3), (2, 2)):
+                x[0] = 2.0
+            return x
+
+        env = dataclasses.replace(base, sample_contexts=sample)
+        configs = [PolicyConfig(beta=2.0, d=1, horizon=5000, c_epoch=8.0)] * 3
+        with pytest.raises(policy.RunError, match=r"^context \[2\.\] at step \d+ lies off the cube lattice$") as info:
+            run_lockstep(env, configs, [1, 2, 3], two_arm=True)
+        assert info.value.index == 0
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_runs_must_share_their_basis(self):
+        env = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
+        configs = [PolicyConfig(beta=2.0, d=1, horizon=900), PolicyConfig(beta=3.0, d=1, horizon=900)]
+        with pytest.raises(ValueError, match="share their basis"):
+            run_lockstep(env, configs, [1, 2])
+
+    @pytest.mark.parametrize("case", ["two_arm_d1", "two_arm_d2", "multi_arm_d1"])
+    def test_epoch_regret_and_inferior_add_up(self, case):
+        build, runs, two_arm = _LOCKSTEP_CASES[case]
+        configs, seeds = zip(*runs)
+        for run in run_lockstep(build(), list(configs), list(seeds), 8, two_arm=two_arm):
+            assert sum(e.inferior for e in run.epochs) == run.inferior_count
+            assert all(isinstance(e.inferior, int) and isinstance(e.regret, float) for e in run.epochs)
+            assert all(e.regret >= 0 for e in run.epochs)
+            assert sum(e.regret for e in run.epochs) == pytest.approx(run.final_regret, rel=1e-9)
+            assert run.final_regret > 0
 
 
 class TestLogEpochSamples:
@@ -1049,6 +1154,36 @@ class TestPatchPoints:
         assert not missing, sorted(missing)
         _, counts = spans.layer_metrics(tracer, results, {"smooth"})
         assert counts["environments.steps"] == 4 * 2048
+        changed = [
+            f"{owner.__name__}.{name}" for (owner, name), value in before.items() if vars(owner)[name] is not value
+        ]
+        assert not changed, changed
+
+    def test_traced_lockstep_grid(self):
+        spans = _bench_spans()
+        instance = {"family": "sinusoidal", "params": {"d": 1, "frequency": 1.0, "amplitude": 0.4, "beta": 2.0}}
+        params = {"beta": 2.0, "c_epoch": 8.0, "p": 0.5}
+        cfg = {
+            "instance": instance,
+            "policies": [{"name": "smooth", "params": params}, {"name": "smooth_multi", "params": params}],
+            "horizons": [1024, 4096],
+            "reps": 2,
+        }
+        before = {(owner, name): vars(owner)[name] for owner, names in self.TRACED.items() for name in names}
+        tracer = spans.Tracer()
+        with spans.traced(tracer, smoothbandit):
+            _, _, results = harness.run_experiment(cfg, quiet=True)
+        names = [span[0] for span in tracer.spans]
+        epochs = [len(run.epochs) for run in results.values()]
+        assert len(epochs) == 8 and len(set(epochs)) == 2
+        # one estimation stage per epoch index k >= 2 of each policy's stack
+        assert names.count("localpoly.estimate") == 2 * (max(epochs) - 1)
+        assert names.count("policy.update") == sum(k - 1 for k in epochs)
+        assert names.count("policy.simulate") == sum(epochs)
+        assert names.count("geometry.screen") > 0
+        _, counts = spans.layer_metrics(tracer, results, {"smooth", "smooth_multi"})
+        assert counts["environments.steps"] == 2 * 2 * (1024 + 4096)
+        assert counts["policy.epochs"] == sum(epochs)
         changed = [
             f"{owner.__name__}.{name}" for (owner, name), value in before.items() if vars(owner)[name] is not value
         ]

@@ -307,6 +307,10 @@ def run_two_arm(
 
     cum_regret = np.cumsum(np.concatenate(regret_parts))
     cum_inferior = np.cumsum(np.concatenate(inferior_parts).astype(np.int64))
+    for e in diags:  # each epoch's own steps, as differences of the running totals
+        end = e.start + e.length - 1
+        e.regret = float(cum_regret[end] - (cum_regret[e.start - 1] if e.start else 0.0))
+        e.inferior = int(cum_inferior[end] - (cum_inferior[e.start - 1] if e.start else 0))
     ts = normalize_checkpoints(checkpoints, config.horizon)
     return RunResult(
         policy="smooth_two_arm",
