@@ -34,6 +34,7 @@ from .environments import (
     make_smooth_instance,
 )
 from .geometry import build_lattice
+# run_multi_arm and run_two_arm are unused here; the benchmark's tracer patches them on harness
 from .policy import PolicyConfig, run_lockstep, run_multi_arm, run_two_arm
 from .results import RunError, RunResult
 
@@ -198,13 +199,10 @@ def validate_policy_params(index: int, name: str, params: dict, env: Instance) -
 def run_policy(
     name: str, params: dict, env: Instance, horizon: int, seed: int, checkpoints
 ) -> RunResult:
-    """Dispatch one run; ``params`` feeds the policy's own configuration."""
-    if name == "smooth":
-        config = PolicyConfig(d=env.d, horizon=horizon, arm_count=2, **params)
-        return run_two_arm(env, config, seed, checkpoints)
-    if name == "smooth_multi":
-        config = PolicyConfig(d=env.d, horizon=horizon, arm_count=env.n_arms, **params)
-        return run_multi_arm(env, config, seed, checkpoints)
+    """Dispatch one baseline run; ``params`` feeds the policy's own configuration.
+
+    Elimination runs go through ``_run_elimination_group``.
+    """
     if name == "binned_ucb":
         return baselines.run_binned_ucb(env, horizon, seed, checkpoints, **params)
     if name == "uniform":

@@ -656,17 +656,14 @@ class _Sweep:
         r2 = np.zeros(len(row))
         for k in range(offset.shape[1]):
             r2 += offset[:, k] * offset[:, k]
-        h = self.row_h[r0:r1]
-        per_pair = h.min() < h.max()  # rows of several bandwidths; one is a scalar, the faster way
-        h = self.row_h.take(row) if per_pair else h[0]
+        h = self.row_h.take(row)
         near = r2 <= h * h
-        row, sample, offset, r2 = row[near], sample[near], offset[near], r2[near]
-        h = h[near] if per_pair else h
+        row, sample, offset, r2, h = row[near], sample[near], offset[near], r2[near], h[near]
         x = self.points[sample, -1]
         start, stop = self._runs(row, x, np.sqrt(h * h - r2), r0, r1)
         hit = stop > start
         start, stop = start[hit], stop[hit]
-        return _Pairs(offset[hit] / (h[hit, None] if per_pair else h), x[hit], self.rewards[sample[hit]],
+        return _Pairs(offset[hit] / h[hit, None], x[hit], self.rewards[sample[hit]],
                       start, stop, self.block_of[start], self.block_of[stop - 1])
 
     def raw_moments(self, pairs: _Pairs, factors: dict, columns, c0: int, c1: int) -> np.ndarray:
@@ -705,10 +702,8 @@ class _Sweep:
         x = pairs.x.take(pick)
         v = np.repeat(x, count)
         v -= self.origin.take(block)
-        h = self.block_h[c0:c1]
-        one = h.min() == h.max()  # blocks of one problem divide by one scalar, the faster way
-        v /= h[0] if one else self.block_h.take(block)
-        v_end = (x[ends] - self.origin.take(last[ends])) / (h[0] if one else self.block_h.take(last[ends]))
+        v /= self.block_h.take(block)
+        v_end = (x[ends] - self.origin.take(last[ends])) / self.block_h.take(last[ends])
         top = max(q for _, q in columns)
         v_powers, end_powers = _powers(v, top), _powers(v_end, top)
         n = q1 - q0

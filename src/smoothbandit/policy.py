@@ -351,7 +351,7 @@ def run_multi_arm(
     (bit ``i`` set when arm ``env.arms[i]`` is active, -1 off support).
     The one-run case of ``run_lockstep``.
     """
-    return run_lockstep(env, [config], [seed], checkpoints, record_actions)[0]
+    return _run_alone(env, config, seed, checkpoints, record_actions, two_arm=False)
 
 
 def run_lockstep(
@@ -376,7 +376,8 @@ def run_lockstep(
     split in proportion to their horizons, as in a binned-UCB batch.  A
     failing run stops the call once no earlier run is still going, and
     ``RunError`` names the first failing run in ``configs`` order, the run
-    that would have failed first had they run one by one.
+    that would have failed first had they run one by one.  A failing
+    estimate fails every run that asked for it.
     """
     if two_arm and tuple(env.arms) != TWO_ARMS:
         raise ValueError("two-arm runs require arms (+1, -1)")
@@ -395,9 +396,9 @@ def run_lockstep(
     runs = [_one_run(env, *args, record_actions) for args in zip(configs, seeds, times)]
     results, requests, failed = [None] * len(runs), {}, {}
 
-    def advance(i, fits):
+    def advance(i, fits, error=None):
         try:
-            requests[i] = runs[i].send(fits)
+            requests[i] = runs[i].send(fits) if error is None else runs[i].throw(error)
         except StopIteration as stop:
             results[i] = stop.value
         except Exception as exc:
@@ -408,9 +409,14 @@ def run_lockstep(
     while requests and not (failed and min(failed) < min(requests)):
         pending = sorted(requests.items())
         requests.clear()
-        fits = estimate_means_at_centers(
-            [state for _, (state, _) in pending], basis, [screened for _, (_, screened) in pending]
-        )
+        try:
+            fits = estimate_means_at_centers(
+                [state for _, (state, _) in pending], basis, [screened for _, (_, screened) in pending]
+            )
+        except Exception as exc:  # each run that asked fails at its estimate, the first of them named
+            for i, _ in pending:
+                advance(i, None, exc)
+            continue
         for (i, _), fit in zip(pending, fits):
             advance(i, fit)
     if failed:
@@ -541,7 +547,16 @@ def run_two_arm(
     final labels differ, which use the per-cube code 0 explore, 1 exploit
     +1, 2 exploit -1, 3 off-support.
     """
-    return run_lockstep(env, [config], [seed], checkpoints, record_actions, two_arm=True)[0]
+    return _run_alone(env, config, seed, checkpoints, record_actions, two_arm=True)
+
+
+def _run_alone(env, config, seed, checkpoints, record_actions, two_arm):
+    """``run_lockstep`` of one run; a failure raises the run's own exception, not ``RunError``."""
+    try:
+        return run_lockstep(env, [config], [seed], checkpoints, record_actions, two_arm)[0]
+    except RunError as exc:
+        error = exc.__cause__
+    raise error
 
 
 def _as_two_arm(result: RunResult) -> RunResult:

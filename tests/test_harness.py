@@ -385,13 +385,14 @@ class TestEliminationStacks:
         assert re.search(message[1:], capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_stack_failure_outside_a_run_names_the_stack(self, monkeypatch):
+    def test_failing_estimate_names_the_first_run(self, monkeypatch):
         def broken(*args):
             raise ValueError("boom")
 
         monkeypatch.setattr(policy, "estimate_means_at_centers", broken)
         cfg = {**self.CFG, "policies": self.CFG["policies"][:1], "horizons": [700, 5000]}
-        with pytest.raises(RuntimeError, match=r"^run failed at policy=smooth \(stack of 4 runs\): boom$"):
+        seed = derive_seed(5, "smooth", 700, 0)
+        with pytest.raises(RuntimeError, match=rf"^run failed at policy=smooth T=700 rep=0 seed={seed}: boom$"):
             run_experiment(cfg, quiet=True)
 
 

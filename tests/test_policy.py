@@ -869,6 +869,31 @@ class TestLockstep:
         assert info.value.index == 0
         assert isinstance(info.value.__cause__, RuntimeError)
 
+    def test_failing_estimate_names_the_first_run(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(policy, "estimate_means_at_centers", broken)
+        build, runs, _ = _LOCKSTEP_CASES["two_arm_d1"]
+        configs, seeds = zip(*runs)
+        with pytest.raises(policy.RunError, match="^boom$") as info:
+            run_lockstep(build(), list(configs), list(seeds))
+        assert info.value.index == 0
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("runner", [run_two_arm, run_multi_arm])
+    def test_a_lone_run_raises_its_own_exception(self, runner):
+        base = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
+
+        def sample(rng, n):
+            raise ValueError("no contexts")
+
+        env = dataclasses.replace(base, sample_contexts=sample)
+        with pytest.raises(RuntimeError, match="^environment sampling failed at step 1: no contexts$") as info:
+            runner(env, PolicyConfig(beta=2.0, d=1, horizon=900), 1)
+        assert type(info.value) is RuntimeError  # not the RunError of a stack
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_runs_must_share_their_basis(self):
         env = make_smooth_instance("sinusoidal", d=1, amplitude=0.4, beta=2.0)
         configs = [PolicyConfig(beta=2.0, d=1, horizon=900), PolicyConfig(beta=3.0, d=1, horizon=900)]
